@@ -11,13 +11,15 @@ per-pass detail (per-case wall times, failures).
 
 --trace 0: end-to-end metrics, medians over the passes.
 --trace 1: untraced and traced passes alternate; per-layer metrics from the
-traced passes, and the tracing overhead (traced minus untraced wall_s).
+traced passes, and the tracing overhead: the median over pairs of adjacent
+passes of traced minus untraced wall_s.
 Spans of the last traced pass go to bench/out/<workload>.spans.jsonl.
 """
 
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -30,7 +32,6 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 OUT = HERE / "out"
-SETUP_SPAWNS = 7          # extra set-up-only interpreters, for the setup_s median
 RUN_LIMIT_S = 160.0       # no case starts after this; the run must end in 180 s
 KILL_GRACE_S = 10.0
 
@@ -43,14 +44,12 @@ class WorkerFailed(RuntimeError):
     pass
 
 
-def spawn(workload, seed, deadline, trace_file=None, setup_only=False):
+def spawn(workload, seed, deadline, trace_file=None):
     """Run one worker to completion; returns its JSON result."""
     cmd = [sys.executable, str(WORKER), "--workload", workload, "--seed", str(seed),
            "--deadline", repr(deadline)]
     if trace_file:
         cmd += ["--trace", str(trace_file)]
-    if setup_only:
-        cmd.append("--setup-only")
     # a fixed hash seed keeps set and dict orders, and so timings, equal across passes
     env = dict(os.environ, PYTHONHASHSEED="0")
     spawned_at = monotonic()
@@ -108,12 +107,12 @@ def run_passes(workload, seed, seconds, trace):
             return untraced, traced
 
 
-def end_to_end(untraced, setups):
+def end_to_end(untraced):
     med = statistics.median
     return {
         "wall_s": med(r["wall_s"] for r in untraced),
         "slowest_case_s": med(max(c["wall_s"] for c in r["cases"]) for r in untraced),
-        "setup_s": med(setups),
+        "setup_s": med(r["setup_s"] for r in untraced),
         "peak_rss_mb": med(r["peak_rss_mb"] for r in untraced),
     }
 
@@ -125,8 +124,7 @@ def per_layer(untraced, traced, n_cases):
     layers["repthy.weight_multiplicities.calls_per_report"] = \
         layers.get("repthy.weight_multiplicities.calls", 0) / reports if reports else 0
     layers["tableau.prolong.calls_per_case"] = layers.get("tableau.prolong.calls", 0) / n_cases
-    layers["trace.overhead_s"] = med(r["wall_s"] for r in traced) - \
-        med(r["wall_s"] for r in untraced)
+    layers["trace.overhead_s"] = med(t["wall_s"] - u["wall_s"] for u, t in zip(untraced, traced))
     return layers
 
 
@@ -147,11 +145,9 @@ def main(argv=None):
         return 2
     with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
+    # on SIGTERM, unwind through spawn() so the running worker is killed too
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
-        setups = []
-        if not args.trace:
-            setups = [spawn(args.workload, args.seed, monotonic() + RUN_LIMIT_S,
-                            setup_only=True)["setup_s"] for _ in range(SETUP_SPAWNS)]
         untraced, traced = run_passes(args.workload, args.seed, args.seconds, args.trace)
     except WorkerFailed as e:
         print(f"error: {e}", file=sys.stderr)
@@ -172,8 +168,7 @@ def main(argv=None):
         metrics = select(per_layer(untraced, traced, len(traced[0]["cases"])),
                          spec["per_layer"])
     else:
-        metrics = select(end_to_end(untraced, setups + [r["setup_s"] for r in untraced]),
-                         spec["end_to_end"])
+        metrics = select(end_to_end(untraced), spec["end_to_end"])
     print(json.dumps({"correct": wrong == 0, "attempted": len(cases), "failed": failed,
                       "metrics": metrics}))
     return 0

@@ -104,7 +104,7 @@ def test_every_benchmark_metric_is_produced():
     untraced = [{"wall_s": wall, "cases": results, "peak_rss_mb": 1.0, "setup_s": 0.1}]
     traced = [dict(untraced[0], layers=tracer.layer_metrics())]
     run.select(run.per_layer(untraced, traced, len(results)), spec["per_layer"])
-    run.select(run.end_to_end(untraced, [0.1]), spec["end_to_end"])
+    run.select(run.end_to_end(untraced), spec["end_to_end"])
 
 
 def test_seeds_change_inputs_but_not_tableau_invariants():
@@ -130,3 +130,5 @@ def test_a_wrong_output_is_a_mismatch():
     assert cs.check(reference, "adjoint:A3", good) is None
     assert cs.check(reference, "adjoint:A3", dict(good, verdict="INCONCLUSIVE"))
     assert cs.check(reference, "no-such-case", good)
+    oracle = reference["oracle:G2:1,0:1"]
+    assert cs.check(reference, "oracle:G2:1,0:1", dict(oracle, oracle_ran=False))

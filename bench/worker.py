@@ -1,7 +1,7 @@
 """One benchmark pass in a fresh interpreter.
 
     python3 bench/worker.py --workload W --seed N --spawned-at T [--trace FILE]
-                            [--setup-only] [--deadline D]
+                            [--deadline D]
 
 ``--spawned-at`` and ``--deadline`` are CLOCK_MONOTONIC readings taken by
 the parent; that clock is system-wide, so setup time counts interpreter
@@ -95,16 +95,12 @@ def main(argv=None):
     ap.add_argument("--spawned-at", type=float, required=True)
     ap.add_argument("--deadline", type=float, default=float("inf"))
     ap.add_argument("--trace", default=None, help="write spans to this JSONL file")
-    ap.add_argument("--setup-only", action="store_true")
     args = ap.parse_args(argv)
 
     lc = import_liecoh()
     cases = cs.make_cases(args.workload, args.seed)
     reference = cs.load_reference()
     setup_s = monotonic() - args.spawned_at
-    if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
-        return 0
 
     tracer = None
     if args.trace:
