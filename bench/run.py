@@ -9,6 +9,10 @@ one after another, single-threaded, until the next one would end after
 {"correct", "attempted", "failed", "metrics"}; the lines before it are the
 per-pass detail (per-case wall times, failures).
 
+Times are in reference seconds: each pass's measured times divided by the
+slowdown its host-speed probe saw (bench/probe.py), so that the shared
+host's drift does not read as a change in the program.
+
 --trace 0: end-to-end metrics, medians over the passes.
 --trace 1: untraced and traced passes alternate; per-layer metrics from the
 traced passes, and the tracing overhead: the median over pairs of adjacent
@@ -77,9 +81,10 @@ def outputs(result):
 def summarize(result, label):
     """One detail line per pass: wall time and per-case seconds and failures."""
     return json.dumps({
-        "pass": label, "wall_s": result["wall_s"], "setup_s": result["setup_s"],
-        "peak_rss_mb": result["peak_rss_mb"],
-        "case_s": {c["id"]: round(c["wall_s"], 4) for c in result["cases"]},
+        "pass": label, "measured_wall_s": result["wall_s"],
+        "measured_setup_s": result["setup_s"], "slowdown": result["slowdown"],
+        "probes": result["probes"], "peak_rss_mb": result["peak_rss_mb"],
+        "measured_case_s": {c["id"]: round(c["wall_s"], 4) for c in result["cases"]},
         "failures": {c["id"]: f"{c['status']}: {c.get('error', '')}"
                      for c in result["cases"] if c["status"] != "ok"},
     })
@@ -107,24 +112,33 @@ def run_passes(workload, seed, seconds, trace):
             return untraced, traced
 
 
+def reference_s(result, seconds):
+    """A time measured in a pass, in reference seconds."""
+    return seconds / result["slowdown"]
+
+
 def end_to_end(untraced):
     med = statistics.median
     return {
-        "wall_s": med(r["wall_s"] for r in untraced),
-        "slowest_case_s": med(max(c["wall_s"] for c in r["cases"]) for r in untraced),
-        "setup_s": med(r["setup_s"] for r in untraced),
+        "wall_s": med(reference_s(r, r["wall_s"]) for r in untraced),
+        "slowest_case_s": med(reference_s(r, max(c["wall_s"] for c in r["cases"]))
+                              for r in untraced),
+        "setup_s": med(reference_s(r, r["setup_s"]) for r in untraced),
         "peak_rss_mb": med(r["peak_rss_mb"] for r in untraced),
     }
 
 
 def per_layer(untraced, traced, n_cases):
     med = statistics.median
-    layers = {k: med(r["layers"][k] for r in traced) for k in traced[0]["layers"]}
+    layers = {k: med(reference_s(r, r["layers"][k]) if k.endswith("_s") else r["layers"][k]
+                     for r in traced)
+              for k in traced[0]["layers"]}
     reports = layers.get("cohomology.h1_report.calls", 0)
     layers["repthy.weight_multiplicities.calls_per_report"] = \
         layers.get("repthy.weight_multiplicities.calls", 0) / reports if reports else 0
     layers["tableau.prolong.calls_per_case"] = layers.get("tableau.prolong.calls", 0) / n_cases
-    layers["trace.overhead_s"] = med(t["wall_s"] - u["wall_s"] for u, t in zip(untraced, traced))
+    layers["trace.overhead_s"] = med(reference_s(t, t["wall_s"]) - reference_s(u, u["wall_s"])
+                                     for u, t in zip(untraced, traced))
     return layers
 
 

@@ -1,7 +1,9 @@
 """Tests of the benchmark itself:  python3 -m pytest -q bench/test_bench.py"""
 
 import json
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import cases as cs  # noqa: E402
+from probe import REF_S, Probe, slowdown  # noqa: E402
 import run  # noqa: E402
 import worker  # noqa: E402
 from tracer import Span, Target, Tracer, _namespaces, self_times  # noqa: E402
@@ -101,7 +104,8 @@ def test_every_benchmark_metric_is_produced():
     with tracer:
         wall, results = worker.run_pass(lc, small_cases(), cs.load_reference(),
                                         float("inf"), tracer)
-    untraced = [{"wall_s": wall, "cases": results, "peak_rss_mb": 1.0, "setup_s": 0.1}]
+    untraced = [{"wall_s": wall, "cases": results, "peak_rss_mb": 1.0, "setup_s": 0.1,
+                 "slowdown": 1.0}]
     traced = [dict(untraced[0], layers=tracer.layer_metrics())]
     run.select(run.per_layer(untraced, traced, len(results)), spec["per_layer"])
     run.select(run.end_to_end(untraced), spec["end_to_end"])
@@ -132,3 +136,21 @@ def test_a_wrong_output_is_a_mismatch():
     assert cs.check(reference, "no-such-case", good)
     oracle = reference["oracle:G2:1,0:1"]
     assert cs.check(reference, "oracle:G2:1,0:1", dict(oracle, oracle_ran=False))
+
+
+def test_probe_time_is_left_out_of_the_pass_and_its_handler_restored():
+    before = signal.getsignal(signal.SIGPROF)
+    probe = Probe(period=0.002)
+    with probe:
+        spent0, t0 = probe.spent, time.perf_counter()
+        wall, results = worker.run_pass(lc, small_cases(), cs.load_reference(),
+                                        float("inf"), clock=probe.clock)
+        elapsed, spent = time.perf_counter() - t0, probe.spent - spent0
+    assert signal.getsignal(signal.SIGPROF) is before
+    assert spent > 0 and wall == pytest.approx(elapsed - spent, abs=0.01)
+    assert [r["status"] for r in results] == ["ok"] * len(SMALL)
+    assert len(probe.samples) > 10
+    assert probe.spent >= sum(probe.samples) > 0
+    assert slowdown(probe.samples) == \
+        pytest.approx(sum(probe.samples) / len(probe.samples) / REF_S)
+    assert sum(r["wall_s"] for r in results) <= wall

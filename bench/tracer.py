@@ -109,8 +109,9 @@ def _namespaces():
 class Tracer:
     """Patches the targets into every liecoh namespace; remove() undoes it."""
 
-    def __init__(self, targets=TARGETS):
+    def __init__(self, targets=TARGETS, clock=time.perf_counter):
         self.targets = list(targets)
+        self.clock = clock          # seconds; the worker passes one without probe time
         self.spans = []
         self.counts = [dict.fromkeys(t.counters, 0) for t in self.targets]
         self.absent = []            # target names the program does not define
@@ -154,18 +155,19 @@ class Tracer:
         """Start a root span for one benchmark case; returns its index."""
         self.case = case_id
         self._stack = []
-        self.spans.append(Span(-1, time.perf_counter(), 0.0, -1, case_id))
+        self.spans.append(Span(-1, self.clock(), 0.0, -1, case_id))
         self._stack.append(len(self.spans) - 1)
         return self._stack[0]
 
     def end_case(self, root):
-        self.spans[root].end = time.perf_counter()
+        self.spans[root].end = self.clock()
         self._stack = []
 
     def _wrap(self, index, fn):
         tracer = self
         counters = list(self.targets[index].counters.items())
         counts = self.counts[index]
+        clock = self.clock
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -173,11 +175,11 @@ class Tracer:
             span = Span(index, 0.0, 0.0, stack[-1] if stack else -1, tracer.case)
             tracer.spans.append(span)
             stack.append(len(tracer.spans) - 1)
-            span.start = time.perf_counter()
+            span.start = clock()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                span.end = time.perf_counter()
+                span.end = clock()
                 if stack:
                     stack.pop()
             for cname, measure in counters:

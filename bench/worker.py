@@ -5,9 +5,12 @@
 
 ``--spawned-at`` and ``--deadline`` are CLOCK_MONOTONIC readings taken by
 the parent; that clock is system-wide, so setup time counts interpreter
-start, ``import liecoh`` and input generation.  The pass prints one JSON
-object on stdout.  With ``--trace FILE`` the liecoh layers are wrapped by
-the tracer and the spans are written to FILE once, after the pass.
+start, ``import liecoh`` and input generation.  The host-speed probe
+(probe.py) runs while the cases do; every time the pass reports leaves out
+the probe's own time, and ``slowdown`` says how slow the host ran.  The pass
+prints one JSON object on stdout.  With ``--trace FILE`` the liecoh layers
+are wrapped by the tracer and the spans are written to FILE once, after the
+pass.
 """
 
 import argparse
@@ -19,11 +22,13 @@ import time
 from pathlib import Path
 
 import cases as cs
+from probe import Probe, kernel, slowdown
 from tracer import Tracer
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 CASE_LIMIT_S = 60.0
+PROBE_WARMUP = 50         # kernel() runs before the pass, so probes run warm
 
 
 def monotonic():
@@ -49,11 +54,15 @@ def import_liecoh():
     return liecoh
 
 
-def run_pass(lc, cases, reference, deadline, tracer=None):
-    """Run every case, timing and checking each; failures do not stop the pass."""
+def run_pass(lc, cases, reference, deadline, tracer=None, clock=time.perf_counter):
+    """Run every case, timing and checking each; failures do not stop the pass.
+
+    Wall times are read from ``clock``; a running probe's clock leaves out
+    the time spent in its handler.
+    """
     results = []
     signal.signal(signal.SIGALRM, _alarm)
-    t_start = time.perf_counter()
+    t_start = clock()
     for case in cases:
         limit = min(CASE_LIMIT_S, deadline - monotonic())
         rec = {"id": case.id}
@@ -63,7 +72,7 @@ def run_pass(lc, cases, reference, deadline, tracer=None):
             results.append(rec)
             continue
         root = tracer.begin_case(case.id) if tracer else None
-        t0 = time.perf_counter()
+        t0 = clock()
         try:
             signal.setitimer(signal.ITIMER_REAL, limit)
             try:
@@ -80,11 +89,11 @@ def run_pass(lc, cases, reference, deadline, tracer=None):
             rec.update(status="ok" if why is None else "mismatch")
             if why:
                 rec["error"] = why
-        rec["wall_s"] = time.perf_counter() - t0
+        rec["wall_s"] = clock() - t0
         if tracer:
             tracer.end_case(root)
         results.append(rec)
-    wall = time.perf_counter() - t_start
+    wall = clock() - t_start
     return wall, results
 
 
@@ -102,15 +111,21 @@ def main(argv=None):
     reference = cs.load_reference()
     setup_s = monotonic() - args.spawned_at
 
+    for _ in range(PROBE_WARMUP):
+        kernel()
+    probe = Probe()
     tracer = None
     if args.trace:
-        tracer = Tracer().install()
+        tracer = Tracer(clock=probe.clock).install()
     try:
-        wall, results = run_pass(lc, cases, reference, args.deadline, tracer)
+        with probe:
+            wall, results = run_pass(lc, cases, reference, args.deadline, tracer,
+                                     probe.clock)
     finally:
         if tracer:
             tracer.remove()
     out = {"setup_s": setup_s, "wall_s": wall, "cases": results,
+           "slowdown": slowdown(probe.samples), "probes": len(probe.samples),
            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     if tracer:
         out["layers"] = tracer.layer_metrics()
