@@ -31,5 +31,5 @@ for comp in gperp_decompose(rs, lam):
 
 print("\nwhole g-perp at once, straight from matrices inside sl(8):")
 print(" ", gperp_direct_h1(rs, marking, lam))
-print("the degree-1 classes are the infinitesimal seeds of the classical")
-print("contact-geometry impostors of the sl3 flag variety.")
+print("the degree-1 classes stop the H^1 criterion from certifying order two;")
+print("whether F(1,2;3) in P^7 is rigid at order two is open.")

@@ -214,6 +214,8 @@ def cmd_rigidity(args):
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
             raise InputError(f"cannot read scenario {args.scenario!r}: {e}") from e
     elif args.type:
+        if args.marked is None or args.weight is None or args.p is None:
+            raise InputError("--type needs --marked, --weight and --p")
         rs = _rootsystem(args.type)
         spec = scenario_from_json({
             "algebra": [str(f) for f in rs.factors],

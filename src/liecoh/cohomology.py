@@ -85,7 +85,8 @@ def levi_weyl_dim(rs, marking, weight):
     for r in rs.positive_roots:
         if root_degree(marking, r.coords) == 0:
             dim *= rs.pair_coroot(shifted, r.coords) / rs.pair_coroot(rho, r.coords)
-    assert dim.denominator == 1 and dim > 0
+    if dim.denominator != 1 or dim <= 0:
+        raise InternalCheckError(f"Levi dimension {dim} is not a positive integer")
     return int(dim)
 
 
@@ -198,7 +199,9 @@ def graded_h1(cx, with_h0=False):
                 # alpha([x_b, x_c]) X
                 coeff = cx.brackets.get((b, c), {}).get(a)
                 if coeff:
-                    assert ts == s
+                    if ts != s:
+                        raise InternalCheckError(
+                            f"bracket [x_{b}, x_{c}] has x_{a} of the wrong degree")
                     for r in range(nrows):
                         d1[roff + r][coff + r] += coeff
                 # alpha(x_b) x_c.X - alpha(x_c) x_b.X
@@ -221,7 +224,8 @@ def graded_h1(cx, with_h0=False):
         rank0 = linalg.rank(d0) if n0 else 0
         rank1 = linalg.rank(d1) if n2 else 0
         dim = (n1 - rank1) - rank0
-        assert dim >= 0
+        if dim < 0:
+            raise InternalCheckError(f"negative H^1 dimension in degree {d}")
         if dim:
             h1[_as_degree(d)] = dim
         if with_h0 and n0:
@@ -272,8 +276,8 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
         # degree additivity: every nonzero entry drops the Z-degree by depth
         for r in range(rep.dimension):
             for c in range(rep.dimension):
-                if M[r][c]:
-                    assert degree_of[c] - degree_of[r] == depths[a]
+                if M[r][c] and degree_of[c] - degree_of[r] != depths[a]:
+                    raise InternalCheckError("root vector breaks degree additivity")
         for s, ids in slice_index.items():
             target = slice_index.get(s - depths[a], [])
             act[(a, s)] = [[M[rv][cv] for cv in ids] for rv in target]
@@ -315,24 +319,30 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     pairs_by_degree = {}
     for v in range(n):
         for w in range(n):
-            s = zvals[v] - zvals[w]
-            assert Fraction(s).denominator == 1
-            pairs_by_degree.setdefault(int(Fraction(s)), []).append((v, w))
+            s = Fraction(zvals[v] - zvals[w])
+            if s.denominator != 1:
+                raise InternalCheckError(f"gl(U) slice of non-integral degree {s}")
+            pairs_by_degree.setdefault(int(s), []).append((v, w))
 
     slice_pairs = {}
+    slice_rows = {}
     slice_basis = {}
     for s, pairs in sorted(pairs_by_degree.items()):
         rows = [[M[w][v] for (v, w) in pairs] for M, dg in g_elements if dg == -s]
         if s == 0:
             rows.append([Fraction(int(v == w)) for (v, w) in pairs])
-        basis = linalg.kernel_basis(rows, len(pairs)) if rows else \
-            [linalg.unit_vector(len(pairs), k) for k in range(len(pairs))]
+        basis = linalg.kernel_basis(rows, len(pairs))
         if basis:
             slice_pairs[s] = pairs
+            slice_rows[s] = rows
             slice_basis[s] = basis
     total = sum(len(b) for b in slice_basis.values())
     if total != n * n - 1 - rs.dim_g():
         raise InternalCheckError("g-perp dimension bookkeeping failed")
+    # coordinates in a kernel_basis are the entries at its free columns,
+    # the last nonzero entry of each basis vector
+    slice_free = {s: [max(k for k, x in enumerate(v) if x) for v in basis]
+                  for s, basis in slice_basis.items()}
 
     roots = negative_roots(rs, marking)
     depths = [root_degree(marking, c) for c in roots]
@@ -349,22 +359,17 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         X = fmat[coords]
         for s, basis in slice_basis.items():
             t = s - depths[a]
-            tbasis = slice_basis.get(t, [])
-            block = [[Fraction(0)] * len(basis) for _ in range(len(tbasis))]
-            for cidx, vec in enumerate(basis):
-                M = to_matrix(vec, slice_pairs[s])
-                C = repthy.commutator(X, M)
+            columns = []
+            for vec in basis:
+                C = repthy.commutator(X, to_matrix(vec, slice_pairs[s]))
                 cvec = [C[v][w] for (v, w) in slice_pairs.get(t, [])]
-                if tbasis:
-                    coeffs = linalg.solve_in_span(tbasis, cvec)
-                    if coeffs is None:
+                if t in slice_basis:
+                    if any(linalg.mat_vec(slice_rows[t], cvec)):
                         raise InternalCheckError("g_- action left g-perp")
-                    for ridx, cc in enumerate(coeffs):
-                        block[ridx][cidx] = cc
-                else:
-                    if any(x != 0 for row in C for x in row):
-                        raise InternalCheckError("g_- action left the graded range")
-            act[(a, s)] = block
+                elif any(x != 0 for row in C for x in row):
+                    raise InternalCheckError("g_- action left the graded range")
+                columns.append([cvec[f] for f in slice_free.get(t, [])])
+            act[(a, s)] = linalg.transpose(columns)
     brackets = structure_constants(rs, roots)
     slices = {s: len(b) for s, b in slice_basis.items()}
     return GradedComplex(slices, depths, act, brackets)

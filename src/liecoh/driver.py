@@ -55,6 +55,8 @@ def run_scenario(spec, bound=DEFAULT_ORACLE_BOUND):
         raise ValueError(f"weight length {len(weight)} != rank {rs.rank}")
     if not rs.is_dominant(weight):
         raise ValueError(f"weight {weight} is not dominant")
+    if marking.marked != {i + 1 for i, c in enumerate(weight) if c}:
+        raise ValueError(f"marking {sorted(marking.marked)} is not the support of {weight}")
     report = h1_report(rs, marking, weight, spec.p,
                        oracle=spec.oracle, bound=bound)
     return RigidityVerdict(

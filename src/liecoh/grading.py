@@ -93,9 +93,12 @@ def grade_module(rs, marking, lam):
     """Graded dimensions of V_lam, shifted so the top degree is 0.
 
     dims[-j] is the total multiplicity of weights nu with Z(nu) = Z(lam) - j.
-    The support is contiguous {0, -1, ..., -f} and dims[0] = 1.
+    The support is contiguous {0, -1, ..., -f}, and dims[0] = 1 because
+    supp(lam) must lie inside the marking.
     """
     marking.validate(rs)
+    if any(c and (j + 1) not in marking.marked for j, c in enumerate(lam)):
+        raise ValueError(f"support of {tuple(lam)} is not inside the marking")
     z = grading_element(rs, marking)
     top = z(lam)
     dims = {}
@@ -104,7 +107,6 @@ def grade_module(rs, marking, lam):
         assert j.denominator == 1 and j >= 0
         j = int(j)
         dims[-j] = dims.get(-j, 0) + m
-    assert dims[0] == 1
     f = -min(dims)
     assert set(dims) == set(range(-f, 1)), "module grading has gaps"
     return GradedDims(dict(sorted(dims.items())))

@@ -1,10 +1,13 @@
 """Exact rational dense linear algebra.
 
 Matrices are lists of rows, entries Fraction (or int, coerced on the fly).
-Everything is computed over Q with deterministic first-nonzero pivoting, so
-results are reproducible bit for bit.  Elimination is fraction-free (Bareiss)
-on integer-scaled rows, which is much faster than naive Fraction Gaussian
-elimination for the matrix sizes that show up here.
+Everything is computed over Q, so results are reproducible bit for bit.
+
+_row_echelon_int is the package's only row reduction: every rank, kernel,
+independent subset, intersection and inverse in liecoh comes from it.  It is
+fraction-free (Bareiss) on integer-scaled rows, which is much faster than
+naive Fraction Gaussian elimination for the matrix sizes that show up here.
+Its pivot rule is the first nonzero entry, column by column (pivot_columns).
 """
 
 from fractions import Fraction
@@ -106,14 +109,27 @@ def _row_echelon_int(M):
     return piv_cols, r
 
 
+def pivot_columns(rows):
+    """Pivot columns of the echelon form, in increasing order.
+
+    Column c is a pivot iff it is not in the span of columns 0..c-1, so the
+    rank of the first k columns is the number of pivots below k.
+    """
+    return _row_echelon_int(_scaled_int_rows(rows))[0]
+
+
 def rank(rows):
     """Rank over Q, computed exactly."""
-    M = _scaled_int_rows(rows)
-    return _row_echelon_int(M)[1]
+    return len(pivot_columns(rows))
 
 
 def kernel_basis(rows, ncols=None):
     """Basis of {v : M v = 0}; exactly ncols - rank vectors.
+
+    There is one vector per free (non-pivot) column f, in increasing order
+    of f.  It has 1 at f, 0 at every other free column and 0 at every column
+    after f, so f is its last nonzero entry.  The coordinates of any kernel
+    vector in this basis are therefore its entries at the free columns.
 
     `ncols` is needed when `rows` is empty (the zero map).
     """
@@ -151,18 +167,12 @@ def unit_vector(n, j):
 
 
 def independent_subset(vectors):
-    """Indices of a maximal linearly independent subset, chosen greedily."""
-    if not vectors:
-        return []
-    picked = []
-    M = []
-    for idx, v in enumerate(vectors):
-        M.append(list(v))
-        if rank(M) == len(M):
-            picked.append(idx)
-        else:
-            M.pop()
-    return picked
+    """Indices of a maximal linearly independent subset, chosen greedily.
+
+    Vector k is picked iff it is outside the span of vectors 0..k-1, i.e.
+    iff column k of the matrix with these columns is a pivot.
+    """
+    return pivot_columns(transpose(list(vectors)))
 
 
 def solve_in_span(span, target):
@@ -217,8 +227,8 @@ def intersect(span_a, span_b):
         vec = [sum((x[c] * A[c][r] for c in range(len(A)) if x[c]), Fraction(0))
                for r in range(n)]
         out.append(vec)
-    keep = independent_subset(out)
-    return [out[i] for i in keep]
+    # A and B are independent, so (x, y) -> A x is injective on the kernel
+    return out
 
 
 def quotient_dim(ambient_dim, subspace):

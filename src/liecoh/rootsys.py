@@ -356,19 +356,15 @@ class RootSystem:
 
 
 def _invert(int_matrix):
+    """C^-1 from the kernel of (C | -I).
+
+    C is invertible, so the free columns are the last n and the j-th kernel
+    vector is (C^-1 e_j, e_j).
+    """
     n = len(int_matrix)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(int_matrix)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if M[i][c])
-        M[c], M[piv] = M[piv], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return [row[n:] for row in M]
+    ker = linalg.kernel_basis([list(row) + [-int(i == j) for j in range(n)]
+                               for i, row in enumerate(int_matrix)])
+    return [[ker[j][i] for j in range(n)] for i in range(n)]
 
 
 def build(factors):

@@ -122,45 +122,15 @@ def prolongation_dim(t):
 
 
 def _flag_dims(t, flag):
-    """dim A_j for j = 1..n-1 along the ordered flag basis of V."""
-    if t.dim == 0:
-        return [0] * (t.dim_V - 1)
-    rows = []
-    for M in t.basis:
-        row = []
-        for v in flag:
-            row.extend(linalg.mat_vec(M, v))
-        rows.append(row)
-    # incremental ranks over column blocks of width dim_W
-    M = linalg._scaled_int_rows(rows)
-    dims = []
-    nr = len(M)
-    r = 0
-    prev = 1
-    for blk in range(t.dim_V - 1):
-        hi = (blk + 1) * t.dim_W
-        c = blk * t.dim_W
-        while c < hi:
-            piv = None
-            for i in range(r, nr):
-                if M[i][c]:
-                    piv = i
-                    break
-            if piv is not None:
-                M[r], M[piv] = M[piv], M[r]
-                pivot = M[r][c]
-                ncol = len(M[0])
-                for i in range(r + 1, nr):
-                    if any(M[i][c:]):
-                        Mi, Mr = M[i], M[r]
-                        mic = Mi[c]
-                        for j in range(c, ncol):
-                            Mi[j] = (pivot * Mi[j] - mic * Mr[j]) // prev
-                prev = pivot
-                r += 1
-            c += 1
-        dims.append(t.dim - r)
-    return dims
+    """dim A_j for j = 1..n-1 along the ordered flag basis of V.
+
+    A_j kills the first j flag vectors, so dim A_j is dim A minus the rank of
+    the first j column blocks (width dim_W) of the rows below.
+    """
+    rows = [[x for v in flag[:-1] for x in linalg.mat_vec(M, v)] for M in t.basis]
+    pivots = linalg.pivot_columns(rows)
+    return [t.dim - sum(1 for c in pivots if c < j * t.dim_W)
+            for j in range(1, t.dim_V)]
 
 
 def _candidate_flags(t, seed):

@@ -139,6 +139,11 @@ def test_exit_code_2_on_input_errors(capsys):
          "--p", "0"),
         ("rigidity", "--fixture", "no-such-fixture"),
         ("gperp", "--type", "A1,A1", "--weight", "1,0"),
+        # marking != supp(weight), and --type without --marked/--weight/--p
+        ("rigidity", "--type", "A2", "--marked", "1", "--weight", "1,1", "--p", "-1"),
+        ("grading", "--type", "A2", "--marked", "1", "--weight", "1,1"),
+        ("rigidity", "--type", "A2", "--marked", "1", "--weight", "1,1"),
+        ("rigidity", "--type", "A2", "--weight", "1,1", "--p", "-1"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -199,3 +202,23 @@ def test_kostant_rejects_non_dominant():
     rs = parse_type("A2")
     with pytest.raises(ValueError):
         kostant_h1(rs, ParabolicMarking({1}), IrrComponent((1, -1)))
+
+
+def test_graded_h1_degree_check_survives_optimize():
+    # [x_0, x_1] = x_2 with all three of depth 1 breaks degree additivity;
+    # python -O strips asserts, so the check must be an explicit raise
+    script = """
+from fractions import Fraction
+from liecoh.cohomology import GradedComplex, InternalCheckError, graded_h1
+slices = {0: 1, 1: 1, 2: 1}
+act = {(a, s): [[Fraction(0)]] if s - 1 in slices else []
+       for a in range(3) for s in slices}
+try:
+    print(graded_h1(GradedComplex(slices, [1, 1, 1], act, {(0, 1): {2: 1}})))
+except InternalCheckError:
+    print("InternalCheckError")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "InternalCheckError"

@@ -144,5 +144,8 @@ def test_run_scenario_validates():
         run_scenario(spec(["A2"], {1}, (1, -1), 0))
     with pytest.raises(ValueError):
         run_scenario(spec(["A2"], {1}, (1,), 0))
+    for marked, weight in [({1}, (1, 1)), ({1, 2}, (1, 0))]:
+        with pytest.raises(ValueError, match="support"):
+            run_scenario(spec(["A2"], marked, weight, -1))
     with pytest.raises(ValueError):
         spec(["A2"], {1}, (1, 1), -2)

@@ -1,0 +1,63 @@
+"""Golden outputs: "the same results" made checkable.
+
+Pins the sha256 of the verdict JSON that `liecoh --format json rigidity
+--fixture NAME` prints for every bundled fixture, and of the stdout of every
+demo.  A change that keeps these bytes keeps the program's observable
+results; a change that means to alter them must update the hashes here and
+say why.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+from liecoh.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+FIXTURE_SHA256 = {
+    "adjoint-a2": "fa9a7c45b501d39e73a22a70d39cf52c772dffb76449314af2f6d90507710644",
+    "adjoint-c2": "079b4185d0a00d8eed5ffe7cbc451ded7142cc056c9dcd98c43588764a2ec440",
+    "adjoint-g2": "72910787f5966c6397fbdc266a35b3574a0a04a6f4c4c517141571eedacfe0cd",
+    "grassmannian-a3-p2": "3d8565a1ede2b04e98d6790f7d402ba34ee8ff4c50b2bd0dd50c8b9f8b15d62e",
+    "segre-1-1": "28ea407911a19661f3dc2118327ce0eea52096d4c7541cb93aa94c646379265f",
+    "segre-2-2": "4488961127035ac85b7fa2aefe34578e7d4ec6f84f22389e0956f9e2162d51bb",
+    "veronese-a1": "e73b1c32f8fa0df018fde6baf1e2d12d22383ecd64ce80dfac0c4b111f2c12cc",
+}
+
+DEMO_SHA256 = {
+    "01_universal_dimensions.py":
+        "3e6d9dd5d08663e802f81f7a8f250cabb50dda2880c599a9e7592e4eeb4e0a6e",
+    "02_gradings.py": "eec92f15e373d4fc7d3e56928fc484f6bcc61a7d071157aeed7d2e7f265da162",
+    "03_gperp_cohomology.py":
+        "7822cb6b1eab99f656ba8a1ff6d01f9ac014fc1e72f42da9530b6f0b746ac55f",
+    "04_cartan_test.py": "cbc7f1a9bf48581111bec95ee1c3a5846a232849869aa21db9ee45f7a7ac8f0f",
+    "05_rigidity_verdicts.py":
+        "02198d55927e8a1166de26b4c4f6f940613d16ad476f423dce408ad732fda7a3",
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SHA256))
+def test_fixture_verdict_json(name, capsys):
+    assert main(["--format", "json", "rigidity", "--fixture", name]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == FIXTURE_SHA256[name]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(DEMO_SHA256) == sorted(
+        f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
+def test_demo_stdout(demo):
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                         capture_output=True, env=env, check=True).stdout
+    assert sha256(out) == DEMO_SHA256[demo]

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liecoh import linalg
+from liecoh.tableau import Tableau, _flag_dims
 
 
 def F(a, b=1):
@@ -114,3 +115,58 @@ def test_intersection_dimension_formula(n, data):
     dim_sum = linalg.rank(A + B)
     inter = linalg.intersect(A, B)
     assert len(inter) == dim_a + dim_b - dim_sum
+
+
+# ---------- contracts of the one elimination core ----------
+
+small = st.integers(-1, 1).map(Fraction)
+
+
+@st.composite
+def small_vectors(draw):
+    # entries in {-1, 0, 1} and up to 6 vectors in dimension <= 4, so that
+    # dependent and zero vectors are common
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+def greedy_independent(vectors):
+    picked = []
+    for k, v in enumerate(vectors):
+        if linalg.rank([vectors[i] for i in picked] + [v]) == len(picked) + 1:
+            picked.append(k)
+    return picked
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_vectors())
+def test_independent_subset_is_greedy(vectors):
+    assert linalg.independent_subset(vectors) == greedy_independent(vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_vectors())
+def test_kernel_basis_unit_coordinates(M):
+    ker = linalg.kernel_basis(M)
+    free = [max(k for k, x in enumerate(v) if x) for v in ker]
+    assert free == sorted(set(free))
+    assert not set(free) & set(linalg.pivot_columns(M))
+    for v, f in zip(ker, free):
+        assert v[f] == 1
+        assert all(v[g] == 0 for g in free if g != f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_flag_dims_are_prefix_ranks(n, w, data):
+    mats = data.draw(st.lists(st.lists(st.lists(small, min_size=n, max_size=n),
+                                       min_size=w, max_size=w), max_size=5))
+    flat = [[x for row in M for x in row] for M in mats]
+    t = Tableau(n, w, [mats[i] for i in greedy_independent(flat)])
+    flag = data.draw(st.lists(st.lists(rational, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    assume(linalg.rank(flag) == n)
+    rows = [[x for v in flag for x in linalg.mat_vec(M, v)] for M in t.basis]
+    want = [t.dim - linalg.rank([row[:j * w] for row in rows])
+            for j in range(1, n)]
+    assert _flag_dims(t, flag) == want
