@@ -9,9 +9,13 @@ Two independent routes:
     is -Z(sigma_i . mu*).  This convention was arbitrated against the
     matrix oracle below and must stay in exact agreement with it.
 
-  * graded_h1 assembles the differentials degree by degree from explicit
+  * graded_h1 assembles the differentials grade by grade from explicit
     action matrices and bracket constants and takes exact ranks.  It checks
-    d1 . d0 = 0 in every slice and aborts if that fails.
+    d1 . d0 = 0 in every block and aborts if that fails.  gperp_complex
+    grades by (Z-degree, torus weight): every matrix unit of gl(U) and every
+    root vector has a single weight, so the differentials are block-diagonal
+    by weight and each block is small.  Integer (Z-degree only) grades, as
+    module_complex builds them, are accepted too.
 
 h1_report runs the full pipeline for Gamma = g-perp inside sl(U) and turns
 the graded dimensions into a rigidity verdict: RIGID when no piece lives in
@@ -45,14 +49,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, repthy
+from .errors import InternalCheckError
 from .grading import (GradedDims, ParabolicMarking, algebra_depth, grade_algebra,
                       grade_module, grading_element, root_degree)
 from .repthy import (DEFAULT_ORACLE_BOUND, IrrComponent, construct_rep,
                      root_vector_matrices, structure_constants)
-
-
-class InternalCheckError(RuntimeError):
-    """An exact internal consistency check failed (not a user input error)."""
 
 
 def _as_degree(x):
@@ -141,11 +142,18 @@ def kostant_h1(rs, marking, gamma):
 
 @dataclass
 class GradedComplex:
-    """Degree-sliced data for the C^0 -> C^1 -> C^2 complex of g_- with values in Gamma.
+    """Graded data for the C^0 -> C^1 -> C^2 complex of g_- with values in Gamma.
 
-    slices:   degree -> dimension of Gamma_degree
-    depths:   depth i_a > 0 of each g_- basis element x_a (degree -i_a)
-    act:      (a, source_degree) -> block matrix Gamma_source -> Gamma_{source - i_a}
+    A grade is a Z-degree (a number) or a pair (degree, weight), the weight a
+    tuple of fundamental coordinates of a torus weight; one complex uses one
+    kind.  Every object is homogeneous, so the differentials are
+    block-diagonal by grade and graded_h1 ranks them block by block.
+
+    slices:   grade -> dimension of Gamma in that grade
+    depths:   grade shift of each g_- basis element x_a, which has grade
+              -depths[a]: the depth i_a > 0, or (i_a, alpha) for the root
+              vector f_alpha of weight -alpha
+    act:      (a, source grade) -> block matrix Gamma_source -> Gamma_{source - depths[a]}
     brackets: (a, b) -> {c: coeff} for a < b, [x_a, x_b] = sum coeff x_c
     """
     slices: dict
@@ -154,91 +162,99 @@ class GradedComplex:
     brackets: dict
 
 
+def _add(grade, depth):
+    """grade + depth, for number grades and (degree, weight) grades."""
+    if isinstance(grade, tuple):
+        return (grade[0] + depth[0], tuple(x + y for x, y in zip(grade[1], depth[1])))
+    return grade + depth
+
+
+def _grade_text(grade):
+    if isinstance(grade, tuple):
+        return f"degree {_as_degree(grade[0])}, weight {grade[1]}"
+    return f"degree {_as_degree(grade)}"
+
+
 def graded_h1(cx, with_h0=False):
-    """Per-degree dims of H^1 (and optionally H^0) from a GradedComplex."""
-    nglobal = len(cx.depths)
-    candidate = sorted({s + i for s in cx.slices for i in cx.depths})
+    """Per-degree dims of H^1 (and optionally H^0) from a GradedComplex.
+
+    d0 and d1 are assembled and ranked one total grade at a time, and the
+    dimensions are summed into Z-degrees, read off the grades.  Every block
+    is checked: d1 . d0 = 0 and H^1 >= 0; every bracket must respect the
+    grading.
+    """
+    depths = cx.depths
+    pair_depth = {(b, c): _add(depths[b], depths[c])
+                  for b in range(len(depths)) for c in range(b + 1, len(depths))}
+    for (b, c), terms in cx.brackets.items():
+        for a, coeff in terms.items():
+            if coeff and depths[a] != pair_depth[(b, c)]:
+                raise InternalCheckError(
+                    f"bracket [x_{b}, x_{c}] has x_{a} of the wrong grade: x_{a} "
+                    f"lowers {_grade_text(depths[a])}, x_{b} and x_{c} together "
+                    f"{_grade_text(pair_depth[(b, c)])}")
+    c1 = {}  # total grade -> {a: grade of phi(x_a)}
+    c2 = {}  # total grade -> [(b, c, grade of psi(x_b, x_c))]
+    for s in cx.slices:
+        for a, i in enumerate(depths):
+            c1.setdefault(_add(s, i), {})[a] = s
+        for (b, c), i in pair_depth.items():
+            c2.setdefault(_add(s, i), []).append((b, c, s))
+
     h1 = {}
     h0 = {}
-    for d in candidate:
-        c1_blocks = [(a, d - cx.depths[a]) for a in range(nglobal)
-                     if (d - cx.depths[a]) in cx.slices]
-        if not c1_blocks:
-            continue
-        c1_off = {}
+    for d in sorted(set(c1) | set(cx.slices)):
+        blocks1 = c1.get(d, {})
+        off1 = {}
         n1 = 0
-        for a, s in c1_blocks:
-            c1_off[a] = n1
+        for a, s in sorted(blocks1.items()):
+            off1[a] = n1
             n1 += cx.slices[s]
-        c2_blocks = []
-        n2 = 0
-        c2_off = {}
-        for a in range(nglobal):
-            for b in range(a + 1, nglobal):
-                s = d - cx.depths[a] - cx.depths[b]
-                if s in cx.slices:
-                    c2_off[(a, b)] = n2
-                    c2_blocks.append((a, b, s))
-                    n2 += cx.slices[s]
+        blocks2 = c2.get(d, []) if n1 else []
         n0 = cx.slices.get(d, 0)
+        n2 = sum(cx.slices[s] for _, _, s in blocks2)
 
-        d0 = linalg.zeros(n1, n0)
+        # zeros are ints, which the elimination scales for free
+        d0 = [[0] * n0 for _ in range(n1)]
         if n0:
-            for a, s in c1_blocks:
-                block = cx.act[(a, d)]
-                off = c1_off[a]
-                for r in range(len(block)):
-                    d0[off + r] = list(block[r])
-        d1 = linalg.zeros(n2, n1)
-        for a, s in c1_blocks:
-            coff = c1_off[a]
-            ncols = cx.slices[s]
-            for b, c, ts in c2_blocks:
-                roff = c2_off[(b, c)]
-                nrows = cx.slices[ts]
-                # alpha([x_b, x_c]) X
-                coeff = cx.brackets.get((b, c), {}).get(a)
+            for a in blocks1:
+                for r, row in enumerate(cx.act[(a, d)]):
+                    d0[off1[a] + r] = list(row)
+        # d1 is built transposed, one row per C^1 coordinate: C^2 is the
+        # larger side, and the elimination is faster along the shorter one
+        d1t = [[0] * n2 for _ in range(n1)]
+        roff = 0
+        for b, c, s in blocks2:
+            nrows = cx.slices[s]
+            # alpha([x_b, x_c]) X
+            for a, coeff in cx.brackets.get((b, c), {}).items():
                 if coeff:
-                    if ts != s:
-                        raise InternalCheckError(
-                            f"bracket [x_{b}, x_{c}] has x_{a} of the wrong degree")
                     for r in range(nrows):
-                        d1[roff + r][coff + r] += coeff
-                # alpha(x_b) x_c.X - alpha(x_c) x_b.X
-                if b == a:
-                    block = cx.act[(c, s)]
+                        d1t[off1[a] + r][roff + r] += coeff
+            # alpha(x_b) x_c.X - alpha(x_c) x_b.X
+            for a, other, sign in ((b, c, 1), (c, b, -1)):
+                if a in blocks1:
+                    block = cx.act[(other, blocks1[a])]
+                    coff = off1[a]
                     for r in range(nrows):
-                        row = d1[roff + r]
-                        for t in range(ncols):
-                            row[coff + t] += block[r][t]
-                if c == a:
-                    block = cx.act[(b, s)]
-                    for r in range(nrows):
-                        row = d1[roff + r]
-                        for t in range(ncols):
-                            row[coff + t] -= block[r][t]
-        if n0 and n2:
-            comp = linalg.matmul(d1, d0)
-            if any(x != 0 for row in comp for x in row):
-                raise InternalCheckError(f"d1 . d0 != 0 in degree {d}")
-        rank0 = linalg.rank(d0) if n0 else 0
-        rank1 = linalg.rank(d1) if n2 else 0
+                        for t, x in enumerate(block[r]):
+                            if x:
+                                d1t[coff + t][roff + r] += sign * x
+            roff += nrows
+        if n0 and n2 and any(x for row in linalg.matmul(linalg.transpose(d0), d1t)
+                             for x in row):
+            raise InternalCheckError(f"d1 . d0 != 0 in {_grade_text(d)}")
+        rank0 = linalg.rank(d0) if n0 and n1 else 0
+        rank1 = linalg.rank(d1t) if n2 else 0
         dim = (n1 - rank1) - rank0
         if dim < 0:
-            raise InternalCheckError(f"negative H^1 dimension in degree {d}")
-        if dim:
-            h1[_as_degree(d)] = dim
-        if with_h0 and n0:
-            k = n0 - rank0
-            if k:
-                h0[_as_degree(d)] = k
-    # degrees whose C^1 slice is empty but C^0 is not still carry H^0
+            raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
+        deg = _as_degree(d[0] if isinstance(d, tuple) else d)
+        h1[deg] = h1.get(deg, 0) + dim
+        h0[deg] = h0.get(deg, 0) + n0 - rank0
+    h1 = {deg: k for deg, k in sorted(h1.items()) if k}
     if with_h0:
-        for d, n0 in cx.slices.items():
-            if _as_degree(d) not in h0 and all(
-                    (d - i) not in cx.slices for i in cx.depths):
-                h0[_as_degree(d)] = n0
-        return h1, dict(sorted(h0.items()))
+        return h1, {deg: k for deg, k in sorted(h0.items()) if k}
     return h1
 
 
@@ -291,87 +307,130 @@ def direct_h1(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND, with_h0=Fal
 
 
 def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
-    """GradedComplex for Gamma = g-perp inside sl(U), U = V_lam.
+    """GradedComplex for Gamma = g-perp inside sl(U), U = V_lam, by (degree, weight).
 
-    g is realized by explicit matrices on U; g-perp_s is cut out of each
-    Z-degree-s slice of gl(U) by trace-form orthogonality against g_{-s}
-    (plus tracelessness at s = 0); g_- acts by matrix commutator.
+    g is realized by explicit matrices on U.  E_vw in gl(U) has weight
+    wt(v) - wt(w) and Z-degree Z(wt(v) - wt(w)), so gl(U) splits into weight
+    slices.  g-perp of weight mu is cut out of its slice by trace-form
+    orthogonality against the g elements of weight -mu (plus tracelessness
+    at mu = 0).  The root vector f_alpha of weight -alpha acts by the
+    commutator, formed from the nonzeros of f_alpha.
     """
     marking.validate(rs)
     rep = construct_rep(rs, lam, bound)
     n = rep.dimension
+    wts = rep.basis_weights
     z = grading_element(rs, marking)
-    zvals = [z(w) for w in rep.basis_weights]
 
+    def difference(u, v):
+        return tuple(a - b for a, b in zip(u, v))
+
+    def entries(M, weight, name):
+        # nonzeros (r, c, x) of a g element, each checked to have its weight
+        out = []
+        for r, row in enumerate(M):
+            for c, x in enumerate(row):
+                if x:
+                    if difference(wts[r], wts[c]) != weight:
+                        raise InternalCheckError(
+                            f"{name} has an entry of weight "
+                            f"{difference(wts[r], wts[c])}, not {weight}: the "
+                            "g action left the graded range")
+                    out.append((r, c, x))
+        return out
+
+    # g elements by weight, each root vector's weight from its root coordinates
     emat, fmat = root_vector_matrices(rep)
-    g_elements = []
+    zero = (0,) * rs.rank
+    g_by_weight = {zero: [entries(h, zero, f"h_{i + 1}") for i, h in enumerate(rep.h)]}
+    f_entries = {}
     for r in rs.positive_roots:
-        dg = root_degree(marking, r.coords)
-        g_elements.append((emat[r.coords], dg))
-        g_elements.append((fmat[r.coords], -dg))
-    for i in range(rs.rank):
-        g_elements.append((rep.h[i], 0))
-    flat = [[M[r][c] for r in range(n) for c in range(n)] for M, _ in g_elements]
-    if linalg.rank(flat) != rs.dim_g():
-        raise InternalCheckError("represented algebra has wrong dimension; "
-                                 "weight not faithful on some factor")
+        alpha = rs.fund_coords_of_root(r.coords)
+        minus = tuple(-x for x in alpha)
+        g_by_weight.setdefault(alpha, []).append(
+            entries(emat[r.coords], alpha, f"e_{r.coords}"))
+        f_entries[r.coords] = entries(fmat[r.coords], minus, f"f_{r.coords}")
+        g_by_weight.setdefault(minus, []).append(f_entries[r.coords])
 
-    pairs_by_degree = {}
+    pairs_by_weight = {}
     for v in range(n):
         for w in range(n):
-            s = Fraction(zvals[v] - zvals[w])
-            if s.denominator != 1:
-                raise InternalCheckError(f"gl(U) slice of non-integral degree {s}")
-            pairs_by_degree.setdefault(int(s), []).append((v, w))
+            pairs_by_weight.setdefault(difference(wts[v], wts[w]), []).append((v, w))
 
-    slice_pairs = {}
-    slice_rows = {}
-    slice_basis = {}
-    for s, pairs in sorted(pairs_by_degree.items()):
-        rows = [[M[w][v] for (v, w) in pairs] for M, dg in g_elements if dg == -s]
-        if s == 0:
-            rows.append([Fraction(int(v == w)) for (v, w) in pairs])
-        basis = linalg.kernel_basis(rows, len(pairs))
-        if basis:
-            slice_pairs[s] = pairs
-            slice_rows[s] = rows
-            slice_basis[s] = basis
-    total = sum(len(b) for b in slice_basis.values())
-    if total != n * n - 1 - rs.dim_g():
+    index = {}   # weight -> {(v, w): position in the slice}
+    rows = {}    # weight -> constraint rows cutting g-perp out of the slice
+    grade = {}   # weight -> (degree, weight), for slices where g-perp is nonzero
+    basis = {}   # weight -> kernel_basis vectors as [((v, w), x)]
+    free = {}    # weight -> free column of each basis vector
+    g_rank = 0
+    for mu, pairs in sorted(pairs_by_weight.items()):
+        index[mu] = {p: k for k, p in enumerate(pairs)}
+        # tr(B M) = sum B[v][w] M[w][v] pairs the slice with weight -mu only
+        rows[mu] = []
+        for ent in g_by_weight.get(tuple(-x for x in mu), []):
+            row = [Fraction(0)] * len(pairs)
+            for r, c, x in ent:
+                row[index[mu][(c, r)]] = x
+            rows[mu].append(row)
+        if rows[mu]:
+            g_rank += linalg.rank(rows[mu])
+        if mu == zero:
+            rows[mu].append([Fraction(int(v == w)) for (v, w) in pairs])
+        vectors = linalg.kernel_basis(rows[mu], len(pairs))
+        if vectors:
+            degree = z(mu)
+            if degree.denominator != 1:
+                raise InternalCheckError(f"gl(U) slice of non-integral degree {degree}")
+            grade[mu] = (int(degree), mu)
+            basis[mu] = [[(pairs[k], x) for k, x in enumerate(vec) if x] for vec in vectors]
+            # coordinates in a kernel_basis are the entries at its free
+            # columns, the last nonzero entry of each basis vector
+            free[mu] = [max(k for k, x in enumerate(vec) if x) for vec in vectors]
+    if g_rank != rs.dim_g():
+        raise InternalCheckError("represented algebra has wrong dimension; "
+                                 "weight not faithful on some factor")
+    if sum(len(b) for b in basis.values()) != n * n - 1 - rs.dim_g():
         raise InternalCheckError("g-perp dimension bookkeeping failed")
-    # coordinates in a kernel_basis are the entries at its free columns,
-    # the last nonzero entry of each basis vector
-    slice_free = {s: [max(k for k, x in enumerate(v) if x) for v in basis]
-                  for s, basis in slice_basis.items()}
 
     roots = negative_roots(rs, marking)
-    depths = [root_degree(marking, c) for c in roots]
-
-    def to_matrix(coords, pairs):
-        M = linalg.zeros(n, n)
-        for c, (v, w) in zip(coords, pairs):
-            if c:
-                M[v][w] = c
-        return M
-
+    depths = []
     act = {}
     for a, coords in enumerate(roots):
-        X = fmat[coords]
-        for s, basis in slice_basis.items():
-            t = s - depths[a]
+        alpha = rs.fund_coords_of_root(coords)
+        depths.append((root_degree(marking, coords), alpha))
+        by_col = {}  # v -> [(r, X[r][v])]
+        by_row = {}  # w -> [(c, X[w][c])]
+        for r, c, x in f_entries[coords]:
+            by_col.setdefault(c, []).append((r, x))
+            by_row.setdefault(r, []).append((c, x))
+        for mu, vectors in basis.items():
+            t = difference(mu, alpha)
+            target = index.get(t, {})
             columns = []
-            for vec in basis:
-                C = repthy.commutator(X, to_matrix(vec, slice_pairs[s]))
-                cvec = [C[v][w] for (v, w) in slice_pairs.get(t, [])]
-                if t in slice_basis:
-                    if any(linalg.mat_vec(slice_rows[t], cvec)):
-                        raise InternalCheckError("g_- action left g-perp")
-                elif any(x != 0 for row in C for x in row):
-                    raise InternalCheckError("g_- action left the graded range")
-                columns.append([cvec[f] for f in slice_free.get(t, [])])
-            act[(a, s)] = linalg.transpose(columns)
+            for vec in vectors:
+                # [X, B] = X B - B X over the nonzeros of X and B
+                comm = {}
+                for (v, w), b in vec:
+                    for r, x in by_col.get(v, ()):
+                        comm[(r, w)] = comm.get((r, w), 0) + x * b
+                    for c, x in by_row.get(w, ()):
+                        comm[(v, c)] = comm.get((v, c), 0) - b * x
+                cvec = [0] * len(target)
+                for pair, x in comm.items():
+                    if x:
+                        if pair not in target:
+                            raise InternalCheckError(
+                                f"g_- action left the graded range: [f_{coords}, B] "
+                                f"for B of {_grade_text(grade[mu])} has an entry "
+                                f"of weight {difference(wts[pair[0]], wts[pair[1]])}, "
+                                f"not {t}")
+                        cvec[target[pair]] = x
+                if any(linalg.mat_vec(rows.get(t, []), cvec)):
+                    raise InternalCheckError("g_- action left g-perp")
+                columns.append([cvec[f] for f in free.get(t, [])])
+            act[(a, grade[mu])] = linalg.transpose(columns)
     brackets = structure_constants(rs, roots)
-    slices = {s: len(b) for s, b in slice_basis.items()}
+    slices = {grade[mu]: len(vectors) for mu, vectors in basis.items()}
     return GradedComplex(slices, depths, act, brackets)
 
 

@@ -36,17 +36,13 @@ def transpose(M):
 def matmul(A, B):
     if not A or not B:
         return []
-    n, k, m = len(A), len(B), len(B[0])
-    C = zeros(n, m)
-    for i in range(n):
-        Ai, Ci = A[i], C[i]
-        for t in range(k):
-            a = Ai[t]
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in B]
+    C = zeros(len(A), len(B[0]))
+    for Ai, Ci in zip(A, C):
+        for a, Bt in zip(Ai, nonzeros):
             if a:
-                Bt = B[t]
-                for j in range(m):
-                    if Bt[j]:
-                        Ci[j] += a * Bt[j]
+                for j, x in Bt:
+                    Ci[j] += a * x
     return C
 
 

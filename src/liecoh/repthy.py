@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .errors import InternalCheckError
 from .rootsys import RootSystem, build
 
 
@@ -80,10 +81,15 @@ def weight_multiplicities(rs, lam):
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         denom = c_top - rs.inner(mu_rho, mu_rho)
         m = total / denom
-        assert m.denominator == 1 and m > 0
+        if m.denominator != 1 or m <= 0:
+            raise InternalCheckError(
+                f"Freudenthal multiplicity {m} of {mu} in V{lam} is not a positive integer")
         mult[mu] = int(m)
     out = {w: mult[rs.dominant_representative(w)] for w in weights}
-    assert sum(out.values()) == rs.weyl_dim(lam)
+    if sum(out.values()) != rs.weyl_dim(lam):
+        raise InternalCheckError(
+            f"weight multiplicities of V{lam} sum to {sum(out.values())}, "
+            f"not the Weyl dimension {rs.weyl_dim(lam)}")
     return out
 
 
@@ -91,7 +97,7 @@ def tensor_decompose(rs, lam, mu):
     """Decompose V_lam (x) V_mu into irreducibles (Brauer-Klimyk).
 
     Returns a list of IrrComponent sorted by highest weight; the dimension
-    identity sum(mult * dim) = dim(lam) * dim(mu) is asserted.
+    identity sum(mult * dim) = dim(lam) * dim(mu) is checked.
     """
     lam, mu = tuple(lam), tuple(mu)
     if rs.weyl_dim(mu) < rs.weyl_dim(lam):
@@ -107,11 +113,16 @@ def tensor_decompose(rs, lam, mu):
         acc[hw] = acc.get(hw, 0) + sign * m
     comps = []
     for hw in sorted(acc):
+        if acc[hw] < 0:
+            raise InternalCheckError(
+                f"Brauer-Klimyk gives V{hw} the negative multiplicity {acc[hw]}")
         if acc[hw]:
-            assert acc[hw] > 0
             comps.append(IrrComponent(hw, acc[hw]))
     total = sum(c.multiplicity * rs.weyl_dim(c.highest_weight) for c in comps)
-    assert total == rs.weyl_dim(lam) * rs.weyl_dim(mu)
+    if total != rs.weyl_dim(lam) * rs.weyl_dim(mu):
+        raise InternalCheckError(
+            f"V{lam} (x) V{mu} decomposes into dimension {total}, not "
+            f"{rs.weyl_dim(lam)} * {rs.weyl_dim(mu)}")
     return comps
 
 
@@ -141,7 +152,9 @@ def gperp_decompose(rs, lam):
         comps[adj] -= 1
     out = [IrrComponent(hw, m) for hw, m in sorted(comps.items()) if m]
     total = sum(c.multiplicity * rs.weyl_dim(c.highest_weight) for c in out)
-    assert total == n * n - 1 - rs.dim_g()
+    if total != n * n - 1 - rs.dim_g():
+        raise InternalCheckError(
+            f"g-perp components have dimension {total}, not {n * n - 1 - rs.dim_g()}")
     return out
 
 
@@ -266,10 +279,15 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
             fc = f_coords[(i, b)]
             if len(fc) < len(chosen):
                 fc.extend([Fraction(0)] * (len(chosen) - len(fc)))
-        assert len(chosen) == wsys[nu], (nu, len(chosen), wsys[nu])
+        if len(chosen) != wsys[nu]:
+            raise InternalCheckError(
+                f"weight space {nu} of V{lam} got {len(chosen)} basis vectors, "
+                f"Freudenthal says {wsys[nu]}")
         gram[nu] = G
 
-    assert len(weight_of) == dim
+    if len(weight_of) != dim:
+        raise InternalCheckError(
+            f"V{lam} got {len(weight_of)} basis vectors, not its dimension {dim}")
     E = [linalg.zeros(dim, dim) for _ in range(rs.rank)]
     F = [linalg.zeros(dim, dim) for _ in range(rs.rank)]
     H = [linalg.zeros(dim, dim) for _ in range(rs.rank)]
@@ -292,9 +310,13 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
 
 
 def commutator(A, B):
-    AB = linalg.matmul(A, B)
-    BA = linalg.matmul(B, A)
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(AB, BA)]
+    """[A, B] = AB - BA."""
+    C = linalg.matmul(A, B)
+    for Ci, row in zip(C, linalg.matmul(B, A)):
+        for j, x in enumerate(row):
+            if x:
+                Ci[j] -= x
+    return C
 
 
 def root_vector_matrices(rep):
@@ -367,7 +389,9 @@ def structure_constants(rs, root_list):
             if gamma not in index:
                 if gamma in companion_f:
                     raise ValueError("bracket leaves the requested span")
-                assert all(x == 0 for row in br for x in row)
+                if any(x for row in br for x in row):
+                    raise InternalCheckError(
+                        f"[f_{ra}, f_{rb}] is nonzero but {gamma} is not a root")
                 table[(a, b)] = {}
                 continue
             target = companion_f[gamma]
@@ -379,9 +403,11 @@ def structure_constants(rs, root_list):
                         break
                 if coeff is not None:
                     break
-            assert coeff is not None
-            for i, row in enumerate(target):
-                for j, x in enumerate(row):
-                    assert br[i][j] == coeff * x
+            if coeff is None:
+                raise InternalCheckError(f"root vector f_{gamma} is the zero matrix")
+            if any(br[i][j] != coeff * x
+                   for i, row in enumerate(target) for j, x in enumerate(row)):
+                raise InternalCheckError(
+                    f"[f_{ra}, f_{rb}] is not a multiple of f_{gamma}")
             table[(a, b)] = {index[gamma]: coeff} if coeff else {}
     return table

@@ -93,6 +93,16 @@ def test_rigidity_inline(capsys):
     assert json.loads(out)["verdict"] == "INCONCLUSIVE"
 
 
+def test_rigidity_oracle_d5_spinor(capsys):
+    code, out, _ = run(capsys, "--format", "json", "rigidity", "--type", "D5",
+                       "--marked", "5", "--weight", "0,0,0,0,1", "--p", "-1",
+                       "--oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle"]["ran"] is True
+    assert doc["h1_by_degree"] == {"0": 175}
+
+
 def test_rigidity_scenario_file(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"algebra": ["A1"], "marked": [1],

@@ -1,17 +1,21 @@
+import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liecoh import linalg
+from liecoh import cohomology, linalg
 from liecoh.cohomology import (GradedComplex, H1Piece, InternalCheckError,
                                direct_h1, gperp_complex, gperp_direct_h1,
                                graded_h1, h1_report, kostant_h0, kostant_h1,
                                levi_weyl_dim, module_complex)
 from liecoh.grading import ParabolicMarking, grading_element
-from liecoh.repthy import IrrComponent, weight_multiplicities
+from liecoh.repthy import (DEFAULT_ORACLE_BOUND, IrrComponent,
+                           weight_multiplicities)
 from liecoh.rootsys import parse_type
 
 
@@ -222,3 +226,94 @@ except InternalCheckError:
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "InternalCheckError"
+
+
+# oracle reach: the weight-graded complex decides these within the default bound
+ORACLE_REACH = [
+    ("D5", {5}, (0, 0, 0, 0, 1), {0: 175}),
+    ("G2", {2}, (0, 1), {-2: 7, -1: 16}),
+    ("E6", {1}, (1, 0, 0, 0, 0, 0), {0: 1050}),
+]
+
+
+@pytest.mark.parametrize("name,marked,lam,expected", ORACLE_REACH)
+def test_oracle_reach(name, marked, lam, expected):
+    rs = parse_type(name)
+    assert rs.weyl_dim(lam) <= DEFAULT_ORACLE_BOUND
+    rep = h1_report(rs, ParabolicMarking(marked), lam, -1, oracle=True)
+    assert rep.oracle_ran
+    assert rep.aggregate == expected
+
+
+def test_gperp_complex_is_graded_by_degree_and_weight():
+    rs = parse_type("A2")
+    marking = ParabolicMarking({1, 2})
+    z = grading_element(rs, marking)
+    cx = gperp_complex(rs, marking, (1, 1))
+    for degree, weight in cx.slices:
+        assert degree == z(weight)
+    assert sorted(cx.depths) == [(1, (-1, 2)), (1, (2, -1)), (2, (1, 1))]
+    for (a, s), block in cx.act.items():
+        target = (s[0] - cx.depths[a][0],
+                  tuple(x - y for x, y in zip(s[1], cx.depths[a][1])))
+        assert len(block) == cx.slices.get(target, 0)
+
+
+def test_broken_gperp_complex_is_rejected():
+    rs = parse_type("A2")
+    cx = gperp_complex(rs, ParabolicMarking({1, 2}), (1, 1))
+    (a, b), = [k for k in cx.brackets if cx.brackets[k]][:1]
+    c, coeff = next(iter(cx.brackets[(a, b)].items()))
+    cx.brackets[(a, b)][c] = coeff + 1
+    # the message names the Z-degree and the torus weight separately
+    with pytest.raises(InternalCheckError,
+                       match=r"d1 \. d0 != 0 in degree -?\d+, weight \(-?\d+, -?\d+\)"):
+        graded_h1(cx)
+
+
+def test_wrong_grade_bracket_names_degree_and_weight():
+    rs = parse_type("A2")
+    cx = gperp_complex(rs, ParabolicMarking({1, 2}), (1, 1))
+    # [x_0, x_1] = x_2 is right; x_0 in its place has the wrong weight
+    assert cx.brackets[(0, 1)]
+    cx.brackets[(0, 1)] = {0: 1}
+    with pytest.raises(InternalCheckError,
+                       match=r"wrong grade: .*degree 1, weight \(-?\d+, -?\d+\)"):
+        graded_h1(cx)
+
+
+def test_root_vector_of_wrong_weight_is_rejected(monkeypatch):
+    real = cohomology.root_vector_matrices
+
+    def broken(rep):
+        emat, fmat = real(rep)
+        f = fmat[(1, 0)]
+        f[0][0] += 1  # a diagonal entry has weight 0, not -alpha_1
+        return emat, fmat
+
+    monkeypatch.setattr(cohomology, "root_vector_matrices", broken)
+    with pytest.raises(InternalCheckError, match="left the graded range"):
+        gperp_complex(parse_type("A2"), ParabolicMarking({1, 2}), (1, 1))
+
+
+def _small_triples():
+    """(type, lambda) with every factor acting faithfully and 2 <= dim U <= 10."""
+    out = []
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2",
+                 "A1,A1", "A1,A2", "A1,A1,A1"):
+        rs = parse_type(name)
+        for lam in itertools.product(range(5), repeat=rs.rank):
+            faithful = all(any(lam[o:o + f.rank]) for o, f in zip(rs.offsets, rs.factors))
+            if faithful and 2 <= rs.weyl_dim(lam) <= 10:
+                out.append((name, lam))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_small_triples()))
+def test_kostant_equals_gperp_oracle_on_small_triples(triple):
+    name, lam = triple
+    rs = parse_type(name)
+    marking = ParabolicMarking({i + 1 for i, x in enumerate(lam) if x})
+    kostant = h1_report(rs, marking, lam, -1).aggregate
+    assert gperp_direct_h1(rs, marking, lam) == kostant

@@ -1,8 +1,8 @@
 """Golden outputs: "the same results" made checkable.
 
 Pins the sha256 of the verdict JSON that `liecoh --format json rigidity
---fixture NAME` prints for every bundled fixture, and of the stdout of every
-demo.  A change that keeps these bytes keeps the program's observable
+--fixture NAME` prints for every bundled fixture, of the JSON of a `gperp`
+and an oracle-checked `cohomology` run, and of the stdout of every demo.  A change that keeps these bytes keeps the program's observable
 results; a change that means to alter them must update the hashes here and
 say why.
 """
@@ -28,6 +28,13 @@ FIXTURE_SHA256 = {
     "veronese-a1": "e73b1c32f8fa0df018fde6baf1e2d12d22383ecd64ce80dfac0c4b111f2c12cc",
 }
 
+COMMAND_SHA256 = {
+    ("gperp", "--type", "A2", "--weight", "1,1"):
+        "58fe1f6861bf48d18e27180ca23d793b47cd26ddbff0df0ba9d1789bdc4759a9",
+    ("cohomology", "--type", "A2", "--marked", "1,2", "--gamma", "3,0", "--oracle"):
+        "a6fd2ba2c0c75a14592b554fe879b4201674fc49a35e2a6097b491a3a77b062f",
+}
+
 DEMO_SHA256 = {
     "01_universal_dimensions.py":
         "3e6d9dd5d08663e802f81f7a8f250cabb50dda2880c599a9e7592e4eeb4e0a6e",
@@ -48,6 +55,12 @@ def sha256(data):
 def test_fixture_verdict_json(name, capsys):
     assert main(["--format", "json", "rigidity", "--fixture", name]) == 0
     assert sha256(capsys.readouterr().out.encode()) == FIXTURE_SHA256[name]
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_SHA256), ids=lambda argv: argv[0])
+def test_command_json(argv, capsys):
+    assert main(["--format", "json", *argv]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == COMMAND_SHA256[argv]
 
 
 def test_every_demo_is_pinned():

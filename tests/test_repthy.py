@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -179,3 +182,23 @@ def test_structure_constants_cross_factor_vanish():
     roots = [r.coords for r in rs.positive_roots]
     table = structure_constants(rs, roots)
     assert all(not v for v in table.values())
+
+
+def test_weight_multiplicity_check_survives_optimize():
+    # a Weyl dimension that disagrees with Freudenthal must raise even under
+    # python -O, which strips asserts
+    script = """
+from liecoh.cohomology import InternalCheckError
+from liecoh.repthy import weight_multiplicities
+from liecoh.rootsys import parse_type
+rs = parse_type("A2")
+rs.weyl_dim = lambda weight: 4
+try:
+    print(weight_multiplicities(rs, (1, 0)))
+except InternalCheckError:
+    print("InternalCheckError")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "InternalCheckError"
