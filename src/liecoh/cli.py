@@ -86,7 +86,10 @@ def _emit(args, payload, table_lines):
 # ---------- subcommands ----------
 
 def cmd_vogel(args):
-    a, b, g = (_rat(x) for x in args.params.split(","))
+    params = [_rat(x) for x in args.params.split(",")]
+    if len(params) != 3:
+        raise InputError(f"--params needs three values alpha,beta,gamma, got {len(params)}")
+    a, b, g = params
     p = vogel.VogelParams(a, b, g)
     try:
         if args.y2:
@@ -173,7 +176,10 @@ def cmd_cohomology(args):
     lines += [f"  degree {p.degree}  dim {p.dimension}  levi {list(p.levi_highest_weight)}"
               f"  (node {p.source_reflection})" for p in pieces]
     if args.oracle:
-        dims = cohomology.direct_h1(rs, marking, gamma, bound=oracle_bound())
+        try:
+            dims = cohomology.direct_h1(rs, marking, gamma, bound=oracle_bound())
+        except ValueError as e:
+            raise InputError(str(e)) from e
         agg = {}
         for p in pieces:
             agg[p.degree] = agg.get(p.degree, 0) + p.dimension

@@ -11,11 +11,12 @@ Two independent routes:
 
   * graded_h1 assembles the differentials grade by grade from explicit
     action matrices and bracket constants and takes exact ranks.  It checks
-    d1 . d0 = 0 in every block and aborts if that fails.  gperp_complex
-    grades by (Z-degree, torus weight): every matrix unit of gl(U) and every
-    root vector has a single weight, so the differentials are block-diagonal
-    by weight and each block is small.  Integer (Z-degree only) grades, as
-    module_complex builds them, are accepted too.
+    d1 . d0 = 0 in every block and aborts if that fails.  A grade is a pair
+    (Z-degree, torus weight): every weight vector of V_gamma (module_complex),
+    every matrix unit of gl(U) (gperp_complex) and every root vector has a
+    single weight, so the differentials are block-diagonal by weight and
+    each block is small.  Both complexes share one assembly and one weight
+    check of the root vectors, which are stored as sparse maps (repthy).
 
 h1_report runs the full pipeline for Gamma = g-perp inside sl(U) and turns
 the graded dimensions into a rigidity verdict: RIGID when no piece lives in
@@ -144,15 +145,14 @@ def kostant_h1(rs, marking, gamma):
 class GradedComplex:
     """Graded data for the C^0 -> C^1 -> C^2 complex of g_- with values in Gamma.
 
-    A grade is a Z-degree (a number) or a pair (degree, weight), the weight a
-    tuple of fundamental coordinates of a torus weight; one complex uses one
-    kind.  Every object is homogeneous, so the differentials are
-    block-diagonal by grade and graded_h1 ranks them block by block.
+    A grade is a pair (degree, weight): a Z-degree and a torus weight in
+    fundamental coordinates.  Every object is homogeneous, so the
+    differentials are block-diagonal by grade and graded_h1 ranks them block
+    by block.
 
     slices:   grade -> dimension of Gamma in that grade
-    depths:   grade shift of each g_- basis element x_a, which has grade
-              -depths[a]: the depth i_a > 0, or (i_a, alpha) for the root
-              vector f_alpha of weight -alpha
+    depths:   grade shift of each g_- basis element x_a = f_alpha, which has
+              grade -depths[a]: depths[a] = (i_a, alpha), i_a > 0 the depth
     act:      (a, source grade) -> block matrix Gamma_source -> Gamma_{source - depths[a]}
     brackets: (a, b) -> {c: coeff} for a < b, [x_a, x_b] = sum coeff x_c
     """
@@ -162,17 +162,16 @@ class GradedComplex:
     brackets: dict
 
 
+def _difference(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
 def _add(grade, depth):
-    """grade + depth, for number grades and (degree, weight) grades."""
-    if isinstance(grade, tuple):
-        return (grade[0] + depth[0], tuple(x + y for x, y in zip(grade[1], depth[1])))
-    return grade + depth
+    return (grade[0] + depth[0], tuple(x + y for x, y in zip(grade[1], depth[1])))
 
 
 def _grade_text(grade):
-    if isinstance(grade, tuple):
-        return f"degree {_as_degree(grade[0])}, weight {grade[1]}"
-    return f"degree {_as_degree(grade)}"
+    return f"degree {_as_degree(grade[0])}, weight {grade[1]}"
 
 
 def graded_h1(cx, with_h0=False):
@@ -249,7 +248,7 @@ def graded_h1(cx, with_h0=False):
         dim = (n1 - rank1) - rank0
         if dim < 0:
             raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
-        deg = _as_degree(d[0] if isinstance(d, tuple) else d)
+        deg = _as_degree(d[0])
         h1[deg] = h1.get(deg, 0) + dim
         h0[deg] = h0.get(deg, 0) + n0 - rank0
     h1 = {deg: k for deg, k in sorted(h1.items()) if k}
@@ -266,39 +265,68 @@ def negative_roots(rs, marking):
     return out
 
 
+def _g_by_weight(rep):
+    """The basis of g on rep by torus weight, every entry checked against it.
+
+    h_i has weight 0, e_alpha weight alpha and f_alpha weight -alpha, alpha in
+    fundamental coordinates; an entry (r, c) of a matrix of weight mu must
+    have wt(r) - wt(c) = mu.  A root space is a line, so a nonzero weight
+    holds one matrix.
+    """
+    rs, wts = rep.rs, rep.basis_weights
+    emat, fmat = root_vector_matrices(rep)
+    out = {(0,) * rs.rank: rep.h}
+    for r in rs.positive_roots:
+        alpha = rs.fund_coords_of_root(r.coords)
+        out[alpha] = [emat[r.coords]]
+        out[tuple(-x for x in alpha)] = [fmat[r.coords]]
+    for mu, matrices in out.items():
+        for r, c in (key for M in matrices for key in M):
+            if _difference(wts[r], wts[c]) != mu:
+                raise InternalCheckError(
+                    f"the element of g of weight {mu} has an entry of weight "
+                    f"{_difference(wts[r], wts[c])}: the g action left the graded range")
+    return out
+
+
+def _complex(rs, marking, g, basis, image):
+    """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
+
+    g is _g_by_weight of the module, and basis maps each (degree, weight)
+    grade of Gamma to the basis vectors of that slice.  image(f, vector,
+    grade) gives f . vector as coordinates in the basis of that grade.
+    """
+    roots = negative_roots(rs, marking)
+    depths = [(root_degree(marking, c), rs.fund_coords_of_root(c)) for c in roots]
+    act = {}
+    for a, (i, alpha) in enumerate(depths):
+        f = g[tuple(-x for x in alpha)][0]
+        for s, vectors in basis.items():
+            t = (s[0] - i, _difference(s[1], alpha))
+            act[(a, s)] = linalg.transpose([image(f, v, t) for v in vectors])
+    slices = {s: len(vectors) for s, vectors in basis.items()}
+    return GradedComplex(slices, depths, act, structure_constants(rs, roots))
+
+
 def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     """GradedComplex for an abstract irreducible coefficient module V_gamma.
 
-    Gamma is graded by raw Z-eigenvalues (no shift).  The g_- action comes
-    from bracket-path root vectors on the explicit module; brackets come
-    from a faithful companion so the trivial module also works.
+    Gamma is graded by (raw Z-eigenvalue, weight) of its weight basis (no
+    shift).  The g_- action comes from bracket-path root vectors on the
+    explicit module; brackets come from a faithful companion so the trivial
+    module also works.
     """
     marking.validate(rs)
     rep = construct_rep(rs, gamma_weight, bound)
     z = grading_element(rs, marking)
-    roots = negative_roots(rs, marking)
-    depths = [root_degree(marking, c) for c in roots]
-    _, fmat = root_vector_matrices(rep)
+    basis = {}
+    for vid, w in enumerate(rep.basis_weights):
+        basis.setdefault((z(w), w), []).append(vid)
 
-    degree_of = [z(w) for w in rep.basis_weights]
-    slice_index = {}
-    for vid, dg in enumerate(degree_of):
-        slice_index.setdefault(dg, []).append(vid)
-    slices = {dg: len(v) for dg, v in slice_index.items()}
+    def image(f, vid, grade):
+        return [f.get((r, vid), 0) for r in basis.get(grade, ())]
 
-    act = {}
-    for a, coords in enumerate(roots):
-        M = fmat[coords]
-        # degree additivity: every nonzero entry drops the Z-degree by depth
-        for r in range(rep.dimension):
-            for c in range(rep.dimension):
-                if M[r][c] and degree_of[c] - degree_of[r] != depths[a]:
-                    raise InternalCheckError("root vector breaks degree additivity")
-        for s, ids in slice_index.items():
-            target = slice_index.get(s - depths[a], [])
-            act[(a, s)] = [[M[rv][cv] for cv in ids] for rv in target]
-    brackets = structure_constants(rs, roots)
-    return GradedComplex(slices, depths, act, brackets)
+    return _complex(rs, marking, _g_by_weight(rep), basis, image)
 
 
 def direct_h1(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND, with_h0=False):
@@ -314,62 +342,33 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     slices.  g-perp of weight mu is cut out of its slice by trace-form
     orthogonality against the g elements of weight -mu (plus tracelessness
     at mu = 0).  The root vector f_alpha of weight -alpha acts by the
-    commutator, formed from the nonzeros of f_alpha.
+    commutator.
     """
     marking.validate(rs)
     rep = construct_rep(rs, lam, bound)
     n = rep.dimension
     wts = rep.basis_weights
     z = grading_element(rs, marking)
-
-    def difference(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
-    def entries(M, weight, name):
-        # nonzeros (r, c, x) of a g element, each checked to have its weight
-        out = []
-        for r, row in enumerate(M):
-            for c, x in enumerate(row):
-                if x:
-                    if difference(wts[r], wts[c]) != weight:
-                        raise InternalCheckError(
-                            f"{name} has an entry of weight "
-                            f"{difference(wts[r], wts[c])}, not {weight}: the "
-                            "g action left the graded range")
-                    out.append((r, c, x))
-        return out
-
-    # g elements by weight, each root vector's weight from its root coordinates
-    emat, fmat = root_vector_matrices(rep)
+    g = _g_by_weight(rep)
     zero = (0,) * rs.rank
-    g_by_weight = {zero: [entries(h, zero, f"h_{i + 1}") for i, h in enumerate(rep.h)]}
-    f_entries = {}
-    for r in rs.positive_roots:
-        alpha = rs.fund_coords_of_root(r.coords)
-        minus = tuple(-x for x in alpha)
-        g_by_weight.setdefault(alpha, []).append(
-            entries(emat[r.coords], alpha, f"e_{r.coords}"))
-        f_entries[r.coords] = entries(fmat[r.coords], minus, f"f_{r.coords}")
-        g_by_weight.setdefault(minus, []).append(f_entries[r.coords])
 
     pairs_by_weight = {}
     for v in range(n):
         for w in range(n):
-            pairs_by_weight.setdefault(difference(wts[v], wts[w]), []).append((v, w))
+            pairs_by_weight.setdefault(_difference(wts[v], wts[w]), []).append((v, w))
 
     index = {}   # weight -> {(v, w): position in the slice}
     rows = {}    # weight -> constraint rows cutting g-perp out of the slice
-    grade = {}   # weight -> (degree, weight), for slices where g-perp is nonzero
-    basis = {}   # weight -> kernel_basis vectors as [((v, w), x)]
+    basis = {}   # (degree, weight) -> kernel_basis vectors as {(v, w): x}
     free = {}    # weight -> free column of each basis vector
     g_rank = 0
     for mu, pairs in sorted(pairs_by_weight.items()):
         index[mu] = {p: k for k, p in enumerate(pairs)}
         # tr(B M) = sum B[v][w] M[w][v] pairs the slice with weight -mu only
         rows[mu] = []
-        for ent in g_by_weight.get(tuple(-x for x in mu), []):
+        for M in g.get(tuple(-x for x in mu), []):
             row = [Fraction(0)] * len(pairs)
-            for r, c, x in ent:
+            for (r, c), x in M.items():
                 row[index[mu][(c, r)]] = x
             rows[mu].append(row)
         if rows[mu]:
@@ -381,8 +380,8 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
             degree = z(mu)
             if degree.denominator != 1:
                 raise InternalCheckError(f"gl(U) slice of non-integral degree {degree}")
-            grade[mu] = (int(degree), mu)
-            basis[mu] = [[(pairs[k], x) for k, x in enumerate(vec) if x] for vec in vectors]
+            basis[(int(degree), mu)] = [{pairs[k]: x for k, x in enumerate(vec) if x}
+                                        for vec in vectors]
             # coordinates in a kernel_basis are the entries at its free
             # columns, the last nonzero entry of each basis vector
             free[mu] = [max(k for k, x in enumerate(vec) if x) for vec in vectors]
@@ -392,46 +391,19 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     if sum(len(b) for b in basis.values()) != n * n - 1 - rs.dim_g():
         raise InternalCheckError("g-perp dimension bookkeeping failed")
 
-    roots = negative_roots(rs, marking)
-    depths = []
-    act = {}
-    for a, coords in enumerate(roots):
-        alpha = rs.fund_coords_of_root(coords)
-        depths.append((root_degree(marking, coords), alpha))
-        by_col = {}  # v -> [(r, X[r][v])]
-        by_row = {}  # w -> [(c, X[w][c])]
-        for r, c, x in f_entries[coords]:
-            by_col.setdefault(c, []).append((r, x))
-            by_row.setdefault(r, []).append((c, x))
-        for mu, vectors in basis.items():
-            t = difference(mu, alpha)
-            target = index.get(t, {})
-            columns = []
-            for vec in vectors:
-                # [X, B] = X B - B X over the nonzeros of X and B
-                comm = {}
-                for (v, w), b in vec:
-                    for r, x in by_col.get(v, ()):
-                        comm[(r, w)] = comm.get((r, w), 0) + x * b
-                    for c, x in by_row.get(w, ()):
-                        comm[(v, c)] = comm.get((v, c), 0) - b * x
-                cvec = [0] * len(target)
-                for pair, x in comm.items():
-                    if x:
-                        if pair not in target:
-                            raise InternalCheckError(
-                                f"g_- action left the graded range: [f_{coords}, B] "
-                                f"for B of {_grade_text(grade[mu])} has an entry "
-                                f"of weight {difference(wts[pair[0]], wts[pair[1]])}, "
-                                f"not {t}")
-                        cvec[target[pair]] = x
-                if any(linalg.mat_vec(rows.get(t, []), cvec)):
-                    raise InternalCheckError("g_- action left g-perp")
-                columns.append([cvec[f] for f in free.get(t, [])])
-            act[(a, grade[mu])] = linalg.transpose(columns)
-    brackets = structure_constants(rs, roots)
-    slices = {grade[mu]: len(vectors) for mu, vectors in basis.items()}
-    return GradedComplex(slices, depths, act, brackets)
+    def image(f, vec, grade):
+        # f has weight -alpha (checked) and vec weight mu, so every entry of
+        # [f, vec] has weight t = mu - alpha and lies in t's slice of gl(U)
+        t = grade[1]
+        target = index.get(t, {})
+        cvec = [0] * len(target)
+        for pair, x in repthy.commutator(f, vec).items():
+            cvec[target[pair]] = x
+        if any(linalg.mat_vec(rows.get(t, []), cvec)):
+            raise InternalCheckError("g_- action left g-perp")
+        return [cvec[k] for k in free.get(t, [])]
+
+    return _complex(rs, marking, g, basis, image)
 
 
 def gperp_direct_h1(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import repthy
+from .errors import InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ def grading_element(rs, marking):
     z = GradingElementValue(row)
     for j in range(rs.rank):
         alpha = rs.fund_coords_of_root(tuple(int(k == j) for k in range(rs.rank)))
-        assert z(alpha) == (1 if (j + 1) in marking.marked else 0)
+        if z(alpha) != (1 if (j + 1) in marking.marked else 0):
+            raise InternalCheckError(f"Z(alpha_{j + 1}) = {z(alpha)} disagrees with the marking")
     return z
 
 
@@ -79,8 +81,10 @@ def grade_algebra(rs, marking):
         d = root_degree(marking, r.coords)
         dims[d] = dims.get(d, 0) + 1
         dims[-d] = dims.get(-d, 0) + 1
-    assert sum(dims.values()) == rs.dim_g()
-    assert all(dims[d] == dims[-d] for d in dims)
+    if sum(dims.values()) != rs.dim_g():
+        raise InternalCheckError("graded pieces of g do not add up to dim g")
+    if any(dims[d] != dims[-d] for d in dims):
+        raise InternalCheckError(f"grading of g is not symmetric about 0: {dims}")
     return GradedDims(dict(sorted(dims.items())))
 
 
@@ -104,9 +108,11 @@ def grade_module(rs, marking, lam):
     dims = {}
     for nu, m in repthy.weight_multiplicities(rs, lam).items():
         j = top - z(nu)
-        assert j.denominator == 1 and j >= 0
+        if j.denominator != 1 or j < 0:
+            raise InternalCheckError(f"weight {nu} of V{tuple(lam)} has module degree {-j}")
         j = int(j)
         dims[-j] = dims.get(-j, 0) + m
     f = -min(dims)
-    assert set(dims) == set(range(-f, 1)), "module grading has gaps"
+    if set(dims) != set(range(-f, 1)):
+        raise InternalCheckError(f"module grading has gaps: {sorted(dims)}")
     return GradedDims(dict(sorted(dims.items())))

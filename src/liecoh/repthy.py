@@ -165,7 +165,12 @@ DEFAULT_ORACLE_BOUND = 30
 
 @dataclass
 class RepMatrices:
-    """Chevalley generator matrices on an explicit weight basis."""
+    """Chevalley generator matrices on an explicit weight basis.
+
+    Every matrix of g on a module is stored as a {(row, col): x} map of its
+    nonzero entries, never as a dense list of rows: each one is homogeneous
+    for the torus weight, so most of its entries are zero.
+    """
     rs: RootSystem
     highest_weight: tuple
     dimension: int
@@ -288,35 +293,39 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     if len(weight_of) != dim:
         raise InternalCheckError(
             f"V{lam} got {len(weight_of)} basis vectors, not its dimension {dim}")
-    E = [linalg.zeros(dim, dim) for _ in range(rs.rank)]
-    F = [linalg.zeros(dim, dim) for _ in range(rs.rank)]
-    H = [linalg.zeros(dim, dim) for _ in range(rs.rank)]
+    E = [{} for _ in range(rs.rank)]
+    F = [{} for _ in range(rs.rank)]
+    H = [{} for _ in range(rs.rank)]
     for vid, w in enumerate(weight_of):
         for i in range(rs.rank):
-            H[i][vid][vid] = Fraction(w[i])
-            down = tuple(a - b for a, b in zip(w, alpha_fund[i]))
-            fc = f_coords.get((i, vid))
-            if fc and down in basis:
-                for k, c in enumerate(fc):
+            if w[i]:
+                H[i][(vid, vid)] = Fraction(w[i])
+            # coords of e_i v (f_i v) are recorded only when w + alpha_i
+            # (w - alpha_i) is a weight
+            for M, coords, sign in ((E, e_coords, 1), (F, f_coords, -1)):
+                for k, c in enumerate(coords.get((i, vid), ())):
                     if c:
-                        F[i][basis[down][k]][vid] = c
-            up = tuple(a + b for a, b in zip(w, alpha_fund[i]))
-            ec = e_coords.get((i, vid))
-            if ec and up in basis:
-                for k, c in enumerate(ec):
-                    if c:
-                        E[i][basis[up][k]][vid] = c
+                        target = tuple(a + sign * b for a, b in zip(w, alpha_fund[i]))
+                        M[i][(basis[target][k], vid)] = c
     return RepMatrices(rs, lam, dim, weight_of, E, F, H)
 
 
 def commutator(A, B):
-    """[A, B] = AB - BA."""
-    C = linalg.matmul(A, B)
-    for Ci, row in zip(C, linalg.matmul(B, A)):
-        for j, x in enumerate(row):
-            if x:
-                Ci[j] -= x
-    return C
+    """[A, B] = AB - BA of matrices stored as {(row, col): x} maps of nonzeros.
+
+    The result is stored the same way: entries that cancel are dropped.
+    """
+    rows, cols = {}, {}
+    for (r, c), y in B.items():
+        rows.setdefault(r, []).append((c, y))
+        cols.setdefault(c, []).append((r, y))
+    C = {}
+    for (r, c), x in A.items():
+        for j, y in rows.get(c, ()):  # A[r][c] B[c][j]
+            C[(r, j)] = C.get((r, j), 0) + x * y
+        for i, y in cols.get(r, ()):  # B[i][r] A[r][c]
+            C[(i, c)] = C.get((i, c), 0) - y * x
+    return {k: x for k, x in C.items() if x}
 
 
 def root_vector_matrices(rep):
@@ -389,24 +398,17 @@ def structure_constants(rs, root_list):
             if gamma not in index:
                 if gamma in companion_f:
                     raise ValueError("bracket leaves the requested span")
-                if any(x for row in br for x in row):
+                if br:
                     raise InternalCheckError(
                         f"[f_{ra}, f_{rb}] is nonzero but {gamma} is not a root")
                 table[(a, b)] = {}
                 continue
             target = companion_f[gamma]
-            coeff = None
-            for i, row in enumerate(target):
-                for j, x in enumerate(row):
-                    if x:
-                        coeff = br[i][j] / x
-                        break
-                if coeff is not None:
-                    break
-            if coeff is None:
+            if not target:
                 raise InternalCheckError(f"root vector f_{gamma} is the zero matrix")
-            if any(br[i][j] != coeff * x
-                   for i, row in enumerate(target) for j, x in enumerate(row)):
+            key = next(iter(target))
+            coeff = br.get(key, 0) / target[key]
+            if br != ({k: coeff * x for k, x in target.items()} if coeff else {}):
                 raise InternalCheckError(
                     f"[f_{ra}, f_{rb}] is not a multiple of f_{gamma}")
             table[(a, b)] = {index[gamma]: coeff} if coeff else {}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .errors import InternalCheckError
 
 FAMILIES = "ABCDEFG"
 
@@ -192,8 +193,8 @@ class RootSystem:
                 best = r
         # the highest root dominates every positive root of the factor coordinatewise
         for r in self.positive_roots:
-            if r.factor == s:
-                assert all(b >= c for b, c in zip(best.coords, r.coords))
+            if r.factor == s and any(b < c for b, c in zip(best.coords, r.coords)):
+                raise InternalCheckError(f"highest root does not dominate {r.coords}")
         return best.coords
 
     def _norm_normalizers(self):
@@ -317,7 +318,8 @@ class RootSystem:
             num = self.pair_coroot(tuple(a + b for a, b in zip(weight, rho)), r.coords)
             den = self.pair_coroot(rho, r.coords)
             dim *= num / den
-        assert dim.denominator == 1 and dim > 0
+        if dim.denominator != 1 or dim <= 0:
+            raise InternalCheckError(f"Weyl dimension {dim} of {weight} is not a positive integer")
         return int(dim)
 
     def casimir(self, weight):

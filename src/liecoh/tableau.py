@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .errors import InternalCheckError
 
 FLAG_SEED = 7
 COORDINATE_FLAG_BUDGET = 24
@@ -113,7 +114,8 @@ def prolongation_bilinear(t, coeffs):
     for wi in range(w):
         for i in range(n):
             for j in range(n):
-                assert B[wi][i][j] == B[wi][j][i]
+                if B[wi][i][j] != B[wi][j][i]:
+                    raise InternalCheckError("prolongation element is not symmetric")
     return B
 
 
@@ -182,7 +184,8 @@ def is_involutive(t, seed=FLAG_SEED):
     chars = cartan_characters(t, seed)
     dim_p = prolongation_dim(t)
     bound = sum(chars)
-    assert dim_p <= bound, "Cartan inequality violated; flag search is broken"
+    if dim_p > bound:
+        raise InternalCheckError("Cartan inequality violated; flag search is broken")
     dims = chars + [0]
     r = None
     for j in range(len(dims) - 1, 0, -1):
@@ -268,7 +271,8 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
     # verify annihilation exactly
     for v in r_basis:
         img = action(v)
-        assert all(x == 0 for m in img for row in m for x in row)
+        if any(x for m in img for row in m for x in row):
+            raise InternalCheckError("stabilizer element does not annihilate the form")
     # trace form on the block space is the standard dot product in these coords
     perp = linalg.kernel_basis(r_basis, dim_block) if r_basis else \
         [linalg.unit_vector(dim_block, b) for b in range(dim_block)]
@@ -285,7 +289,8 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
     keep = linalg.independent_subset([Fraction(x) for row in M for x in row]
                                      for M in basis)
     t = Tableau(n, a + n * a, [basis[i] for i in keep])
-    assert len(r_basis) + len(perp) == dim_block
+    if len(r_basis) + len(perp) != dim_block:
+        raise InternalCheckError("stabilizer and its complement do not span the block")
     return StabilizerPair(len(r_basis), t)
 
 

@@ -154,6 +154,9 @@ def test_exit_code_2_on_input_errors(capsys):
         ("grading", "--type", "A2", "--marked", "1", "--weight", "1,1"),
         ("rigidity", "--type", "A2", "--marked", "1", "--weight", "1,1"),
         ("rigidity", "--type", "A2", "--weight", "1,1", "--p", "-1"),
+        # dim V_gamma = 64 above the oracle bound, and two Vogel parameters
+        ("cohomology", "--type", "A2", "--marked", "1,2", "--gamma", "3,3", "--oracle"),
+        ("vogel", "--params", "1,2"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

@@ -89,13 +89,21 @@ def test_kostant_equals_direct_oracle(name, marked, gamma):
 
 
 def test_degree_additivity_of_action_blocks():
-    # assembling module_complex asserts every action matrix entry is
-    # degree-homogeneous; just exercise a depth-2 case
+    # module_complex grades V_gamma by (Z-degree, weight) and checks every
+    # root vector entry against its weight; exercise a depth-2 case
     rs = parse_type("A2")
-    cx = module_complex(rs, ParabolicMarking({1, 2}), (2, 2))
-    assert sorted(cx.depths) == [1, 1, 2]
+    marking = ParabolicMarking({1, 2})
+    z = grading_element(rs, marking)
+    cx = module_complex(rs, marking, (2, 2))
+    assert sorted(cx.depths) == [(1, (-1, 2)), (1, (2, -1)), (2, (1, 1))]
+    for depth, alpha in cx.depths:
+        assert depth == z(alpha)
+    for degree, weight in cx.slices:
+        assert degree == z(weight)
     for (a, s), block in cx.act.items():
-        assert len(block) == cx.slices.get(s - cx.depths[a], 0)
+        target = (s[0] - cx.depths[a][0],
+                  tuple(x - y for x, y in zip(s[1], cx.depths[a][1])))
+        assert len(block) == cx.slices.get(target, 0)
 
 
 def test_d1_after_d0_vanishes_everywhere():
@@ -209,16 +217,16 @@ def test_kostant_rejects_non_dominant():
 
 
 def test_graded_h1_degree_check_survives_optimize():
-    # [x_0, x_1] = x_2 with all three of depth 1 breaks degree additivity;
+    # [x_0, x_1] = x_2 with all three of grade (1, (1,)) breaks additivity;
     # python -O strips asserts, so the check must be an explicit raise
     script = """
 from fractions import Fraction
 from liecoh.cohomology import GradedComplex, InternalCheckError, graded_h1
-slices = {0: 1, 1: 1, 2: 1}
-act = {(a, s): [[Fraction(0)]] if s - 1 in slices else []
+slices = {(d, (d,)): 1 for d in range(3)}
+act = {(a, s): [[Fraction(0)]] if (s[0] - 1, (s[0] - 1,)) in slices else []
        for a in range(3) for s in slices}
 try:
-    print(graded_h1(GradedComplex(slices, [1, 1, 1], act, {(0, 1): {2: 1}})))
+    print(graded_h1(GradedComplex(slices, [(1, (1,))] * 3, act, {(0, 1): {2: 1}})))
 except InternalCheckError:
     print("InternalCheckError")
 """
@@ -288,12 +296,13 @@ def test_root_vector_of_wrong_weight_is_rejected(monkeypatch):
     def broken(rep):
         emat, fmat = real(rep)
         f = fmat[(1, 0)]
-        f[0][0] += 1  # a diagonal entry has weight 0, not -alpha_1
+        f[(0, 0)] = f.get((0, 0), 0) + 1  # a diagonal entry has weight 0, not -alpha_1
         return emat, fmat
 
     monkeypatch.setattr(cohomology, "root_vector_matrices", broken)
-    with pytest.raises(InternalCheckError, match="left the graded range"):
-        gperp_complex(parse_type("A2"), ParabolicMarking({1, 2}), (1, 1))
+    for build in (gperp_complex, module_complex):
+        with pytest.raises(InternalCheckError, match="left the graded range"):
+            build(parse_type("A2"), ParabolicMarking({1, 2}), (1, 1))
 
 
 def _small_triples():

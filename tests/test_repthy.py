@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh import linalg
 from liecoh.repthy import (IrrComponent, commutator, construct_rep,
@@ -109,21 +111,21 @@ REP_CASES = [("A1", (1,)), ("A1", (2,)), ("A1", (6,)), ("A2", (1, 0)),
              ("A1,A1", (2, 2)), ("A3", (0, 1, 0))]
 
 
+def scaled(c, M):
+    """c * M as a map of nonzeros."""
+    return {k: c * x for k, x in M.items()} if c else {}
+
+
 @pytest.mark.parametrize("name,lam", REP_CASES)
 def test_rep_chevalley_relations(name, lam):
     rs = parse_type(name)
     rep = construct_rep(rs, lam, bound=None)
     assert rep.dimension == rs.weyl_dim(lam)
-    n = rep.dimension
-    zero = linalg.zeros(n, n)
     for i in range(rs.rank):
         for j in range(rs.rank):
-            assert commutator(rep.e[i], rep.f[j]) == \
-                (rep.h[i] if i == j else zero)
-            assert commutator(rep.h[i], rep.e[j]) == \
-                [[rs.cartan[i][j] * x for x in row] for row in rep.e[j]]
-            assert commutator(rep.h[i], rep.f[j]) == \
-                [[-rs.cartan[i][j] * x for x in row] for row in rep.f[j]]
+            assert commutator(rep.e[i], rep.f[j]) == (rep.h[i] if i == j else {})
+            assert commutator(rep.h[i], rep.e[j]) == scaled(rs.cartan[i][j], rep.e[j])
+            assert commutator(rep.h[i], rep.f[j]) == scaled(-rs.cartan[i][j], rep.f[j])
 
 
 def test_rep_weights_match_freudenthal():
@@ -141,8 +143,7 @@ def test_standard_rep_is_elementary():
     rep = construct_rep(rs, (1, 0))
     # 3-dim; e_1, e_2 each have a single nonzero entry equal to 1
     for i in range(2):
-        entries = [x for row in rep.e[i] for x in row if x]
-        assert entries == [1]
+        assert list(rep.e[i].values()) == [1]
 
 
 def test_root_vectors_span_g():
@@ -152,7 +153,7 @@ def test_root_vectors_span_g():
                                  "B3": (1, 0, 0)}[name], bound=None)
         emat, fmat = root_vector_matrices(rep)
         n = rep.dimension
-        flat = [[M[r][c] for r in range(n) for c in range(n)]
+        flat = [[M.get((r, c), 0) for r in range(n) for c in range(n)]
                 for M in list(emat.values()) + list(fmat.values()) + rep.h]
         assert linalg.rank(flat) == rs.dim_g()
 
@@ -168,13 +169,34 @@ def test_structure_constants_consistency():
     index = {r: k for k, r in enumerate(roots)}
     for (a, b), expansion in table.items():
         got = commutator(fmat[roots[a]], fmat[roots[b]])
-        want = linalg.zeros(rep.dimension, rep.dimension)
+        want = {}
         for c, coeff in expansion.items():
-            M = fmat[roots[c]]
-            for r in range(rep.dimension):
-                for s in range(rep.dimension):
-                    want[r][s] += coeff * M[r][s]
-        assert got == want, (roots[a], roots[b])
+            for k, x in fmat[roots[c]].items():
+                want[k] = want.get(k, 0) + coeff * x
+        assert got == {k: x for k, x in want.items() if x}, (roots[a], roots[b])
+
+
+def _dense(M, n):
+    return [[M.get((r, c), 0) for c in range(n)] for r in range(n)]
+
+
+_sparse_matrices = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices, _sparse_matrices)
+def test_commutator_equals_dense_and_stores_no_zeros(A, B):
+    # structure_constants compares brackets as maps, which needs this contract
+    n = 5
+    dA, dB = _dense(A, n), _dense(B, n)
+    dense = [[sum(dA[i][k] * dB[k][j] - dB[i][k] * dA[k][j] for k in range(n))
+              for j in range(n)] for i in range(n)]
+    got = commutator(A, B)
+    assert all(got.values())
+    assert _dense(got, n) == dense
 
 
 def test_structure_constants_cross_factor_vanish():

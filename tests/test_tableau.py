@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -180,3 +183,21 @@ def test_json_round_trip():
     t2 = tableau_from_json(json.dumps(doc))
     assert t2.dim_V == t.dim_V and t2.dim_W == t.dim_W
     assert [t2.flatten(M) for M in t2.basis] == [t.flatten(M) for M in t.basis]
+
+
+def test_cartan_inequality_check_survives_optimize():
+    # dim A^(1) above the sum of the characters must raise even under
+    # python -O, which strips asserts
+    script = """
+from liecoh import tableau
+from liecoh.errors import InternalCheckError
+tableau.prolongation_dim = lambda t: 100
+try:
+    print(tableau.is_involutive(tableau.full_tableau(3, 2)))
+except InternalCheckError:
+    print("InternalCheckError")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "InternalCheckError"
