@@ -102,6 +102,8 @@ def cmd_vogel(args):
             value, label = vogel.dim_g(p), "dim g"
     except vogel.DegenerateParameters as e:
         raise InputError(f"degenerate parameter point: {e}") from e
+    except ValueError as e:
+        raise InputError(str(e)) from e
     if args.format == "json":
         print(json.dumps({"params": [_rat_str(x) for x in (a, b, g)],
                           "t": _rat_str(p.t), "label": label,
@@ -206,6 +208,13 @@ def load_fixture(name):
     return scenario_from_json(path.read_text())
 
 
+def _scenario(data):
+    try:
+        return scenario_from_json(data)
+    except ValueError as e:
+        raise InputError(str(e)) from e
+
+
 def cmd_rigidity(args):
     if args.list_fixtures:
         for name in fixtures():
@@ -223,7 +232,7 @@ def cmd_rigidity(args):
         if args.marked is None or args.weight is None or args.p is None:
             raise InputError("--type needs --marked, --weight and --p")
         rs = _rootsystem(args.type)
-        spec = scenario_from_json({
+        spec = _scenario({
             "algebra": [str(f) for f in rs.factors],
             "marked": sorted(_marking(args.marked).marked),
             "weight": list(_weight(args.weight, rs.rank)),
@@ -233,9 +242,9 @@ def cmd_rigidity(args):
     else:
         raise InputError("need --fixture, --scenario, or --type/--marked/--weight")
     if args.p is not None and (args.fixture or args.scenario):
-        spec = scenario_from_json({**scenario_to_json(spec), "p": args.p})
+        spec = _scenario({**scenario_to_json(spec), "p": args.p})
     if args.oracle and not spec.oracle:
-        spec = scenario_from_json({**scenario_to_json(spec), "oracle": True})
+        spec = _scenario({**scenario_to_json(spec), "oracle": True})
     try:
         verdict = run_scenario(spec, bound=oracle_bound())
     except ValueError as e:

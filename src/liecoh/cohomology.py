@@ -81,15 +81,8 @@ def levi_weyl_dim(rs, marking, weight):
     """Weyl dimension formula over the Levi's positive roots (unmarked support)."""
     if not is_levi_dominant(rs, marking, weight):
         raise ValueError(f"{weight} is not Levi-dominant")
-    rho = rs.rho
-    shifted = tuple(a + b for a, b in zip(weight, rho))
-    dim = Fraction(1)
-    for r in rs.positive_roots:
-        if root_degree(marking, r.coords) == 0:
-            dim *= rs.pair_coroot(shifted, r.coords) / rs.pair_coroot(rho, r.coords)
-    if dim.denominator != 1 or dim <= 0:
-        raise InternalCheckError(f"Levi dimension {dim} is not a positive integer")
-    return int(dim)
+    return rs.weyl_product(weight, [k for k, r in enumerate(rs.positive_roots)
+                                    if root_degree(marking, r.coords) == 0])
 
 
 def levi_lowest(rs, marking, weight):

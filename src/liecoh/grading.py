@@ -10,6 +10,7 @@ used for osculating sequences.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import repthy
 from .errors import InternalCheckError
@@ -36,12 +37,12 @@ class ParabolicMarking:
 
 @dataclass(frozen=True)
 class GradingElementValue:
-    """Z as a rational row vector on fundamental coordinates."""
+    """Z on fundamental coordinates: Z(w) = sum_j row[j] w[j] / den, integer row."""
     row: tuple
+    den: int
 
     def __call__(self, weight):
-        return sum((Fraction(r) * w for r, w in zip(self.row, weight) if r and w),
-                   Fraction(0))
+        return Fraction(sum(map(mul, self.row, weight)), self.den)
 
 
 @dataclass
@@ -58,9 +59,9 @@ class GradedDims:
 def grading_element(rs, marking):
     """The grading element of a marking: Z(alpha_i) = [i marked]."""
     marking.validate(rs)
-    row = tuple(sum(rs.inverse_cartan[i][j] for i in marking.zero_based())
+    row = tuple(sum(rs.inverse_cartan_scaled[i][j] for i in marking.zero_based())
                 for j in range(rs.rank))
-    z = GradingElementValue(row)
+    z = GradingElementValue(row, rs.inverse_cartan_den)
     for j in range(rs.rank):
         alpha = rs.fund_coords_of_root(tuple(int(k == j) for k in range(rs.rank)))
         if z(alpha) != (1 if (j + 1) in marking.marked else 0):
@@ -106,7 +107,7 @@ def grade_module(rs, marking, lam):
     z = grading_element(rs, marking)
     top = z(lam)
     dims = {}
-    for nu, m in repthy.weight_multiplicities(rs, lam).items():
+    for nu, m in repthy.weight_system(rs, lam).items():
         j = top - z(nu)
         if j.denominator != 1 or j < 0:
             raise InternalCheckError(f"weight {nu} of V{tuple(lam)} has module degree {-j}")

@@ -10,6 +10,8 @@ norm is equivalent to membership in the span.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
+from types import MappingProxyType
 
 from . import linalg
 from .errors import InternalCheckError
@@ -24,73 +26,109 @@ class IrrComponent:
 
 def _depth(rs, lam, nu):
     """Height of lam - nu in the root lattice (None if not in the cone)."""
-    diff = tuple(a - b for a, b in zip(lam, nu))
-    coords = rs.root_coords_of_weight(diff)
-    if any(c.denominator != 1 or c < 0 for c in coords):
-        return None
-    return int(sum(coords))
-
-
-def _in_weight_polytope(rs, lam, nu):
-    return _depth(rs, lam, rs.dominant_representative(nu)) is not None
+    diff = tuple(map(sub, lam, nu))
+    den = rs.inverse_cartan_den
+    total = 0
+    for row in rs.inverse_cartan_scaled:
+        c = sum(map(mul, row, diff))  # den * (simple-root coordinate)
+        if c < 0 or c % den:
+            return None
+        total += c
+    return total // den
 
 
 def weight_multiplicities(rs, lam):
     """Full weight system of the irreducible module V_lam (Freudenthal).
 
     Returns {weight: multiplicity}; total multiplicity equals weyl_dim(lam).
+    The arithmetic is on integers (rs.form, see rootsys).
     """
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    # enumerate the weight system: BFS downward by simple roots
-    alpha_fund = [tuple(rs.cartan[j][i] for j in range(rs.rank))
-                  for i in range(rs.rank)]
-    weights = {lam}
+    # enumerate the weight system downward by simple roots; a weight belongs
+    # to it iff its dominant representative lies below lam
+    alpha_fund = rs.simple_root_weights
+    rep = {lam: lam}  # weight, or candidate outside V_lam -> dominant representative
+    depth = {lam: 0}  # dominant weight -> depth below lam, None outside V_lam
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
             for af in alpha_fund:
-                c = tuple(a - b for a, b in zip(w, af))
-                if c not in weights and _in_weight_polytope(rs, lam, c):
-                    weights.add(c)
+                c = tuple(map(sub, w, af))
+                if c in rep:
+                    continue
+                # reflect upward to a weight already met, whose representative
+                # is known, or to a dominant one
+                d = c
+                while d not in rep:
+                    i = next((i for i, x in enumerate(d) if x < 0), None)
+                    if i is None:
+                        break
+                    d = rs.reflect(i, d)
+                d = rep[c] = rep.get(d, d)
+                if d not in depth:
+                    depth[d] = _depth(rs, lam, d)
+                if depth[d] is not None:
                     nxt.append(c)
         frontier = nxt
-    dominants = sorted((w for w in weights if rs.is_dominant(w)),
-                       key=lambda w: (_depth(rs, lam, w), w))
-    # Freudenthal recursion, top down
-    pos_fund = [rs.fund_coords_of_root(r.coords) for r in rs.positive_roots]
+    dom = {w: d for w, d in rep.items() if depth[d] is not None}
+    dominants = sorted((d for d, h in depth.items() if h is not None),
+                       key=lambda w: (depth[w], w))
+    # Freudenthal recursion, top down:
+    # m(mu) = sum_{a > 0, k >= 1} 2 m(mu + k a) (mu + k a, a)
+    #         / ((lam + rho, lam + rho) - (mu + rho, mu + rho)),
+    # with every inner product scaled by rs.form_den, which cancels
+    roots = []
+    for r in rs.positive_roots:
+        af = rs.fund_coords_of_root(r.coords)
+        fa = tuple(sum(map(mul, row, af)) for row in rs.form)  # form_den * (., a)
+        roots.append((af, fa, sum(map(mul, af, fa))))
     rho = rs.rho
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    c_top = rs.inner(lam_rho, lam_rho)
+    lam_rho = tuple(map(add, lam, rho))
+    c_top = rs.scaled_inner(lam_rho, lam_rho)
     mult = {lam: 1}
     for mu in dominants:
         if mu == lam:
             continue
-        total = Fraction(0)
-        for af in pos_fund:
-            k = 1
+        total = 0
+        for af, fa, aa in roots:
+            pair = sum(map(mul, mu, fa))
+            nu = mu
             while True:
-                nu = tuple(a + k * b for a, b in zip(mu, af))
-                if nu not in weights:
+                nu = tuple(map(add, nu, af))
+                if nu not in dom:
                     break
-                m = mult[rs.dominant_representative(nu)]
-                total += 2 * m * rs.inner(nu, af)
-                k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = c_top - rs.inner(mu_rho, mu_rho)
-        m = total / denom
-        if m.denominator != 1 or m <= 0:
+                pair += aa
+                total += 2 * mult[dom[nu]] * pair
+        mu_rho = tuple(map(add, mu, rho))
+        denom = c_top - rs.scaled_inner(mu_rho, mu_rho)
+        if denom <= 0 or total % denom or total // denom <= 0:
             raise InternalCheckError(
-                f"Freudenthal multiplicity {m} of {mu} in V{lam} is not a positive integer")
-        mult[mu] = int(m)
-    out = {w: mult[rs.dominant_representative(w)] for w in weights}
+                f"Freudenthal multiplicity {total}/{denom} of {mu} in V{lam} is not "
+                "a positive integer")
+        mult[mu] = total // denom
+    out = {w: mult[d] for w, d in dom.items()}
     if sum(out.values()) != rs.weyl_dim(lam):
         raise InternalCheckError(
             f"weight multiplicities of V{lam} sum to {sum(out.values())}, "
             f"not the Weyl dimension {rs.weyl_dim(lam)}")
     return out
+
+
+def weight_system(rs, lam):
+    """Read-only weight system of V_lam, computed once per RootSystem.
+
+    Brauer-Klimyk, the module grading and construct_rep all walk V_lam for
+    the same lam in one report; they share this memo.  The mapping cannot
+    be written through, so no caller can change what the next one reads.
+    """
+    lam = tuple(lam)
+    ws = rs._weight_systems.get(lam)
+    if ws is None:
+        ws = rs._weight_systems[lam] = MappingProxyType(weight_multiplicities(rs, lam))
+    return ws
 
 
 def tensor_decompose(rs, lam, mu):
@@ -104,7 +142,7 @@ def tensor_decompose(rs, lam, mu):
         lam, mu = mu, lam
     rho = rs.rho
     acc = {}
-    for nu, m in weight_multiplicities(rs, lam).items():
+    for nu, m in weight_system(rs, lam).items():
         xi = tuple(a + b + c for a, b, c in zip(nu, mu, rho))
         dom, sign = rs.dominize_signed(xi)
         if sign == 0:
@@ -129,7 +167,8 @@ def tensor_decompose(rs, lam, mu):
 def gperp_decompose(rs, lam):
     """Decompose sl(U) minus the represented algebra, U = V_lam.
 
-    Computes V_lam* (x) V_lam, drops one trivial summand (gl -> sl) and one
+    Computes V_lam (x) V_lam*, walking the weights of V_lam (shared with
+    grade_module and construct_rep), drops one trivial summand (gl -> sl) and one
     adjoint summand per simple factor (the algebra itself).
     """
     lam = tuple(lam)
@@ -137,7 +176,7 @@ def gperp_decompose(rs, lam):
     if n < 2:
         raise ValueError("module must have dimension >= 2")
     comps = {c.highest_weight: c.multiplicity
-             for c in tensor_decompose(rs, rs.dual_weight(lam), lam)}
+             for c in tensor_decompose(rs, lam, rs.dual_weight(lam))}
     zero = tuple([0] * rs.rank)
     if comps.get(zero, 0) < 1:
         raise ValueError("no trivial summand found in U* (x) U")
@@ -192,9 +231,8 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     dim = rs.weyl_dim(lam)
     if bound is not None and dim > bound:
         raise ValueError(f"dim V_lam = {dim} exceeds the oracle bound {bound}")
-    wsys = weight_multiplicities(rs, lam)
-    alpha_fund = [tuple(rs.cartan[j][i] for j in range(rs.rank))
-                  for i in range(rs.rank)]
+    wsys = weight_system(rs, lam)
+    alpha_fund = rs.simple_root_weights
     order = sorted(wsys, key=lambda w: (_depth(rs, lam, w), w))
 
     basis = {}      # weight -> list of global ids

@@ -8,10 +8,25 @@ Conventions, fixed once and used everywhere:
   * Roots are stored in simple-root coordinates.
   * The invariant form is normalized per simple factor so the highest root
     has squared length 2.
+
+Weyl-character arithmetic runs on integers, built once per RootSystem and
+checked when it is built:
+  * coroots[k] holds the coroot of the k-th positive root alpha in
+    simple-coroot coordinates, k_j = 2 c_j d_j / (alpha, alpha) for
+    alpha = sum c_j alpha_j, so <lam, alpha^vee> = sum_j lam_j k_j for a
+    weight lam in fundamental coordinates; coroot_heights[k] = sum_j k_j is
+    <rho, alpha^vee>.
+  * form / form_den is the normalized invariant form on fundamental
+    coordinates: (w1, w2) = sum_ij w1_i form[i][j] w2_j / form_den.
+  * inverse_cartan_scaled / inverse_cartan_den is C^-1 (inverse_cartan keeps
+    the rational matrix), so the simple-root coordinates of a weight are
+    integer dot products over one denominator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import InternalCheckError
@@ -117,7 +132,11 @@ class RootSystem:
             self.offsets.append(off)
             off += f.rank
         self.cartan = self._block_cartan()
+        # fundamental coordinates of alpha_i: column i of the Cartan matrix
+        self.simple_root_weights = [tuple(col) for col in zip(*self.cartan)]
         self.inverse_cartan = _invert(self.cartan)
+        self.inverse_cartan_den, self.inverse_cartan_scaled = _common_denominator(
+            self.inverse_cartan)
         self.d = []
         for f in self.factors:
             self.d.extend(_lengths_simple(f))
@@ -127,10 +146,11 @@ class RootSystem:
         self.rho = self.weyl_vector
         self.highest_root_per_factor = [self._highest_root(s)
                                         for s in range(len(self.factors))]
-        self._norm_factor = self._norm_normalizers()
-        # (omega_i, omega_j) before the per-factor theta normalization
-        self._gram = [[self.inverse_cartan[j][i] * self.d[j] for j in range(self.rank)]
-                      for i in range(self.rank)]
+        _, (d_scaled,) = _common_denominator([self.d])
+        self.coroots = [self._coroot(r.coords, d_scaled) for r in self.positive_roots]
+        self.coroot_heights = [sum(k) for k in self.coroots]
+        self._build_form()
+        self._weight_systems = {}  # lam -> read-only weight system, see repthy.weight_system
 
     def _block_cartan(self):
         C = [[0] * self.rank for _ in range(self.rank)]
@@ -197,20 +217,36 @@ class RootSystem:
                 raise InternalCheckError(f"highest root does not dominate {r.coords}")
         return best.coords
 
-    def _norm_normalizers(self):
-        """Per-node scale so each factor's highest root gets squared length 2."""
-        scale = [Fraction(1)] * self.rank
-        for s, f in enumerate(self.factors):
-            theta = self.highest_root_per_factor[s]
-            nn = self._raw_norm2(theta)
-            for i in range(f.rank):
-                scale[self.offsets[s] + i] = Fraction(2) / nn
-        return scale
+    def _coroot(self, root_coords, d_scaled):
+        """Simple-coroot coordinates k_j = 2 c_j d_j / (alpha, alpha) of alpha^vee.
 
-    def _raw_norm2(self, root_coords):
-        return sum(root_coords[i] * root_coords[j] * self.d[i] * self.cartan[i][j]
-                   for i in range(self.rank) for j in range(self.rank)
-                   if root_coords[i] and root_coords[j])
+        d_scaled is d times a common denominator D, so (alpha, alpha) * D =
+        sum_i c_i d_scaled_i <alpha_i^vee, alpha>; the k_j must be integers.
+        """
+        norm2 = sum(map(mul, root_coords,
+                        map(mul, d_scaled, self.fund_coords_of_root(root_coords))))
+        k = [2 * c * d for c, d in zip(root_coords, d_scaled)]
+        if any(x % norm2 for x in k):
+            raise InternalCheckError(f"coroot of {root_coords} is not integral")
+        return tuple(x // norm2 for x in k)
+
+    def _build_form(self):
+        """form / form_den: (omega_i, omega_j) = (C^-1)_ji d_j, an integer matrix.
+
+        Long simple roots have d_i = 1, so every highest root has squared
+        length 2; this is checked, as is the symmetry of the form.
+        """
+        self.form_den, self.form = _common_denominator(
+            [[self.inverse_cartan[j][i] * self.d[j] for j in range(self.rank)]
+             for i in range(self.rank)])
+        if any(self.form[i][j] != self.form[j][i]
+               for i in range(self.rank) for j in range(i)):
+            raise InternalCheckError(f"invariant form of {self} is not symmetric")
+        for s in range(len(self.factors)):
+            theta = self.adjoint_weight(s)
+            if self.scaled_inner(theta, theta) != 2 * self.form_den:
+                raise InternalCheckError(
+                    f"highest root of {self.factors[s]} does not have squared length 2")
 
     # ---------- node / factor bookkeeping ----------
 
@@ -225,30 +261,15 @@ class RootSystem:
         return tuple(sum(self.cartan[i][j] * root_coords[j] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def root_coords_of_weight(self, weight):
-        """Simple-root coordinates (rational) of a weight in fundamental coords."""
-        return tuple(sum(self.inverse_cartan[i][j] * weight[j] for j in range(self.rank))
-                     for i in range(self.rank))
-
     # ---------- pairings ----------
-
-    def pair_coroot(self, weight, root_coords):
-        """<weight, alpha^vee> for a root alpha; exact rational."""
-        num = sum(weight[j] * root_coords[j] * self.d[j] for j in range(self.rank)
-                  if weight[j] and root_coords[j])
-        return 2 * num / self._raw_norm2(root_coords)
 
     def inner(self, w1, w2):
         """Invariant form on weights, highest root squared length 2 per factor."""
-        total = Fraction(0)
-        for i in range(self.rank):
-            if not w1[i]:
-                continue
-            for j in range(self.rank):
-                if w2[j]:
-                    total += Fraction(w1[i]) * Fraction(w2[j]) \
-                        * self._gram[i][j] * self._norm_factor[j]
-        return total
+        return Fraction(self.scaled_inner(w1, w2), self.form_den)
+
+    def scaled_inner(self, w1, w2):
+        """form_den * (w1, w2), an integer."""
+        return sum(x * sum(map(mul, row, w2)) for x, row in zip(w1, self.form) if x)
 
     # ---------- Weyl machinery ----------
 
@@ -260,23 +281,12 @@ class RootSystem:
         ci = weight[i]
         if not ci:
             return tuple(weight)
-        return tuple(weight[j] - ci * self.cartan[j][i] for j in range(self.rank))
+        return tuple(w - ci * a for w, a in zip(weight, self.simple_root_weights[i]))
 
     def affine_action(self, i, weight):
         """sigma_i . mu = sigma_i(mu + rho) - rho."""
         shifted = tuple(c + 1 for c in weight)
         return tuple(c - 1 for c in self.reflect(i, shifted))
-
-    def dominant_representative(self, weight):
-        """The dominant Weyl-orbit representative of a weight."""
-        w = tuple(weight)
-        while True:
-            for i in range(self.rank):
-                if w[i] < 0:
-                    w = self.reflect(i, w)
-                    break
-            else:
-                return w
 
     def dominize_signed(self, weight):
         """(dominant rep, det sign), or (None, 0) if the weight lies on a wall."""
@@ -312,15 +322,25 @@ class RootSystem:
         """Weyl dimension formula; weight must be dominant integral."""
         if not self.is_dominant(weight):
             raise ValueError(f"weight {weight} is not dominant")
-        dim = Fraction(1)
-        rho = self.rho
-        for r in self.positive_roots:
-            num = self.pair_coroot(tuple(a + b for a, b in zip(weight, rho)), r.coords)
-            den = self.pair_coroot(rho, r.coords)
-            dim *= num / den
-        if dim.denominator != 1 or dim <= 0:
-            raise InternalCheckError(f"Weyl dimension {dim} of {weight} is not a positive integer")
-        return int(dim)
+        return self.weyl_product(weight, range(len(self.positive_roots)))
+
+    def weyl_product(self, weight, roots):
+        """prod <weight + rho, a^vee> / prod <rho, a^vee> over positive roots a.
+
+        roots are indices into positive_roots: all of them give the Weyl
+        dimension, a Levi's give the Levi's.  The quotient must be a
+        positive integer, which is checked.
+        """
+        num = den = 1
+        for k in roots:
+            ht = self.coroot_heights[k]
+            num *= sum(map(mul, weight, self.coroots[k])) + ht
+            den *= ht
+        if num % den or num // den <= 0:
+            raise InternalCheckError(
+                f"Weyl dimension {Fraction(num, den)} of {tuple(weight)} is not a "
+                "positive integer")
+        return num // den
 
     def casimir(self, weight):
         """<lam, lam + 2 rho> with each factor's highest root of squared length 2."""
@@ -367,6 +387,12 @@ def _invert(int_matrix):
     ker = linalg.kernel_basis([list(row) + [-int(i == j) for j in range(n)]
                                for i, row in enumerate(int_matrix)])
     return [[ker[j][i] for j in range(n)] for i in range(n)]
+
+
+def _common_denominator(matrix):
+    """(D, integer matrix) with matrix = integer matrix / D, D the lcm of denominators."""
+    den = lcm(*(Fraction(x).denominator for row in matrix for x in row))
+    return den, [[int(x * den) for x in row] for row in matrix]
 
 
 def build(factors):

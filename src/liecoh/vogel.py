@@ -128,11 +128,3 @@ def dim_yk(p, k):
     den = rational_binomial(-b / a - 1, k) * rational_binomial(-g / a - 1, k)
     _nonzero(den, "binomial(-beta/alpha-1,k)*binomial(-gamma/alpha-1,k)")
     return pref * num / den
-
-
-def dim_yk_prime(p, k):
-    return dim_yk(p.swapped("beta"), k)
-
-
-def dim_yk_double_prime(p, k):
-    return dim_yk(p.swapped("gamma"), k)

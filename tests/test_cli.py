@@ -157,6 +157,10 @@ def test_exit_code_2_on_input_errors(capsys):
         # dim V_gamma = 64 above the oracle bound, and two Vogel parameters
         ("cohomology", "--type", "A2", "--marked", "1,2", "--gamma", "3,3", "--oracle"),
         ("vogel", "--params", "1,2"),
+        # p below -1 (also on a fixture), and a Vogel order k below 1
+        ("rigidity", "--type", "A1", "--marked", "1", "--weight", "2", "--p", "-5"),
+        ("rigidity", "--fixture", "segre-1-1", "--p", "-5"),
+        ("vogel", "--params", "-2,12,20", "--k", "-3"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

@@ -2,9 +2,10 @@
 
 Pins the sha256 of the verdict JSON that `liecoh --format json rigidity
 --fixture NAME` prints for every bundled fixture, of the JSON of a `gperp`
-and an oracle-checked `cohomology` run, and of the stdout of every demo.  A change that keeps these bytes keeps the program's observable
-results; a change that means to alter them must update the hashes here and
-say why.
+and an oracle-checked `cohomology` run, of the E8 adjoint and E7 `V(w7)`
+verdicts, and of the stdout of every demo.  A change that keeps these bytes
+keeps the program's observable results; a change that means to alter them
+must update the hashes here and say why.
 """
 
 import hashlib
@@ -33,6 +34,12 @@ COMMAND_SHA256 = {
         "58fe1f6861bf48d18e27180ca23d793b47cd26ddbff0df0ba9d1789bdc4759a9",
     ("cohomology", "--type", "A2", "--marked", "1,2", "--gamma", "3,0", "--oracle"):
         "a6fd2ba2c0c75a14592b554fe879b4201674fc49a35e2a6097b491a3a77b062f",
+    # Kostant route at the largest types, where no oracle runs
+    ("adjoint", "--type", "E8", "--run"):
+        "a2a7d83e562ff6e0be7b7296f5fde959b9302fafa3af9f6241e0d0b1778820a2",
+    ("rigidity", "--type", "E7", "--marked", "7", "--weight", "0,0,0,0,0,0,1",
+     "--p", "-1"):
+        "c54377583107d7d48b239997e470c4709f17f804060016ee4a87f789dcdf0934",
 }
 
 DEMO_SHA256 = {

@@ -1,0 +1,211 @@
+"""The integer Weyl-character core against a rational reference.
+
+The reference below is the rational arithmetic that the integer core
+replaced: coroot pairings divide by (alpha, alpha) every time, the invariant
+form is a Fraction double sum, and Freudenthal walks the weight system with
+root coordinates read through the rational inverse Cartan matrix.  It shares
+only the root data (Cartan matrix, d_i, positive roots) with the library.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from liecoh.cohomology import InternalCheckError, h1_report, levi_weyl_dim
+from liecoh.grading import ParabolicMarking, grading_element, root_degree
+from liecoh.repthy import weight_multiplicities, weight_system
+from liecoh.rootsys import parse_type
+
+TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+         "D4", "D5", "G2", "F4", "A1,A1", "A1,A2", "A1,B2")
+
+
+# ---------- rational reference ----------
+
+def raw_norm2(rs, c):
+    return sum(c[i] * c[j] * rs.d[i] * rs.cartan[i][j]
+               for i in range(rs.rank) for j in range(rs.rank))
+
+
+def pair_coroot(rs, weight, c):
+    return 2 * sum(weight[j] * c[j] * rs.d[j] for j in range(rs.rank)) / raw_norm2(rs, c)
+
+
+def ref_dim(rs, weight, roots):
+    rho = (1,) * rs.rank
+    shifted = tuple(a + b for a, b in zip(weight, rho))
+    dim = Fraction(1)
+    for r in roots:
+        dim *= pair_coroot(rs, shifted, r.coords) / pair_coroot(rs, rho, r.coords)
+    return dim
+
+
+def ref_inner(rs, w1, w2):
+    scale = [None] * rs.rank
+    for s, f in enumerate(rs.factors):
+        for i in range(f.rank):
+            scale[rs.offsets[s] + i] = Fraction(2) / raw_norm2(rs, rs.highest_root_per_factor[s])
+    return sum(Fraction(w1[i] * w2[j]) * rs.inverse_cartan[j][i] * rs.d[j] * scale[j]
+               for i in range(rs.rank) for j in range(rs.rank))
+
+
+def ref_dominant(rs, w):
+    while True:
+        for i in range(rs.rank):
+            if w[i] < 0:
+                w = tuple(w[j] - w[i] * rs.cartan[j][i] for j in range(rs.rank))
+                break
+        else:
+            return w
+
+
+def ref_depth(rs, lam, nu):
+    diff = [a - b for a, b in zip(lam, nu)]
+    coords = [sum(rs.inverse_cartan[i][j] * diff[j] for j in range(rs.rank))
+              for i in range(rs.rank)]
+    if any(Fraction(c).denominator != 1 or c < 0 for c in coords):
+        return None
+    return int(sum(coords))
+
+
+def ref_multiplicities(rs, lam):
+    alphas = [tuple(rs.cartan[j][i] for j in range(rs.rank)) for i in range(rs.rank)]
+    weights, frontier = {lam}, [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for a in alphas:
+                c = tuple(x - y for x, y in zip(w, a))
+                if c not in weights and ref_depth(rs, lam, ref_dominant(rs, c)) is not None:
+                    weights.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    dominants = sorted((w for w in weights if min(w) >= 0),
+                       key=lambda w: (ref_depth(rs, lam, w), w))
+    pos = [rs.fund_coords_of_root(r.coords) for r in rs.positive_roots]
+    rho = (1,) * rs.rank
+    lam_rho = tuple(a + 1 for a in lam)
+    mult = {lam: 1}
+    for mu in dominants[1:]:
+        total = Fraction(0)
+        for a in pos:
+            k = 1
+            while (nu := tuple(x + k * y for x, y in zip(mu, a))) in weights:
+                total += 2 * mult[ref_dominant(rs, nu)] * ref_inner(rs, nu, a)
+                k += 1
+        mu_rho = tuple(x + y for x, y in zip(mu, rho))
+        mult[mu] = total / (ref_inner(rs, lam_rho, lam_rho) - ref_inner(rs, mu_rho, mu_rho))
+    return {w: mult[ref_dominant(rs, w)] for w in weights}
+
+
+# ---------- the integer core equals the reference ----------
+
+@st.composite
+def type_and_weight(draw):
+    rs = parse_type(draw(st.sampled_from(TYPES)))
+    lam = tuple(draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    assume(sum(lam) <= 3 and ref_dim(rs, lam, rs.positive_roots) <= 400)
+    return rs, lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(type_and_weight(), st.data())
+def test_integer_core_equals_rational_reference(case, data):
+    rs, lam = case
+    assert rs.weyl_dim(lam) == ref_dim(rs, lam, rs.positive_roots)
+    ws = weight_multiplicities(rs, lam)
+    assert ws == ref_multiplicities(rs, lam)
+    assert rs.inner(lam, lam) == ref_inner(rs, lam, lam)
+    # V(lam*) has the negated weights of V(lam), with the same multiplicities
+    assert weight_multiplicities(rs, rs.dual_weight(lam)) == {
+        tuple(-x for x in w): m for w, m in ws.items()}
+    # the Levi dimension of a Levi-dominant weight, and Z on it
+    marked = data.draw(st.sets(st.integers(1, rs.rank), min_size=1))
+    marking = ParabolicMarking(marked)
+    mu = tuple(data.draw(st.integers(-3, 3)) if j + 1 in marked
+               else data.draw(st.integers(0, 2)) for j in range(rs.rank))
+    levi = [r for r in rs.positive_roots if root_degree(marking, r.coords) == 0]
+    assert levi_weyl_dim(rs, marking, mu) == ref_dim(rs, mu, levi)
+    z = grading_element(rs, marking)
+    assert z(mu) == sum(rs.inverse_cartan[i][j] * mu[j]
+                        for i in marking.zero_based() for j in range(rs.rank))
+
+
+# ---------- corrupted integer data is caught ----------
+
+def test_corrupted_coroot_is_caught():
+    rs = parse_type("A2")
+    rs.coroots[1] = (2, 0)  # positive root 1 is alpha_1, with coroot (1, 0)
+    # the Weyl product of (1, 0) is now 1 * 3 * 3 / 2 ...
+    with pytest.raises(InternalCheckError, match="not a positive integer"):
+        rs.weyl_dim((1, 0))
+    # ... and that of (2, 0) the integer 10, which Freudenthal contradicts
+    with pytest.raises(InternalCheckError, match="not the Weyl dimension"):
+        weight_multiplicities(rs, (2, 0))
+
+
+def test_corrupted_form_entry_is_caught():
+    rs = parse_type("A2")
+    rs.form[0][1] += 1
+    with pytest.raises(InternalCheckError, match="Freudenthal multiplicity"):
+        weight_multiplicities(rs, (1, 1))
+
+
+def test_corruption_is_caught_under_optimize():
+    # the checks are raises, not asserts, so python -O keeps them
+    script = """
+from liecoh.cohomology import InternalCheckError
+from liecoh.repthy import weight_multiplicities
+from liecoh.rootsys import parse_type
+for corrupt, lam in ((lambda rs: rs.coroots.__setitem__(1, (2, 0)), (1, 0)),
+                     (lambda rs: rs.form[0].__setitem__(1, 2), (1, 1))):
+    rs = parse_type("A2")
+    corrupt(rs)
+    try:
+        weight_multiplicities(rs, lam)
+        print("passed silently")
+    except InternalCheckError:
+        print("InternalCheckError")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.split() == ["InternalCheckError", "InternalCheckError"]
+
+
+def test_weight_system_memo_is_read_only():
+    rs = parse_type("A2")
+    ws = weight_system(rs, (1, 1))
+    assert ws == weight_multiplicities(rs, (1, 1))
+    with pytest.raises(TypeError):
+        ws[(0, 0)] = 5
+    with pytest.raises(TypeError):
+        del ws[(1, 1)]
+    assert weight_system(rs, (1, 1)) is ws and ws[(0, 0)] == 2
+    # a caller that edits the public weight system edits its own copy
+    mine = weight_multiplicities(rs, (1, 1))
+    mine[(0, 0)] = 5
+    assert weight_system(rs, [1, 1])[(0, 0)] == 2
+
+
+def test_one_weight_system_per_report(monkeypatch):
+    from liecoh import repthy
+    calls = []
+    real = repthy.weight_multiplicities
+
+    def counted(root_system, lam):
+        if root_system is rs:  # not the companion modules of structure_constants
+            calls.append(tuple(lam))
+        return real(root_system, lam)
+
+    monkeypatch.setattr(repthy, "weight_multiplicities", counted)
+    rs = parse_type("A2")
+    report = h1_report(rs, ParabolicMarking({1, 2}), (1, 1), -1, oracle=True)
+    assert report.oracle_ran
+    # Brauer-Klimyk, the module grading and construct_rep share one walk
+    assert calls == [(1, 1)]
