@@ -3,7 +3,9 @@
 Pins the sha256 of the verdict JSON that `liecoh --format json rigidity
 --fixture NAME` prints for every bundled fixture, of the JSON of a `gperp`
 and an oracle-checked `cohomology` run, of the E8 adjoint and E7 `V(w7)`
-verdicts, and of the stdout of every demo.  A change that keeps these bytes
+verdicts, of a `tableau --op all` run on `tests/tableau_small.json`, of the
+exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, and of the
+stdout of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
 must update the hashes here and say why.
 """
@@ -13,9 +15,13 @@ import os
 import subprocess
 import sys
 
+import json
+from fractions import Fraction
+
 import pytest
 
 from liecoh.cli import main
+from liecoh.tableau import prolong, stabilizer_and_tableau
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -40,7 +46,14 @@ COMMAND_SHA256 = {
     ("rigidity", "--type", "E7", "--marked", "7", "--weight", "0,0,0,0,0,0,1",
      "--p", "-1"):
         "c54377583107d7d48b239997e470c4709f17f804060016ee4a87f789dcdf0934",
+    ("tableau", "--input", os.path.join(ROOT, "tests", "tableau_small.json"),
+     "--op", "all"):
+        "d30a0b2a54cf5ccd4257838e690c9db285a95ddcdb325ff40379e63f06e5b940",
 }
+
+# the exact vectors of prolong(t), in order, for Seg(P2 x P2) in adapted
+# coordinates (F2 = x_i y_j on T = C^2 + C^2, N = C^2 (x) C^2)
+SEGRE_2X2_PROLONG_SHA256 = "d2cd8a249fd96cc24875f7657996b48fb6460847e168918b3778db44c346766b"
 
 DEMO_SHA256 = {
     "01_universal_dimensions.py":
@@ -81,3 +94,15 @@ def test_demo_stdout(demo):
     out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                          capture_output=True, env=env, check=True).stdout
     assert sha256(out) == DEMO_SHA256[demo]
+
+
+def test_segre_2x2_prolongation_basis():
+    def sym(entries):
+        M = [[Fraction(0)] * 4 for _ in range(4)]
+        for i, j in entries:
+            M[i][j] = M[j][i] = Fraction(1)
+        return M
+    f2 = [sym([(i, 2 + j)]) for i in range(2) for j in range(2)]
+    t = stabilizer_and_tableau(f2, 4, 4).tableau_r_perp
+    text = json.dumps([[str(x) for x in v] for v in prolong(t)])
+    assert sha256(text.encode()) == SEGRE_2X2_PROLONG_SHA256
