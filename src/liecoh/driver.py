@@ -7,7 +7,7 @@ and deterministic: the same spec always serializes to the same report.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import CohomologyReport, h1_report
@@ -23,6 +23,9 @@ class ScenarioSpec:
     highest_weight: tuple
     p: int
     oracle: bool = False
+    # the RootSystem of `algebra` when the caller has built it already; it is
+    # not part of the scenario's value (equality, hashing, JSON)
+    prebuilt: RootSystem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p < -1:
@@ -35,6 +38,8 @@ class ScenarioSpec:
                            tuple(int(c) for c in self.highest_weight))
 
     def root_system(self):
+        if self.prebuilt is not None:
+            return self.prebuilt
         return build(list(self.algebra))
 
 
@@ -85,7 +90,7 @@ def adjoint_scenario(factor, oracle=False):
     rs = build([factor])
     theta = rs.adjoint_weight(0)
     marked = frozenset(i + 1 for i, c in enumerate(theta) if c)
-    return ScenarioSpec((factor,), marked, theta, -1, oracle)
+    return ScenarioSpec((factor,), marked, theta, -1, oracle, rs)
 
 
 # ---------- serialization ----------

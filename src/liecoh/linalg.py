@@ -1,21 +1,23 @@
 """Exact rational dense linear algebra.
 
-Matrices are lists of rows, entries Fraction (or int, coerced on the fly).
-Everything is computed over Q, so results are reproducible bit for bit.
+Matrices are lists of rows, entries Fraction or int.  Callers that already
+hold integer rows should pass them as they are: each row is scaled to
+integers by the lcm of its denominators, which is the identity on integer
+rows.  Everything is computed over Q, so results are reproducible bit for
+bit.
 
 _row_echelon_int is the package's only row reduction: every rank, kernel,
 independent subset, intersection and inverse in liecoh comes from it.  It is
 fraction-free (Bareiss) on integer-scaled rows, which is much faster than
 naive Fraction Gaussian elimination for the matrix sizes that show up here.
 Its pivot rule is the first nonzero entry, column by column (pivot_columns).
+Back-substitution (_back_substitute) also runs on integers, over one common
+denominator per solution, so a Fraction is made only for each entry
+returned.
 """
 
 from fractions import Fraction
-from math import gcd
-
-
-def frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+from math import gcd, lcm
 
 
 def zeros(n, m):
@@ -53,18 +55,16 @@ def mat_vec(M, v):
 def _scaled_int_rows(rows):
     """Scale each row by the lcm of denominators; returns integer rows.
 
-    Row scaling preserves rank, kernel and row space.
+    Row scaling preserves rank, kernel and row space.  An int is its own
+    numerator over denominator 1, so integer rows come back as copies.
     """
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in row))
         if den == 1:
-            out.append([int(x) for x in row])
+            out.append([x.numerator for x in row])
         else:
-            out.append([int(x * den) for x in row])
+            out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
@@ -119,6 +119,42 @@ def rank(rows):
     return len(pivot_columns(rows))
 
 
+def _back_substitute(M, piv_cols, c):
+    """Solve the echelon rows of M for the pivot unknowns left of column c.
+
+    Returns integers x (length c) and den > 0 such that, for each row i of M
+    whose pivot is left of c, sum_j M[i][j] x[j] = den * M[i][c]; x is 0 at
+    every non-pivot column.  Pivots right of c belong to rows that vanish
+    left of c, so their unknowns are 0 and are not returned.
+    """
+    x = [0] * c
+    den = 1
+    for idx in range(len(piv_cols) - 1, -1, -1):
+        pc = piv_cols[idx]
+        if pc >= c:
+            continue
+        row = M[idx]
+        s = den * row[c] - sum(row[j] * x[j] for j in range(pc + 1, c) if x[j])
+        p = row[pc]
+        g = gcd(s, p)
+        if p < 0:
+            g = -g
+        s, p = s // g, p // g
+        if p != 1:
+            den *= p
+            for j in range(pc + 1, c):
+                if x[j]:
+                    x[j] *= p
+        x[pc] = s
+    return x, den
+
+
+def _fractions_over(x, den, n):
+    """The vector x / den, zero-padded to length n, as Fractions."""
+    zero = Fraction(0)
+    return [Fraction(v, den) if v else zero for v in x] + [zero] * (n - len(x))
+
+
 def kernel_basis(rows, ncols=None):
     """Basis of {v : M v = 0}; exactly ncols - rank vectors.
 
@@ -135,24 +171,15 @@ def kernel_basis(rows, ncols=None):
         return [unit_vector(ncols, j) for j in range(ncols)]
     nc = len(rows[0])
     M = _scaled_int_rows(rows)
-    piv_cols, r = _row_echelon_int(M)
+    piv_cols, _ = _row_echelon_int(M)
     piv_set = set(piv_cols)
     basis = []
     for fc in range(nc):
         if fc in piv_set:
             continue
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        # back-substitute through the echelon rows (bottom up)
-        for idx in range(r - 1, -1, -1):
-            pc = piv_cols[idx]
-            if pc > fc:
-                continue
-            row = M[idx]
-            s = sum((Fraction(row[j]) * v[j] for j in range(pc + 1, nc) if row[j] and v[j]),
-                    Fraction(0))
-            v[pc] = -s / row[pc]
-        basis.append(v)
+        # M v = 0 with v[fc] = 1: the pivot unknowns solve M x = -M[:, fc]
+        x, den = _back_substitute(M, piv_cols, fc)
+        basis.append(_fractions_over([-xj for xj in x] + [den], den, nc))
     return basis
 
 
@@ -179,24 +206,15 @@ def solve_in_span(span, target):
     if not span:
         return [] if not any(target) else None
     n = len(target)
-    aug = [[frac(span[c][r]) for c in range(len(span))] + [frac(target[r])]
-           for r in range(n)]
+    aug = [[span[c][r] for c in range(len(span))] + [target[r]] for r in range(n)]
     M = _scaled_int_rows(aug)
     piv_cols, r = _row_echelon_int(M)
     if len(span) in piv_cols:
         return None  # inconsistent
     if r != len(span):
         raise ValueError("span is linearly dependent")
-    coeffs = [Fraction(0)] * len(span)
-    for idx in range(r - 1, -1, -1):
-        pc = piv_cols[idx]
-        row = M[idx]
-        s = Fraction(row[len(span)])
-        for j in range(pc + 1, len(span)):
-            if row[j] and coeffs[j]:
-                s -= Fraction(row[j]) * coeffs[j]
-        coeffs[pc] = s / row[pc]
-    return coeffs
+    x, den = _back_substitute(M, piv_cols, len(span))
+    return _fractions_over(x, den, len(span))
 
 
 def intersect(span_a, span_b):
@@ -215,8 +233,8 @@ def intersect(span_a, span_b):
     A = [span_a[i] for i in ia]
     B = [span_b[i] for i in ib]
     # columns (A | -B); kernel vectors (x, y) give intersection points A x
-    stacked = [[frac(A[c][r]) for c in range(len(A))] +
-               [-frac(B[c][r]) for c in range(len(B))] for r in range(n)]
+    stacked = [[A[c][r] for c in range(len(A))] + [-B[c][r] for c in range(len(B))]
+               for r in range(n)]
     out = []
     for k in kernel_basis(stacked, len(A) + len(B)):
         x = k[:len(A)]
@@ -225,13 +243,3 @@ def intersect(span_a, span_b):
         out.append(vec)
     # A and B are independent, so (x, y) -> A x is injective on the kernel
     return out
-
-
-def quotient_dim(ambient_dim, subspace):
-    """dim(ambient / span(subspace))."""
-    for v in subspace:
-        if len(v) > ambient_dim:
-            raise ValueError("subspace vector longer than ambient dimension")
-    if not subspace:
-        return ambient_dim
-    return ambient_dim - rank(subspace)

@@ -342,13 +342,6 @@ class RootSystem:
                 "positive integer")
         return num // den
 
-    def casimir(self, weight):
-        """<lam, lam + 2 rho> with each factor's highest root of squared length 2."""
-        if not self.is_dominant(weight):
-            raise ValueError(f"weight {weight} is not dominant")
-        shifted = tuple(c + 2 for c in weight)
-        return self.inner(weight, shifted)
-
     def dual_weight(self, weight):
         """Highest weight of the dual module, via the diagram involution."""
         out = list(weight)

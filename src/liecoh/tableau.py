@@ -5,6 +5,13 @@ columns V).  Elements of A (x) V* are W-valued bilinear maps on V; the
 Spencer map delta skew-symmetrizes, its kernel is the prolongation A^(1).
 Cartan's test compares dim A^(1) against the sum of the flag-intersected
 dimensions A_j for a generic flag; equality is involutivity.
+
+Dimensions come from ranks: dim A^(1) = n dim A - rank delta and the torsion
+dimension is dim W (x) Lambda^2 V* - rank delta, by rank-nullity, and the
+reduced prolongation from the ranks of the bracket image and its skew part.
+A basis of A^(1) is built (prolong) only when a caller asks for its vectors.
+The flag search scales each basis matrix to integers once and evaluates
+every flag with integer dot products.
 """
 
 import itertools
@@ -12,6 +19,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import InternalCheckError
@@ -69,21 +78,25 @@ def _delta_matrix(t):
     """Matrix of the skew-symmetrization A (x) V* -> W (x) Lambda^2 V*.
 
     Columns follow the basis (a, j) of A (x) V* (a-major); rows follow
-    (w, i < j) of W (x) Lambda^2 V*.
+    (w, i < j) of W (x) Lambda^2 V*.  Column (a, j0) is the skew part of
+    B(v_i, v_j) = M_a[:, i] delta(j == j0), so row (w, i, j) holds M_a[w][i]
+    in column (a, j) and -M_a[w][j] in column (a, i).
     """
-    n, w = t.dim_V, t.dim_W
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    cols = []
-    for M in t.basis:
-        for j0 in range(n):
-            # element B(v_a, v_b) = M[:, a] * delta(b == j0); skew part
-            col = []
-            for wi in range(w):
-                for (i, j) in pairs:
-                    col.append(M[wi][i] * (1 if j == j0 else 0)
-                               - M[wi][j] * (1 if i == j0 else 0))
-            cols.append(col)
-    return [[cols[c][r] for c in range(len(cols))] for r in range(w * len(pairs))]
+    n = t.dim_V
+    rows = []
+    for wi in range(t.dim_W):
+        for i in range(n):
+            for j in range(i + 1, n):
+                row = [0] * (t.dim * n)
+                for a, M in enumerate(t.basis):
+                    row[a * n + j] = M[wi][i]
+                    row[a * n + i] = -M[wi][j]
+                rows.append(row)
+    return rows
+
+
+def _delta_rank(t):
+    return linalg.rank(_delta_matrix(t))
 
 
 def prolong(t):
@@ -120,31 +133,46 @@ def prolongation_bilinear(t, coeffs):
 
 
 def prolongation_dim(t):
-    return len(prolong(t))
+    """dim A^(1) = n dim A - rank delta, by rank-nullity."""
+    return t.dim_V * t.dim - _delta_rank(t)
 
 
-def _flag_dims(t, flag):
+def _integer_basis(t):
+    """Each basis matrix times the lcm of its denominators.
+
+    A nonzero multiple of a basis matrix spans the same line, so every
+    dim A_j is unchanged.
+    """
+    out = []
+    for M in t.basis:
+        den = lcm(*(x.denominator for row in M for x in row))
+        out.append([[x.numerator * (den // x.denominator) for x in row] for row in M])
+    return out
+
+
+def _flag_dims(mats, dim_W, flag):
     """dim A_j for j = 1..n-1 along the ordered flag basis of V.
 
-    A_j kills the first j flag vectors, so dim A_j is dim A minus the rank of
-    the first j column blocks (width dim_W) of the rows below.
+    `mats` are basis matrices of A, each dim_W x n.  A_j kills the first j
+    flag vectors, so dim A_j is dim A minus the rank of the first j column
+    blocks (width dim_W) of the rows below.
     """
-    rows = [[x for v in flag[:-1] for x in linalg.mat_vec(M, v)] for M in t.basis]
+    rows = [[sum(map(mul, m_row, v)) for v in flag[:-1] for m_row in M] for M in mats]
     pivots = linalg.pivot_columns(rows)
-    return [t.dim - sum(1 for c in pivots if c < j * t.dim_W)
-            for j in range(1, t.dim_V)]
+    return [len(mats) - sum(1 for c in pivots if c < j * dim_W)
+            for j in range(1, len(flag))]
 
 
 def _candidate_flags(t, seed):
     n = t.dim_V
-    coord = [linalg.unit_vector(n, j) for j in range(n)]
+    coord = [[int(i == j) for i in range(n)] for j in range(n)]
     flags = []
     for perm in itertools.islice(itertools.permutations(range(n)),
                                  COORDINATE_FLAG_BUDGET):
         flags.append([coord[j] for j in perm])
     rng = random.Random(seed)
     for _ in range(RANDOM_FLAG_COUNT):
-        flag = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+        flag = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if linalg.rank(flag) == n:
             flags.append(flag)
     return flags
@@ -160,9 +188,10 @@ def cartan_characters(t, seed=FLAG_SEED):
     """
     if t.dim_V == 1:
         return [t.dim]
+    mats = _integer_basis(t)
     best = None
     for flag in _candidate_flags(t, seed):
-        dims = _flag_dims(t, flag)
+        dims = _flag_dims(mats, t.dim_W, flag)
         if best is None or dims < best:
             best = dims
     return [t.dim] + best
@@ -204,13 +233,10 @@ def is_involutive(t, seed=FLAG_SEED):
 
 
 def torsion_quotient_dim(t):
-    """dim of W (x) Lambda^2 V* / delta(A (x) V*).
-
-    rank delta = n dim A - dim A^(1) by rank-nullity.
-    """
+    """dim of W (x) Lambda^2 V* / delta(A (x) V*) = full - rank delta."""
     n, w = t.dim_V, t.dim_W
     full = w * n * (n - 1) // 2
-    return full - (n * t.dim - prolongation_dim(t))
+    return full - _delta_rank(t)
 
 
 # ---------- the second-order tableau of a quadratic form ----------
@@ -241,37 +267,24 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
                     raise ValueError("f2 is not symmetric")
 
     dim_block = 1 + n * n + a * a
+    images = _unit_images(f2, n, a)
 
     def action(x):
-        """x = (xL, xT, xN) flattened; returns (x.F2)[mu][i][j]."""
-        xL = x[0]
-        xT = [x[1 + i * n: 1 + (i + 1) * n] for i in range(n)]
-        xN = [x[1 + n * n + m * a: 1 + n * n + (m + 1) * a] for m in range(a)]
-        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(a)]
-        for mu in range(a):
-            for i in range(n):
-                for j in range(n):
-                    v = xL * f2[mu][i][j]
-                    for nu in range(a):
-                        v += xN[mu][nu] * f2[nu][i][j]
-                    for k in range(n):
-                        v -= f2[mu][k][j] * xT[k][i] + f2[mu][i][k] * xT[k][j]
-                    out[mu][i][j] = v
-        return out
+        """x = (xL, xT, xN) flattened; returns x.F2 as {(mu, i, j): value}."""
+        out = {}
+        for xb, img in zip(x, images):
+            if xb:
+                for key, v in img.items():
+                    out[key] = out.get(key, 0) + xb * v
+        return {key: v for key, v in out.items() if v}
 
-    rows = []
-    for b in range(dim_block):
-        x = linalg.unit_vector(dim_block, b)
-        img = action(x)
-        rows.append([img[mu][i][j] for mu in range(a) for i in range(n)
-                     for j in range(i, n)])
     # r = kernel of the action, as row vectors in the block space
-    r_basis = linalg.kernel_basis([[rows[b][c] for b in range(dim_block)]
-                                   for c in range(len(rows[0]))], dim_block)
+    r_basis = linalg.kernel_basis([[img.get((mu, i, j), 0) for img in images]
+                                   for mu in range(a) for i in range(n)
+                                   for j in range(i, n)], dim_block)
     # verify annihilation exactly
     for v in r_basis:
-        img = action(v)
-        if any(x for m in img for row in m for x in row):
+        if action(v):
             raise InternalCheckError("stabilizer element does not annihilate the form")
     # trace form on the block space is the standard dot product in these coords
     perp = linalg.kernel_basis(r_basis, dim_block) if r_basis else \
@@ -279,12 +292,9 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
 
     basis = []
     for y in perp:
-        img = action(y)
         M = linalg.zeros(a + n * a, n)
-        for mu in range(a):
-            for k in range(n):
-                for i in range(n):
-                    M[a + k * a + mu][i] = img[mu][k][i]
+        for (mu, k, i), v in action(y).items():
+            M[a + k * a + mu][i] = v
         basis.append(M)
     keep = linalg.independent_subset([Fraction(x) for row in M for x in row]
                                      for M in basis)
@@ -292,6 +302,34 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
     if len(r_basis) + len(perp) != dim_block:
         raise InternalCheckError("stabilizer and its complement do not span the block")
     return StabilizerPair(len(r_basis), t)
+
+
+def _unit_images(f2, n, a):
+    """x.F2 for each unit vector x of the block space, as sparse maps.
+
+    The block space is (xL, xT, xN) flattened, as in stabilizer_and_tableau;
+    each map sends (mu, i, j) to the nonzero entries of
+    (x.F2)[mu][i][j] = xL F2[mu][i][j] + sum_nu xN[mu][nu] F2[nu][i][j]
+                       - sum_k (F2[mu][k][j] xT[k][i] + F2[mu][i][k] xT[k][j]).
+    """
+    def entries(M, mu):
+        return {(mu, i, j): M[i][j] for i in range(n) for j in range(n) if M[i][j]}
+
+    images = [{key: v for mu in range(a) for key, v in entries(f2[mu], mu).items()}]
+    for k in range(n):
+        for c in range(n):  # xT[k][c] = 1
+            img = {}
+            for mu in range(a):
+                for j in range(n):
+                    if f2[mu][k][j]:
+                        img[(mu, c, j)] = img.get((mu, c, j), 0) - f2[mu][k][j]
+                    if f2[mu][j][k]:
+                        img[(mu, j, c)] = img.get((mu, j, c), 0) - f2[mu][j][k]
+            images.append({key: v for key, v in img.items() if v})
+    for m in range(a):
+        for nu in range(a):
+            images.append(entries(f2[nu], m))
+    return images
 
 
 # ---------- reduced prolongation ----------
@@ -303,29 +341,30 @@ def reduced_prolongation(t, bracket_image):
     (index (w, i, j) row-major) and must lie inside A (x) V*; the quotient
     is by the part of their span inside ker delta, and the rank falling
     outside ker delta is reported separately.
+
+    A (x) V* is block-diagonal in j: v lies in it iff every slice v[., ., j]
+    lies in A.  On A (x) V*, delta sends v to its skew part
+    v[w, i, j] - v[w, j, i] (i < j), so the span of the image meets ker delta
+    in dimension rank(image) - rank(skew parts), and the discarded rank is
+    rank(skew parts).  No basis of A^(1) is needed.
     """
     n, w = t.dim_V, t.dim_W
-    avstar = []
-    for a, M in enumerate(t.basis):
-        for j0 in range(n):
-            vec = [Fraction(0)] * (w * n * n)
-            for wi in range(w):
-                for i in range(n):
-                    if M[wi][i]:
-                        vec[(wi * n + i) * n + j0] = M[wi][i]
-            avstar.append(vec)
-    coords = []
+    slices = []
+    skews = []
     for v in bracket_image:
-        c = linalg.solve_in_span(avstar, [Fraction(x) for x in v]) if avstar else None
-        if c is None:
-            raise ValueError("bracket image vector lies outside A (x) V*")
-        coords.append(c)
-    prol = prolong(t)
-    if not coords:
-        return len(prol), 0
-    inside = linalg.intersect(prol, coords) if prol else []
-    discarded = linalg.rank(coords) - len(inside)
-    return len(prol) - len(inside), discarded
+        if len(v) != w * n * n:
+            raise ValueError("bracket image vector has wrong length")
+        slices += [[v[(wi * n + i) * n + j] for wi in range(w) for i in range(n)]
+                   for j in range(n)]
+        skews.append([v[(wi * n + i) * n + j] - v[(wi * n + j) * n + i]
+                      for wi in range(w) for i in range(n) for j in range(i + 1, n)])
+    # the basis of A is independent, so the slices lie in A iff adding them
+    # leaves the rank at dim A
+    if linalg.rank([t.flatten(M) for M in t.basis] + slices) != t.dim:
+        raise ValueError("bracket image vector lies outside A (x) V*")
+    discarded = linalg.rank(skews)
+    inside = linalg.rank(bracket_image) - discarded
+    return prolongation_dim(t) - inside, discarded
 
 
 def reduced_prolongation_dim(t, bracket_image):

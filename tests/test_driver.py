@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liecoh import driver
 from liecoh.driver import (ScenarioSpec, adjoint_scenario, run_scenario,
                            scenario_from_json, scenario_to_json,
                            verdict_json_text, verdict_to_json)
@@ -30,6 +31,20 @@ def test_adjoint_scenario_c2():
     s = adjoint_scenario(("C", 2))
     assert sorted(s.marked) == [1]
     assert s.highest_weight == (2, 0)
+
+
+def test_adjoint_scenario_builds_its_root_system_once(monkeypatch):
+    built = []
+
+    def counting_build(factors):
+        built.append(factors)
+        return driver.RootSystem(factors)
+
+    monkeypatch.setattr(driver, "build", counting_build)
+    s = adjoint_scenario(("G", 2))
+    assert s == spec(["G2"], {2}, (0, 1), -1)  # the carried RootSystem is not compared
+    assert run_scenario(s).verdict == "RIGID"
+    assert len(built) == 1
 
 
 def test_adjoint_scenario_rejects_a1():

@@ -59,21 +59,6 @@ def test_intersect_dimension_mismatch():
         linalg.intersect([[F(1), F(0)]], [[F(1), F(0), F(0)]])
 
 
-def test_quotient_dim():
-    assert linalg.quotient_dim(5, [[F(1)] + [F(0)] * 4, [F(0), F(1)] + [F(0)] * 3]) == 3
-    assert linalg.quotient_dim(3, linalg.identity(3)) == 0
-    # three vectors with one dependency in ambient 6
-    v1 = linalg.unit_vector(6, 0)
-    v2 = linalg.unit_vector(6, 1)
-    v3 = [a + b for a, b in zip(v1, v2)]
-    assert linalg.quotient_dim(6, [v1, v2, v3]) == 4
-
-
-def test_quotient_dim_too_long():
-    with pytest.raises(ValueError):
-        linalg.quotient_dim(2, [[F(1), F(0), F(0)]])
-
-
 def test_solve_in_span():
     span = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     c = linalg.solve_in_span(span, [F(2), F(3), F(5)])
@@ -102,6 +87,63 @@ def test_rank_nullity(M):
 def test_kernel_exactness(M):
     for v in linalg.kernel_basis(M):
         assert all(x == 0 for x in linalg.mat_vec(M, v))
+
+
+def fraction_kernel_reference(M):
+    """Kernel basis by plain Fraction elimination and back-substitution.
+
+    The kernel vector with 1 at a free column and 0 at the other free columns
+    is unique, so any echelon form gives the same vectors as kernel_basis.
+    """
+    rows = [[Fraction(x) for x in row] for row in M]
+    nc = len(rows[0])
+    piv_cols = []
+    for c in range(nc):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+    basis = []
+    for fc in range(nc):
+        if fc in piv_cols:
+            continue
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for idx in range(len(piv_cols) - 1, -1, -1):
+            pc = piv_cols[idx]
+            if pc < fc:
+                row = rows[idx]
+                v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, nc)) / row[pc]
+        basis.append(v)
+    return basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_dim=7))
+def test_kernel_basis_matches_fraction_back_substitution(M):
+    assert linalg.kernel_basis(M) == fraction_kernel_reference(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_dim=6), st.data())
+def test_solve_in_span_recovers_coefficients(M, data):
+    span = [M[i] for i in linalg.independent_subset(M)]
+    assume(span)
+    coeffs = data.draw(st.lists(rational, min_size=len(span), max_size=len(span)))
+    target = [sum(c * v[k] for c, v in zip(coeffs, span)) for k in range(len(M[0]))]
+    assert linalg.solve_in_span(span, target) == coeffs
+
+
+def test_integer_rows_are_accepted():
+    M = [[2, 4, 0], [1, 2, 3]]
+    assert linalg.rank(M) == 2
+    assert linalg.kernel_basis(M) == [[F(-2), F(1), F(0)]]
+    assert linalg.solve_in_span([[1, 0, 1], [0, 2, 2]], [3, 4, 7]) == [F(3), F(2)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,4 +211,4 @@ def test_flag_dims_are_prefix_ranks(n, w, data):
     rows = [[x for v in flag for x in linalg.mat_vec(M, v)] for M in t.basis]
     want = [t.dim - linalg.rank([row[:j * w] for row in rows])
             for j in range(1, n)]
-    assert _flag_dims(t, flag) == want
+    assert _flag_dims(t.basis, w, flag) == want

@@ -84,12 +84,6 @@ def test_weyl_dim_rejects_non_dominant():
         parse_type("A2").weyl_dim((1, -1))
 
 
-def test_casimir():
-    assert parse_type("A2").casimir((0, 0)) == 0
-    assert parse_type("A1").casimir((2,)) == 4
-    assert parse_type("A2").casimir((1, 1)) == 6
-
-
 def test_affine_action_a1():
     rs = parse_type("A1")
     for m in range(-3, 5):

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecoh import linalg
 from liecoh.tableau import (Tableau, cartan_characters, cauchy_riemann_tableau,
@@ -173,8 +174,130 @@ def test_reduced_prolongation_discarded_rank():
 def test_reduced_prolongation_outside_a():
     t = cauchy_riemann_tableau()
     bad = [Fraction(1)] + [Fraction(0)] * 7  # e_11 (x) v_1^*, not in A (x) V*
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside"):
         reduced_prolongation_dim(t, [bad])
+    with pytest.raises(ValueError, match="length"):
+        reduced_prolongation_dim(t, [[Fraction(0)] * 7])
+
+
+# ---------- rank-nullity and the block-diagonal A (x) V* against references ----------
+
+@st.composite
+def tableaux(draw):
+    n = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    mats = draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=w, max_size=w), max_size=5))
+    keep = linalg.independent_subset([[x for row in M for x in row] for M in mats])
+    return Tableau(n, w, [mats[i] for i in keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tableaux())
+def test_dimensions_by_rank_nullity_match_the_prolongation_basis(t):
+    n, w = t.dim_V, t.dim_W
+    dim_p = len(prolong(t))
+    assert prolongation_dim(t) == dim_p
+    assert torsion_quotient_dim(t) == w * n * (n - 1) // 2 - (n * t.dim - dim_p)
+
+
+def avstar_basis(t):
+    """The (a, j0) basis of A (x) V* in flat (w, i, j) coordinates, a-major."""
+    n, w = t.dim_V, t.dim_W
+    out = []
+    for M in t.basis:
+        for j0 in range(n):
+            vec = [Fraction(0)] * (w * n * n)
+            for wi in range(w):
+                for i in range(n):
+                    vec[(wi * n + i) * n + j0] = M[wi][i]
+            out.append(vec)
+    return out
+
+
+def reduced_prolongation_reference(t, image):
+    """Coordinates over the whole A (x) V* system, then prolong and intersect."""
+    avstar = avstar_basis(t)
+    coords = []
+    for v in image:
+        c = linalg.solve_in_span(avstar, v)
+        if c is None:
+            raise ValueError("outside A (x) V*")
+        coords.append(c)
+    prol = prolong(t)
+    inside = linalg.intersect(prol, coords) if prol and coords else []
+    return len(prol) - len(inside), linalg.rank(coords) - len(inside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tableaux(), st.data())
+def test_reduced_prolongation_matches_whole_system(t, data):
+    n, w = t.dim_V, t.dim_W
+    pool = [flat_bilinear(t, c) for c in prolong(t)] + avstar_basis(t)
+    small = st.integers(-2, 2)
+    image = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = data.draw(st.lists(small, min_size=len(pool), max_size=len(pool)))
+        image.append([sum(c * v[k] for c, v in zip(coeffs, pool)) for k in range(w * n * n)])
+    if data.draw(st.booleans()):
+        # usually outside A (x) V*
+        image.append(data.draw(st.lists(small, min_size=w * n * n, max_size=w * n * n)))
+    try:
+        want = reduced_prolongation_reference(t, image)
+    except ValueError:
+        with pytest.raises(ValueError, match="outside"):
+            reduced_prolongation(t, image)
+        return
+    assert reduced_prolongation(t, image) == want
+
+
+# ---------- a dense basis changes no invariant ----------
+
+def lu_unimodular(rng, n):
+    """L U with unit-triangular L, U and off-diagonal entries in {-1, 0, 1}: det 1."""
+    L = [[Fraction(1 if i == j else rng.randint(-1, 1) if i > j else 0) for j in range(n)]
+         for i in range(n)]
+    U = [[Fraction(1 if i == j else rng.randint(-1, 1) if i < j else 0) for j in range(n)]
+         for i in range(n)]
+    return linalg.matmul(L, U)
+
+
+def dense_basis(f2, n, a, rng):
+    """F2'[mu] = sum_nu Q[mu][nu] P^T F2[nu] P for unimodular P (on T) and Q (on N)."""
+    P, Q = lu_unimodular(rng, n), lu_unimodular(rng, a)
+    conj = [linalg.matmul(linalg.matmul(linalg.transpose(P), M), P) for M in f2]
+    return [[[sum(Q[mu][nu] * conj[nu][i][j] for nu in range(a)) for j in range(n)]
+             for i in range(n)] for mu in range(a)]
+
+
+def quadric_4():
+    return [[[Fraction(int(i == j)) for j in range(4)] for i in range(4)]], 4, 1
+
+
+def segre_1x2():
+    """x_0 y_j on T = C^1 + C^2, N = C^1 (x) C^2."""
+    return [[[Fraction(int({i, j} == {0, 1 + k})) for j in range(3)] for i in range(3)]
+            for k in range(2)], 3, 2
+
+
+def tableau_invariants(f2, n, a):
+    t = stabilizer_and_tableau(f2, n, a).tableau_r_perp
+    prol = prolong(t)
+    # the first half of the prolongation basis, and one element of A (x) V*
+    # outside ker delta
+    image = [flat_bilinear(t, c) for c in prol[:len(prol) // 2]] + avstar_basis(t)[:1]
+    return (cartan_characters(t), prolongation_dim(t), torsion_quotient_dim(t),
+            reduced_prolongation(t, image))
+
+
+@pytest.mark.parametrize("case", [quadric_4, segre_1x2], ids=lambda c: c.__name__)
+def test_dense_basis_keeps_tableau_invariants(case):
+    f2, n, a = case()
+    want = tableau_invariants(f2, n, a)
+    for seed in range(3):
+        rng = random.Random(seed)
+        assert tableau_invariants(dense_basis(f2, n, a, rng), n, a) == want
 
 
 def test_json_round_trip():
