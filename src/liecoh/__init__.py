@@ -25,7 +25,7 @@ from .rootsys import RootSystem, SimpleFactor, build, parse_type
 from .tableau import (InvolutivityReport, StabilizerPair, Tableau,
                       cartan_characters, cauchy_riemann_tableau, full_tableau,
                       is_involutive, prolong, prolongation_dim,
-                      reduced_prolongation, reduced_prolongation_dim,
+                      reduced_prolongation,
                       stabilizer_and_tableau, torsion_quotient_dim,
                       zero_tableau)
 from .vogel import (DegenerateParameters, VogelParams, dim_g, dim_y2, dim_y3,

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from . import cohomology, repthy, tableau, vogel
 from .cohomology import InternalCheckError, h1_report
-from .driver import (adjoint_scenario, run_scenario, scenario_from_json,
-                     scenario_to_json, verdict_json_text, verdict_table,
-                     verdict_to_json)
+from .driver import (adjoint_scenario, degree_json, rational_str, run_scenario,
+                     scenario_from_json, scenario_to_json, verdict_json_text,
+                     verdict_table)
 from .grading import ParabolicMarking, grade_algebra, grade_module
 from .repthy import DEFAULT_ORACLE_BOUND
 from .rootsys import parse_type
@@ -35,11 +35,6 @@ def _rat(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"malformed rational {text!r}") from e
-
-
-def _rat_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _weight(text, rank=None):
@@ -105,11 +100,11 @@ def cmd_vogel(args):
     except ValueError as e:
         raise InputError(str(e)) from e
     if args.format == "json":
-        print(json.dumps({"params": [_rat_str(x) for x in (a, b, g)],
-                          "t": _rat_str(p.t), "label": label,
-                          "value": _rat_str(value)}, sort_keys=True))
+        print(json.dumps({"params": [rational_str(x) for x in (a, b, g)],
+                          "t": rational_str(p.t), "label": label,
+                          "value": rational_str(value)}, sort_keys=True))
     else:
-        print(_rat_str(value))
+        print(rational_str(value))
     return 0
 
 
@@ -169,8 +164,7 @@ def cmd_cohomology(args):
     payload = {"type": str(rs), "marked": sorted(marking.marked),
                "gamma": list(gamma),
                "pieces": [{"levi_highest_weight": list(p.levi_highest_weight),
-                           "degree": p.degree if isinstance(p.degree, int)
-                           else _rat_str(p.degree),
+                           "degree": degree_json(p.degree),
                            "dimension": p.dimension,
                            "source_reflection": p.source_reflection}
                           for p in pieces]}
@@ -249,10 +243,7 @@ def cmd_rigidity(args):
         verdict = run_scenario(spec, bound=oracle_bound())
     except ValueError as e:
         raise InputError(str(e)) from e
-    if args.format == "json":
-        print(verdict_json_text(verdict))
-    else:
-        print(verdict_table(verdict))
+    print(verdict_json_text(verdict) if args.format == "json" else verdict_table(verdict))
     return 0
 
 
@@ -266,10 +257,7 @@ def cmd_adjoint(args):
         raise InputError(str(e)) from e
     if args.run:
         verdict = run_scenario(spec, bound=oracle_bound())
-        if args.format == "json":
-            print(verdict_json_text(verdict))
-        else:
-            print(verdict_table(verdict))
+        print(verdict_json_text(verdict) if args.format == "json" else verdict_table(verdict))
     else:
         print(json.dumps(scenario_to_json(spec), indent=2, sort_keys=True))
     return 0

@@ -146,7 +146,9 @@ class GradedComplex:
     slices:   grade -> dimension of Gamma in that grade
     depths:   grade shift of each g_- basis element x_a = f_alpha, which has
               grade -depths[a]: depths[a] = (i_a, alpha), i_a > 0 the depth
-    act:      (a, source grade) -> block matrix Gamma_source -> Gamma_{source - depths[a]}
+    act:      (a, source grade) -> the matrix of x_a: Gamma_source ->
+              Gamma_{source - depths[a]} by columns, one {target coordinate: x}
+              map of nonzeros per source basis vector
     brackets: (a, b) -> {c: coeff} for a < b, [x_a, x_b] = sum coeff x_c
     """
     slices: dict
@@ -165,6 +167,18 @@ def _add(grade, depth):
 
 def _grade_text(grade):
     return f"degree {_as_degree(grade[0])}, weight {grade[1]}"
+
+
+def _composition_is_nonzero(d0t, d1t):
+    """Whether d1 . d0 != 0, given both maps as transposed sparse rows."""
+    for row in d0t:
+        out = {}
+        for u, x in row.items():
+            for k, y in d1t[u].items():
+                out[k] = out.get(k, 0) + x * y
+        if any(out.values()):
+            return True
+    return False
 
 
 def graded_h1(cx, with_h0=False):
@@ -204,40 +218,33 @@ def graded_h1(cx, with_h0=False):
             n1 += cx.slices[s]
         blocks2 = c2.get(d, []) if n1 else []
         n0 = cx.slices.get(d, 0)
-        n2 = sum(cx.slices[s] for _, _, s in blocks2)
 
-        # zeros are ints, which the elimination scales for free
-        d0 = [[0] * n0 for _ in range(n1)]
-        if n0:
-            for a in blocks1:
-                for r, row in enumerate(cx.act[(a, d)]):
-                    d0[off1[a] + r] = list(row)
-        # d1 is built transposed, one row per C^1 coordinate: C^2 is the
-        # larger side, and the elimination is faster along the shorter one
-        d1t = [[0] * n2 for _ in range(n1)]
+        # d0 and d1 are built transposed, one sparse row per C^0 and per C^1
+        # coordinate: C^2 is the larger side, and the action blocks are
+        # stored by source vector
+        d0t = [{off1[a] + r: x for a in blocks1 for r, x in cx.act[(a, d)][v].items()}
+               for v in range(n0)] if n1 else []
+        d1t = [{} for _ in range(n1)]
         roff = 0
         for b, c, s in blocks2:
-            nrows = cx.slices[s]
             # alpha([x_b, x_c]) X
             for a, coeff in cx.brackets.get((b, c), {}).items():
                 if coeff:
-                    for r in range(nrows):
-                        d1t[off1[a] + r][roff + r] += coeff
+                    for r in range(cx.slices[s]):
+                        row = d1t[off1[a] + r]
+                        row[roff + r] = row.get(roff + r, 0) + coeff
             # alpha(x_b) x_c.X - alpha(x_c) x_b.X
             for a, other, sign in ((b, c, 1), (c, b, -1)):
                 if a in blocks1:
-                    block = cx.act[(other, blocks1[a])]
-                    coff = off1[a]
-                    for r in range(nrows):
-                        for t, x in enumerate(block[r]):
-                            if x:
-                                d1t[coff + t][roff + r] += sign * x
-            roff += nrows
-        if n0 and n2 and any(x for row in linalg.matmul(linalg.transpose(d0), d1t)
-                             for x in row):
+                    for t, image in enumerate(cx.act[(other, blocks1[a])]):
+                        row = d1t[off1[a] + t]
+                        for r, x in image.items():
+                            row[roff + r] = row.get(roff + r, 0) + sign * x
+            roff += cx.slices[s]
+        if blocks2 and _composition_is_nonzero(d0t, d1t):
             raise InternalCheckError(f"d1 . d0 != 0 in {_grade_text(d)}")
-        rank0 = linalg.rank(d0) if n0 and n1 else 0
-        rank1 = linalg.rank(d1t) if n2 else 0
+        rank0 = linalg.rank(d0t) if d0t else 0
+        rank1 = linalg.rank(d1t) if blocks2 else 0
         dim = (n1 - rank1) - rank0
         if dim < 0:
             raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
@@ -269,10 +276,9 @@ def _g_by_weight(rep):
     rs, wts = rep.rs, rep.basis_weights
     emat, fmat = root_vector_matrices(rep)
     out = {(0,) * rs.rank: rep.h}
-    for r in rs.positive_roots:
-        alpha = rs.fund_coords_of_root(r.coords)
-        out[alpha] = [emat[r.coords]]
-        out[tuple(-x for x in alpha)] = [fmat[r.coords]]
+    for coords, alpha in rs.root_weights.items():
+        out[alpha] = [emat[coords]]
+        out[tuple(-x for x in alpha)] = [fmat[coords]]
     for mu, matrices in out.items():
         for r, c in (key for M in matrices for key in M):
             if _difference(wts[r], wts[c]) != mu:
@@ -287,16 +293,17 @@ def _complex(rs, marking, g, basis, image):
 
     g is _g_by_weight of the module, and basis maps each (degree, weight)
     grade of Gamma to the basis vectors of that slice.  image(f, vector,
-    grade) gives f . vector as coordinates in the basis of that grade.
+    grade) gives f . vector as a {coordinate: x} map of its nonzero
+    coordinates in the basis of that grade.
     """
     roots = negative_roots(rs, marking)
-    depths = [(root_degree(marking, c), rs.fund_coords_of_root(c)) for c in roots]
+    depths = [(root_degree(marking, c), rs.root_weights[c]) for c in roots]
     act = {}
     for a, (i, alpha) in enumerate(depths):
         f = g[tuple(-x for x in alpha)][0]
         for s, vectors in basis.items():
             t = (s[0] - i, _difference(s[1], alpha))
-            act[(a, s)] = linalg.transpose([image(f, v, t) for v in vectors])
+            act[(a, s)] = [image(f, v, t) for v in vectors]
     slices = {s: len(vectors) for s, vectors in basis.items()}
     return GradedComplex(slices, depths, act, structure_constants(rs, roots))
 
@@ -317,7 +324,7 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
         basis.setdefault((z(w), w), []).append(vid)
 
     def image(f, vid, grade):
-        return [f.get((r, vid), 0) for r in basis.get(grade, ())]
+        return {k: f[(r, vid)] for k, r in enumerate(basis.get(grade, ())) if (r, vid) in f}
 
     return _complex(rs, marking, _g_by_weight(rep), basis, image)
 
@@ -353,21 +360,17 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     index = {}   # weight -> {(v, w): position in the slice}
     rows = {}    # weight -> constraint rows cutting g-perp out of the slice
     basis = {}   # (degree, weight) -> kernel_basis vectors as {(v, w): x}
-    free = {}    # weight -> free column of each basis vector
+    free = {}    # weight -> {free column: position of its basis vector}
     g_rank = 0
     for mu, pairs in sorted(pairs_by_weight.items()):
         index[mu] = {p: k for k, p in enumerate(pairs)}
         # tr(B M) = sum B[v][w] M[w][v] pairs the slice with weight -mu only
-        rows[mu] = []
-        for M in g.get(tuple(-x for x in mu), []):
-            row = [Fraction(0)] * len(pairs)
-            for (r, c), x in M.items():
-                row[index[mu][(c, r)]] = x
-            rows[mu].append(row)
+        rows[mu] = [{index[mu][(c, r)]: x for (r, c), x in M.items()}
+                    for M in g.get(tuple(-x for x in mu), [])]
         if rows[mu]:
             g_rank += linalg.rank(rows[mu])
         if mu == zero:
-            rows[mu].append([Fraction(int(v == w)) for (v, w) in pairs])
+            rows[mu].append({k: 1 for k, (v, w) in enumerate(pairs) if v == w})
         vectors = linalg.kernel_basis(rows[mu], len(pairs))
         if vectors:
             degree = z(mu)
@@ -377,7 +380,8 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
                                         for vec in vectors]
             # coordinates in a kernel_basis are the entries at its free
             # columns, the last nonzero entry of each basis vector
-            free[mu] = [max(k for k, x in enumerate(vec) if x) for vec in vectors]
+            free[mu] = {max(k for k, x in enumerate(vec) if x): i
+                        for i, vec in enumerate(vectors)}
     if g_rank != rs.dim_g():
         raise InternalCheckError("represented algebra has wrong dimension; "
                                  "weight not faithful on some factor")
@@ -389,12 +393,11 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         # [f, vec] has weight t = mu - alpha and lies in t's slice of gl(U)
         t = grade[1]
         target = index.get(t, {})
-        cvec = [0] * len(target)
-        for pair, x in repthy.commutator(f, vec).items():
-            cvec[target[pair]] = x
-        if any(linalg.mat_vec(rows.get(t, []), cvec)):
+        cvec = {target[pair]: x for pair, x in repthy.commutator(f, vec).items()}
+        if any(sum(x * cvec.get(k, 0) for k, x in row.items()) for row in rows.get(t, [])):
             raise InternalCheckError("g_- action left g-perp")
-        return [cvec[k] for k in free.get(t, [])]
+        columns = free.get(t, {})
+        return {columns[k]: x for k, x in cvec.items() if k in columns}
 
     return _complex(rs, marking, g, basis, image)
 

@@ -13,7 +13,14 @@ from fractions import Fraction
 from .cohomology import CohomologyReport, h1_report
 from .grading import ParabolicMarking
 from .repthy import DEFAULT_ORACLE_BOUND
-from .rootsys import RootSystem, SimpleFactor, build
+from .rootsys import RootSystem, SimpleFactor, build, parse_factor
+
+
+def _integer(x, what):
+    """x when it is an int (a bool is not); ValueError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -28,14 +35,17 @@ class ScenarioSpec:
     prebuilt: RootSystem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.p < -1:
+        if _integer(self.p, "p") < -1:
             raise ValueError("p must be >= -1")
+        if not isinstance(self.oracle, bool):
+            raise ValueError(f"oracle must be true or false, got {self.oracle!r}")
         object.__setattr__(self, "algebra", tuple(
             f if isinstance(f, SimpleFactor) else SimpleFactor(*f)
             for f in self.algebra))
-        object.__setattr__(self, "marked", frozenset(int(i) for i in self.marked))
-        object.__setattr__(self, "highest_weight",
-                           tuple(int(c) for c in self.highest_weight))
+        object.__setattr__(self, "marked", frozenset(
+            _integer(i, "a marked node") for i in self.marked))
+        object.__setattr__(self, "highest_weight", tuple(
+            _integer(c, "a weight coordinate") for c in self.highest_weight))
 
     def root_system(self):
         if self.prebuilt is not None:
@@ -95,23 +105,29 @@ def adjoint_scenario(factor, oracle=False):
 
 # ---------- serialization ----------
 
-def _rational_str(x):
+def rational_str(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def scenario_from_json(doc):
+    """ScenarioSpec from {"algebra", "marked", "weight", "p"[, "oracle"]}.
+
+    Raises ValueError on a document of the wrong shape or type.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    algebra = []
-    for name in doc["algebra"]:
-        algebra.append(SimpleFactor(name[0].upper(), int(name[1:])))
+    if not isinstance(doc, dict):
+        raise ValueError("a scenario must be a JSON object")
+    for key in ("algebra", "marked", "weight"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"scenario {key!r} must be a list")
     return ScenarioSpec(
-        tuple(algebra),
-        frozenset(doc["marked"]),
-        tuple(doc["weight"]),
-        int(doc["p"]),
-        bool(doc.get("oracle", False)),
+        tuple(parse_factor(name) for name in doc["algebra"]),
+        doc["marked"],
+        doc["weight"],
+        doc["p"],
+        doc.get("oracle", False),
     )
 
 
@@ -130,14 +146,14 @@ def _piece_json(component, mult, piece):
         "component": list(component),
         "component_multiplicity": mult,
         "levi_highest_weight": list(piece.levi_highest_weight),
-        "degree": _degree_json(piece.degree),
+        "degree": degree_json(piece.degree),
         "dimension": piece.dimension,
         "source_reflection": piece.source_reflection,
     }
 
 
-def _degree_json(d):
-    return d if isinstance(d, int) else _rational_str(d)
+def degree_json(d):
+    return d if isinstance(d, int) else rational_str(d)
 
 
 def verdict_to_json(v):
@@ -152,7 +168,7 @@ def verdict_to_json(v):
         "gperp": [{"weight": list(c.highest_weight), "multiplicity": c.multiplicity}
                   for c in rep.gperp],
         "h1_pieces": [_piece_json(hw, m, pc) for hw, m, pc in rep.pieces],
-        "h1_by_degree": {str(_degree_json(d)): n for d, n in rep.aggregate.items()},
+        "h1_by_degree": {str(degree_json(d)): n for d, n in rep.aggregate.items()},
         "offending": [_piece_json(hw, m, pc) for hw, m, pc in rep.offending],
         "gradings": {
             "algebra": {str(d): n for d, n in rep.algebra_grading.dims.items()},

@@ -62,8 +62,7 @@ def grading_element(rs, marking):
     row = tuple(sum(rs.inverse_cartan_scaled[i][j] for i in marking.zero_based())
                 for j in range(rs.rank))
     z = GradingElementValue(row, rs.inverse_cartan_den)
-    for j in range(rs.rank):
-        alpha = rs.fund_coords_of_root(tuple(int(k == j) for k in range(rs.rank)))
+    for j, alpha in enumerate(rs.simple_root_weights):
         if z(alpha) != (1 if (j + 1) in marking.marked else 0):
             raise InternalCheckError(f"Z(alpha_{j + 1}) = {z(alpha)} disagrees with the marking")
     return z

@@ -1,45 +1,36 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra on sparse integer rows.
 
-Matrices are lists of rows, entries Fraction or int.  Callers that already
-hold integer rows should pass them as they are: each row is scaled to
-integers by the lcm of its denominators, which is the identity on integer
-rows.  Everything is computed over Q, so results are reproducible bit for
-bit.
+A matrix is a list of rows.  A row is either a {col: x} map of its nonzero
+entries or a dense list; entries are int or Fraction.  Every routine first
+scales each row to integers by the lcm of its denominators (the identity on
+integer rows) and divides it by the gcd of its entries, keeping only the
+nonzeros: that is the package's single scaling step.  Scaling a row changes
+neither the rank, the kernel nor the row space.  Map rows carry no width, so
+kernel_basis needs `ncols` for them.  Everything is computed over Q, so
+results are reproducible bit for bit.
 
-_row_echelon_int is the package's only row reduction: every rank, kernel,
-independent subset, intersection and inverse in liecoh comes from it.  It is
-fraction-free (Bareiss) on integer-scaled rows, which is much faster than
-naive Fraction Gaussian elimination for the matrix sizes that show up here.
-Its pivot rule is the first nonzero entry, column by column (pivot_columns).
+_echelon is the package's only row reduction: every rank, kernel,
+independent subset, intersection and inverse in liecoh comes from it.  Its
+pivot rule is column by column: column c is a pivot iff it lies outside the
+span of the columns left of it (pivot_columns).  Inside a column the pivot
+is the candidate row with the fewest nonzeros; each row it updates is
+divided by the gcd of its entries, so rows stay primitive integers and only
+rows with a nonzero entry in the pivot column are touched.
 Back-substitution (_back_substitute) also runs on integers, over one common
 denominator per solution, so a Fraction is made only for each entry
 returned.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-
-
-def zeros(n, m):
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def identity(n):
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = Fraction(1)
-    return M
-
-
-def transpose(M):
-    return [list(col) for col in zip(*M)] if M else []
 
 
 def matmul(A, B):
     if not A or not B:
         return []
     nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in B]
-    C = zeros(len(A), len(B[0]))
+    C = [[Fraction(0)] * len(B[0]) for _ in A]
     for Ai, Ci in zip(A, C):
         for a, Bt in zip(Ai, nonzeros):
             if a:
@@ -48,61 +39,70 @@ def matmul(A, B):
     return C
 
 
-def mat_vec(M, v):
-    return [sum((a * b for a, b in zip(row, v) if a and b), Fraction(0)) for row in M]
+def integer_rows(rows):
+    """Each nonzero row as a primitive {col: int} map of its nonzeros.
 
-
-def _scaled_int_rows(rows):
-    """Scale each row by the lcm of denominators; returns integer rows.
-
-    Row scaling preserves rank, kernel and row space.  An int is its own
-    numerator over denominator 1, so integer rows come back as copies.
+    A row is scaled by the lcm of its denominators and divided by the gcd of
+    the result, so it keeps its line; zero rows are dropped.
     """
     out = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        if den == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (den // x.denominator) for x in row])
+        nz = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row))
+              if x]
+        if not nz:
+            continue
+        den = lcm(*(x.denominator for _, x in nz))
+        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
+        g = gcd(*ints.values())
+        out.append(ints if g == 1 else {j: x // g for j, x in ints.items()})
     return out
 
 
-def _row_echelon_int(M):
-    """In-place fraction-free (Bareiss) echelon reduction of integer rows.
+def _echelon(rows):
+    """Echelon form of primitive integer map rows (consumed).
 
-    Returns (pivot_cols, rank).  Pivots are the first nonzero entry in each
-    column sweep, so the reduction is deterministic.
+    Returns [(pivot column, row)] in increasing pivot order; each row is
+    zero left of its pivot column.
     """
-    if not M or not M[0]:
-        return [], 0
-    nr, nc = len(M), len(M[0])
-    piv_cols = []
-    r = 0
-    prev = 1
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if M[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-        pivot = M[r][c]
-        for i in range(r + 1, nr):
-            if any(M[i][c:]):
-                Mi, Mr = M[i], M[r]
-                mic = Mi[c]
-                for j in range(c, nc):
-                    Mi[j] = (pivot * Mi[j] - mic * Mr[j]) // prev
-        prev = pivot
-        piv_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    return piv_cols, r
+    by_lead = {}
+    for row in rows:
+        by_lead.setdefault(min(row), []).append(row)
+    leads = list(by_lead)
+    heapify(leads)
+    out = []
+    while leads:
+        c = heappop(leads)
+        group = by_lead.pop(c)
+        piv = min(group, key=len)
+        p = piv[c]
+        for row in group:
+            if row is piv:
+                continue
+            g = gcd(p, row[c])
+            a, b = p // g, row[c] // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, x in piv.items():
+                y = row.get(j, 0) - b * x
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+            if not row:
+                continue
+            g = gcd(*row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
+            lead = min(row)
+            if lead in by_lead:
+                by_lead[lead].append(row)
+            else:
+                by_lead[lead] = [row]
+                heappush(leads, lead)
+        out.append((c, piv))
+    return out
 
 
 def pivot_columns(rows):
@@ -111,7 +111,7 @@ def pivot_columns(rows):
     Column c is a pivot iff it is not in the span of columns 0..c-1, so the
     rank of the first k columns is the number of pivots below k.
     """
-    return _row_echelon_int(_scaled_int_rows(rows))[0]
+    return [c for c, _ in _echelon(integer_rows(rows))]
 
 
 def rank(rows):
@@ -119,22 +119,20 @@ def rank(rows):
     return len(pivot_columns(rows))
 
 
-def _back_substitute(M, piv_cols, c):
-    """Solve the echelon rows of M for the pivot unknowns left of column c.
+def _back_substitute(echelon, c):
+    """Solve the echelon rows for the pivot unknowns left of column c.
 
-    Returns integers x (length c) and den > 0 such that, for each row i of M
-    whose pivot is left of c, sum_j M[i][j] x[j] = den * M[i][c]; x is 0 at
-    every non-pivot column.  Pivots right of c belong to rows that vanish
-    left of c, so their unknowns are 0 and are not returned.
+    Returns x, a {pivot column: int} map of the nonzero unknowns, and den > 0
+    such that, for each row whose pivot is left of c, sum_j row[j] x[j] =
+    den * row[c]; x is 0 at every non-pivot column.  Pivots right of c
+    belong to rows that vanish left of c, so their unknowns are 0.
     """
-    x = [0] * c
+    x = {}
     den = 1
-    for idx in range(len(piv_cols) - 1, -1, -1):
-        pc = piv_cols[idx]
+    for pc, row in reversed(echelon):
         if pc >= c:
             continue
-        row = M[idx]
-        s = den * row[c] - sum(row[j] * x[j] for j in range(pc + 1, c) if x[j])
+        s = den * row.get(c, 0) - sum(v * x[j] for j, v in row.items() if j in x)
         p = row[pc]
         g = gcd(s, p)
         if p < 0:
@@ -142,17 +140,19 @@ def _back_substitute(M, piv_cols, c):
         s, p = s // g, p // g
         if p != 1:
             den *= p
-            for j in range(pc + 1, c):
-                if x[j]:
-                    x[j] *= p
-        x[pc] = s
+            for j in x:
+                x[j] *= p
+        if s:
+            x[pc] = s
     return x, den
 
 
 def _fractions_over(x, den, n):
-    """The vector x / den, zero-padded to length n, as Fractions."""
-    zero = Fraction(0)
-    return [Fraction(v, den) if v else zero for v in x] + [zero] * (n - len(x))
+    """The vector x / den, x a {col: int} map, as n Fractions."""
+    vec = [Fraction(0)] * n
+    for j, v in x.items():
+        vec[j] = Fraction(v, den)
+    return vec
 
 
 def kernel_basis(rows, ncols=None):
@@ -163,30 +163,34 @@ def kernel_basis(rows, ncols=None):
     after f, so f is its last nonzero entry.  The coordinates of any kernel
     vector in this basis are therefore its entries at the free columns.
 
-    `ncols` is needed when `rows` is empty (the zero map).
+    `ncols` is needed when `rows` is empty (the zero map) or made of maps.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [unit_vector(ncols, j) for j in range(ncols)]
-    nc = len(rows[0])
-    M = _scaled_int_rows(rows)
-    piv_cols, _ = _row_echelon_int(M)
-    piv_set = set(piv_cols)
+    if ncols is None:
+        if not rows or isinstance(rows[0], dict):
+            raise ValueError("ncols required for an empty or sparse matrix")
+        ncols = len(rows[0])
+    echelon = _echelon(integer_rows(rows))
+    pivots = {c for c, _ in echelon}
     basis = []
-    for fc in range(nc):
-        if fc in piv_set:
+    for fc in range(ncols):
+        if fc in pivots:
             continue
         # M v = 0 with v[fc] = 1: the pivot unknowns solve M x = -M[:, fc]
-        x, den = _back_substitute(M, piv_cols, fc)
-        basis.append(_fractions_over([-xj for xj in x] + [den], den, nc))
+        x, den = _back_substitute(echelon, fc)
+        x = {j: -v for j, v in x.items()}
+        x[fc] = den
+        basis.append(_fractions_over(x, den, ncols))
     return basis
 
 
-def unit_vector(n, j):
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v
+def _columns(vectors):
+    """Map rows of the matrix whose k-th column is vectors[k] (lists or maps)."""
+    rows = {}
+    for k, v in enumerate(vectors):
+        for r, x in (v.items() if isinstance(v, dict) else enumerate(v)):
+            if x:
+                rows.setdefault(r, {})[k] = x
+    return list(rows.values())
 
 
 def independent_subset(vectors):
@@ -195,7 +199,7 @@ def independent_subset(vectors):
     Vector k is picked iff it is outside the span of vectors 0..k-1, i.e.
     iff column k of the matrix with these columns is a pivot.
     """
-    return pivot_columns(transpose(list(vectors)))
+    return pivot_columns(_columns(vectors))
 
 
 def solve_in_span(span, target):
@@ -203,18 +207,14 @@ def solve_in_span(span, target):
 
     `span` must be linearly independent.
     """
-    if not span:
-        return [] if not any(target) else None
-    n = len(target)
-    aug = [[span[c][r] for c in range(len(span))] + [target[r]] for r in range(n)]
-    M = _scaled_int_rows(aug)
-    piv_cols, r = _row_echelon_int(M)
-    if len(span) in piv_cols:
+    k = len(span)
+    echelon = _echelon(integer_rows(_columns(list(span) + [target])))
+    if echelon and echelon[-1][0] == k:
         return None  # inconsistent
-    if r != len(span):
+    if len(echelon) != k:
         raise ValueError("span is linearly dependent")
-    x, den = _back_substitute(M, piv_cols, len(span))
-    return _fractions_over(x, den, len(span))
+    x, den = _back_substitute(echelon, k)
+    return _fractions_over(x, den, k)
 
 
 def intersect(span_a, span_b):
@@ -228,18 +228,14 @@ def intersect(span_a, span_b):
     for v in list(span_a) + list(span_b):
         if len(v) != n:
             raise ValueError("ambient dimension mismatch")
-    ia = independent_subset(span_a)
-    ib = independent_subset(span_b)
-    A = [span_a[i] for i in ia]
-    B = [span_b[i] for i in ib]
+    A = [span_a[i] for i in independent_subset(span_a)]
+    B = [span_b[i] for i in independent_subset(span_b)]
     # columns (A | -B); kernel vectors (x, y) give intersection points A x
-    stacked = [[A[c][r] for c in range(len(A))] + [-B[c][r] for c in range(len(B))]
-               for r in range(n)]
+    stacked = _columns(A + [[-x for x in v] for v in B])
     out = []
     for k in kernel_basis(stacked, len(A) + len(B)):
         x = k[:len(A)]
-        vec = [sum((x[c] * A[c][r] for c in range(len(A)) if x[c]), Fraction(0))
-               for r in range(n)]
-        out.append(vec)
+        out.append([sum((x[c] * A[c][r] for c in range(len(A)) if x[c]), Fraction(0))
+                    for r in range(n)])
     # A and B are independent, so (x, y) -> A x is injective on the kernel
     return out

@@ -81,8 +81,7 @@ def weight_multiplicities(rs, lam):
     #         / ((lam + rho, lam + rho) - (mu + rho, mu + rho)),
     # with every inner product scaled by rs.form_den, which cancels
     roots = []
-    for r in rs.positive_roots:
-        af = rs.fund_coords_of_root(r.coords)
+    for af in rs.root_weights.values():
         fa = tuple(sum(map(mul, row, af)) for row in rs.form)  # form_den * (., a)
         roots.append((af, fa, sum(map(mul, af, fa))))
     rho = rs.rho
@@ -298,8 +297,7 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
             p = [pairing(x, y) for y in chosen]
             sq = pairing(x, x)
             if chosen:
-                coeffs = linalg.solve_in_span(
-                    [[G[r][c] for r in range(len(chosen))] for c in range(len(chosen))], p)
+                coeffs = linalg.solve_in_span(G, p)  # G is symmetric
                 resid = sq - sum(a * b for a, b in zip(p, coeffs))
             else:
                 coeffs = []

@@ -21,6 +21,8 @@ checked when it is built:
   * inverse_cartan_scaled / inverse_cartan_den is C^-1 (inverse_cartan keeps
     the rational matrix), so the simple-root coordinates of a weight are
     integer dot products over one denominator.
+  * root_weights maps each positive root, in simple-root coordinates, to its
+    fundamental coordinates.
 """
 
 from dataclasses import dataclass
@@ -141,9 +143,9 @@ class RootSystem:
         for f in self.factors:
             self.d.extend(_lengths_simple(f))
         self.positive_roots = self._enumerate_positive_roots()
-        self._root_index = {r.coords: i for i, r in enumerate(self.positive_roots)}
-        self.weyl_vector = tuple([1] * self.rank)
-        self.rho = self.weyl_vector
+        self.root_weights = {r.coords: self.fund_coords_of_root(r.coords)
+                             for r in self.positive_roots}
+        self.rho = tuple([1] * self.rank)
         self.highest_root_per_factor = [self._highest_root(s)
                                         for s in range(len(self.factors))]
         _, (d_scaled,) = _common_denominator([self.d])
@@ -224,7 +226,7 @@ class RootSystem:
         sum_i c_i d_scaled_i <alpha_i^vee, alpha>; the k_j must be integers.
         """
         norm2 = sum(map(mul, root_coords,
-                        map(mul, d_scaled, self.fund_coords_of_root(root_coords))))
+                        map(mul, d_scaled, self.root_weights[root_coords])))
         k = [2 * c * d for c, d in zip(root_coords, d_scaled)]
         if any(x % norm2 for x in k):
             raise InternalCheckError(f"coroot of {root_coords} is not integral")
@@ -360,7 +362,7 @@ class RootSystem:
 
     def adjoint_weight(self, s=0):
         """Highest weight of factor s's adjoint module, in global coordinates."""
-        return self.fund_coords_of_root(self.highest_root_per_factor[s])
+        return self.root_weights[self.highest_root_per_factor[s]]
 
     def dim_g(self):
         return sum(2 * sum(1 for r in self.positive_roots if r.factor == s) + f.rank
@@ -393,13 +395,14 @@ def build(factors):
     return RootSystem(factors)
 
 
+def parse_factor(text):
+    """Parse one simple type such as 'A2' or 'e8' into a SimpleFactor."""
+    p = text.strip().upper() if isinstance(text, str) else ""
+    if len(p) < 2 or p[0] not in FAMILIES or not p[1:].isdigit():
+        raise ValueError(f"cannot parse simple type {text!r}")
+    return SimpleFactor(p[0], int(p[1:]))
+
+
 def parse_type(text):
     """Parse 'A2', 'A1xA1', 'A1,A1' into a RootSystem."""
-    parts = text.replace("x", ",").split(",")
-    factors = []
-    for p in parts:
-        p = p.strip().upper()
-        if len(p) < 2 or p[0] not in FAMILIES or not p[1:].isdigit():
-            raise ValueError(f"cannot parse simple type {p!r}")
-        factors.append(SimpleFactor(p[0], int(p[1:])))
-    return build(factors)
+    return build([parse_factor(p) for p in text.replace("x", ",").split(",")])

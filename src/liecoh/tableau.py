@@ -7,11 +7,12 @@ Cartan's test compares dim A^(1) against the sum of the flag-intersected
 dimensions A_j for a generic flag; equality is involutivity.
 
 Dimensions come from ranks: dim A^(1) = n dim A - rank delta and the torsion
-dimension is dim W (x) Lambda^2 V* - rank delta, by rank-nullity, and the
-reduced prolongation from the ranks of the bracket image and its skew part.
+dimension is dim W (x) Lambda^2 V* - rank delta, by rank-nullity (delta is
+eliminated once per tableau, Tableau.delta_rank), and the reduced
+prolongation from the ranks of the bracket image and its skew part.
 A basis of A^(1) is built (prolong) only when a caller asks for its vectors.
-The flag search scales each basis matrix to integers once and evaluates
-every flag with integer dot products.
+The flag search scales each basis matrix to integers once (the scaling
+step of linalg) and evaluates every flag with sparse integer products.
 """
 
 import itertools
@@ -19,8 +20,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from functools import cached_property
 
 from . import linalg
 from .errors import InternalCheckError
@@ -30,13 +30,23 @@ COORDINATE_FLAG_BUDGET = 24
 RANDOM_FLAG_COUNT = 16
 
 
+def _dimension(x):
+    """x when it is a positive int; ValueError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ValueError(f"tableau dimensions must be positive integers, got {x!r}")
+    return x
+
+
 @dataclass
 class Tableau:
+    """A tableau by its basis matrices; the basis is fixed once it is built."""
     dim_V: int
     dim_W: int
     basis: list  # list of dim_W x dim_V matrices, linearly independent
 
     def __post_init__(self):
+        _dimension(self.dim_V)
+        _dimension(self.dim_W)
         for M in self.basis:
             if len(M) != self.dim_W or any(len(row) != self.dim_V for row in M):
                 raise ValueError("basis matrix has wrong shape")
@@ -51,15 +61,16 @@ class Tableau:
     def dim(self):
         return len(self.basis)
 
+    @cached_property
+    def delta_rank(self):
+        """rank delta, eliminated once per tableau for every dimension read from it."""
+        return linalg.rank(_delta_matrix(self))
+
 
 def full_tableau(dim_V, dim_W):
-    basis = []
-    for w in range(dim_W):
-        for v in range(dim_V):
-            M = linalg.zeros(dim_W, dim_V)
-            M[w][v] = Fraction(1)
-            basis.append(M)
-    return Tableau(dim_V, dim_W, basis)
+    return Tableau(dim_V, dim_W, [[[Fraction(int(r == w and c == v)) for c in range(dim_V)]
+                                   for r in range(dim_W)]
+                                  for w in range(dim_W) for v in range(dim_V)])
 
 
 def zero_tableau(dim_V, dim_W):
@@ -75,7 +86,7 @@ def cauchy_riemann_tableau():
 
 
 def _delta_matrix(t):
-    """Matrix of the skew-symmetrization A (x) V* -> W (x) Lambda^2 V*.
+    """Sparse rows of the skew-symmetrization A (x) V* -> W (x) Lambda^2 V*.
 
     Columns follow the basis (a, j) of A (x) V* (a-major); rows follow
     (w, i < j) of W (x) Lambda^2 V*.  Column (a, j0) is the skew part of
@@ -83,20 +94,9 @@ def _delta_matrix(t):
     in column (a, j) and -M_a[w][j] in column (a, i).
     """
     n = t.dim_V
-    rows = []
-    for wi in range(t.dim_W):
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = [0] * (t.dim * n)
-                for a, M in enumerate(t.basis):
-                    row[a * n + j] = M[wi][i]
-                    row[a * n + i] = -M[wi][j]
-                rows.append(row)
-    return rows
-
-
-def _delta_rank(t):
-    return linalg.rank(_delta_matrix(t))
+    return [{**{a * n + j: M[wi][i] for a, M in enumerate(t.basis) if M[wi][i]},
+             **{a * n + i: -M[wi][j] for a, M in enumerate(t.basis) if M[wi][j]}}
+            for wi in range(t.dim_W) for i in range(n) for j in range(i + 1, n)]
 
 
 def prolong(t):
@@ -105,10 +105,6 @@ def prolong(t):
     Returned as coefficient vectors over the (a, j) basis of A (x) V*;
     use prolongation_bilinear to expand one into a symmetric W-valued form.
     """
-    if t.dim == 0:
-        return []
-    if t.dim_V == 1:
-        return [linalg.unit_vector(t.dim, a) for a in range(t.dim)]
     return linalg.kernel_basis(_delta_matrix(t), t.dim * t.dim_V)
 
 
@@ -134,30 +130,27 @@ def prolongation_bilinear(t, coeffs):
 
 def prolongation_dim(t):
     """dim A^(1) = n dim A - rank delta, by rank-nullity."""
-    return t.dim_V * t.dim - _delta_rank(t)
-
-
-def _integer_basis(t):
-    """Each basis matrix times the lcm of its denominators.
-
-    A nonzero multiple of a basis matrix spans the same line, so every
-    dim A_j is unchanged.
-    """
-    out = []
-    for M in t.basis:
-        den = lcm(*(x.denominator for row in M for x in row))
-        out.append([[x.numerator * (den // x.denominator) for x in row] for row in M])
-    return out
+    return t.dim_V * t.dim - t.delta_rank
 
 
 def _flag_dims(mats, dim_W, flag):
     """dim A_j for j = 1..n-1 along the ordered flag basis of V.
 
-    `mats` are basis matrices of A, each dim_W x n.  A_j kills the first j
-    flag vectors, so dim A_j is dim A minus the rank of the first j column
-    blocks (width dim_W) of the rows below.
+    `mats` are the basis matrices of A as {w * n + i: x} maps, n = dim V.
+    A_j kills the first j flag vectors, so dim A_j is dim A minus the rank
+    of the first j column blocks (width dim_W) of the rows below, whose
+    entry (f, w) is M[w] . flag[f].
     """
-    rows = [[sum(map(mul, m_row, v)) for v in flag[:-1] for m_row in M] for M in mats]
+    n = len(flag)
+    by_col = [[(f * dim_W, v[i]) for f, v in enumerate(flag[:-1]) if v[i]] for i in range(n)]
+    rows = []
+    for M in mats:
+        row = {}
+        for k, x in M.items():
+            w, i = divmod(k, n)
+            for base, y in by_col[i]:
+                row[base + w] = row.get(base + w, 0) + x * y
+        rows.append(row)
     pivots = linalg.pivot_columns(rows)
     return [len(mats) - sum(1 for c in pivots if c < j * dim_W)
             for j in range(1, len(flag))]
@@ -188,7 +181,8 @@ def cartan_characters(t, seed=FLAG_SEED):
     """
     if t.dim_V == 1:
         return [t.dim]
-    mats = _integer_basis(t)
+    # scaling a basis matrix keeps its line, so every dim A_j
+    mats = linalg.integer_rows(t.flatten(M) for M in t.basis)
     best = None
     for flag in _candidate_flags(t, seed):
         dims = _flag_dims(mats, t.dim_W, flag)
@@ -236,7 +230,7 @@ def torsion_quotient_dim(t):
     """dim of W (x) Lambda^2 V* / delta(A (x) V*) = full - rank delta."""
     n, w = t.dim_V, t.dim_W
     full = w * n * (n - 1) // 2
-    return full - _delta_rank(t)
+    return full - t.delta_rank
 
 
 # ---------- the second-order tableau of a quadratic form ----------
@@ -279,26 +273,24 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
         return {key: v for key, v in out.items() if v}
 
     # r = kernel of the action, as row vectors in the block space
-    r_basis = linalg.kernel_basis([[img.get((mu, i, j), 0) for img in images]
-                                   for mu in range(a) for i in range(n)
-                                   for j in range(i, n)], dim_block)
+    r_basis = linalg.kernel_basis([{b: img[key] for b, img in enumerate(images) if key in img}
+                                   for key in ((mu, i, j) for mu in range(a) for i in range(n)
+                                               for j in range(i, n))], dim_block)
     # verify annihilation exactly
     for v in r_basis:
         if action(v):
             raise InternalCheckError("stabilizer element does not annihilate the form")
     # trace form on the block space is the standard dot product in these coords
-    perp = linalg.kernel_basis(r_basis, dim_block) if r_basis else \
-        [linalg.unit_vector(dim_block, b) for b in range(dim_block)]
+    perp = linalg.kernel_basis(r_basis, dim_block)
 
+    acts = [action(y) for y in perp]
     basis = []
-    for y in perp:
-        M = linalg.zeros(a + n * a, n)
-        for (mu, k, i), v in action(y).items():
-            M[a + k * a + mu][i] = v
+    for i in linalg.independent_subset(acts):
+        M = [[Fraction(0)] * n for _ in range(a + n * a)]
+        for (mu, k, j), v in acts[i].items():
+            M[a + k * a + mu][j] = v
         basis.append(M)
-    keep = linalg.independent_subset([Fraction(x) for row in M for x in row]
-                                     for M in basis)
-    t = Tableau(n, a + n * a, [basis[i] for i in keep])
+    t = Tableau(n, a + n * a, basis)
     if len(r_basis) + len(perp) != dim_block:
         raise InternalCheckError("stabilizer and its complement do not span the block")
     return StabilizerPair(len(r_basis), t)
@@ -367,27 +359,29 @@ def reduced_prolongation(t, bracket_image):
     return prolongation_dim(t) - inside, discarded
 
 
-def reduced_prolongation_dim(t, bracket_image):
-    return reduced_prolongation(t, bracket_image)[0]
-
-
 # ---------- JSON interface ----------
 
 def _parse_rational(s):
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(s) if isinstance(s, int) else Fraction(str(s))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"malformed rational {s!r}") from e
 
 
 def tableau_from_json(doc):
-    """{"dim_V": n, "dim_W": w, "basis": [[row-major "p/q" strings]]}."""
+    """{"dim_V": n, "dim_W": w, "basis": [[row-major "p/q" strings]]}.
+
+    Raises ValueError on a document of the wrong shape or type.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    n = int(doc["dim_V"])
-    w = int(doc["dim_W"])
+    if not isinstance(doc, dict) or not isinstance(doc["basis"], list):
+        raise ValueError("a tableau must be a JSON object with a list 'basis'")
+    n = _dimension(doc["dim_V"])
+    w = _dimension(doc["dim_W"])
     basis = []
     for flat in doc["basis"]:
-        if len(flat) != n * w:
+        if not isinstance(flat, list) or len(flat) != n * w:
             raise ValueError("basis entry has wrong length")
         vals = [_parse_rational(x) for x in flat]
         basis.append([vals[r * n:(r + 1) * n] for r in range(w)])

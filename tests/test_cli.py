@@ -139,8 +139,22 @@ def test_tableau_cli(tmp_path, capsys):
     assert json.loads(out)["torsion_quotient_dim"] == 0
 
 
-def test_exit_code_2_on_input_errors(capsys):
-    cases = [
+def test_exit_code_2_on_input_errors(capsys, tmp_path):
+    good = {"algebra": ["A1", "A1"], "marked": [1, 2], "weight": [1, 1], "p": 0}
+    scenarios = [[1], {**good, "marked": 1}, {**good, "algebra": [""]},
+                 {"algebra": ["A2"], "marked": [1], "weight": [1.5, 0], "p": 0},
+                 {**good, "p": 0.5},
+                 {**good, "oracle": "false"}]
+    tableaux = [{"dim_V": 1, "dim_W": 1, "basis": [["1/0"]]}, [1],
+                {"dim_V": -1, "dim_W": 1, "basis": []}]
+    files = []
+    for k, doc in enumerate(scenarios + tableaux):
+        path = tmp_path / f"input{k}.json"
+        path.write_text(json.dumps(doc))
+        files.append(str(path))
+    cases = [("rigidity", "--scenario", f) for f in files[:len(scenarios)]]
+    cases += [("tableau", "--input", f) for f in files[len(scenarios):]]
+    cases += [
         ("vogel", "--params", "0,1,2"),
         ("grading", "--type", "Z9", "--marked", "1"),
         ("grading", "--type", "A2", "--marked", "7"),

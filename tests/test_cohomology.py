@@ -103,7 +103,9 @@ def test_degree_additivity_of_action_blocks():
     for (a, s), block in cx.act.items():
         target = (s[0] - cx.depths[a][0],
                   tuple(x - y for x, y in zip(s[1], cx.depths[a][1])))
-        assert len(block) == cx.slices.get(target, 0)
+        # one column map per source vector, each inside the target slice
+        assert len(block) == cx.slices[s]
+        assert all(0 <= r < cx.slices.get(target, 0) for col in block for r in col)
 
 
 def test_d1_after_d0_vanishes_everywhere():
@@ -264,7 +266,9 @@ def test_gperp_complex_is_graded_by_degree_and_weight():
     for (a, s), block in cx.act.items():
         target = (s[0] - cx.depths[a][0],
                   tuple(x - y for x, y in zip(s[1], cx.depths[a][1])))
-        assert len(block) == cx.slices.get(target, 0)
+        # one column map per source vector, each inside the target slice
+        assert len(block) == cx.slices[s]
+        assert all(0 <= r < cx.slices.get(target, 0) for col in block for r in col)
 
 
 def test_broken_gperp_complex_is_rejected():
@@ -303,6 +307,28 @@ def test_root_vector_of_wrong_weight_is_rejected(monkeypatch):
     for build in (gperp_complex, module_complex):
         with pytest.raises(InternalCheckError, match="left the graded range"):
             build(parse_type("A2"), ParabolicMarking({1, 2}), (1, 1))
+
+
+def test_action_leaving_gperp_is_rejected(monkeypatch):
+    real_commutator = cohomology.repthy.commutator
+    real_complex = cohomology._complex
+
+    def broken(A, B):
+        # double one entry of [f, B]: still in the right weight slice, but
+        # no longer trace-orthogonal to g
+        C = real_commutator(A, B)
+        if len(C) > 1:
+            C[min(C)] *= 2
+        return C
+
+    def complex_with_broken_action(*args):
+        # g and the g-perp basis are built by now; only the action is broken
+        monkeypatch.setattr(cohomology.repthy, "commutator", broken)
+        return real_complex(*args)
+
+    monkeypatch.setattr(cohomology, "_complex", complex_with_broken_action)
+    with pytest.raises(InternalCheckError, match="left g-perp"):
+        gperp_complex(parse_type("A2"), ParabolicMarking({1, 2}), (1, 1))
 
 
 def _small_triples():

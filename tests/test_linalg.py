@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,12 +12,16 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def mat_vec(M, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in M]
+
+
 def test_rank_identity():
-    assert linalg.rank(linalg.identity(2)) == 2
+    assert linalg.rank([[1, 0], [0, 1]]) == 2
 
 
 def test_rank_zero_matrix():
-    assert linalg.rank(linalg.zeros(3, 4)) == 0
+    assert linalg.rank([[F(0)] * 4 for _ in range(3)]) == 0
 
 
 def test_rank_dependent_rows():
@@ -24,11 +29,11 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert linalg.kernel_basis(linalg.identity(3)) == []
+    assert linalg.kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
 
 def test_kernel_zero_matrix():
-    ker = linalg.kernel_basis(linalg.zeros(2, 3))
+    ker = linalg.kernel_basis([[F(0)] * 3 for _ in range(2)])
     assert len(ker) == 3
 
 
@@ -37,11 +42,11 @@ def test_kernel_vectors_annihilated():
     ker = linalg.kernel_basis(M)
     assert len(ker) == 2
     for v in ker:
-        assert all(x == 0 for x in linalg.mat_vec(M, v))
+        assert all(x == 0 for x in mat_vec(M, v))
 
 
 def test_intersect_coordinate_spans():
-    e = lambda j: linalg.unit_vector(3, j)
+    e = lambda j: [F(int(i == j)) for i in range(3)]
     inter = linalg.intersect([e(0), e(1)], [e(1), e(2)])
     assert len(inter) == 1
     assert linalg.rank(inter + [e(1)]) == 1
@@ -86,7 +91,7 @@ def test_rank_nullity(M):
 @given(matrices())
 def test_kernel_exactness(M):
     for v in linalg.kernel_basis(M):
-        assert all(x == 0 for x in linalg.mat_vec(M, v))
+        assert all(x == 0 for x in mat_vec(M, v))
 
 
 def fraction_kernel_reference(M):
@@ -208,7 +213,168 @@ def test_flag_dims_are_prefix_ranks(n, w, data):
     flag = data.draw(st.lists(st.lists(rational, min_size=n, max_size=n),
                               min_size=n, max_size=n))
     assume(linalg.rank(flag) == n)
-    rows = [[x for v in flag for x in linalg.mat_vec(M, v)] for M in t.basis]
+    rows = [[x for v in flag for x in mat_vec(M, v)] for M in t.basis]
     want = [t.dim - linalg.rank([row[:j * w] for row in rows])
             for j in range(1, n)]
-    assert _flag_dims(t.basis, w, flag) == want
+    mats = [dict(enumerate(x for row in M for x in row)) for M in t.basis]
+    assert _flag_dims(mats, w, flag) == want
+
+
+# ---------- the sparse core against the dense Bareiss elimination it replaced ----------
+
+def dense_scaled_int_rows(rows):
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def dense_row_echelon_int(M):
+    """In-place fraction-free (Bareiss) echelon reduction of integer rows.
+
+    Returns (pivot_cols, rank); pivots are the first nonzero entry in each
+    column sweep.
+    """
+    if not M or not M[0]:
+        return [], 0
+    nr, nc = len(M), len(M[0])
+    piv_cols = []
+    r = 0
+    prev = 1
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        pivot = M[r][c]
+        for i in range(r + 1, nr):
+            Mi, Mr = M[i], M[r]
+            mic = Mi[c]
+            for j in range(c, nc):
+                Mi[j] = (pivot * Mi[j] - mic * Mr[j]) // prev
+        prev = pivot
+        piv_cols.append(c)
+        r += 1
+        if r == nr:
+            break
+    return piv_cols, r
+
+
+def dense_back_substitute(M, piv_cols, c):
+    x = [0] * c
+    den = 1
+    for idx in range(len(piv_cols) - 1, -1, -1):
+        pc = piv_cols[idx]
+        if pc >= c:
+            continue
+        row = M[idx]
+        s = den * row[c] - sum(row[j] * x[j] for j in range(pc + 1, c) if x[j])
+        p = row[pc]
+        g = gcd(s, p)
+        if p < 0:
+            g = -g
+        s, p = s // g, p // g
+        if p != 1:
+            den *= p
+            for j in range(pc + 1, c):
+                if x[j]:
+                    x[j] *= p
+        x[pc] = s
+    return x, den
+
+
+def dense_pivot_columns(rows):
+    return dense_row_echelon_int(dense_scaled_int_rows(rows))[0]
+
+
+def dense_kernel_basis(rows, nc):
+    if not rows:
+        return [[F(int(i == j)) for i in range(nc)] for j in range(nc)]
+    M = dense_scaled_int_rows(rows)
+    piv_cols, _ = dense_row_echelon_int(M)
+    basis = []
+    for fc in range(nc):
+        if fc not in piv_cols:
+            x, den = dense_back_substitute(M, piv_cols, fc)
+            basis.append([F(-v, den) for v in x] + [F(1)] + [F(0)] * (nc - fc - 1))
+    return basis
+
+
+def dense_solve_in_span(span, target):
+    if not span:
+        return [] if not any(target) else None
+    aug = [[v[r] for v in span] + [target[r]] for r in range(len(target))]
+    M = dense_scaled_int_rows(aug)
+    piv_cols, r = dense_row_echelon_int(M)
+    if len(span) in piv_cols:
+        return None
+    assert r == len(span)
+    x, den = dense_back_substitute(M, piv_cols, len(span))
+    return [F(v, den) for v in x]
+
+
+def as_map(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+# zeros are common, so rows come out sparse, dense and zero; a few entries
+# are large, so integer growth is exercised
+entries = st.one_of(st.just(F(0)), st.just(F(0)), st.integers(-3, 3).map(F),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                    st.integers(-2 ** 70, 2 ** 70).map(F))
+
+
+@st.composite
+def mixed_matrices(draw):
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        if kind == "zero":
+            rows.append([F(0)] * ncols)
+        elif kind == "sparse":
+            row = [F(0)] * ncols
+            for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+                row[j] = draw(entries)
+            rows.append(row)
+        else:
+            rows.append([draw(entries) for _ in range(ncols)])
+    return ncols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.booleans())
+def test_sparse_core_matches_dense_bareiss(matrix, maps):
+    ncols, rows = matrix
+    given_rows = [as_map(r) for r in rows] if maps else rows
+    want = dense_pivot_columns(rows)
+    assert linalg.pivot_columns(given_rows) == want
+    assert linalg.rank(given_rows) == len(want)
+    assert linalg.kernel_basis(given_rows, ncols) == dense_kernel_basis(rows, ncols)
+    columns = [[r[j] for r in rows] for j in range(ncols)]
+    assert linalg.independent_subset(columns) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.data(), st.booleans())
+def test_solve_in_span_matches_dense_bareiss(matrix, data, maps):
+    ncols, rows = matrix
+    assume(rows)
+    span = [rows[i] for i in dense_pivot_columns([list(c) for c in zip(*rows)])]
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(entries, min_size=len(span), max_size=len(span)))
+        target = [sum((c * v[k] for c, v in zip(coeffs, span)), F(0)) for k in range(ncols)]
+    else:
+        target = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    want = dense_solve_in_span(span, target)
+    if maps:
+        span, target = [as_map(v) for v in span], as_map(target)
+    assert linalg.solve_in_span(span, target) == want
+
+
+def test_map_rows_need_ncols():
+    with pytest.raises(ValueError):
+        linalg.kernel_basis([{0: 1}])
+    assert linalg.kernel_basis([{0: 1, 2: -1}], 3) == [[F(0), F(1), F(0)], [F(1), F(0), F(1)]]

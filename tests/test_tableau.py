@@ -12,7 +12,7 @@ from liecoh import linalg
 from liecoh.tableau import (Tableau, cartan_characters, cauchy_riemann_tableau,
                             full_tableau, is_involutive, prolong,
                             prolongation_bilinear, prolongation_dim,
-                            reduced_prolongation, reduced_prolongation_dim,
+                            reduced_prolongation,
                             stabilizer_and_tableau, tableau_from_json,
                             tableau_to_json, torsion_quotient_dim,
                             zero_tableau)
@@ -145,7 +145,7 @@ def flat_bilinear(t, coeffs):
 
 def test_reduced_prolongation_empty_image():
     t = cauchy_riemann_tableau()
-    assert reduced_prolongation_dim(t, []) == prolongation_dim(t)
+    assert reduced_prolongation(t, [])[0] == prolongation_dim(t)
 
 
 def test_reduced_prolongation_full_image():
@@ -158,7 +158,7 @@ def test_reduced_prolongation_full_image():
 def test_reduced_prolongation_rank_one():
     t = full_tableau(2, 1)
     flats = [flat_bilinear(t, prolong(t)[0])]
-    assert reduced_prolongation_dim(t, flats) == prolongation_dim(t) - 1
+    assert reduced_prolongation(t, flats)[0] == prolongation_dim(t) - 1
 
 
 def test_reduced_prolongation_discarded_rank():
@@ -175,9 +175,9 @@ def test_reduced_prolongation_outside_a():
     t = cauchy_riemann_tableau()
     bad = [Fraction(1)] + [Fraction(0)] * 7  # e_11 (x) v_1^*, not in A (x) V*
     with pytest.raises(ValueError, match="outside"):
-        reduced_prolongation_dim(t, [bad])
+        reduced_prolongation(t, [bad])
     with pytest.raises(ValueError, match="length"):
-        reduced_prolongation_dim(t, [[Fraction(0)] * 7])
+        reduced_prolongation(t, [[Fraction(0)] * 7])
 
 
 # ---------- rank-nullity and the block-diagonal A (x) V* against references ----------
@@ -254,19 +254,24 @@ def test_reduced_prolongation_matches_whole_system(t, data):
 
 # ---------- a dense basis changes no invariant ----------
 
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 def lu_unimodular(rng, n):
     """L U with unit-triangular L, U and off-diagonal entries in {-1, 0, 1}: det 1."""
     L = [[Fraction(1 if i == j else rng.randint(-1, 1) if i > j else 0) for j in range(n)]
          for i in range(n)]
     U = [[Fraction(1 if i == j else rng.randint(-1, 1) if i < j else 0) for j in range(n)]
          for i in range(n)]
-    return linalg.matmul(L, U)
+    return mat_mul(L, U)
 
 
 def dense_basis(f2, n, a, rng):
     """F2'[mu] = sum_nu Q[mu][nu] P^T F2[nu] P for unimodular P (on T) and Q (on N)."""
     P, Q = lu_unimodular(rng, n), lu_unimodular(rng, a)
-    conj = [linalg.matmul(linalg.matmul(linalg.transpose(P), M), P) for M in f2]
+    P_t = [list(col) for col in zip(*P)]
+    conj = [mat_mul(mat_mul(P_t, M), P) for M in f2]
     return [[[sum(Q[mu][nu] * conj[nu][i][j] for nu in range(a)) for j in range(n)]
              for i in range(n)] for mu in range(a)]
 
