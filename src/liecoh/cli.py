@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import cohomology, repthy, tableau, vogel
-from .cohomology import InternalCheckError, h1_report
+from .cohomology import InternalCheckError
 from .driver import (adjoint_scenario, degree_json, rational_str, run_scenario,
                      scenario_from_json, scenario_to_json, verdict_json_text,
                      verdict_table)

@@ -17,6 +17,11 @@ Two independent routes:
     single weight, so the differentials are block-diagonal by weight and
     each block is small.  Both complexes share one assembly and one weight
     check of the root vectors, which are stored as sparse maps (repthy).
+    The complex is defined over Z, and the oracles build it that way: g_-
+    is spanned by one integer multiple L f_alpha of each root vector, and
+    every g-perp slice by primitive integer vectors.  So the g-perp
+    commutators, its membership check, d0, d1, the d1 . d0 check and every
+    rank run on Python ints.
 
 h1_report runs the full pipeline for Gamma = g-perp inside sl(U) and turns
 the graded dimensions into a rigidity verdict: RIGID when no piece lives in
@@ -46,15 +51,17 @@ References: Hwang-Yamaguchi, Duke Math. J. 120 (2003); Landsberg-Robles,
 Math. 16 (2012).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 
 from . import linalg, repthy
 from .errors import InternalCheckError
-from .grading import (GradedDims, ParabolicMarking, algebra_depth, grade_algebra,
-                      grade_module, grading_element, root_degree)
-from .repthy import (DEFAULT_ORACLE_BOUND, IrrComponent, construct_rep,
-                     root_vector_matrices, structure_constants)
+from .grading import (GradedDims, grade_algebra, grade_module, grading_element,
+                      root_degree)
+from .repthy import (DEFAULT_ORACLE_BOUND, construct_rep, root_vector_matrices,
+                     structure_constants)
 
 
 def _as_degree(x):
@@ -144,12 +151,19 @@ class GradedComplex:
     by block.
 
     slices:   grade -> dimension of Gamma in that grade
-    depths:   grade shift of each g_- basis element x_a = f_alpha, which has
-              grade -depths[a]: depths[a] = (i_a, alpha), i_a > 0 the depth
+    depths:   grade shift of each g_- basis element x_a = L f_alpha, which
+              has grade -depths[a]: depths[a] = (i_a, alpha), i_a > 0 the depth
     act:      (a, source grade) -> the matrix of x_a: Gamma_source ->
               Gamma_{source - depths[a]} by columns, one {target coordinate: x}
               map of nonzeros per source basis vector
     brackets: (a, b) -> {c: coeff} for a < b, [x_a, x_b] = sum coeff x_c
+
+    The oracles build this complex over Z: every entry of act and every
+    bracket coefficient is an int.  The g_- basis is the bracket-path root
+    vectors f_alpha times one integer L (see _complex).  [L f_a, L f_b] =
+    L sum coeff (L f_c), so the action matrices and the bracket constants
+    both scale by L; that is a change of basis of g_-, and H^0, H^1 and
+    d1 . d0 = 0 do not change.  graded_h1 itself accepts any exact entries.
     """
     slices: dict
     depths: list
@@ -158,11 +172,11 @@ class GradedComplex:
 
 
 def _difference(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def _add(grade, depth):
-    return (grade[0] + depth[0], tuple(x + y for x, y in zip(grade[1], depth[1])))
+    return (grade[0] + depth[0], tuple(map(add, grade[1], depth[1])))
 
 
 def _grade_text(grade):
@@ -187,7 +201,8 @@ def graded_h1(cx, with_h0=False):
     d0 and d1 are assembled and ranked one total grade at a time, and the
     dimensions are summed into Z-degrees, read off the grades.  Every block
     is checked: d1 . d0 = 0 and H^1 >= 0; every bracket must respect the
-    grading.
+    grading.  Any exact entries work; the oracles' complexes are integral,
+    so their blocks are assembled, checked and ranked on ints.
     """
     depths = cx.depths
     pair_depth = {(b, c): _add(depths[b], depths[c])
@@ -199,52 +214,57 @@ def graded_h1(cx, with_h0=False):
                     f"bracket [x_{b}, x_{c}] has x_{a} of the wrong grade: x_{a} "
                     f"lowers {_grade_text(depths[a])}, x_{b} and x_{c} together "
                     f"{_grade_text(pair_depth[(b, c)])}")
+    m = len(depths)
+    width = max(cx.slices.values(), default=0)
+    # coordinate r of psi(x_b, x_c), b < c, is C^2 column (b m + c) width + r,
+    # one number per coordinate; the sparse rows of d1 hold only what is written
+    produced = {}  # a -> [(column of psi(x_b, x_c) at r = 0, coeff of x_a in [x_b, x_c])]
+    for (b, c), terms in cx.brackets.items():
+        for a, coeff in terms.items():
+            if coeff:
+                produced.setdefault(a, []).append(((b * m + c) * width, coeff))
     c1 = {}  # total grade -> {a: grade of phi(x_a)}
-    c2 = {}  # total grade -> [(b, c, grade of psi(x_b, x_c))]
     for s in cx.slices:
         for a, i in enumerate(depths):
             c1.setdefault(_add(s, i), {})[a] = s
-        for (b, c), i in pair_depth.items():
-            c2.setdefault(_add(s, i), []).append((b, c, s))
 
     h1 = {}
     h0 = {}
     for d in sorted(set(c1) | set(cx.slices)):
-        blocks1 = c1.get(d, {})
+        blocks1 = sorted(c1.get(d, {}).items())
         off1 = {}
         n1 = 0
-        for a, s in sorted(blocks1.items()):
+        for a, s in blocks1:
             off1[a] = n1
             n1 += cx.slices[s]
-        blocks2 = c2.get(d, []) if n1 else []
         n0 = cx.slices.get(d, 0)
 
         # d0 and d1 are built transposed, one sparse row per C^0 and per C^1
         # coordinate: C^2 is the larger side, and the action blocks are
         # stored by source vector
-        d0t = [{off1[a] + r: x for a in blocks1 for r, x in cx.act[(a, d)][v].items()}
+        d0t = [{off1[a] + r: x for a, _ in blocks1 for r, x in cx.act[(a, d)][v].items()}
                for v in range(n0)] if n1 else []
-        d1t = [{} for _ in range(n1)]
-        roff = 0
-        for b, c, s in blocks2:
-            # alpha([x_b, x_c]) X
-            for a, coeff in cx.brackets.get((b, c), {}).items():
-                if coeff:
-                    for r in range(cx.slices[s]):
-                        row = d1t[off1[a] + r]
-                        row[roff + r] = row.get(roff + r, 0) + coeff
-            # alpha(x_b) x_c.X - alpha(x_c) x_b.X
-            for a, other, sign in ((b, c, 1), (c, b, -1)):
-                if a in blocks1:
-                    for t, image in enumerate(cx.act[(other, blocks1[a])]):
-                        row = d1t[off1[a] + t]
+        d1t = []
+        for a, s in blocks1:
+            rows = [{} for _ in range(cx.slices[s])]
+            # alpha([x_b, x_c]) X, with X = phi(x_a) in Gamma_s
+            for col, coeff in produced.get(a, ()):
+                for r, row in enumerate(rows):
+                    row[col + r] = coeff
+            # alpha(x_b) x_c.X - alpha(x_c) x_b.X, on the pairs that hold a; x_a
+            # is deeper than x_b and x_c above, so every entry is written once
+            for other in range(m):
+                if other != a:
+                    col, sign = ((a * m + other) * width, 1) if a < other \
+                        else ((other * m + a) * width, -1)
+                    for row, image in zip(rows, cx.act[(other, s)]):
                         for r, x in image.items():
-                            row[roff + r] = row.get(roff + r, 0) + sign * x
-            roff += cx.slices[s]
-        if blocks2 and _composition_is_nonzero(d0t, d1t):
+                            row[col + r] = sign * x
+            d1t += rows
+        if _composition_is_nonzero(d0t, d1t):
             raise InternalCheckError(f"d1 . d0 != 0 in {_grade_text(d)}")
         rank0 = linalg.rank(d0t) if d0t else 0
-        rank1 = linalg.rank(d1t) if blocks2 else 0
+        rank1 = linalg.rank(d1t) if d1t else 0
         dim = (n1 - rank1) - rank0
         if dim < 0:
             raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
@@ -288,24 +308,42 @@ def _g_by_weight(rep):
     return out
 
 
-def _complex(rs, marking, g, basis, image):
-    """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
+def _g_minus(rs, marking):
+    """Depths and bracket constants of the root vectors f_alpha spanning g_-.
 
-    g is _g_by_weight of the module, and basis maps each (degree, weight)
-    grade of Gamma to the basis vectors of that slice.  image(f, vector,
-    grade) gives f . vector as a {coordinate: x} map of its nonzero
-    coordinates in the basis of that grade.
+    Both follow negative_roots: depths[a] = (Z-degree, weight) of the root
+    alpha_a, and the brackets are structure_constants of those roots.
     """
     roots = negative_roots(rs, marking)
     depths = [(root_degree(marking, c), rs.root_weights[c]) for c in roots]
+    return depths, structure_constants(rs, roots)
+
+
+def _complex(depths, brackets, g, basis, image, den):
+    """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
+
+    depths and brackets come from _g_minus, g is _g_by_weight of the module,
+    and basis maps each (degree, weight) grade of Gamma to the basis vectors
+    of that slice.  image(f, vector, grade) gives f . vector, for an integer
+    matrix f that is a multiple of den, as a {coordinate: int} map of its
+    nonzero coordinates in the basis of that grade.
+
+    The g_- basis is x_a = L f_alpha for one integer L: den times the lcm
+    of the denominators of the f_alpha entries and the bracket constants.
+    """
+    fs = [g[tuple(-x for x in alpha)][0] for _, alpha in depths]
+    L = den * lcm(1, *(x.denominator for f in fs for x in f.values()),
+                  *(x.denominator for terms in brackets.values() for x in terms.values()))
     act = {}
     for a, (i, alpha) in enumerate(depths):
-        f = g[tuple(-x for x in alpha)][0]
+        f = {k: x.numerator * (L // x.denominator) for k, x in fs[a].items()}
         for s, vectors in basis.items():
             t = (s[0] - i, _difference(s[1], alpha))
             act[(a, s)] = [image(f, v, t) for v in vectors]
+    brackets = {pair: {c: x.numerator * (L // x.denominator) for c, x in terms.items()}
+                for pair, terms in brackets.items()}
     slices = {s: len(vectors) for s, vectors in basis.items()}
-    return GradedComplex(slices, depths, act, structure_constants(rs, roots))
+    return GradedComplex(slices, depths, act, brackets)
 
 
 def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
@@ -326,7 +364,8 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     def image(f, vid, grade):
         return {k: f[(r, vid)] for k, r in enumerate(basis.get(grade, ())) if (r, vid) in f}
 
-    return _complex(rs, marking, _g_by_weight(rep), basis, image)
+    depths, brackets = _g_minus(rs, marking)
+    return _complex(depths, brackets, _g_by_weight(rep), basis, image, 1)
 
 
 def direct_h1(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND, with_h0=False):
@@ -343,6 +382,14 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     orthogonality against the g elements of weight -mu (plus tracelessness
     at mu = 0).  The root vector f_alpha of weight -alpha acts by the
     commutator.
+
+    Integral slices.  The constraint rows are scaled to primitive integer
+    rows, and each kernel_basis vector of a slice to the primitive integer
+    vector on its line, c times the vector with 1 at its free column: a
+    diagonal change of basis of Gamma.  The coordinates of a g-perp element
+    X are then X[free column] / c.  _complex hands image integer matrices
+    f that are multiples of den, the lcm of every c, so [f, vector] and the
+    division by c are exact integer arithmetic.
     """
     marking.validate(rs)
     rep = construct_rep(rs, lam, bound)
@@ -358,30 +405,32 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
             pairs_by_weight.setdefault(_difference(wts[v], wts[w]), []).append((v, w))
 
     index = {}   # weight -> {(v, w): position in the slice}
-    rows = {}    # weight -> constraint rows cutting g-perp out of the slice
-    basis = {}   # (degree, weight) -> kernel_basis vectors as {(v, w): x}
-    free = {}    # weight -> {free column: position of its basis vector}
+    rows = {}    # weight -> integer constraint rows cutting g-perp out of the slice
+    basis = {}   # (degree, weight) -> primitive integer vectors as {(v, w): x}
+    free = {}    # weight -> {free column: (position of its basis vector, c)}
     g_rank = 0
     for mu, pairs in sorted(pairs_by_weight.items()):
         index[mu] = {p: k for k, p in enumerate(pairs)}
         # tr(B M) = sum B[v][w] M[w][v] pairs the slice with weight -mu only
-        rows[mu] = [{index[mu][(c, r)]: x for (r, c), x in M.items()}
-                    for M in g.get(tuple(-x for x in mu), [])]
+        rows[mu] = linalg.integer_rows(
+            [{index[mu][(c, r)]: x for (r, c), x in M.items()}
+             for M in g.get(tuple(-x for x in mu), [])])
         if rows[mu]:
             g_rank += linalg.rank(rows[mu])
         if mu == zero:
             rows[mu].append({k: 1 for k, (v, w) in enumerate(pairs) if v == w})
-        vectors = linalg.kernel_basis(rows[mu], len(pairs))
+        vectors = linalg.integer_rows(linalg.kernel_basis(rows[mu], len(pairs)))
         if vectors:
             degree = z(mu)
             if degree.denominator != 1:
                 raise InternalCheckError(f"gl(U) slice of non-integral degree {degree}")
-            basis[(int(degree), mu)] = [{pairs[k]: x for k, x in enumerate(vec) if x}
+            basis[(int(degree), mu)] = [{pairs[k]: x for k, x in vec.items()}
                                         for vec in vectors]
-            # coordinates in a kernel_basis are the entries at its free
-            # columns, the last nonzero entry of each basis vector
-            free[mu] = {max(k for k, x in enumerate(vec) if x): i
-                        for i, vec in enumerate(vectors)}
+            # a kernel_basis vector is 1 at its free column and 0 at the
+            # others, and its free column is its last nonzero entry; scaled
+            # by c, the coordinate read off that column is divided by c
+            lasts = [max(vec) for vec in vectors]
+            free[mu] = {k: (i, vectors[i][k]) for i, k in enumerate(lasts)}
     if g_rank != rs.dim_g():
         raise InternalCheckError("represented algebra has wrong dimension; "
                                  "weight not faithful on some factor")
@@ -397,9 +446,16 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         if any(sum(x * cvec.get(k, 0) for k, x in row.items()) for row in rows.get(t, [])):
             raise InternalCheckError("g_- action left g-perp")
         columns = free.get(t, {})
-        return {columns[k]: x for k, x in cvec.items() if k in columns}
+        coords = {}
+        for k, x in cvec.items():
+            if k in columns:
+                i, c = columns[k]
+                coords[i] = x // c  # exact: x is a multiple of den
+        return coords
 
-    return _complex(rs, marking, g, basis, image)
+    den = lcm(1, *(c for columns in free.values() for _, c in columns.values()))
+    depths, brackets = _g_minus(rs, marking)
+    return _complex(depths, brackets, g, basis, image, den)
 
 
 def gperp_direct_h1(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):

@@ -12,10 +12,10 @@ from liecoh import cohomology, linalg
 from liecoh.cohomology import (GradedComplex, H1Piece, InternalCheckError,
                                direct_h1, gperp_complex, gperp_direct_h1,
                                graded_h1, h1_report, kostant_h0, kostant_h1,
-                               levi_weyl_dim, module_complex)
+                               levi_weyl_dim, module_complex, negative_roots)
 from liecoh.grading import ParabolicMarking, grading_element
 from liecoh.repthy import (DEFAULT_ORACLE_BOUND, IrrComponent,
-                           weight_multiplicities)
+                           structure_constants, weight_multiplicities)
 from liecoh.rootsys import parse_type
 
 
@@ -271,16 +271,22 @@ def test_gperp_complex_is_graded_by_degree_and_weight():
         assert all(0 <= r < cx.slices.get(target, 0) for col in block for r in col)
 
 
+# both complexes have a scaled g_- basis, L > 1; on C2 (1,1) construct_rep's
+# matrices already have denominators (3), so its complex cannot be built
+# over Z without the scale
+MUTATED = [("A2", (1, 1)), ("C2", (1, 1))]
+
+
 def test_broken_gperp_complex_is_rejected():
-    rs = parse_type("A2")
-    cx = gperp_complex(rs, ParabolicMarking({1, 2}), (1, 1))
-    (a, b), = [k for k in cx.brackets if cx.brackets[k]][:1]
-    c, coeff = next(iter(cx.brackets[(a, b)].items()))
-    cx.brackets[(a, b)][c] = coeff + 1
-    # the message names the Z-degree and the torus weight separately
-    with pytest.raises(InternalCheckError,
-                       match=r"d1 \. d0 != 0 in degree -?\d+, weight \(-?\d+, -?\d+\)"):
-        graded_h1(cx)
+    for name, lam in MUTATED:
+        cx = gperp_complex(parse_type(name), ParabolicMarking({1, 2}), lam)
+        (a, b), = [k for k in cx.brackets if cx.brackets[k]][:1]
+        c, coeff = next(iter(cx.brackets[(a, b)].items()))
+        cx.brackets[(a, b)][c] = coeff + 1
+        # the message names the Z-degree and the torus weight separately
+        with pytest.raises(InternalCheckError,
+                           match=r"d1 \. d0 != 0 in degree -?\d+, weight \(-?\d+, -?\d+\)"):
+            graded_h1(cx)
 
 
 def test_wrong_grade_bracket_names_degree_and_weight():
@@ -321,14 +327,66 @@ def test_action_leaving_gperp_is_rejected(monkeypatch):
             C[min(C)] *= 2
         return C
 
-    def complex_with_broken_action(*args):
-        # g and the g-perp basis are built by now; only the action is broken
-        monkeypatch.setattr(cohomology.repthy, "commutator", broken)
-        return real_complex(*args)
+    for name, lam in MUTATED:
+        with monkeypatch.context() as patch:
+            def complex_with_broken_action(*args):
+                # g and the g-perp basis are built by now; only the action is broken
+                patch.setattr(cohomology.repthy, "commutator", broken)
+                return real_complex(*args)
 
-    monkeypatch.setattr(cohomology, "_complex", complex_with_broken_action)
-    with pytest.raises(InternalCheckError, match="left g-perp"):
-        gperp_complex(parse_type("A2"), ParabolicMarking({1, 2}), (1, 1))
+            patch.setattr(cohomology, "_complex", complex_with_broken_action)
+            with pytest.raises(InternalCheckError, match="left g-perp"):
+                gperp_complex(parse_type(name), ParabolicMarking({1, 2}), lam)
+
+
+def _scale_of(rs, marking, cx):
+    """The integer L with cx.brackets = L times the f_alpha bracket constants."""
+    old = structure_constants(rs, negative_roots(rs, marking))
+    ratios = {Fraction(cx.brackets[pair][c], coeff)
+              for pair, terms in old.items() for c, coeff in terms.items() if coeff}
+    assert len(ratios) == 1
+    L, = ratios
+    assert L.denominator == 1
+    assert cx.brackets == {pair: {c: L * coeff for c, coeff in terms.items()}
+                           for pair, terms in old.items()}
+    return L
+
+
+def _all_ints(cx):
+    return (all(type(x) is int for block in cx.act.values() for col in block
+                for x in col.values())
+            and all(type(x) is int for terms in cx.brackets.values() for x in terms.values()))
+
+
+@pytest.mark.parametrize("build,name,lam", [(gperp_complex, "C2", (1, 1)),
+                                            (module_complex, "A2", (2, 1))])
+def test_oracle_complex_is_integral_and_scale_invariant(build, name, lam):
+    rs = parse_type(name)
+    marking = ParabolicMarking({1, 2})
+    cx = build(rs, marking, lam)
+    assert _all_ints(cx)
+    L = _scale_of(rs, marking, cx)
+    assert L > 1
+    # the same complex in the f_alpha basis of g_-: act and brackets over L
+    unscaled = GradedComplex(
+        cx.slices, cx.depths,
+        {key: [{r: x / L for r, x in col.items()} for col in block]
+         for key, block in cx.act.items()},
+        {pair: {c: x / L for c, x in terms.items()} for pair, terms in cx.brackets.items()})
+    assert not _all_ints(unscaled)
+    assert graded_h1(cx, with_h0=True) == graded_h1(unscaled, with_h0=True)
+
+
+def test_bracket_constants_alone_can_set_the_scale():
+    # on the trivial module every action matrix is zero, so only the F4
+    # bracket constants (some of them halves) ask for L = 2
+    rs = parse_type("F4")
+    marking = ParabolicMarking({1, 2, 3, 4})
+    cx = module_complex(rs, marking, (0, 0, 0, 0))
+    assert _all_ints(cx)
+    assert _scale_of(rs, marking, cx) == 2
+    pieces = kostant_h1(rs, marking, IrrComponent((0, 0, 0, 0)))
+    assert graded_h1(cx) == aggregate(pieces) == {1: 4}
 
 
 def _small_triples():
