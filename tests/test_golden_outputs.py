@@ -3,8 +3,9 @@
 Pins the sha256 of the verdict JSON that `liecoh --format json rigidity
 --fixture NAME` prints for every bundled fixture, of the JSON of a `gperp`
 and an oracle-checked `cohomology` run, of the E8 adjoint and E7 `V(w7)`
-verdicts, of a `tableau --op all` run on `tests/tableau_small.json`, of the
-exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, and of the
+verdicts, of a `tableau --op all` run on `tests/tableau_small.json`, of
+`tableau --op all` and `--op characters` runs on the dense-basis Seg(P2 x P2)
+and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, and of the
 stdout of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
 must update the hashes here and say why.
@@ -51,6 +52,20 @@ COMMAND_SHA256 = {
         "d30a0b2a54cf5ccd4257838e690c9db285a95ddcdb325ff40379e63f06e5b940",
 }
 
+# `tableau --op OP` on stabilizer tableaux under a seeded unimodular change of
+# basis: the Seg(P2 x P2) one is not involutive, so its flag sweep runs to the
+# end; the quadric-5 one is, so its sweep may stop at Cartan's equality
+TABLEAU_SHA256 = {
+    ("tableau_segre_2x2_dense.json", "all"):
+        "b01b22a2a8f5db5623f71b2ef597ec57db1f4a93f6488cf45bf148a90cf7afd1",
+    ("tableau_segre_2x2_dense.json", "characters"):
+        "f070b87b624c5b19c1df2d31b6e5c229a222a57dff1ffe4e0b991dd1d0ee10e2",
+    ("tableau_quadric_5_dense.json", "all"):
+        "5cc918edf89d277aa20a5cc3b5f9d231fac89005dcb443543b649fe77dbfd049",
+    ("tableau_quadric_5_dense.json", "characters"):
+        "8618166ad002f32091abee0561f756b3a5bfdd0b1947775e9720c5061798d059",
+}
+
 # the exact vectors of prolong(t), in order, for Seg(P2 x P2) in adapted
 # coordinates (F2 = x_i y_j on T = C^2 + C^2, N = C^2 (x) C^2)
 SEGRE_2X2_PROLONG_SHA256 = "d2cd8a249fd96cc24875f7657996b48fb6460847e168918b3778db44c346766b"
@@ -81,6 +96,14 @@ def test_fixture_verdict_json(name, capsys):
 def test_command_json(argv, capsys):
     assert main(["--format", "json", *argv]) == 0
     assert sha256(capsys.readouterr().out.encode()) == COMMAND_SHA256[argv]
+
+
+@pytest.mark.parametrize("name,op", sorted(TABLEAU_SHA256),
+                         ids=lambda x: x.removesuffix(".json"))
+def test_tableau_json(name, op, capsys):
+    path = os.path.join(ROOT, "tests", name)
+    assert main(["--format", "json", "tableau", "--input", path, "--op", op]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == TABLEAU_SHA256[name, op]
 
 
 def test_every_demo_is_pinned():
