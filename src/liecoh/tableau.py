@@ -8,11 +8,15 @@ dimensions A_j for a generic flag; equality is involutivity.
 
 Dimensions come from ranks: dim A^(1) = n dim A - rank delta and the torsion
 dimension is dim W (x) Lambda^2 V* - rank delta, by rank-nullity (delta is
-eliminated once per tableau, Tableau.delta_rank), and the reduced
-prolongation from the ranks of the bracket image and its skew part.
-A basis of A^(1) is built (prolong) only when a caller asks for its vectors.
+eliminated once per tableau, with its columns in V*-index-major order,
+Tableau.delta_rank), and the reduced prolongation from the ranks of the
+bracket image and its skew part.  A basis of A^(1) is built (prolong) only
+when a caller asks for its vectors.
 The flag search scales each basis matrix to integers once (the scaling
-step of linalg) and evaluates every flag with sparse integer products.
+step of linalg).  Along coordinate flags it ranks each coordinate subset
+once; a random flag is evaluated with sparse integer products.  The sweep
+stops at the first flag that attains Cartan's equality, whose characters
+are then the generic ones (cartan_characters).
 """
 
 import itertools
@@ -63,8 +67,16 @@ class Tableau:
 
     @cached_property
     def delta_rank(self):
-        """rank delta, eliminated once per tableau for every dimension read from it."""
-        return linalg.rank(_delta_matrix(self))
+        """rank delta, eliminated once per tableau for every dimension read from it.
+
+        The columns are relabelled V*-index-major, (a, j) -> j dim A + a,
+        which keeps the rank.  Row (w, i, j), i < j, then leads in block i,
+        so the elimination stays block-triangular instead of sending every
+        row through the a = 0 columns.
+        """
+        n, d = self.dim_V, self.dim
+        return linalg.rank([{(k % n) * d + k // n: x for k, x in row.items()}
+                            for row in _delta_matrix(self)])
 
 
 def full_tableau(dim_V, dim_W):
@@ -156,38 +168,63 @@ def _flag_dims(mats, dim_W, flag):
             for j in range(1, len(flag))]
 
 
-def _candidate_flags(t, seed):
-    n = t.dim_V
-    coord = [[int(i == j) for i in range(n)] for j in range(n)]
-    flags = []
-    for perm in itertools.islice(itertools.permutations(range(n)),
-                                 COORDINATE_FLAG_BUDGET):
-        flags.append([coord[j] for j in perm])
+def _random_flags(n, seed):
+    """RANDOM_FLAG_COUNT seeded draws of n x n integer flags; the singular ones are skipped."""
     rng = random.Random(seed)
     for _ in range(RANDOM_FLAG_COUNT):
         flag = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if linalg.rank(flag) == n:
-            flags.append(flag)
-    return flags
+            yield flag
 
 
 def cartan_characters(t, seed=FLAG_SEED):
     """[dim A_0, ..., dim A_{n-1}] for a character-maximizing generic flag.
 
-    Sweeps all coordinate flags up to a budget plus seeded random rational
-    flags, keeping the flag that lexicographically minimizes
-    (dim A_1, ..., dim A_{n-1}); generic means exactly this rank-extremal
-    behaviour.
+    The candidates are the coordinate flags (permutations of the standard
+    basis, in order, up to COORDINATE_FLAG_BUDGET) and then seeded random
+    integer flags; the answer is the lexicographic minimum of
+    (dim A_1, ..., dim A_{n-1}) over the candidates.  Along a coordinate
+    flag dim A_j is dim A minus the rank of A on the set of the first j
+    coordinate vectors, so each set is ranked once per sweep.
+
+    The sweep stops at the first candidate with dim A + sum_j dim A_j =
+    dim A^(1).  That candidate's dims are the full sweep's answer: Cartan's
+    inequality dim A^(1) <= dim A + sum_j dim A_j holds for every flag, and
+    a generic flag G minimizes every dim A_j at once (each is dim A minus a
+    rank that is maximal on a dense open set of flags).  If a candidate F
+    attains the equality, then dim A_j(G) <= dim A_j(F) for every j while
+    dim A^(1) <= dim A + sum_j dim A_j(G) <= dim A + sum_j dim A_j(F) =
+    dim A^(1), so F has the generic dims.  These are componentwise, hence
+    lexicographically, at most those of every other candidate.  A
+    non-involutive tableau attains no equality and sweeps every candidate.
     """
-    if t.dim_V == 1:
+    n = t.dim_V
+    if n == 1:
         return [t.dim]
     # scaling a basis matrix keeps its line, so every dim A_j
     mats = linalg.integer_rows(t.flatten(M) for M in t.basis)
+    ranks = {}  # rank of A on a set of coordinate vectors
+
+    def coordinate_dims(perm):
+        dims = []
+        for j in range(1, n):
+            cols = frozenset(perm[:j])
+            if cols not in ranks:
+                ranks[cols] = linalg.rank([{k: x for k, x in M.items() if k % n in cols}
+                                           for M in mats])
+            dims.append(t.dim - ranks[cols])
+        return dims
+
+    dim_p = prolongation_dim(t)
     best = None
-    for flag in _candidate_flags(t, seed):
-        dims = _flag_dims(mats, t.dim_W, flag)
+    for dims in itertools.chain(
+            map(coordinate_dims, itertools.islice(itertools.permutations(range(n)),
+                                                  COORDINATE_FLAG_BUDGET)),
+            (_flag_dims(mats, t.dim_W, flag) for flag in _random_flags(n, seed))):
         if best is None or dims < best:
             best = dims
+        if dim_p == t.dim + sum(dims):
+            break
     return [t.dim] + best
 
 
@@ -203,7 +240,14 @@ class InvolutivityReport:
 
 
 def is_involutive(t, seed=FLAG_SEED):
-    """Cartan's test: dim A^(1) <= sum_j dim A_j, involutive iff equality."""
+    """Cartan's test: dim A^(1) <= sum_j dim A_j, involutive iff equality.
+
+    `involutive` True is a proof: the sampled flag attains Cartan's equality,
+    so it is generic and A is involutive.  False proves non-involutivity only
+    if the best sampled flag is generic; the candidates are finitely many
+    coordinate and seeded random flags, and none of them is certified
+    generic, so a strict inequality may come from a flag that is not.
+    """
     chars = cartan_characters(t, seed)
     dim_p = prolongation_dim(t)
     bound = sum(chars)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecoh import linalg
-from liecoh.tableau import (Tableau, cartan_characters, cauchy_riemann_tableau,
+from liecoh.tableau import (COORDINATE_FLAG_BUDGET, FLAG_SEED, RANDOM_FLAG_COUNT,
+                            Tableau, _delta_matrix, cartan_characters,
+                            cauchy_riemann_tableau,
                             full_tableau, is_involutive, prolong,
                             prolongation_bilinear, prolongation_dim,
                             reduced_prolongation,
@@ -303,6 +306,122 @@ def test_dense_basis_keeps_tableau_invariants(case):
     for seed in range(3):
         rng = random.Random(seed)
         assert tableau_invariants(dense_basis(f2, n, a, rng), n, a) == want
+
+
+def quadric_5():
+    return [[[Fraction(int(i == j)) for j in range(5)] for i in range(5)]], 5, 1
+
+
+@pytest.mark.parametrize("case", [quadric_4, quadric_5, segre_1x2], ids=lambda c: c.__name__)
+def test_delta_rank_matches_a_major_delta_and_prolongation(case):
+    f2, n, a = case()
+    for seed in range(2):
+        t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(seed)), n, a).tableau_r_perp
+        assert t.delta_rank == linalg.rank(_delta_matrix(t))
+        assert t.delta_rank == n * t.dim - len(prolong(t))
+
+
+# ---------- the flag sweep against the full lexicographic-minimum sweep ----------
+
+def candidate_flags(n, seed):
+    """Coordinate flags up to the budget, then the seeded invertible random flags."""
+    flags = [[[int(i == j) for i in range(n)] for j in perm]
+             for perm in itertools.islice(itertools.permutations(range(n)),
+                                          COORDINATE_FLAG_BUDGET)]
+    rng = random.Random(seed)
+    for _ in range(RANDOM_FLAG_COUNT):
+        flag = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(flag) == n:
+            flags.append(flag)
+    return flags
+
+
+def flag_dims(t, flag):
+    """dim A_j = dim A - rank of M -> (M f_1, ..., M f_j), for j = 1..n-1.
+
+    The rank of the first j column blocks is the number of pivots in them.
+    """
+    n, w = t.dim_V, t.dim_W
+    pivots = linalg.pivot_columns([[sum(M[r][i] * f[i] for i in range(n))
+                                    for f in flag[:-1] for r in range(w)]
+                                   for M in t.basis])
+    return [t.dim - sum(1 for c in pivots if c < j * w) for j in range(1, n)]
+
+
+def full_sweep_characters(t, seed):
+    """Every candidate flag evaluated from scratch; the lexicographic minimum wins."""
+    return [t.dim] + min(flag_dims(t, f) for f in candidate_flags(t.dim_V, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tableaux())
+def test_sweep_matches_the_full_sweep(t):
+    for seed in (FLAG_SEED, 1):
+        assert cartan_characters(t, seed) == full_sweep_characters(t, seed)
+
+
+def test_sweep_matches_the_full_sweep_on_both_kinds():
+    kinds = set()
+    for seed in (FLAG_SEED, 1):
+        rng = random.Random(seed)
+        for _ in range(40):
+            t = random_tableau(rng)
+            chars = cartan_characters(t, seed)
+            assert chars == full_sweep_characters(t, seed)
+            kinds.add(prolongation_dim(t) == sum(chars))
+    assert kinds == {True, False}
+
+
+def segre_2x2():
+    """x_i y_j on T = C^2 + C^2, N = C^2 (x) C^2, in adapted coordinates."""
+    return [[[Fraction(int({i, j} == {p, 2 + q})) for j in range(4)] for i in range(4)]
+            for p in range(2) for q in range(2)], 4, 4
+
+
+def test_segre_2x2_needs_the_random_flags():
+    t = stabilizer_and_tableau(*segre_2x2()).tableau_r_perp
+    dims = [flag_dims(t, f) for f in candidate_flags(4, FLAG_SEED)]
+    assert min(dims[:COORDINATE_FLAG_BUDGET]) == [12, 4, 0]
+    assert cartan_characters(t) == [24] + min(dims) == [24, 9, 1, 0]
+    # not involutive, so the sweep runs to the end
+    assert prolongation_dim(t) < 24 + 9 + 1
+
+
+def dense_tableau(name):
+    path = os.path.join(os.path.dirname(__file__), f"tableau_{name}_dense.json")
+    with open(path) as fh:
+        return tableau_from_json(fh.read())
+
+
+def sweep_rank_calls(t, monkeypatch):
+    """(rank calls on map rows, on list rows) made by one cartan_characters."""
+    prolongation_dim(t)  # ranks delta once, before the count starts
+    calls = []
+    rank = linalg.rank
+
+    def counting(rows):
+        calls.append(isinstance(rows[0], dict))
+        return rank(rows)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "rank", counting)
+        cartan_characters(t)
+    return calls.count(True), calls.count(False)
+
+
+def test_one_rank_per_coordinate_subspace(monkeypatch):
+    # not involutive: all 24 coordinate flags rank the 2^4 - 2 proper nonempty
+    # coordinate subsets once each, then every random flag is drawn and checked
+    t = dense_tableau("segre_2x2")
+    assert sweep_rank_calls(t, monkeypatch) == (2 ** 4 - 2, RANDOM_FLAG_COUNT)
+
+
+def test_involutive_sweep_stops_at_cartans_equality(monkeypatch):
+    # the first coordinate flag attains the equality: its 4 subsets are ranked
+    # and no random flag is drawn
+    t = dense_tableau("quadric_5")
+    assert sweep_rank_calls(t, monkeypatch) == (4, 0)
+    assert cartan_characters(t) == full_sweep_characters(t, FLAG_SEED)
+    assert is_involutive(t).involutive
 
 
 def test_json_round_trip():
