@@ -3,7 +3,8 @@
 Pins the sha256 of the verdict JSON that `liecoh --format json rigidity
 --fixture NAME` prints for every bundled fixture, of the JSON of a `gperp`
 and an oracle-checked `cohomology` run, of the E8 adjoint and E7 `V(w7)`
-verdicts, of a `tableau --op all` run on `tests/tableau_small.json`, of
+verdicts, of the oracle-checked E6 `V(w1)` and D6 `V(w6)` verdicts with the
+oracle bound raised, of a `tableau --op all` run on `tests/tableau_small.json`, of
 `tableau --op all` and `--op characters` runs on the dense-basis Seg(P2 x P2)
 and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, and of the
 stdout of every demo.  A change that keeps these bytes
@@ -52,6 +53,15 @@ COMMAND_SHA256 = {
         "d30a0b2a54cf5ccd4257838e690c9db285a95ddcdb325ff40379e63f06e5b940",
 }
 
+# oracle-checked verdicts of non-Borel markings above the default oracle bound,
+# run with ORACLE_DIM_MAX raised to dim U: (bound, rigidity arguments)
+LIFTED_ORACLE_SHA256 = {
+    (27, "--type", "E6", "--marked", "1", "--weight", "1,0,0,0,0,0"):
+        "38b3c4f0da27c1d28ae5c4bebf9713fcb787d077b2db0627126391592519f83b",
+    (32, "--type", "D6", "--marked", "6", "--weight", "0,0,0,0,0,1"):
+        "c719a3be38b9723a4385f3c9058ba719df042a7850150ba377f8a60a89869757",
+}
+
 # `tableau --op OP` on stabilizer tableaux under a seeded unimodular change of
 # basis: the Seg(P2 x P2) one is not involutive, so its flag sweep runs to the
 # end; the quadric-5 one is, so its sweep may stop at Cartan's equality
@@ -96,6 +106,16 @@ def test_fixture_verdict_json(name, capsys):
 def test_command_json(argv, capsys):
     assert main(["--format", "json", *argv]) == 0
     assert sha256(capsys.readouterr().out.encode()) == COMMAND_SHA256[argv]
+
+
+@pytest.mark.parametrize("key", sorted(LIFTED_ORACLE_SHA256), ids=lambda key: key[2])
+def test_lifted_bound_oracle_json(key, capsys, monkeypatch):
+    bound, *argv = key
+    monkeypatch.setenv("ORACLE_DIM_MAX", str(bound))
+    assert main(["--format", "json", "rigidity", *argv, "--p", "-1", "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert '"ran": true' in out
+    assert sha256(out.encode()) == LIFTED_ORACLE_SHA256[key]
 
 
 @pytest.mark.parametrize("name,op", sorted(TABLEAU_SHA256),
