@@ -66,9 +66,12 @@ def oracle_bound():
     if raw is None:
         return DEFAULT_ORACLE_BOUND
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError as e:
         raise InputError(f"ORACLE_DIM_MAX = {raw!r} is not an integer") from e
+    if bound < 0:
+        raise InputError(f"ORACLE_DIM_MAX = {raw!r} is negative")
+    return bound
 
 
 def _emit(args, payload, table_lines):
@@ -173,15 +176,10 @@ def cmd_cohomology(args):
               f"  (node {p.source_reflection})" for p in pieces]
     if args.oracle:
         try:
-            dims = cohomology.direct_h1(rs, marking, gamma, bound=oracle_bound())
+            cx = cohomology.module_complex(rs, marking, gamma, bound=oracle_bound())
         except ValueError as e:
             raise InputError(str(e)) from e
-        agg = {}
-        for p in pieces:
-            agg[p.degree] = agg.get(p.degree, 0) + p.dimension
-        if dims != agg:
-            raise InternalCheckError(
-                f"combinatorial H^1 {agg} disagrees with matrix oracle {dims}")
+        dims = cohomology.check_oracle(cx, [(1, p) for p in pieces])
         payload["oracle"] = {str(d): n for d, n in dims.items()}
         lines.append(f"oracle agreed: { {str(k): v for k, v in dims.items()} }")
     _emit(args, payload, lines)

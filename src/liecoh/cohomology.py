@@ -9,9 +9,10 @@ Two independent routes:
     is -Z(sigma_i . mu*).  This convention was arbitrated against the
     matrix oracle below and must stay in exact agreement with it.
 
-  * graded_h1 assembles the differentials grade by grade from explicit
-    action matrices and bracket constants and takes exact ranks.  It checks
-    d1 . d0 = 0 in every block and aborts if that fails.  A grade is a pair
+  * graded_weights (graded_h1 sums it by degree) assembles the
+    differentials grade by grade from explicit action matrices and bracket
+    constants and takes exact ranks.  It checks d1 . d0 = 0 in every block
+    it builds and aborts if that fails.  A grade is a pair
     (Z-degree, torus weight): every weight vector of V_gamma (module_complex),
     every matrix unit of gl(U) (gperp_complex) and every root vector has a
     single weight, so the differentials are block-diagonal by weight and
@@ -22,6 +23,33 @@ Two independent routes:
     every g-perp slice by primitive integer vectors.  So the g-perp
     commutators, its membership check, d0, d1, the d1 . d0 check and every
     rank run on Python ints.
+
+Levi symmetry.  g_0 normalises g_- and acts on Gamma, so it acts on every
+cochain space Lambda^k g_-^* (x) Gamma, and d commutes with that action: d is
+made of brackets and of the g action, and g_0 acts on both by derivations.
+So H^0 and H^1 are g_0-modules in each Z-degree, and a representative in
+the Levi group of each w in the Levi Weyl group W_0 (generated by the
+unmarked simple reflections, which fix Z) carries the grade (d, mu)
+isomorphically onto (d, w mu).  That is plain equivariance; it uses nothing
+of Kostant's theorem, so the oracle stays independent of the route it
+checks.  graded_weights therefore assembles, checks and ranks only the
+grades whose weight is W_0-dominant (>= 0 at every unmarked node, one per
+W_0-orbit) and gives every conjugate the same dimensions, and the oracles
+build action blocks only for the source grades that those blocks use.  A
+Borel marking has W_0 = 1 and ranks every grade, as before.
+
+The fold.  check_oracle compares the oracle with Kostant piece by piece,
+not only degree by degree.  In each degree the weights of H^1 are the
+character of a g_0-module, and levi_pieces splits it into irreducibles by
+Racah-Speiser: a weight mu goes to mu + rho' (rho' = 1 at every unmarked
+node, which differs from the Levi's rho by a W_0-invariant weight), is
+brought into the W_0-dominant chamber with the sign of the Weyl element, and
+counts with that sign for the highest weight (that chamber weight - rho'),
+not at all on a wall; this is Weyl's character formula for g_0 read
+backwards.  The result must equal Kostant's multiset of (degree,
+levi_highest_weight), counted with the g-perp multiplicities.  The oracle's
+highest weight is levi_highest_weight as stored, with no dual (pinned by
+the tests).
 
 h1_report runs the full pipeline for Gamma = g-perp inside sl(U) and turns
 the graded dimensions into a rigidity verdict: RIGID when no piece lives in
@@ -53,6 +81,7 @@ Math. 16 (2012).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add, sub
 
@@ -79,9 +108,13 @@ class H1Piece:
     source_reflection: int  # 1-based marked node
 
 
+def levi_nodes(rs, marking):
+    """The unmarked nodes, 0-based: the simple roots of g_0, whose reflections generate W_0."""
+    return tuple(j for j in range(rs.rank) if (j + 1) not in marking.marked)
+
+
 def is_levi_dominant(rs, marking, weight):
-    marked = marking.marked
-    return all(weight[j] >= 0 for j in range(rs.rank) if (j + 1) not in marked)
+    return all(weight[j] >= 0 for j in levi_nodes(rs, marking))
 
 
 def levi_weyl_dim(rs, marking, weight):
@@ -94,7 +127,7 @@ def levi_weyl_dim(rs, marking, weight):
 
 def levi_lowest(rs, marking, weight):
     """Lowest weight of the Levi irreducible with the given highest weight."""
-    unmarked = [j for j in range(rs.rank) if (j + 1) not in marking.marked]
+    unmarked = levi_nodes(rs, marking)
     w = tuple(weight)
     while True:
         for j in unmarked:
@@ -147,8 +180,8 @@ class GradedComplex:
 
     A grade is a pair (degree, weight): a Z-degree and a torus weight in
     fundamental coordinates.  Every object is homogeneous, so the
-    differentials are block-diagonal by grade and graded_h1 ranks them block
-    by block.
+    differentials are block-diagonal by grade and graded_weights ranks them
+    block by block.
 
     slices:   grade -> dimension of Gamma in that grade
     depths:   grade shift of each g_- basis element x_a = L f_alpha, which
@@ -157,18 +190,38 @@ class GradedComplex:
               Gamma_{source - depths[a]} by columns, one {target coordinate: x}
               map of nonzeros per source basis vector
     brackets: (a, b) -> {c: coeff} for a < b, [x_a, x_b] = sum coeff x_c
+    rs, unmarked: the root system and the unmarked nodes (0-based) that
+              generate the Levi Weyl group W_0.  graded_weights ranks only
+              the W_0-dominant grades, and the oracles build act only for the
+              source grades those reach (see _complex).  With no unmarked
+              node (a Borel marking, or a complex built by hand) every grade
+              is dominant and act must be complete.
 
     The oracles build this complex over Z: every entry of act and every
     bracket coefficient is an int.  The g_- basis is the bracket-path root
     vectors f_alpha times one integer L (see _complex).  [L f_a, L f_b] =
     L sum coeff (L f_c), so the action matrices and the bracket constants
     both scale by L; that is a change of basis of g_-, and H^0, H^1 and
-    d1 . d0 = 0 do not change.  graded_h1 itself accepts any exact entries.
+    d1 . d0 = 0 do not change.  graded_weights itself accepts any exact
+    entries.
     """
     slices: dict
     depths: list
     act: dict
     brackets: dict
+    rs: object = None
+    unmarked: tuple = ()
+
+    @cached_property
+    def dominant_grades(self):
+        """The total grades of C^0 and C^1 whose weight is W_0-dominant, in order.
+
+        W_0-dominant means >= 0 at every unmarked node; each W_0-orbit of
+        grades holds exactly one.  Computed once, from slices and depths.
+        """
+        grades = set(self.slices)
+        grades.update(_add(s, i) for s in self.slices for i in self.depths)
+        return sorted(d for d in grades if all(d[1][j] >= 0 for j in self.unmarked))
 
 
 def _difference(u, v):
@@ -177,6 +230,10 @@ def _difference(u, v):
 
 def _add(grade, depth):
     return (grade[0] + depth[0], tuple(map(add, grade[1], depth[1])))
+
+
+def _lower(grade, depth):
+    return (grade[0] - depth[0], _difference(grade[1], depth[1]))
 
 
 def _grade_text(grade):
@@ -195,14 +252,15 @@ def _composition_is_nonzero(d0t, d1t):
     return False
 
 
-def graded_h1(cx, with_h0=False):
-    """Per-degree dims of H^1 (and optionally H^0) from a GradedComplex.
+def graded_weights(cx):
+    """H^0 and H^1 of a GradedComplex as {(degree, weight): dim}, over every grade.
 
-    d0 and d1 are assembled and ranked one total grade at a time, and the
-    dimensions are summed into Z-degrees, read off the grades.  Every block
-    is checked: d1 . d0 = 0 and H^1 >= 0; every bracket must respect the
-    grading.  Any exact entries work; the oracles' complexes are integral,
-    so their blocks are assembled, checked and ranked on ints.
+    d0 and d1 are assembled and ranked one dominant grade at a time
+    (cx.dominant_grades); every W_0-conjugate of a grade gets its
+    dimensions (module docstring).  Every block that is built is checked:
+    d1 . d0 = 0 and H^1 >= 0; every bracket must respect the grading.  Any
+    exact entries work; the oracles' complexes are integral, so their blocks
+    are assembled, checked and ranked on ints.
     """
     depths = cx.depths
     pair_depth = {(b, c): _add(depths[b], depths[c])
@@ -223,15 +281,13 @@ def graded_h1(cx, with_h0=False):
         for a, coeff in terms.items():
             if coeff:
                 produced.setdefault(a, []).append(((b * m + c) * width, coeff))
-    c1 = {}  # total grade -> {a: grade of phi(x_a)}
-    for s in cx.slices:
-        for a, i in enumerate(depths):
-            c1.setdefault(_add(s, i), {})[a] = s
+    acting = {}  # source grade -> [(b, action block of x_b)] without the all-zero blocks
 
     h1 = {}
     h0 = {}
-    for d in sorted(set(c1) | set(cx.slices)):
-        blocks1 = sorted(c1.get(d, {}).items())
+    for d in cx.dominant_grades:
+        blocks1 = [(a, s) for a, s in ((a, _lower(d, i)) for a, i in enumerate(depths))
+                   if s in cx.slices]
         off1 = {}
         n1 = 0
         for a, s in blocks1:
@@ -253,11 +309,13 @@ def graded_h1(cx, with_h0=False):
                     row[col + r] = coeff
             # alpha(x_b) x_c.X - alpha(x_c) x_b.X, on the pairs that hold a; x_a
             # is deeper than x_b and x_c above, so every entry is written once
-            for other in range(m):
+            if s not in acting:
+                acting[s] = [(b, cx.act[(b, s)]) for b in range(m) if any(cx.act[(b, s)])]
+            for other, block in acting[s]:
                 if other != a:
                     col, sign = ((a * m + other) * width, 1) if a < other \
                         else ((other * m + a) * width, -1)
-                    for row, image in zip(rows, cx.act[(other, s)]):
+                    for row, image in zip(rows, block):
                         for r, x in image.items():
                             row[col + r] = sign * x
             d1t += rows
@@ -268,13 +326,76 @@ def graded_h1(cx, with_h0=False):
         dim = (n1 - rank1) - rank0
         if dim < 0:
             raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
-        deg = _as_degree(d[0])
-        h1[deg] = h1.get(deg, 0) + dim
-        h0[deg] = h0.get(deg, 0) + n0 - rank0
-    h1 = {deg: k for deg, k in sorted(h1.items()) if k}
+        if dim or n0 > rank0:
+            deg = _as_degree(d[0])
+            for w in cx.rs.weyl_orbit(d[1], cx.unmarked) if cx.unmarked else (d[1],):
+                if dim:
+                    h1[(deg, w)] = dim
+                if n0 > rank0:
+                    h0[(deg, w)] = n0 - rank0
+    return h0, h1
+
+
+def _by_degree(dims):
+    out = {}
+    for (deg, _), k in dims.items():
+        out[deg] = out.get(deg, 0) + k
+    return dict(sorted(out.items()))
+
+
+def graded_h1(cx, with_h0=False):
+    """Per-degree dims of H^1 (and optionally H^0) from a GradedComplex."""
+    h0, h1 = graded_weights(cx)
     if with_h0:
-        return h1, {deg: k for deg, k in sorted(h0.items()) if k}
-    return h1
+        return _by_degree(h1), _by_degree(h0)
+    return _by_degree(h1)
+
+
+def levi_pieces(cx, weights):
+    """Fold {(degree, weight): multiplicity} into g_0-irreducibles by Racah-Speiser.
+
+    weights is the full weight multiset of a g_0-module (graded_weights).
+    Each weight mu is sent to mu + rho', with rho' = 1 at every unmarked node
+    and 0 elsewhere, and brought into the W_0-dominant chamber with the sign
+    of the Weyl element; mu counts for the highest weight (dominant - rho')
+    with that sign, and not at all on a wall.  Returns {(degree, g_0 highest
+    weight): multiplicity}.
+    """
+    shift = [int(j in cx.unmarked) for j in range(cx.rs.rank)]
+    out = {}
+    for (deg, mu), k in weights.items():
+        top, sign = cx.rs.dominize_signed(map(add, mu, shift), cx.unmarked)
+        if sign:
+            key = (deg, _difference(top, shift))
+            out[key] = out.get(key, 0) + sign * k
+    return {key: k for key, k in sorted(out.items()) if k}
+
+
+def check_oracle(cx, pieces):
+    """H^1 of an oracle complex by degree, checked against Kostant's pieces.
+
+    pieces are (multiplicity, H1Piece) pairs.  The per-degree dimensions and
+    the g_0 pieces (levi_pieces) must both equal Kostant's, each piece's
+    levi_highest_weight taken as stored; a mismatch raises.
+    """
+    _, h1 = graded_weights(cx)
+    got = _by_degree(h1)
+    expected = {}
+    kostant = {}
+    for mult, piece in pieces:
+        expected[piece.degree] = expected.get(piece.degree, 0) + mult * piece.dimension
+        key = (piece.degree, piece.levi_highest_weight)
+        kostant[key] = kostant.get(key, 0) + mult
+    if got != expected:
+        raise InternalCheckError(
+            f"combinatorial H^1 {dict(sorted(expected.items()))} disagrees with "
+            f"the matrix oracle {got}")
+    folded = levi_pieces(cx, h1)
+    if folded != kostant:
+        raise InternalCheckError(
+            f"combinatorial H^1 pieces {dict(sorted(kostant.items()))} disagree "
+            f"with the matrix oracle's {folded}")
+    return got
 
 
 def negative_roots(rs, marking):
@@ -319,31 +440,36 @@ def _g_minus(rs, marking):
     return depths, structure_constants(rs, roots)
 
 
-def _complex(depths, brackets, g, basis, image, den):
+def _complex(rs, marking, g, basis, image, den):
     """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
 
-    depths and brackets come from _g_minus, g is _g_by_weight of the module,
-    and basis maps each (degree, weight) grade of Gamma to the basis vectors
-    of that slice.  image(f, vector, grade) gives f . vector, for an integer
-    matrix f that is a multiple of den, as a {coordinate: int} map of its
-    nonzero coordinates in the basis of that grade.
+    g is _g_by_weight of the module, and basis maps each (degree, weight)
+    grade of Gamma to the basis vectors of that slice.  image(f, vector,
+    grade) gives f . vector, for an integer matrix f that is a multiple of
+    den, as a {coordinate: int} map of its nonzero coordinates in the basis
+    of that grade.
 
     The g_- basis is x_a = L f_alpha for one integer L: den times the lcm
     of the denominators of the f_alpha entries and the bracket constants.
+    act holds the blocks of the source grades that the dominant grades
+    reach, d itself (d0) and d - depths[a] (d1), and no others.
     """
+    depths, brackets = _g_minus(rs, marking)
     fs = [g[tuple(-x for x in alpha)][0] for _, alpha in depths]
     L = den * lcm(1, *(x.denominator for f in fs for x in f.values()),
                   *(x.denominator for terms in brackets.values() for x in terms.values()))
-    act = {}
-    for a, (i, alpha) in enumerate(depths):
-        f = {k: x.numerator * (L // x.denominator) for k, x in fs[a].items()}
-        for s, vectors in basis.items():
-            t = (s[0] - i, _difference(s[1], alpha))
-            act[(a, s)] = [image(f, v, t) for v in vectors]
     brackets = {pair: {c: x.numerator * (L // x.denominator) for c, x in terms.items()}
                 for pair, terms in brackets.items()}
-    slices = {s: len(vectors) for s, vectors in basis.items()}
-    return GradedComplex(slices, depths, act, brackets)
+    cx = GradedComplex({s: len(vectors) for s, vectors in basis.items()}, depths, {},
+                       brackets, rs, levi_nodes(rs, marking))
+    sources = sorted({s for d in cx.dominant_grades
+                      for s in (d, *(_lower(d, i) for i in depths)) if s in basis})
+    for a, depth in enumerate(depths):
+        f = {k: x.numerator * (L // x.denominator) for k, x in fs[a].items()}
+        for s in sources:
+            t = _lower(s, depth)
+            cx.act[(a, s)] = [image(f, v, t) for v in basis[s]]
+    return cx
 
 
 def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
@@ -364,8 +490,7 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     def image(f, vid, grade):
         return {k: f[(r, vid)] for k, r in enumerate(basis.get(grade, ())) if (r, vid) in f}
 
-    depths, brackets = _g_minus(rs, marking)
-    return _complex(depths, brackets, _g_by_weight(rep), basis, image, 1)
+    return _complex(rs, marking, _g_by_weight(rep), basis, image, 1)
 
 
 def direct_h1(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND, with_h0=False):
@@ -415,11 +540,16 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         rows[mu] = linalg.integer_rows(
             [{index[mu][(c, r)]: x for (r, c), x in M.items()}
              for M in g.get(tuple(-x for x in mu), [])])
-        if rows[mu]:
-            g_rank += linalg.rank(rows[mu])
         if mu == zero:
+            for M in g[zero]:
+                if sum(x for (r, c), x in M.items() if r == c):
+                    raise InternalCheckError("g-perp bookkeeping failed: an element "
+                                             "of the Cartan subalgebra has nonzero trace")
             rows[mu].append({k: 1 for k, (v, w) in enumerate(pairs) if v == w})
         vectors = linalg.integer_rows(linalg.kernel_basis(rows[mu], len(pairs)))
+        # rank-nullity; at weight 0 the trace row is independent of g's rows,
+        # since g acts by traceless matrices (checked just above)
+        g_rank += len(pairs) - len(vectors) - (mu == zero)
         if vectors:
             degree = z(mu)
             if degree.denominator != 1:
@@ -434,8 +564,6 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     if g_rank != rs.dim_g():
         raise InternalCheckError("represented algebra has wrong dimension; "
                                  "weight not faithful on some factor")
-    if sum(len(b) for b in basis.values()) != n * n - 1 - rs.dim_g():
-        raise InternalCheckError("g-perp dimension bookkeeping failed")
 
     def image(f, vec, grade):
         # f has weight -alpha (checked) and vec weight mu, so every entry of
@@ -454,8 +582,7 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         return coords
 
     den = lcm(1, *(c for columns in free.values() for _, c in columns.values()))
-    depths, brackets = _g_minus(rs, marking)
-    return _complex(depths, brackets, g, basis, image, den)
+    return _complex(rs, marking, g, basis, image, den)
 
 
 def gperp_direct_h1(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
@@ -490,9 +617,10 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
     p asks for rigidity at order p + 3, and a piece of degree d obstructs
     the orders <= d + 1 (degree convention and anchors in the module
     docstring).  RIGID when no H^1 piece has degree >= p + 2; INCONCLUSIVE
-    otherwise, listing the offending pieces.  With oracle=True the aggregate per-degree
-    dimensions are recomputed from explicit matrices and must agree exactly
-    (skipped, and said so, when dim U exceeds the oracle bound).
+    otherwise, listing the offending pieces.  With oracle=True the per-degree
+    dimensions and the g_0 pieces are recomputed from explicit matrices and
+    must agree exactly (check_oracle; skipped, and said so, when dim U
+    exceeds the oracle bound).
     """
     if p < -1:
         raise ValueError("p must be >= -1")
@@ -534,11 +662,8 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
                 f"oracle skipped: dim U = {dim_u} exceeds bound {bound}; "
                 "the combinatorial path alone decides")
         else:
-            got = gperp_direct_h1(rs, marking, lam, bound)
-            if got != aggregate:
-                raise InternalCheckError(
-                    f"combinatorial H^1 {aggregate} disagrees with the "
-                    f"matrix oracle {got}")
+            check_oracle(gperp_complex(rs, marking, lam, bound),
+                         [(mult, piece) for _, mult, piece in pieces])
             report.oracle_ran = True
             report.oracle_note = ("direct matrix computation agreed with the "
                                   "combinatorial dimensions in every degree")

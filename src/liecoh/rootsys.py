@@ -290,12 +290,17 @@ class RootSystem:
         shifted = tuple(c + 1 for c in weight)
         return tuple(c - 1 for c in self.reflect(i, shifted))
 
-    def dominize_signed(self, weight):
-        """(dominant rep, det sign), or (None, 0) if the weight lies on a wall."""
+    def dominize_signed(self, weight, nodes=None):
+        """(dominant rep, det sign), or (None, 0) if the weight lies on a wall.
+
+        nodes (0-based, default all) restricts to the Weyl group generated by
+        their simple reflections: dominant then means >= 0 at those nodes.
+        """
         w = tuple(weight)
+        nodes = range(self.rank) if nodes is None else nodes
         sign = 1
         while True:
-            for i in range(self.rank):
+            for i in nodes:
                 if w[i] == 0:
                     return None, 0
                 if w[i] < 0:
@@ -305,14 +310,18 @@ class RootSystem:
             else:
                 return w, sign
 
-    def weyl_orbit(self, weight):
-        """Full Weyl orbit of a weight (set of tuples)."""
+    def weyl_orbit(self, weight, nodes=None):
+        """Weyl orbit of a weight (set of tuples), under the reflections at nodes.
+
+        nodes are 0-based simple nodes, all of them by default.
+        """
+        nodes = range(self.rank) if nodes is None else nodes
         seen = {tuple(weight)}
         frontier = [tuple(weight)]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(self.rank):
+                for i in nodes:
                     r = self.reflect(i, w)
                     if r not in seen:
                         seen.add(r)

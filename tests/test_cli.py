@@ -139,7 +139,7 @@ def test_tableau_cli(tmp_path, capsys):
     assert json.loads(out)["torsion_quotient_dim"] == 0
 
 
-def test_exit_code_2_on_input_errors(capsys, tmp_path):
+def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
     good = {"algebra": ["A1", "A1"], "marked": [1, 2], "weight": [1, 1], "p": 0}
     scenarios = [[1], {**good, "marked": 1}, {**good, "algebra": [""]},
                  {"algebra": ["A2"], "marked": [1], "weight": [1.5, 0], "p": 0},
@@ -180,6 +180,13 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+    # a negative oracle bound would skip every oracle with exit 0
+    monkeypatch.setenv("ORACLE_DIM_MAX", "-5")
+    for argv in [("rigidity", "--fixture", "segre-1-1", "--oracle"),
+                 ("cohomology", "--type", "A1", "--marked", "1", "--gamma", "2", "--oracle")]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "ORACLE_DIM_MAX" in err, argv
 
 
 def test_no_floats_in_rigidity_json(capsys):

@@ -255,6 +255,16 @@ def test_oracle_reach(name, marked, lam, expected):
     assert rep.aggregate == expected
 
 
+def test_oracle_reach_above_the_default_bound():
+    # E7/P7, dim U = 56: W_0 = W(E6), so the oracle ranks 27 dominant grades
+    # of 939 slices and checks Kostant's pieces, in about a second
+    rs = parse_type("E7")
+    rep = h1_report(rs, ParabolicMarking({7}), (0, 0, 0, 0, 0, 0, 1), -1,
+                    oracle=True, bound=56)
+    assert rep.oracle_ran
+    assert rep.aggregate == {-1: 351, 0: 3003}
+
+
 def test_gperp_complex_is_graded_by_degree_and_weight():
     rs = parse_type("A2")
     marking = ParabolicMarking({1, 2})
@@ -410,3 +420,208 @@ def test_kostant_equals_gperp_oracle_on_small_triples(triple):
     marking = ParabolicMarking({i + 1 for i, x in enumerate(lam) if x})
     kostant = h1_report(rs, marking, lam, -1).aggregate
     assert gperp_direct_h1(rs, marking, lam) == kostant
+
+
+# ---------- W_0-equivariance: rank only the Levi-dominant blocks ----------
+
+def _full_complex(build, rs, marking, lam, monkeypatch):
+    """The complex with every action block built, as for a Borel marking."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "levi_nodes", lambda rs, marking: ())
+        cx = build(rs, marking, lam)
+    assert cx.unmarked == ()
+    return cx
+
+
+def _lower(grade, depth):
+    return (grade[0] - depth[0], tuple(x - y for x, y in zip(grade[1], depth[1])))
+
+
+def _block_dims(cx, grade):
+    """(dim H^0, dim H^1) in one grade of a complete complex, from dense d0, d1.
+
+    (d0 X)(x_a) = x_a . X and (d1 phi)(x_b, x_c) = x_b . phi(x_c) -
+    x_c . phi(x_b) - phi([x_b, x_c]).
+    """
+    depths, slices = cx.depths, cx.slices
+    c1 = [(a, r) for a, i in enumerate(depths) if _lower(grade, i) in slices
+          for r in range(slices[_lower(grade, i)])]
+    col1 = {coord: k for k, coord in enumerate(c1)}
+    c2 = {}
+    for b, c in itertools.combinations(range(len(depths)), 2):
+        t = _lower(_lower(grade, depths[b]), depths[c])
+        for r in range(slices.get(t, 0)):
+            c2[(b, c, r)] = len(c2)
+    n0 = slices.get(grade, 0)
+    d0 = [[0] * n0 for _ in c1]
+    for v in range(n0):
+        for a in range(len(depths)):
+            for r, x in cx.act[(a, grade)][v].items():
+                d0[col1[(a, r)]][v] += x
+    d1 = [[0] * len(c1) for _ in c2]
+    for (a, r), k in col1.items():
+        s = _lower(grade, depths[a])
+        for other in range(len(depths)):
+            if other != a:
+                b, c, sign = (other, a, 1) if other < a else (a, other, -1)
+                for r2, x in cx.act[(other, s)][r].items():
+                    d1[c2[(b, c, r2)]][k] += sign * x
+        for (b, c), terms in cx.brackets.items():
+            if terms.get(a):
+                d1[c2[(b, c, r)]][k] -= terms[a]
+    rank0 = linalg.rank(d0) if c1 and n0 else 0
+    rank1 = linalg.rank(d1) if c1 and c2 else 0
+    return n0 - rank0, len(c1) - rank1 - rank0
+
+
+def _sweep(cx):
+    """{grade: (dim H^0, dim H^1)} over every grade of a complete complex."""
+    grades = set(cx.slices) | {_add_grade(s, i) for s in cx.slices for i in cx.depths}
+    return {d: _block_dims(cx, d) for d in sorted(grades)}
+
+
+def _add_grade(grade, depth):
+    return (grade[0] + depth[0], tuple(x + y for x, y in zip(grade[1], depth[1])))
+
+
+def _by_degree(sweep, k):
+    out = {}
+    for (deg, _), dims in sweep.items():
+        if dims[k]:
+            out[deg] = out.get(deg, 0) + dims[k]
+    return dict(sorted(out.items()))
+
+
+# non-Borel markings: W_0 is W(A2) for B3/P3 and W(A1 x A2) for A4/P2
+W0_CASES = [(gperp_complex, "B3", {3}, (0, 0, 1)),
+            (gperp_complex, "A4", {2}, (0, 1, 0, 0)),
+            (module_complex, "A3", {2}, (1, 0, 1))]
+
+
+@pytest.mark.parametrize("build,name,marked,lam", W0_CASES[:2])
+def test_non_dominant_block_equals_its_dominant_representative(
+        build, name, marked, lam, monkeypatch):
+    rs = parse_type(name)
+    marking = ParabolicMarking(marked)
+    unmarked = cohomology.levi_nodes(rs, marking)
+    sweep = _sweep(_full_complex(build, rs, marking, lam, monkeypatch))
+    grade = next(d for d, (_, h1) in sweep.items()
+                 if h1 and any(d[1][j] < 0 for j in unmarked))
+    dominant, = [w for w in rs.weyl_orbit(grade[1], unmarked)
+                 if all(w[j] >= 0 for j in unmarked)]
+    assert dominant != grade[1]
+    assert sweep[(grade[0], dominant)] == sweep[grade]
+
+
+@pytest.mark.parametrize("build,name,marked,lam", W0_CASES)
+def test_reduced_oracle_equals_the_full_sweep(build, name, marked, lam, monkeypatch):
+    rs = parse_type(name)
+    marking = ParabolicMarking(marked)
+    full = _full_complex(build, rs, marking, lam, monkeypatch)
+    sweep = _sweep(full)
+    cx = build(rs, marking, lam)
+    # the reduced complex builds fewer action blocks and ranks fewer grades
+    assert cx.unmarked and len(cx.act) < len(full.act)
+    assert len(cx.dominant_grades) < len(sweep)
+    h1, h0 = graded_h1(cx, with_h0=True)
+    assert h1 == _by_degree(sweep, 1) and h1
+    assert h0 == _by_degree(sweep, 0)
+    # weight by weight too, on every grade
+    h0w, h1w = cohomology.graded_weights(cx)
+    assert h1w == {(d[0], d[1]): dims[1] for d, dims in sweep.items() if dims[1]}
+    assert h0w == {(d[0], d[1]): dims[0] for d, dims in sweep.items() if dims[0]}
+
+
+def test_borel_marking_builds_every_block():
+    rs = parse_type("A2")
+    cx = gperp_complex(rs, ParabolicMarking({1, 2}), (1, 1))
+    assert cx.unmarked == ()
+    assert len(cx.act) == len(cx.depths) * len(cx.slices)
+    assert len(cx.dominant_grades) == len(
+        set(cx.slices) | {_add_grade(s, i) for s in cx.slices for i in cx.depths})
+
+
+# ---------- the oracle's g_0 pieces against Kostant's, as stored ----------
+
+PIECE_CASES = [("A2", {1, 2}, (1, 1)),        # the adjoint variety, Borel
+               ("A1,A1", {1, 2}, (1, 1)),     # Seg(P1 x P1)
+               ("A3", {2}, (0, 1, 0))]        # the Grassmannian G(2, 4)
+
+
+def _kostant_pieces(report):
+    out = {}
+    for _, mult, piece in report.pieces:
+        key = (piece.degree, piece.levi_highest_weight)
+        out[key] = out.get(key, 0) + mult
+    return out
+
+
+@pytest.mark.parametrize("name,marked,lam", PIECE_CASES)
+def test_oracle_pieces_equal_kostant_as_stored(name, marked, lam):
+    rs = parse_type(name)
+    marking = ParabolicMarking(marked)
+    kostant = _kostant_pieces(h1_report(rs, marking, lam, -1))
+    cx = gperp_complex(rs, marking, lam)
+    _, h1 = cohomology.graded_weights(cx)
+    folded = cohomology.levi_pieces(cx, h1)
+    assert folded == kostant
+    # the g_0-dual of every piece is a different multiset, so this pins the
+    # convention: the oracle's highest weight is levi_highest_weight itself
+    dual = {}
+    for (deg, w), k in kostant.items():
+        key = (deg, tuple(-x for x in cohomology.levi_lowest(rs, marking, w)))
+        dual[key] = dual.get(key, 0) + k
+    assert dual != kostant
+
+
+WRONG_PIECE_SCRIPT = """
+import dataclasses
+from liecoh import cohomology
+from liecoh.grading import ParabolicMarking
+from liecoh.rootsys import parse_type
+
+real = cohomology.kostant_h1
+rs, marking = parse_type("A3"), ParabolicMarking({2})
+
+def wrong(rs, marking, gamma):
+    # the g_0-dual of each piece: same degree and dimension, wrong weight
+    return [dataclasses.replace(p, levi_highest_weight=tuple(
+                -x for x in cohomology.levi_lowest(rs, marking, p.levi_highest_weight)))
+            for p in real(rs, marking, gamma)]
+
+cohomology.kostant_h1 = wrong
+try:
+    cohomology.h1_report(rs, marking, (0, 1, 0), -1, oracle=True)
+    print("passed")
+except cohomology.InternalCheckError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wrong_kostant_piece_is_rejected(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, *flags, "-c", WRONG_PIECE_SCRIPT],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    # the per-degree totals still agree; only the piece comparison can catch it
+    assert out.stdout.startswith("combinatorial H^1 pieces "), out.stdout
+
+
+def test_gperp_faithfulness_check_fires():
+    # the second A1 acts trivially on V(1) x V(0), so g is not represented
+    with pytest.raises(InternalCheckError, match="not faithful"):
+        gperp_complex(parse_type("A1,A1"), ParabolicMarking({1}), (1, 0))
+
+
+def test_gperp_trace_row_premise_is_checked(monkeypatch):
+    real = cohomology.construct_rep
+
+    def traced(rs, lam, bound):
+        rep = real(rs, lam, bound)
+        rep.h[0][(0, 0)] = rep.h[0].get((0, 0), 0) + 1  # weight 0, but not traceless
+        return rep
+
+    monkeypatch.setattr(cohomology, "construct_rep", traced)
+    with pytest.raises(InternalCheckError, match="bookkeeping"):
+        gperp_complex(parse_type("A2"), ParabolicMarking({1, 2}), (1, 1))
