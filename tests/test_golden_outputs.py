@@ -6,8 +6,9 @@ and an oracle-checked `cohomology` run, of the E8 adjoint and E7 `V(w7)`
 verdicts, of the oracle-checked E6 `V(w1)` and D6 `V(w6)` verdicts with the
 oracle bound raised, of a `tableau --op all` run on `tests/tableau_small.json`, of
 `tableau --op all` and `--op characters` runs on the dense-basis Seg(P2 x P2)
-and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, and of the
-stdout of every demo.  A change that keeps these bytes
+and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, of the
+explicit matrices `construct_rep` builds on modules with a weight space of
+dimension > 1, and of the stdout of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
 must update the hashes here and say why.
 """
@@ -23,6 +24,8 @@ from fractions import Fraction
 import pytest
 
 from liecoh.cli import main
+from liecoh.repthy import construct_rep
+from liecoh.rootsys import parse_type
 from liecoh.tableau import prolong, stabilizer_and_tableau
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -80,6 +83,20 @@ TABLEAU_SHA256 = {
 # coordinates (F2 = x_i y_j on T = C^2 + C^2, N = C^2 (x) C^2)
 SEGRE_2X2_PROLONG_SHA256 = "d2cd8a249fd96cc24875f7657996b48fb6460847e168918b3778db44c346766b"
 
+# construct_rep(type, lam): basis weights, then every e, f and h matrix as its
+# sorted nonzeros; each module has a weight space of dimension > 1, where the
+# basis depends on how linear dependence is decided
+REP_SHA256 = {
+    ("A2", (2, 2)): "ee957dd040e3e7b92bee480f2ac851c73fe943d9efaab38dbf641833cb733957",
+    ("C2", (1, 1)): "67141c6b20e1742bdfe63d9fed422884b209b691515ce69e656bddeb628810c8",
+    ("B2", (2, 1)): "285cd4286927a9378d42eedc3b87ddc80111e55adac49c5d08e65ba2a12516b5",
+    ("G2", (0, 1)): "d1130d175e33ce993c130f2a2581812621afc6b0c3be3768e89bf3ece8cd05d0",
+    ("F4", (1, 0, 0, 0)):
+        "4662fae5ad830bcc10ff36dd44a8dd0ea9094c8a332a75cf6011544083d62f77",
+    ("E6", (0, 1, 0, 0, 0, 0)):
+        "538777f670b00239128da9ef552dc404a6d66ed5311285e81facd9302cc90ca2",
+}
+
 DEMO_SHA256 = {
     "01_universal_dimensions.py":
         "3e6d9dd5d08663e802f81f7a8f250cabb50dda2880c599a9e7592e4eeb4e0a6e",
@@ -124,6 +141,17 @@ def test_tableau_json(name, op, capsys):
     path = os.path.join(ROOT, "tests", name)
     assert main(["--format", "json", "tableau", "--input", path, "--op", op]) == 0
     assert sha256(capsys.readouterr().out.encode()) == TABLEAU_SHA256[name, op]
+
+
+@pytest.mark.parametrize("name,lam", sorted(REP_SHA256),
+                         ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x)))
+def test_construct_rep_matrices(name, lam):
+    rep = construct_rep(parse_type(name), lam, bound=None)
+    assert max(map(rep.basis_weights.count, set(rep.basis_weights))) > 1
+    parts = [repr(rep.basis_weights)]
+    for mats in (rep.e, rep.f, rep.h):
+        parts.extend(repr(sorted(M.items())) for M in mats)
+    assert sha256("\n".join(parts).encode()) == REP_SHA256[name, lam]
 
 
 def test_every_demo_is_pinned():
