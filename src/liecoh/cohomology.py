@@ -343,12 +343,9 @@ def _by_degree(dims):
     return dict(sorted(out.items()))
 
 
-def graded_h1(cx, with_h0=False):
-    """Per-degree dims of H^1 (and optionally H^0) from a GradedComplex."""
-    h0, h1 = graded_weights(cx)
-    if with_h0:
-        return _by_degree(h1), _by_degree(h0)
-    return _by_degree(h1)
+def graded_h1(cx):
+    """Per-degree dims of H^1 from a GradedComplex."""
+    return _by_degree(graded_weights(cx)[1])
 
 
 def levi_pieces(cx, weights):
@@ -493,9 +490,9 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     return _complex(rs, marking, _g_by_weight(rep), basis, image, 1)
 
 
-def direct_h1(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND, with_h0=False):
+def direct_h1(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     """Per-degree H^1 dims for an abstract irreducible module, by matrix ranks."""
-    return graded_h1(module_complex(rs, marking, gamma_weight, bound), with_h0=with_h0)
+    return graded_h1(module_complex(rs, marking, gamma_weight, bound))
 
 
 def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):

@@ -10,10 +10,10 @@ kernel_basis needs `ncols` for them.  Everything is computed over Q, so
 results are reproducible bit for bit.
 
 _echelon is the package's only row reduction: every rank, kernel,
-independent subset, intersection and inverse in liecoh comes from it.  Its
-pivot rule is column by column: column c is a pivot iff it lies outside the
-span of the columns left of it (pivot_columns).  Inside a column the pivot
-is the candidate row with the fewest nonzeros; each row it updates is
+independent subset, solve in a span and inverse in liecoh comes from it.
+Its pivot rule is column by column: column c is a pivot iff it lies outside
+the span of the columns left of it (pivot_columns).  Inside a column the
+pivot is the candidate row with the fewest nonzeros; each row it updates is
 divided by the gcd of its entries, so rows stay primitive integers and only
 rows with a nonzero entry in the pivot column are touched.
 Back-substitution (_back_substitute) also runs on integers, over one common
@@ -24,19 +24,6 @@ returned.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-
-
-def matmul(A, B):
-    if not A or not B:
-        return []
-    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in B]
-    C = [[Fraction(0)] * len(B[0]) for _ in A]
-    for Ai, Ci in zip(A, C):
-        for a, Bt in zip(Ai, nonzeros):
-            if a:
-                for j, x in Bt:
-                    Ci[j] += a * x
-    return C
 
 
 def integer_rows(rows):
@@ -216,26 +203,3 @@ def solve_in_span(span, target):
     x, den = _back_substitute(echelon, k)
     return _fractions_over(x, den, k)
 
-
-def intersect(span_a, span_b):
-    """Basis of span(span_a) & span(span_b).
-
-    Vectors must share ambient dimension; raises ValueError otherwise.
-    """
-    if not span_a or not span_b:
-        return []
-    n = len(span_a[0])
-    for v in list(span_a) + list(span_b):
-        if len(v) != n:
-            raise ValueError("ambient dimension mismatch")
-    A = [span_a[i] for i in independent_subset(span_a)]
-    B = [span_b[i] for i in independent_subset(span_b)]
-    # columns (A | -B); kernel vectors (x, y) give intersection points A x
-    stacked = _columns(A + [[-x for x in v] for v in B])
-    out = []
-    for k in kernel_basis(stacked, len(A) + len(B)):
-        x = k[:len(A)]
-        out.append([sum((x[c] * A[c][r] for c in range(len(A)) if x[c]), Fraction(0))
-                    for r in range(n)])
-    # A and B are independent, so (x, y) -> A x is injective on the kernel
-    return out

@@ -2,9 +2,12 @@
 
 All weights are tuples of fundamental coordinates (global across factors).
 Explicit modules are built on a weight basis by closing under the lowering
-operators, with the contravariant form deciding linear dependence exactly.
-The form is positive definite over Q on these modules, so a zero residual
-norm is equivalent to membership in the span.
+operators.  Linear dependence is decided exactly by the raising operators:
+on the irreducible V_lam a nonzero vector of weight nu killed by every e_i
+generates a submodule with highest weight nu, so nu = lam (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 20-21).  Below lam
+the map v -> (e_1 v, ..., e_r v) is therefore injective, and vectors are
+dependent iff their e-images, computed in the part already built, are.
 """
 
 from dataclasses import dataclass
@@ -222,9 +225,13 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     """Exact matrices for V_lam, built by lowering-operator closure.
 
     Walks the weight system top down.  Each new weight space is spanned by
-    f_i applied to the basis one level up; the contravariant Gram matrix
-    (computed without ever leaving the already-built part) detects exact
-    linear dependence.  Freudenthal multiplicities double-check every level.
+    the candidates f_i b, b in the basis one level up.  The e_j f_i b =
+    f_i e_j b + delta_ij h_i b are known in the basis one level up, and
+    e = (e_1, ..., e_r) is injective below lam (module docstring).  So a
+    candidate is a new basis vector iff its e-image lies outside the span
+    of the e-images of the candidates before it, and every candidate's
+    coordinates in the new basis are those of its e-image in the chosen
+    e-images.  Freudenthal multiplicities double-check every level.
     """
     lam = tuple(lam)
     dim = rs.weyl_dim(lam)
@@ -235,7 +242,6 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     order = sorted(wsys, key=lambda w: (_depth(rs, lam, w), w))
 
     basis = {}      # weight -> list of global ids
-    gram = {}       # weight -> Gram matrix (rows/cols follow basis order)
     e_coords = {}   # (i, vid) -> coords in basis(weight + alpha_i)
     f_coords = {}   # (i, vid) -> coords in basis(weight - alpha_i)
     weight_of = []
@@ -246,8 +252,7 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
         basis.setdefault(w, []).append(vid)
         return vid
 
-    top = add_vector(lam)
-    gram[lam] = [[Fraction(1)]]
+    add_vector(lam)
     for nu in order:
         if nu == lam:
             continue
@@ -281,50 +286,22 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
                 per_j[j] = coords
             cand_e.append(per_j)
 
-        def pairing(x_idx, y_idx):
-            # <f_i b, y> = <b, e_i y>
-            i, up, b = cands[x_idx]
-            ey = cand_e[y_idx].get(i)
-            if not ey:
-                return Fraction(0)
-            row = basis[up].index(b)
-            g = gram[up]
-            return sum((c * g[row][k] for k, c in enumerate(ey) if c), Fraction(0))
-
-        chosen = []
-        G = []
-        for x in range(len(cands)):
-            p = [pairing(x, y) for y in chosen]
-            sq = pairing(x, x)
-            if chosen:
-                coeffs = linalg.solve_in_span(G, p)  # G is symmetric
-                resid = sq - sum(a * b for a, b in zip(p, coeffs))
-            else:
-                coeffs = []
-                resid = sq
-            i, up, b = cands[x]
-            if resid != 0:
-                # new basis vector
-                for r, pr in zip(G, p):
-                    r.append(pr)
-                G.append(p + [sq])
-                vid = add_vector(nu)
-                chosen.append(x)
-                f_coords[(i, b)] = [Fraction(0)] * (len(chosen) - 1) + [Fraction(1)]
-                for j, pe in cand_e[x].items():
-                    e_coords[(j, vid)] = pe
-            else:
-                f_coords[(i, b)] = coeffs
-        # pad earlier f_coords rows to the final length
-        for (i, up, b) in cands:
-            fc = f_coords[(i, b)]
-            if len(fc) < len(chosen):
-                fc.extend([Fraction(0)] * (len(chosen) - len(fc)))
+        # below lam, v -> (e_1 v, ..., e_r v) is injective, so the e-images
+        # decide linear dependence among the candidates
+        images = [{(j, k): c for j, coords in per_j.items() for k, c in enumerate(coords)
+                   if c} for per_j in cand_e]
+        chosen = linalg.independent_subset(images)
         if len(chosen) != wsys[nu]:
             raise InternalCheckError(
                 f"weight space {nu} of V{lam} got {len(chosen)} basis vectors, "
                 f"Freudenthal says {wsys[nu]}")
-        gram[nu] = G
+        for x in chosen:
+            vid = add_vector(nu)
+            for j, pe in cand_e[x].items():
+                e_coords[(j, vid)] = pe
+        span = [images[x] for x in chosen]
+        for (i, _, b), image in zip(cands, images):
+            f_coords[(i, b)] = linalg.solve_in_span(span, image)
 
     if len(weight_of) != dim:
         raise InternalCheckError(

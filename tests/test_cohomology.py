@@ -26,6 +26,14 @@ def aggregate(pieces):
     return dict(sorted(out.items()))
 
 
+def h0_by_degree(cx):
+    """Per-degree dims of H^0, summed from the weights of graded_weights."""
+    out = {}
+    for (deg, _), k in cohomology.graded_weights(cx)[0].items():
+        out[deg] = out.get(deg, 0) + k
+    return dict(sorted(out.items()))
+
+
 def test_a1_v4_single_piece_degree_3():
     rs = parse_type("A1")
     marking = ParabolicMarking({1})
@@ -132,7 +140,7 @@ def test_h0_euler_bookkeeping():
     rs = parse_type("A2")
     marking = ParabolicMarking({1, 2})
     cx = module_complex(rs, marking, (3, 0))
-    h1, h0 = graded_h1(cx, with_h0=True)
+    h0 = h0_by_degree(cx)
     # H^0 of an irreducible is the dual of the top Levi constituent: here 1-dim
     piece = kostant_h0(rs, marking, IrrComponent((3, 0)))
     assert h0 == {piece.degree: piece.dimension}
@@ -145,8 +153,8 @@ def test_kunneth_on_segre():
     marking = ParabolicMarking({1, 2})
     rs1 = parse_type("A1")
     m1 = ParabolicMarking({1})
-    h1_left = direct_h1(rs1, m1, (2,), with_h0=True)
-    h1s, h0s = h1_left
+    h1s = direct_h1(rs1, m1, (2,))
+    h0s = h0_by_degree(module_complex(rs1, m1, (2,)))
     # product H^1 = H^1 (x) H^0 + H^0 (x) H^1
     expect = {}
     for d1, n1 in h1s.items():
@@ -384,7 +392,8 @@ def test_oracle_complex_is_integral_and_scale_invariant(build, name, lam):
          for key, block in cx.act.items()},
         {pair: {c: x / L for c, x in terms.items()} for pair, terms in cx.brackets.items()})
     assert not _all_ints(unscaled)
-    assert graded_h1(cx, with_h0=True) == graded_h1(unscaled, with_h0=True)
+    assert graded_h1(cx) == graded_h1(unscaled)
+    assert h0_by_degree(cx) == h0_by_degree(unscaled)
 
 
 def test_bracket_constants_alone_can_set_the_scale():
@@ -523,7 +532,7 @@ def test_reduced_oracle_equals_the_full_sweep(build, name, marked, lam, monkeypa
     # the reduced complex builds fewer action blocks and ranks fewer grades
     assert cx.unmarked and len(cx.act) < len(full.act)
     assert len(cx.dominant_grades) < len(sweep)
-    h1, h0 = graded_h1(cx, with_h0=True)
+    h1, h0 = graded_h1(cx), h0_by_degree(cx)
     assert h1 == _by_degree(sweep, 1) and h1
     assert h0 == _by_degree(sweep, 0)
     # weight by weight too, on every grade

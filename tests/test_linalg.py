@@ -45,25 +45,6 @@ def test_kernel_vectors_annihilated():
         assert all(x == 0 for x in mat_vec(M, v))
 
 
-def test_intersect_coordinate_spans():
-    e = lambda j: [F(int(i == j)) for i in range(3)]
-    inter = linalg.intersect([e(0), e(1)], [e(1), e(2)])
-    assert len(inter) == 1
-    assert linalg.rank(inter + [e(1)]) == 1
-
-
-def test_intersect_self():
-    span = [[F(1), F(2), F(0)], [F(0), F(1), F(5)]]
-    inter = linalg.intersect(span, span)
-    assert len(inter) == 2
-    assert linalg.rank(inter + span) == 2
-
-
-def test_intersect_dimension_mismatch():
-    with pytest.raises(ValueError):
-        linalg.intersect([[F(1), F(0)]], [[F(1), F(0), F(0)]])
-
-
 def test_solve_in_span():
     span = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     c = linalg.solve_in_span(span, [F(2), F(3), F(5)])
@@ -149,19 +130,6 @@ def test_integer_rows_are_accepted():
     assert linalg.rank(M) == 2
     assert linalg.kernel_basis(M) == [[F(-2), F(1), F(0)]]
     assert linalg.solve_in_span([[1, 0, 1], [0, 2, 2]], [3, 4, 7]) == [F(3), F(2)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6), st.data())
-def test_intersection_dimension_formula(n, data):
-    vecs = st.lists(st.lists(rational, min_size=n, max_size=n), min_size=1, max_size=4)
-    A = data.draw(vecs)
-    B = data.draw(vecs)
-    dim_a = linalg.rank(A)
-    dim_b = linalg.rank(B)
-    dim_sum = linalg.rank(A + B)
-    inter = linalg.intersect(A, B)
-    assert len(inter) == dim_a + dim_b - dim_sum
 
 
 # ---------- contracts of the one elimination core ----------

@@ -220,7 +220,11 @@ def avstar_basis(t):
 
 
 def reduced_prolongation_reference(t, image):
-    """Coordinates over the whole A (x) V* system, then prolong and intersect."""
+    """Coordinates over the whole A (x) V* system, then prolong and intersect.
+
+    The intersection of span(prol) and span(coords) has dimension
+    rank(prol) + rank(coords) - rank(prol + coords).
+    """
     avstar = avstar_basis(t)
     coords = []
     for v in image:
@@ -229,8 +233,8 @@ def reduced_prolongation_reference(t, image):
             raise ValueError("outside A (x) V*")
         coords.append(c)
     prol = prolong(t)
-    inside = linalg.intersect(prol, coords) if prol and coords else []
-    return len(prol) - len(inside), linalg.rank(coords) - len(inside)
+    inside = linalg.rank(prol) + linalg.rank(coords) - linalg.rank(prol + coords)
+    return len(prol) - inside, linalg.rank(coords) - inside
 
 
 @settings(max_examples=60, deadline=None)
