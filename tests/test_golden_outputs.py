@@ -8,7 +8,8 @@ oracle bound raised, of a `tableau --op all` run on `tests/tableau_small.json`, 
 `tableau --op all` and `--op characters` runs on the dense-basis Seg(P2 x P2)
 and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, of the
 explicit matrices `construct_rep` builds on modules with a weight space of
-dimension > 1, and of the stdout of every demo.  A change that keeps these bytes
+dimension > 1, of the weight systems and root data the Kostant route walks
+(order included), and of the stdout of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
 must update the hashes here and say why.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 from liecoh.cli import main
-from liecoh.repthy import construct_rep
+from liecoh.repthy import construct_rep, weight_multiplicities
 from liecoh.rootsys import parse_type
 from liecoh.tableau import prolong, stabilizer_and_tableau
 
@@ -51,6 +52,9 @@ COMMAND_SHA256 = {
     ("rigidity", "--type", "E7", "--marked", "7", "--weight", "0,0,0,0,0,0,1",
      "--p", "-1"):
         "c54377583107d7d48b239997e470c4709f17f804060016ee4a87f789dcdf0934",
+    ("rigidity", "--type", "E8", "--marked", "1", "--weight", "1,0,0,0,0,0,0,0",
+     "--p", "-1"):
+        "1a59f1ac801b8ee710ada388e0e5ebca183f3c22fd27dfef46cb8ded29e7edaf",
     ("tableau", "--input", os.path.join(ROOT, "tests", "tableau_small.json"),
      "--op", "all"):
         "d30a0b2a54cf5ccd4257838e690c9db285a95ddcdb325ff40379e63f06e5b940",
@@ -97,6 +101,48 @@ REP_SHA256 = {
         "538777f670b00239128da9ef552dc404a6d66ed5311285e81facd9302cc90ca2",
 }
 
+# repr(list(weight_multiplicities(type, lam).items())): the weights in the
+# order the walk finds them, with their multiplicities; None is the adjoint
+WEIGHT_SYSTEM_SHA256 = {
+    ("A2", (2, 2)): "776137d2d10a51e9a8ce07c6c095fc4bd4f08c33f9bd740bbfd7ff8a515cbc7b",
+    ("B2", (2, 1)): "f9b00460797e0052957fe52b328f3a97023fac794c47bb4aa321d5a9b2265493",
+    ("G2", (0, 1)): "f53c4c419d3357adf6b4f9c93bf89180e215e719c7f463484f768a1ff13d21f4",
+    ("A1,A2", (1, 1, 1)):
+        "228d2467c878c895631a5aa6eb00df2863d212fdce4a0cadf5d78d9e4782c14f",
+    ("F4", (0, 0, 0, 1)):
+        "610ab9a05cc2afe87c7e88a48b6e11e664e5160be57d74902b28a1f27f2ef792",
+    ("E6", (1, 0, 0, 0, 0, 0)):
+        "36cd0b5d417f2e6daebc7b19e7c95a9de96941ebaeeb1c266355c3f24871ee28",
+    ("E7", (0, 0, 0, 0, 0, 0, 1)):
+        "de2c2773cdfd5398ca2967f94d4d7a25f32d489e3bc539432b0e8317d13ccdd4",
+    ("E8", None): "ef4ab1d4fd358f1caf53aca6b55dddcaa22ee2d1b4a3b21f3e746cec2f09f3e5",
+    ("E8", (1, 0, 0, 0, 0, 0, 0, 0)):
+        "3551f407cb5a215cabee0c9086bdac8602abf845090d9131fa54bf68fe8fea2f",
+}
+
+# positive roots as (coords, factor, height, parent), then root_weights and
+# coroots, in order: every type of the benchmark ladders, and a product
+ROOT_DATA_SHA256 = {
+    "A2": "305519210cf44a7815ce0f9114f4831065ce74498d8d3ae92bb62ca7fa3454a9",
+    "A3": "57f65c263fc63efd122bfa0cec130a8272876159069decf85bbcdc69da3b0fd5",
+    "A4": "d0694bb33576183e1b7f65412825d6e072eed4d1c6f3e30e987bbd66a1329424",
+    "A5": "1f0f0c4dfa943a6de175a0eb5cdf2994f85ab7eb93c6d60f1cc4fa9d94285811",
+    "A7": "fef79e8fd62f3503865472898de0d9df68d2b6fcf7e3a7d9154a55c78e7fae6e",
+    "B3": "09525be568cfe59bc59dcb3ab4a494e10aebe994d806c741253fdc76274887e4",
+    "C2": "850b7fcecd51e0bd63a75fb37b51fe141e999f2b746dd62c513241b67005efb3",
+    "C3": "5151030dd840806cf93cb8fd35503956fe8e9cc59b0525fb1bfd7d69dda4f9c9",
+    "C4": "f74056e4645787f0911f8c89c13c135133762d9968f60c521001f5383381d572",
+    "D4": "4120adb0878dec1b7cb3b91efe8d2414d2f4f9b3c7d23477184c674b8e631b18",
+    "D5": "6534246260ad1ddbe13c2a3506287d094a6e0e250d263d08a799754ec5b8a20d",
+    "D6": "ad6d607a92d916ce69b86a34d522c093b11871c843cc70e572350db9e594e36d",
+    "E6": "e2c14415b1536538ce3fd069c17baf2fc9a35e5d36aedcbab2ba4482968e0c9d",
+    "E7": "dbc6aecd0c76a7c46f6ea4bf46e4a183e5481f08d235580b365dc90e2be29ab6",
+    "E8": "2bfffe3996eba8f592163f43e9f0f01b604e353d9bd27823ee81ef11e19dda4b",
+    "F4": "d1777f6e4d1c3ecc1a9948c8307c9d8d35f9cc654f984b40961ed914d7098f30",
+    "G2": "4cbef817d7822240951ab8ad49483583f820bced2b357d2e716ba34b2286470c",
+    "A2,G2": "a0c72062df626473227d628f2db24203c07d1a560213ef75ae1b00bf43d97f6a",
+}
+
 DEMO_SHA256 = {
     "01_universal_dimensions.py":
         "3e6d9dd5d08663e802f81f7a8f250cabb50dda2880c599a9e7592e4eeb4e0a6e",
@@ -119,7 +165,13 @@ def test_fixture_verdict_json(name, capsys):
     assert sha256(capsys.readouterr().out.encode()) == FIXTURE_SHA256[name]
 
 
-@pytest.mark.parametrize("argv", sorted(COMMAND_SHA256), ids=lambda argv: argv[0])
+def command_id(argv):
+    # the first pinned run of a subcommand is named by it alone, later ones add the type
+    first = min(a for a in COMMAND_SHA256 if a[0] == argv[0])
+    return argv[0] if argv == first else f"{argv[0]}-{argv[2]}"
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_SHA256), ids=command_id)
 def test_command_json(argv, capsys):
     assert main(["--format", "json", *argv]) == 0
     assert sha256(capsys.readouterr().out.encode()) == COMMAND_SHA256[argv]
@@ -152,6 +204,23 @@ def test_construct_rep_matrices(name, lam):
     for mats in (rep.e, rep.f, rep.h):
         parts.extend(repr(sorted(M.items())) for M in mats)
     assert sha256("\n".join(parts).encode()) == REP_SHA256[name, lam]
+
+
+@pytest.mark.parametrize("name,lam", sorted(WEIGHT_SYSTEM_SHA256, key=repr),
+                         ids=lambda x: x if isinstance(x, str)
+                         else "adjoint" if x is None else ",".join(map(str, x)))
+def test_weight_system_order(name, lam):
+    rs = parse_type(name)
+    ws = weight_multiplicities(rs, rs.adjoint_weight() if lam is None else lam)
+    assert sha256(repr(list(ws.items())).encode()) == WEIGHT_SYSTEM_SHA256[name, lam]
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_DATA_SHA256))
+def test_root_data(name):
+    rs = parse_type(name)
+    parts = [repr([(r.coords, r.factor, r.height, r.parent) for r in rs.positive_roots]),
+             repr(list(rs.root_weights.items())), repr(rs.coroots)]
+    assert sha256("\n".join(parts).encode()) == ROOT_DATA_SHA256[name]
 
 
 def test_every_demo_is_pinned():
