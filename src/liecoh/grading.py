@@ -104,13 +104,14 @@ def grade_module(rs, marking, lam):
     if any(c and (j + 1) not in marking.marked for j, c in enumerate(lam)):
         raise ValueError(f"support of {tuple(lam)} is not inside the marking")
     z = grading_element(rs, marking)
-    top = z(lam)
+    top = sum(map(mul, z.row, lam))  # z.den * Z(lam)
     dims = {}
     for nu, m in repthy.weight_system(rs, lam).items():
-        j = top - z(nu)
-        if j.denominator != 1 or j < 0:
-            raise InternalCheckError(f"weight {nu} of V{tuple(lam)} has module degree {-j}")
-        j = int(j)
+        scaled = top - sum(map(mul, z.row, nu))  # z.den * (Z(lam) - Z(nu))
+        j, r = divmod(scaled, z.den)
+        if r or j < 0:
+            raise InternalCheckError(f"weight {nu} of V{tuple(lam)} has module degree "
+                                     f"{Fraction(-scaled, z.den)}")
         dims[-j] = dims.get(-j, 0) + m
     f = -min(dims)
     if set(dims) != set(range(-f, 1)):

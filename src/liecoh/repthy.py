@@ -1,6 +1,13 @@
 """Weight systems, tensor decompositions, g-perp, and explicit module matrices.
 
 All weights are tuples of fundamental coordinates (global across factors).
+The weight system of V_lam is walked level by level below lam.  The
+alpha_i-string through a weight w is unbroken, w - r alpha_i, ..., w + p
+alpha_i, with r - p = <w, alpha_i^vee> = w_i (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 21.3).  The weights w + k alpha_i, k >= 1,
+lie on levels already walked, so w - alpha_i is a weight iff w_i + p >= 1.  A
+new weight c with c_j < 0 has s_j c = c - c_j alpha_j on a level already
+walked, so its dominant representative is one reflection and one lookup away.
 Explicit modules are built on a weight basis by closing under the lowering
 operators.  Linear dependence is decided exactly by the raising operators:
 on the irreducible V_lam a nonzero vector of weight nu killed by every e_i
@@ -27,58 +34,48 @@ class IrrComponent:
     multiplicity: int = 1
 
 
-def _depth(rs, lam, nu):
-    """Height of lam - nu in the root lattice (None if not in the cone)."""
-    diff = tuple(map(sub, lam, nu))
-    den = rs.inverse_cartan_den
-    total = 0
-    for row in rs.inverse_cartan_scaled:
-        c = sum(map(mul, row, diff))  # den * (simple-root coordinate)
-        if c < 0 or c % den:
-            return None
-        total += c
-    return total // den
-
-
 def weight_multiplicities(rs, lam):
     """Full weight system of the irreducible module V_lam (Freudenthal).
 
     Returns {weight: multiplicity}; total multiplicity equals weyl_dim(lam).
+    The walk goes by alpha_i-strings (Humphreys 21.3, module docstring):
+    w - alpha_i is a weight iff w_i + p >= 1, p the largest k with w + k
+    alpha_i found, so no candidate outside V_lam is reflected; a new weight c
+    with c_j < 0 shares the dominant representative of s_j c, found before.
     The arithmetic is on integers (rs.form, see rootsys).
     """
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    # enumerate the weight system downward by simple roots; a weight belongs
-    # to it iff its dominant representative lies below lam
     alpha_fund = rs.simple_root_weights
-    rep = {lam: lam}  # weight, or candidate outside V_lam -> dominant representative
-    depth = {lam: 0}  # dominant weight -> depth below lam, None outside V_lam
-    frontier = [lam]
+    dom = {lam: lam}  # weight -> its dominant representative
+    depth = {lam: 0}  # dominant weight -> its level below lam
+    frontier, level = [lam], 0
     while frontier:
+        level += 1
         nxt = []
         for w in frontier:
-            for af in alpha_fund:
+            for i, af in enumerate(alpha_fund):
                 c = tuple(map(sub, w, af))
-                if c in rep:
+                if c in dom:
                     continue
-                # reflect upward to a weight already met, whose representative
-                # is known, or to a dominant one
-                d = c
-                while d not in rep:
-                    i = next((i for i, x in enumerate(d) if x < 0), None)
-                    if i is None:
-                        break
-                    d = rs.reflect(i, d)
-                d = rep[c] = rep.get(d, d)
-                if d not in depth:
-                    depth[d] = _depth(rs, lam, d)
-                if depth[d] is not None:
-                    nxt.append(c)
+                if w[i] < 1:
+                    # w + k alpha_i for k = 1..p lie on levels already walked
+                    p, u = 0, tuple(map(add, w, af))
+                    while u in dom:
+                        p, u = p + 1, tuple(map(add, u, af))
+                    if w[i] + p < 1:
+                        continue
+                j = next((j for j, x in enumerate(c) if x < 0), None)
+                if j is None:
+                    dom[c] = c
+                    depth[c] = level
+                else:
+                    # s_j c = c - c_j alpha_j lies on a level already walked
+                    dom[c] = dom[rs.reflect(j, c)]
+                nxt.append(c)
         frontier = nxt
-    dom = {w: d for w, d in rep.items() if depth[d] is not None}
-    dominants = sorted((d for d, h in depth.items() if h is not None),
-                       key=lambda w: (depth[w], w))
+    dominants = sorted(depth, key=lambda w: (depth[w], w))
     # Freudenthal recursion, top down:
     # m(mu) = sum_{a > 0, k >= 1} 2 m(mu + k a) (mu + k a, a)
     #         / ((lam + rho, lam + rho) - (mu + rho, mu + rho)),
@@ -239,7 +236,9 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
         raise ValueError(f"dim V_lam = {dim} exceeds the oracle bound {bound}")
     wsys = weight_system(rs, lam)
     alpha_fund = rs.simple_root_weights
-    order = sorted(wsys, key=lambda w: (_depth(rs, lam, w), w))
+    # by depth below lam: den * height of omega_j is the column sum of den * C^-1
+    height = [sum(col) for col in zip(*rs.inverse_cartan_scaled)]
+    order = sorted(wsys, key=lambda w: (-sum(map(mul, height, w)), w))
 
     basis = {}      # weight -> list of global ids
     e_coords = {}   # (i, vid) -> coords in basis(weight + alpha_i)

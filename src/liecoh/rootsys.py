@@ -28,7 +28,7 @@ checked when it is built:
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .errors import InternalCheckError
@@ -142,9 +142,7 @@ class RootSystem:
         self.d = []
         for f in self.factors:
             self.d.extend(_lengths_simple(f))
-        self.positive_roots = self._enumerate_positive_roots()
-        self.root_weights = {r.coords: self.fund_coords_of_root(r.coords)
-                             for r in self.positive_roots}
+        self.positive_roots, self.root_weights = self._enumerate_positive_roots()
         self.rho = tuple([1] * self.rank)
         self.highest_root_per_factor = [self._highest_root(s)
                                         for s in range(len(self.factors))]
@@ -164,49 +162,52 @@ class RootSystem:
         return C
 
     def _enumerate_positive_roots(self):
+        """(positive roots, root_weights), by alpha_i-strings upward from the simple roots."""
+        node_factor = [self.factor_of_node(i) for i in range(self.rank)]
         roots = []
+        weights = []  # fundamental coords of roots[k]: <root, alpha_i^vee> = weights[k][i]
         seen = {}
         for i in range(self.rank):
             coords = tuple(1 if j == i else 0 for j in range(self.rank))
             seen[coords] = len(roots)
-            roots.append(PositiveRoot(coords, self.factor_of_node(i), 1, None))
+            roots.append(PositiveRoot(coords, node_factor[i], 1, None))
+            weights.append(self.simple_root_weights[i])
         frontier = list(range(self.rank))
         while frontier:
             new_frontier = []
             for ri in frontier:
-                root = roots[ri]
+                root, weight = roots[ri], weights[ri]
                 for i in range(self.rank):
-                    if self.factor_of_node(i) != root.factor:
+                    if node_factor[i] != root.factor:
                         continue
                     cand = list(root.coords)
                     cand[i] += 1
                     cand = tuple(cand)
                     if cand in seen:
                         continue
-                    # root string: cand is a root iff p - <root, alpha_i^vee> > 0
+                    # root string: cand is a root iff p - <root, alpha_i^vee> > 0,
+                    # p counting the roots root - k alpha_i, k >= 1
                     p = 0
                     lower = list(root.coords)
-                    while True:
+                    while lower[i]:
                         lower[i] -= 1
-                        t = tuple(lower)
-                        if all(x == 0 for x in t) or t in seen:
-                            p += 1
-                        else:
+                        if tuple(lower) not in seen:
                             break
-                    pairing = sum(root.coords[j] * self.cartan[i][j]
-                                  for j in range(self.rank))
-                    if p - pairing > 0:
+                        p += 1
+                    if p - weight[i] > 0:
                         seen[cand] = len(roots)
                         roots.append(PositiveRoot(cand, root.factor,
                                                   root.height + 1, (ri, i)))
+                        weights.append(tuple(map(add, weight, self.simple_root_weights[i])))
                         new_frontier.append(len(roots) - 1)
             frontier = new_frontier
         order = sorted(range(len(roots)), key=lambda k: (roots[k].height, roots[k].coords))
         remap = {old: new for new, old in enumerate(order)}
-        return [PositiveRoot(roots[k].coords, roots[k].factor, roots[k].height,
-                             None if roots[k].parent is None
-                             else (remap[roots[k].parent[0]], roots[k].parent[1]))
-                for k in order]
+        return ([PositiveRoot(roots[k].coords, roots[k].factor, roots[k].height,
+                              None if roots[k].parent is None
+                              else (remap[roots[k].parent[0]], roots[k].parent[1]))
+                 for k in order],
+                {roots[k].coords: weights[k] for k in order})
 
     def _highest_root(self, s):
         best = None

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh.grading import (ParabolicMarking, algebra_depth, grade_algebra,
-                            grade_module, grading_element)
+from liecoh import grading
+from liecoh.errors import InternalCheckError
+from liecoh.grading import (GradingElementValue, ParabolicMarking, algebra_depth,
+                            grade_algebra, grade_module, grading_element)
 from liecoh.rootsys import parse_type
 
 ALL_SIMPLE_RANK6 = (["A%d" % n for n in range(1, 7)]
@@ -64,6 +66,21 @@ def test_grade_module_examples():
     assert gm.dims == {-2: 1, -1: 4, 0: 1}
     gm = grade_module(parse_type("G2"), ParabolicMarking({1}), (0, 0))
     assert gm.dims == {0: 1}
+
+
+def test_grade_module_rejects_bad_degrees(monkeypatch):
+    rs, marking = parse_type("A1"), ParabolicMarking({1})
+    z = grading_element(rs, marking)  # Z(w) = w / 2
+    # Z halved: the weight 0 of V(2) sits half a degree below the top
+    monkeypatch.setattr(grading, "grading_element",
+                        lambda *_: GradingElementValue(z.row, 2 * z.den))
+    with pytest.raises(InternalCheckError, match=r"\(0,\) of V\(2,\) has module degree -1/2$"):
+        grade_module(rs, marking, (2,))
+    # Z negated: the weight 0 of V(2) sits one degree above the top
+    monkeypatch.setattr(grading, "grading_element",
+                        lambda *_: GradingElementValue(tuple(-x for x in z.row), z.den))
+    with pytest.raises(InternalCheckError, match=r"\(0,\) of V\(2,\) has module degree 1$"):
+        grade_module(rs, marking, (2,))
 
 
 @pytest.mark.parametrize("name", ALL_SIMPLE_RANK6)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh.rootsys import SimpleFactor, build, parse_type
+from liecoh.rootsys import RootSystem, SimpleFactor, build, parse_type
 
 POSITIVE_ROOT_COUNTS = {
     "A1": 1, "A2": 3, "A5": 15, "B2": 4, "B4": 16, "C3": 9, "D4": 12,
@@ -14,6 +14,18 @@ def test_invalid_factors():
     for family, rank in [("E", 5), ("F", 3), ("G", 3), ("B", 1), ("D", 2), ("Z", 2)]:
         with pytest.raises(ValueError):
             SimpleFactor(family, rank)
+
+
+def test_build_looks_up_each_node_factor_once(monkeypatch):
+    # a work count, not a timing: the root walk reads a node -> factor list
+    calls = []
+    real = RootSystem.factor_of_node
+    monkeypatch.setattr(RootSystem, "factor_of_node",
+                        lambda self, i: calls.append(i) or real(self, i))
+    for name in ("E8", "A2,G2", "A1,B3,D4"):
+        calls.clear()
+        rs = parse_type(name)
+        assert len(calls) <= rs.rank
 
 
 def test_a2_build():

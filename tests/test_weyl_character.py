@@ -136,6 +136,16 @@ def test_integer_core_equals_rational_reference(case, data):
                         for i in marking.zero_based() for j in range(rs.rank))
 
 
+@pytest.mark.parametrize("name,lam", [("E6", (1, 0, 0, 0, 0, 0)),
+                                      ("E7", (0, 0, 0, 0, 0, 0, 1)),
+                                      ("E8", (0, 0, 0, 0, 0, 0, 0, 1))],
+                         ids=["E6-w1", "E7-w7", "E8-adjoint"])
+def test_integer_core_equals_rational_reference_on_e_types(name, lam):
+    # the hypothesis test above draws no E type; the last case is the E8 adjoint
+    rs = parse_type(name)
+    assert weight_multiplicities(rs, lam) == ref_multiplicities(rs, lam)
+
+
 # ---------- corrupted integer data is caught ----------
 
 def test_corrupted_coroot_is_caught():
