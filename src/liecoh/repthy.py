@@ -8,13 +8,13 @@ Algebras and Representation Theory, 21.3).  The weights w + k alpha_i, k >= 1,
 lie on levels already walked, so w - alpha_i is a weight iff w_i + p >= 1.  A
 new weight c with c_j < 0 has s_j c = c - c_j alpha_j on a level already
 walked, so its dominant representative is one reflection and one lookup away.
+
 Explicit modules are built on a weight basis by closing under the lowering
 operators.  Linear dependence is decided exactly by the raising operators:
 on the irreducible V_lam a nonzero vector of weight nu killed by every e_i
-generates a submodule with highest weight nu, so nu = lam (Humphreys,
-Introduction to Lie Algebras and Representation Theory, 20-21).  Below lam
-the map v -> (e_1 v, ..., e_r v) is therefore injective, and vectors are
-dependent iff their e-images, computed in the part already built, are.
+generates a submodule with highest weight nu, so nu = lam (Humphreys, 20-21).
+Below lam the map v -> (e_1 v, ..., e_r v) is therefore injective, and vectors
+are dependent iff their e-images, computed in the part already built, are.
 """
 
 from dataclasses import dataclass
@@ -236,7 +236,7 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
         raise ValueError(f"dim V_lam = {dim} exceeds the oracle bound {bound}")
     wsys = weight_system(rs, lam)
     alpha_fund = rs.simple_root_weights
-    # by depth below lam: den * height of omega_j is the column sum of den * C^-1
+    # top down by depth below lam; height[j] = den * height of omega_j (column sum)
     height = [sum(col) for col in zip(*rs.inverse_cartan_scaled)]
     order = sorted(wsys, key=lambda w: (-sum(map(mul, height, w)), w))
 
