@@ -92,6 +92,10 @@ SEGRE_2X2_PROLONG_SHA256 = "d2cd8a249fd96cc24875f7657996b48fb6460847e168918b3778
 # basis depends on how linear dependence is decided
 REP_SHA256 = {
     ("A2", (2, 2)): "ee957dd040e3e7b92bee480f2ac851c73fe943d9efaab38dbf641833cb733957",
+    ("A3", (1, 0, 1)): "b8babeb5c6539a02ad366beeccebb6f500e645bb73161cec0f5b521204db2885",
+    ("B3", (0, 1, 0)): "fa90f075df43b5d756553ca4e4a0b9c7e013073db9593d8eb6144385e077498f",
+    ("D4", (0, 1, 0, 0)):
+        "c2bcedb76337016e5b8a17a5e555402920aeb75c7e753fa21a368481e7b1d69f",
     ("C2", (1, 1)): "67141c6b20e1742bdfe63d9fed422884b209b691515ce69e656bddeb628810c8",
     ("B2", (2, 1)): "285cd4286927a9378d42eedc3b87ddc80111e55adac49c5d08e65ba2a12516b5",
     ("G2", (0, 1)): "d1130d175e33ce993c130f2a2581812621afc6b0c3be3768e89bf3ece8cd05d0",

@@ -128,7 +128,8 @@ def test_construct_rep_bound():
 
 REP_CASES = [("A1", (1,)), ("A1", (2,)), ("A1", (6,)), ("A2", (1, 0)),
              ("A2", (1, 1)), ("A2", (2, 2)), ("C2", (2, 0)), ("G2", (1, 0)),
-             ("A1,A1", (2, 2)), ("A3", (0, 1, 0))]
+             ("A1,A1", (2, 2)), ("A3", (0, 1, 0)), ("B3", (0, 1, 0)),
+             ("D4", (0, 1, 0, 0))]
 
 
 def scaled(c, M):
