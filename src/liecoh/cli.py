@@ -218,7 +218,7 @@ def cmd_rigidity(args):
         try:
             with open(args.scenario) as fh:
                 spec = scenario_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+        except (OSError, json.JSONDecodeError, ValueError) as e:
             raise InputError(f"cannot read scenario {args.scenario!r}: {e}") from e
     elif args.type:
         if args.marked is None or args.weight is None or args.p is None:
@@ -265,7 +265,7 @@ def cmd_tableau(args):
     try:
         with open(args.input) as fh:
             t = tableau.tableau_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, ValueError) as e:
         raise InputError(f"cannot read tableau {args.input!r}: {e}") from e
     seed = args.flag_seed
     if args.op in ("involutive", "all"):

@@ -119,6 +119,9 @@ def scenario_from_json(doc):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError("a scenario must be a JSON object")
+    for key in ("algebra", "marked", "weight", "p"):
+        if key not in doc:
+            raise ValueError(f"scenario has no {key!r}")
     for key in ("algebra", "marked", "weight"):
         if not isinstance(doc[key], list):
             raise ValueError(f"scenario {key!r} must be a list")

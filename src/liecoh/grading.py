@@ -49,9 +49,6 @@ class GradingElementValue:
 class GradedDims:
     dims: dict  # degree -> dimension
 
-    def total(self):
-        return sum(self.dims.values())
-
     def depth(self):
         return max(abs(d) for d in self.dims)
 

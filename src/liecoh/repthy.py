@@ -10,11 +10,14 @@ new weight c with c_j < 0 has s_j c = c - c_j alpha_j on a level already
 walked, so its dominant representative is one reflection and one lookup away.
 
 Explicit modules are built on a weight basis by closing under the lowering
-operators.  Linear dependence is decided exactly by the raising operators:
-on the irreducible V_lam a nonzero vector of weight nu killed by every e_i
-generates a submodule with highest weight nu, so nu = lam (Humphreys, 20-21).
-Below lam the map v -> (e_1 v, ..., e_r v) is therefore injective, and vectors
-are dependent iff their e-images, computed in the part already built, are.
+operators, and every basis vector is known by one global id.  A vector's
+e-image, the sparse map {(j, row id): x} of e_j v = sum x row over all j,
+is its column of every e_j.  Linear dependence is decided exactly by the
+raising operators: on the irreducible V_lam a nonzero vector of weight nu
+killed by every e_i generates a submodule with highest weight nu, so nu =
+lam (Humphreys, 20-21).  Below lam the map v -> (e_1 v, ..., e_r v) is
+therefore injective, and vectors are dependent iff their e-images, computed
+in the part already built, are.
 """
 
 from dataclasses import dataclass
@@ -221,14 +224,17 @@ class RepMatrices:
 def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     """Exact matrices for V_lam, built by lowering-operator closure.
 
-    Walks the weight system top down.  Each new weight space is spanned by
-    the candidates f_i b, b in the basis one level up.  The e_j f_i b =
-    f_i e_j b + delta_ij h_i b are known in the basis one level up, and
-    e = (e_1, ..., e_r) is injective below lam (module docstring).  So a
-    candidate is a new basis vector iff its e-image lies outside the span
-    of the e-images of the candidates before it, and every candidate's
-    coordinates in the new basis are those of its e-image in the chosen
-    e-images.  Freudenthal multiplicities double-check every level.
+    Walks the weight system top down and keeps every vector by its global
+    id: e_image[v] is its column of every e_j (module docstring) and
+    f_col[i][v] its column of f_i, both sparse.  Each new weight space is
+    spanned by the candidates f_i b, b a vector one level up.  As e_j f_i b
+    = f_i e_j b + delta_ij h_i b, the e-image of f_i b is the sum of c times
+    the column f_col[i][t] over the entries c at (j, t) of e_image[b], plus
+    h_i b at (i, b).  e = (e_1, ..., e_r) is injective below lam, so a
+    candidate is a new basis vector iff its e-image lies outside the span of
+    the e-images of the candidates before it, and the coordinates of f_i b in
+    the chosen e-images are the column f_col[i][b].  Freudenthal
+    multiplicities double-check every level.
     """
     lam = tuple(lam)
     dim = rs.weyl_dim(lam)
@@ -240,85 +246,45 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     height = [sum(col) for col in zip(*rs.inverse_cartan_scaled)]
     order = sorted(wsys, key=lambda w: (-sum(map(mul, height, w)), w))
 
-    basis = {}      # weight -> list of global ids
-    e_coords = {}   # (i, vid) -> coords in basis(weight + alpha_i)
-    f_coords = {}   # (i, vid) -> coords in basis(weight - alpha_i)
-    weight_of = []
-
-    def add_vector(w):
-        vid = len(weight_of)
-        weight_of.append(w)
-        basis.setdefault(w, []).append(vid)
-        return vid
-
-    add_vector(lam)
-    for nu in order:
-        if nu == lam:
-            continue
-        ups = [(i, tuple(a + b for a, b in zip(nu, af)))
-               for i, af in enumerate(alpha_fund)]
-        cands = [(i, up, b) for i, up in ups if up in basis for b in basis[up]]
-        # e_j action of each candidate f_i b, as coords in basis(nu + alpha_j)
-        cand_e = []
-        for (i, up, b) in cands:
-            per_j = {}
-            for j, upj in ups:
-                if upj not in basis:
-                    continue
-                coords = [Fraction(0)] * len(basis[upj])
-                # f_i (e_j b): e_j b lives two levels up
-                upij = tuple(a + b2 for a, b2 in zip(upj, alpha_fund[i]))
-                if upij in basis:
-                    eb = e_coords.get((j, b))
-                    if eb:
-                        for k, c in enumerate(eb):
-                            if c:
-                                fk = f_coords.get((i, basis[upij][k]))
-                                if fk:
-                                    for t, c2 in enumerate(fk):
-                                        coords[t] += c * c2
-                # + delta_ij * (nu + alpha_i)(h_j) * b
-                if i == j:
-                    hval = up[j]
-                    if hval:
-                        coords[basis[up].index(b)] += Fraction(hval)
-                per_j[j] = coords
-            cand_e.append(per_j)
-
-        # below lam, v -> (e_1 v, ..., e_r v) is injective, so the e-images
-        # decide linear dependence among the candidates
-        images = [{(j, k): c for j, coords in per_j.items() for k, c in enumerate(coords)
-                   if c} for per_j in cand_e]
+    basis = {lam: range(1)}  # weight -> global ids of its basis vectors
+    weight_of = [lam]
+    e_image = [{}]  # vid -> {(j, row vid): x}, its column of every e_j
+    f_col = [{} for _ in alpha_fund]  # f_col[i][vid] -> {row vid: x}
+    for nu in order[1:]:  # order[0] is lam
+        cands = [(i, b) for i, af in enumerate(alpha_fund)
+                 for b in basis.get(tuple(map(add, nu, af)), ())]
+        images = []
+        for i, b in cands:
+            image = {}
+            # f_i e_j b; f_col[i][t] is missing iff f_i t = 0 for want of a weight
+            for (j, t), c in e_image[b].items():
+                for r, x in f_col[i].get(t, {}).items():
+                    image[j, r] = image.get((j, r), 0) + c * x
+            if weight_of[b][i]:  # + h_i b
+                image[i, b] = image.get((i, b), 0) + Fraction(weight_of[b][i])
+            images.append({k: x for k, x in image.items() if x})
         chosen = linalg.independent_subset(images)
         if len(chosen) != wsys[nu]:
             raise InternalCheckError(
                 f"weight space {nu} of V{lam} got {len(chosen)} basis vectors, "
                 f"Freudenthal says {wsys[nu]}")
-        for x in chosen:
-            vid = add_vector(nu)
-            for j, pe in cand_e[x].items():
-                e_coords[(j, vid)] = pe
+        ids = range(len(weight_of), len(weight_of) + len(chosen))
+        basis[nu] = ids
+        weight_of += [nu] * len(chosen)
         span = [images[x] for x in chosen]
-        for (i, _, b), image in zip(cands, images):
-            f_coords[(i, b)] = linalg.solve_in_span(span, image)
+        e_image += span
+        for (i, b), image in zip(cands, images):
+            f_col[i][b] = {r: x for r, x in zip(ids, linalg.solve_in_span(span, image)) if x}
 
     if len(weight_of) != dim:
         raise InternalCheckError(
             f"V{lam} got {len(weight_of)} basis vectors, not its dimension {dim}")
-    E = [{} for _ in range(rs.rank)]
-    F = [{} for _ in range(rs.rank)]
-    H = [{} for _ in range(rs.rank)]
-    for vid, w in enumerate(weight_of):
-        for i in range(rs.rank):
-            if w[i]:
-                H[i][(vid, vid)] = Fraction(w[i])
-            # coords of e_i v (f_i v) are recorded only when w + alpha_i
-            # (w - alpha_i) is a weight
-            for M, coords, sign in ((E, e_coords, 1), (F, f_coords, -1)):
-                for k, c in enumerate(coords.get((i, vid), ())):
-                    if c:
-                        target = tuple(a + sign * b for a, b in zip(w, alpha_fund[i]))
-                        M[i][(basis[target][k], vid)] = c
+    rank = range(rs.rank)
+    E = [{(r, v): x for v, image in enumerate(e_image)
+          for (j, r), x in sorted(image.items()) if j == i} for i in rank]
+    F = [{(r, b): x for b, col in sorted(f_col[i].items()) for r, x in col.items()}
+         for i in rank]
+    H = [{(v, v): Fraction(w[i]) for v, w in enumerate(weight_of) if w[i]} for i in rank]
     return RepMatrices(rs, lam, dim, weight_of, E, F, H)
 
 

@@ -419,7 +419,12 @@ def tableau_from_json(doc):
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if not isinstance(doc, dict) or not isinstance(doc["basis"], list):
+    if not isinstance(doc, dict):
+        raise ValueError("a tableau must be a JSON object")
+    for key in ("dim_V", "dim_W", "basis"):
+        if key not in doc:
+            raise ValueError(f"tableau has no {key!r}")
+    if not isinstance(doc["basis"], list):
         raise ValueError("a tableau must be a JSON object with a list 'basis'")
     n = _dimension(doc["dim_V"])
     w = _dimension(doc["dim_W"])

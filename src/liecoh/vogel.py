@@ -15,7 +15,7 @@ from math import factorial
 class DegenerateParameters(ValueError):
     """A denominator factor vanishes at the requested parameter point."""
 
-    def __init__(self, factor_name, value=None):
+    def __init__(self, factor_name):
         self.factor_name = factor_name
         super().__init__(f"denominator factor {factor_name} vanishes")
 
@@ -42,12 +42,6 @@ class VogelParams:
         if which == "gamma":
             return VogelParams(g, b, a)
         raise ValueError(which)
-
-
-SO_SERIES = lambda n: VogelParams(-2, 4, n - 4)
-EXCEPTIONAL_ROW = {  # so8, f4, e6, e7, e8 at m = 0, 1, 2, 4, 8
-    m: VogelParams(-2, m + 4, 2 * m + 4) for m in (0, 1, 2, 4, 8)
-}
 
 
 def rational_binomial(x, y):

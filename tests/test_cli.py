@@ -144,9 +144,10 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
     scenarios = [[1], {**good, "marked": 1}, {**good, "algebra": [""]},
                  {"algebra": ["A2"], "marked": [1], "weight": [1.5, 0], "p": 0},
                  {**good, "p": 0.5},
-                 {**good, "oracle": "false"}]
+                 {**good, "oracle": "false"},
+                 {key: x for key, x in good.items() if key != "p"}]
     tableaux = [{"dim_V": 1, "dim_W": 1, "basis": [["1/0"]]}, [1],
-                {"dim_V": -1, "dim_W": 1, "basis": []}]
+                {"dim_V": -1, "dim_W": 1, "basis": []}, {"dim_W": 1, "basis": []}]
     files = []
     for k, doc in enumerate(scenarios + tableaux):
         path = tmp_path / f"input{k}.json"

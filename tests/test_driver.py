@@ -136,6 +136,14 @@ def test_scenario_json_round_trip():
     assert scenario_from_json(json.dumps(doc)) == s
 
 
+@pytest.mark.parametrize("key", ["algebra", "marked", "weight", "p"])
+def test_scenario_from_json_names_a_missing_key(key):
+    doc = {"algebra": ["A1"], "marked": [1], "weight": [2], "p": -1}
+    del doc[key]
+    with pytest.raises(ValueError, match=f"no '{key}'"):
+        scenario_from_json(doc)
+
+
 def test_report_json_round_trips_and_has_no_floats():
     v = run_scenario(spec(["A1"], {1}, (2,), -1, oracle=True))
     doc = verdict_to_json(v)

@@ -1,9 +1,14 @@
-"""Every top-level function and class of the package is named somewhere else.
+"""Every top-level function, class, constant and method of the package is named somewhere else.
 
 A definition that no module, test or demo names, apart from its own body, is
-dead code: it is kept, documented and read, yet nothing runs it.  A name
-counts wherever it is read, imported, reached as an attribute, or given as a
-string (`getattr` and `monkeypatch.setattr` take one).
+dead code: it is kept, documented and read, yet nothing runs it.  A
+top-level function, class or constant counts wherever its name is read,
+imported, reached as an attribute, or given as a string (`getattr` and
+`monkeypatch.setattr` take one); a constant's own assignment is not a use.
+A method is only ever reached through an object, so it counts only where
+its name is reached as an attribute or given as a string outside its own
+body: a local variable of the same name does not use it.  Dunder names
+are called by Python itself and are not scanned.
 """
 
 import ast
@@ -12,54 +17,107 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liecoh"
 SCANNED = [ROOT / "src", ROOT / "tests", ROOT / "demos"]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(node):
-    """Every name that `node` and its children read, import or spell as a string."""
-    out = set()
+    """Names `node` and its children read, import or spell as a string, and
+    the subset of them reached as an attribute or spelled as a string."""
+    names, attributes = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            names.add(sub.attr)
+            attributes.add(sub.attr)
         elif isinstance(sub, ast.alias):
-            out.add(sub.name.rsplit(".", 1)[-1])
+            names.add(sub.name.rsplit(".", 1)[-1])
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                 and sub.value.isidentifier():
-            out.add(sub.value)
-    return out
+            names.add(sub.value)
+            attributes.add(sub.value)
+    return names, attributes
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _own_names(node):
+    """Names a top-level statement defines: its function, class or constants."""
+    if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not _dunder(t.id)]
 
 
 def definitions(source):
-    """(line, name) of each top-level function and class in `source`."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    """(line, name) of each top-level definition and each method in `source`.
+
+    A method is named `Class.method`.
+    """
+    out = []
+    for node in ast.parse(source).body:
+        out += [(node.lineno, name) for name in _own_names(node)]
+        if isinstance(node, ast.ClassDef):
+            out += [(sub.lineno, f"{node.name}.{sub.name}") for sub in node.body
+                    if isinstance(sub, FUNCTIONS) and not _dunder(sub.name)]
+    return out
 
 
 def uses(source):
-    """Names used in `source`; a top-level definition's use of itself is left out."""
-    out = set()
+    """(names, attributes) used in `source`.
+
+    A top-level statement's use of the names it defines is left out, and so
+    is a method's use of its own name.
+    """
+    names, attributes = set(), set()
     for node in ast.parse(source).body:
-        found = _names(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found.discard(node.name)
-        out |= found
-    return out
+        parts = [node]
+        if isinstance(node, ast.ClassDef):
+            parts = [*node.decorator_list, *node.bases, *node.keywords, *node.body]
+        found = set()
+        for part in parts:
+            part_names, part_attributes = _names(part)
+            if isinstance(part, FUNCTIONS) and part is not node:
+                part_attributes.discard(part.name)
+            found |= part_names
+            attributes |= part_attributes
+        names |= found.difference(_own_names(node))
+    return names, attributes
 
 
 def dead(defining, sources):
     """(line, name) of the definitions in `defining` that no source uses."""
-    used = set().union(*map(uses, sources))
-    return [(line, name) for line, name in definitions(defining) if name not in used]
+    names, attributes = set(), set()
+    for source in sources:
+        n, a = uses(source)
+        names |= n
+        attributes |= a
+    return [(line, name) for line, name in definitions(defining)
+            if ("." in name and name.split(".")[1] not in attributes)
+            or ("." not in name and name not in names)]
 
 
 def test_scan_finds_a_dead_function():
     module = ("def f(n):\n    return f(n - 1) if n else 0\n\n"
               "def g():\n    return 1\n\n"
-              "class C:\n    pass\n\n"
-              "def h():\n    return 2\n")
-    caller = "import m\nfrom m import C\nprint(m.g(), getattr(m, 'h'))\n"
-    assert dead(module, [module, caller]) == [(1, "f")]
+              "class C:\n"
+              "    def __init__(self):\n        self.k = 0\n\n"
+              "    def used(self):\n        return self.local()\n\n"
+              "    def local(self):\n        return 0\n\n"
+              "    def named(self):\n        return 1\n\n"
+              "    def recursive(self, n):\n        return self.recursive(n - 1)\n\n"
+              "def h():\n    return 2\n\n"
+              "LIMIT = 3\n"
+              "UNUSED = LIMIT + 1\n"
+              "__all__ = ['g']\n")
+    caller = ("import m\nfrom m import C\n"
+              "used = local = recursive = 0\n"
+              "print(m.g(), getattr(m, 'h'), C().used(), getattr(C(), 'named'))\n")
+    assert dead(module, [module, caller]) == [
+        (1, "f"), (20, "C.recursive"), (27, "UNUSED")]
 
 
 def test_package_has_no_dead_functions():

@@ -436,6 +436,14 @@ def test_json_round_trip():
     assert [t2.flatten(M) for M in t2.basis] == [t.flatten(M) for M in t.basis]
 
 
+@pytest.mark.parametrize("key", ["dim_V", "dim_W", "basis"])
+def test_tableau_from_json_names_a_missing_key(key):
+    doc = tableau_to_json(cauchy_riemann_tableau())
+    del doc[key]
+    with pytest.raises(ValueError, match=f"no '{key}'"):
+        tableau_from_json(doc)
+
+
 def test_cartan_inequality_check_survives_optimize():
     # dim A^(1) above the sum of the characters must raise even under
     # python -O, which strips asserts
