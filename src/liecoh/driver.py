@@ -113,7 +113,8 @@ def rational_str(x):
 def scenario_from_json(doc):
     """ScenarioSpec from {"algebra", "marked", "weight", "p"[, "oracle"]}.
 
-    Raises ValueError on a document of the wrong shape or type.
+    Raises ValueError on a document that lacks a key or has the wrong shape
+    or type.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)

@@ -415,7 +415,8 @@ def _parse_rational(s):
 def tableau_from_json(doc):
     """{"dim_V": n, "dim_W": w, "basis": [[row-major "p/q" strings]]}.
 
-    Raises ValueError on a document of the wrong shape or type.
+    Raises ValueError on a document that lacks a key or has the wrong shape
+    or type.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -425,7 +426,7 @@ def tableau_from_json(doc):
         if key not in doc:
             raise ValueError(f"tableau has no {key!r}")
     if not isinstance(doc["basis"], list):
-        raise ValueError("a tableau must be a JSON object with a list 'basis'")
+        raise ValueError("tableau 'basis' must be a list")
     n = _dimension(doc["dim_V"])
     w = _dimension(doc["dim_W"])
     basis = []

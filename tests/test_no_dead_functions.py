@@ -91,13 +91,12 @@ def uses(source):
 def dead(defining, sources):
     """(line, name) of the definitions in `defining` that no source uses."""
     names, attributes = set(), set()
-    for source in sources:
-        n, a = uses(source)
+    for n, a in map(uses, sources):
         names |= n
         attributes |= a
     return [(line, name) for line, name in definitions(defining)
-            if ("." in name and name.split(".")[1] not in attributes)
-            or ("." not in name and name not in names)]
+            if (name.partition(".")[2] not in attributes if "." in name
+                else name not in names)]
 
 
 def test_scan_finds_a_dead_function():
