@@ -10,7 +10,8 @@ kernel_basis needs `ncols` for them.  Everything is computed over Q, so
 results are reproducible bit for bit.
 
 _echelon is the package's only row reduction: every rank, kernel,
-independent subset, solve in a span and inverse in liecoh comes from it.
+independent subset, solve in a span, inverse and echelon basis
+(echelon_rows) in liecoh comes from it.
 Its pivot rule is column by column: column c is a pivot iff it lies outside
 the span of the columns left of it (pivot_columns).  Inside a column the
 pivot is the candidate row with the fewest nonzeros; each row it updates is
@@ -90,6 +91,15 @@ def _echelon(rows):
                 heappush(leads, lead)
         out.append((c, piv))
     return out
+
+
+def echelon_rows(rows):
+    """Primitive integer {col: int} rows in echelon form, spanning the row space.
+
+    One row per pivot, in increasing pivot order; each row is zero left of
+    its pivot column, so len(echelon_rows(rows)) is the rank.
+    """
+    return [row for _, row in _echelon(integer_rows(rows))]
 
 
 def pivot_columns(rows):

@@ -12,17 +12,23 @@ eliminated once per tableau, with its columns in V*-index-major order,
 Tableau.delta_rank), and the reduced prolongation from the ranks of the
 bracket image and its skew part.  A basis of A^(1) is built (prolong) only
 when a caller asks for its vectors.
-The flag search scales each basis matrix to integers once (the scaling
-step of linalg).  Along coordinate flags it ranks each coordinate subset
-once; a random flag is evaluated with sparse integer products.  The sweep
-stops at the first flag that attains Cartan's equality, whose characters
-are then the generic ones (cartan_characters).
+A tableau keeps the primitive integer echelon rows of its flattened basis
+(Tableau.echelon), which its independence check computes anyway.  Ranks
+that depend only on the span of A -- the characters, rank delta and the
+membership check of reduced_prolongation -- are taken on those rows: an
+echelon row, W-row-major, is zero on every W-row above its pivot, so each
+flag, coordinate and delta block is a staircase instead of dense.  prolong
+and prolongation_bilinear keep the caller's basis, on which their
+coefficient vectors depend.  Along coordinate flags the flag search ranks
+each coordinate subset once; a random flag is evaluated with sparse integer
+products.  The sweep stops at the first flag that attains Cartan's equality,
+whose characters are then the generic ones (cartan_characters).
 """
 
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,10 +49,16 @@ def _dimension(x):
 
 @dataclass
 class Tableau:
-    """A tableau by its basis matrices; the basis is fixed once it is built."""
+    """A tableau by its basis matrices; the basis is fixed once it is built.
+
+    `echelon` is a second basis of A: the primitive integer echelon rows of
+    the flattened basis, {w * n + i: int} maps (n = dim V) in increasing
+    pivot order, one per basis matrix.
+    """
     dim_V: int
     dim_W: int
     basis: list  # list of dim_W x dim_V matrices, linearly independent
+    echelon: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _dimension(self.dim_V)
@@ -54,8 +66,8 @@ class Tableau:
         for M in self.basis:
             if len(M) != self.dim_W or any(len(row) != self.dim_V for row in M):
                 raise ValueError("basis matrix has wrong shape")
-        flat = [self.flatten(M) for M in self.basis]
-        if flat and linalg.rank(flat) != len(flat):
+        self.echelon = linalg.echelon_rows(self.flatten(M) for M in self.basis)
+        if len(self.echelon) != len(self.basis):
             raise ValueError("tableau basis is linearly dependent")
 
     def flatten(self, M):
@@ -69,14 +81,15 @@ class Tableau:
     def delta_rank(self):
         """rank delta, eliminated once per tableau for every dimension read from it.
 
-        The columns are relabelled V*-index-major, (a, j) -> j dim A + a,
-        which keeps the rank.  Row (w, i, j), i < j, then leads in block i,
-        so the elimination stays block-triangular instead of sending every
-        row through the a = 0 columns.
+        delta is built on the echelon basis, since its rank depends only on
+        the span of A.  The columns are relabelled V*-index-major,
+        (a, j) -> j dim A + a, which keeps the rank.  Row (w, i, j), i < j,
+        then leads in block i, so the elimination stays block-triangular
+        instead of sending every row through the a = 0 columns.
         """
         n, d = self.dim_V, self.dim
         return linalg.rank([{(k % n) * d + k // n: x for k, x in row.items()}
-                            for row in _delta_matrix(self)])
+                            for row in _delta_matrix(self.echelon, n, self.dim_W)])
 
 
 def full_tableau(dim_V, dim_W):
@@ -97,27 +110,37 @@ def cauchy_riemann_tableau():
     ])
 
 
-def _delta_matrix(t):
+def _delta_matrix(mats, n, dim_W):
     """Sparse rows of the skew-symmetrization A (x) V* -> W (x) Lambda^2 V*.
 
-    Columns follow the basis (a, j) of A (x) V* (a-major); rows follow
-    (w, i < j) of W (x) Lambda^2 V*.  Column (a, j0) is the skew part of
+    `mats` are a basis M_a of A as {w * n + i: x} maps, n = dim V.  Columns
+    follow the basis (a, j) of A (x) V* (a-major); rows follow (w, i < j) of
+    W (x) Lambda^2 V*.  Column (a, j0) is the skew part of
     B(v_i, v_j) = M_a[:, i] delta(j == j0), so row (w, i, j) holds M_a[w][i]
     in column (a, j) and -M_a[w][j] in column (a, i).
     """
-    n = t.dim_V
-    return [{**{a * n + j: M[wi][i] for a, M in enumerate(t.basis) if M[wi][i]},
-             **{a * n + i: -M[wi][j] for a, M in enumerate(t.basis) if M[wi][j]}}
-            for wi in range(t.dim_W) for i in range(n) for j in range(i + 1, n)]
+    rows = {(w, i, j): {} for w in range(dim_W) for i in range(n) for j in range(i + 1, n)}
+    for a, M in enumerate(mats):
+        for k, x in M.items():
+            w, i = divmod(k, n)
+            for j in range(i + 1, n):
+                rows[w, i, j][a * n + j] = x
+            for j in range(i):
+                rows[w, j, i][a * n + j] = -x
+    return list(rows.values())
 
 
 def prolong(t):
     """Basis of A^(1) = (A (x) V*) cap (W (x) S^2 V*).
 
-    Returned as coefficient vectors over the (a, j) basis of A (x) V*;
-    use prolongation_bilinear to expand one into a symmetric W-valued form.
+    Returned as coefficient vectors over the (a, j) basis of A (x) V*, a
+    running over the caller's basis; use prolongation_bilinear to expand one
+    into a symmetric W-valued form.
     """
-    return linalg.kernel_basis(_delta_matrix(t), t.dim * t.dim_V)
+    n = t.dim_V
+    mats = [{w * n + i: x for w, row in enumerate(M) for i, x in enumerate(row) if x}
+            for M in t.basis]
+    return linalg.kernel_basis(_delta_matrix(mats, n, t.dim_W), t.dim * n)
 
 
 def prolongation_bilinear(t, coeffs):
@@ -148,7 +171,7 @@ def prolongation_dim(t):
 def _flag_dims(mats, dim_W, flag):
     """dim A_j for j = 1..n-1 along the ordered flag basis of V.
 
-    `mats` are the basis matrices of A as {w * n + i: x} maps, n = dim V.
+    `mats` are a basis of A as {w * n + i: x} maps, n = dim V.
     A_j kills the first j flag vectors, so dim A_j is dim A minus the rank
     of the first j column blocks (width dim_W) of the rows below, whose
     entry (f, w) is M[w] . flag[f].
@@ -201,8 +224,8 @@ def cartan_characters(t, seed=FLAG_SEED):
     n = t.dim_V
     if n == 1:
         return [t.dim]
-    # scaling a basis matrix keeps its line, so every dim A_j
-    mats = linalg.integer_rows(t.flatten(M) for M in t.basis)
+    # every dim A_j depends only on the span of A
+    mats = t.echelon
     ranks = {}  # rank of A on a set of coordinate vectors
 
     def coordinate_dims(perm):
@@ -394,9 +417,9 @@ def reduced_prolongation(t, bracket_image):
                    for j in range(n)]
         skews.append([v[(wi * n + i) * n + j] - v[(wi * n + j) * n + i]
                       for wi in range(w) for i in range(n) for j in range(i + 1, n)])
-    # the basis of A is independent, so the slices lie in A iff adding them
-    # leaves the rank at dim A
-    if linalg.rank([t.flatten(M) for M in t.basis] + slices) != t.dim:
+    # the echelon rows are a basis of A, so the slices lie in A iff adding
+    # them leaves the rank at dim A
+    if linalg.rank(t.echelon + slices) != t.dim:
         raise ValueError("bracket image vector lies outside A (x) V*")
     discarded = linalg.rank(skews)
     inside = linalg.rank(bracket_image) - discarded
@@ -406,6 +429,8 @@ def reduced_prolongation(t, bracket_image):
 # ---------- JSON interface ----------
 
 def _parse_rational(s):
+    if isinstance(s, bool):  # JSON true/false, which Fraction reads as 1/0
+        raise ValueError(f"malformed rational {s!r}")
     try:
         return Fraction(s) if isinstance(s, int) else Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:

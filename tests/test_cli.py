@@ -147,7 +147,8 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
                  {**good, "oracle": "false"},
                  {key: x for key, x in good.items() if key != "p"}]
     tableaux = [{"dim_V": 1, "dim_W": 1, "basis": [["1/0"]]}, [1],
-                {"dim_V": -1, "dim_W": 1, "basis": []}, {"dim_W": 1, "basis": []}]
+                {"dim_V": -1, "dim_W": 1, "basis": []}, {"dim_W": 1, "basis": []},
+                {"dim_V": 2, "dim_W": 1, "basis": [[True, "0"]]}]
     files = []
     for k, doc in enumerate(scenarios + tableaux):
         path = tmp_path / f"input{k}.json"

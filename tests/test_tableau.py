@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -205,6 +206,22 @@ def test_dimensions_by_rank_nullity_match_the_prolongation_basis(t):
     assert torsion_quotient_dim(t) == w * n * (n - 1) // 2 - (n * t.dim - dim_p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(tableaux())
+def test_echelon_rows_are_a_primitive_echelon_basis_of_a(t):
+    rows = t.echelon
+    assert len(rows) == t.dim
+    leads = [min(row) for row in rows]
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+    for row in rows:
+        assert all(type(x) is int and x for x in row.values())
+        assert max(row) < t.dim_W * t.dim_V
+        assert math.gcd(*row.values()) == 1
+    # the rows are independent (distinct leads), so they span A iff adding the
+    # flattened basis leaves the rank at dim A
+    assert linalg.rank(rows + [t.flatten(M) for M in t.basis]) == t.dim
+
+
 def avstar_basis(t):
     """The (a, j0) basis of A (x) V* in flat (w, i, j) coordinates, a-major."""
     n, w = t.dim_V, t.dim_W
@@ -321,8 +338,33 @@ def test_delta_rank_matches_a_major_delta_and_prolongation(case):
     f2, n, a = case()
     for seed in range(2):
         t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(seed)), n, a).tableau_r_perp
-        assert t.delta_rank == linalg.rank(_delta_matrix(t))
+        user = [{k: x for k, x in enumerate(t.flatten(M)) if x} for M in t.basis]
+        assert t.delta_rank == linalg.rank(_delta_matrix(user, n, t.dim_W))
         assert t.delta_rank == n * t.dim - len(prolong(t))
+
+
+def recombined(t, rng):
+    """t rebuilt on a random unimodular recombination of its basis: the same A."""
+    U = lu_unimodular(rng, t.dim)
+    return Tableau(t.dim_V, t.dim_W,
+                   [[[sum(u * M[w][i] for u, M in zip(row, t.basis)) for i in range(t.dim_V)]
+                     for w in range(t.dim_W)] for row in U])
+
+
+def span_invariants(t):
+    return (cartan_characters(t), t.delta_rank, prolongation_dim(t), torsion_quotient_dim(t))
+
+
+def test_invariants_depend_only_on_the_span():
+    rng = random.Random(31)
+    cases = [random_tableau(rng) for _ in range(20)]
+    f2, n, a = segre_2x2()
+    cases.append(stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(0)), n, a)
+                 .tableau_r_perp)
+    for t in cases:
+        want = span_invariants(t)
+        for _ in range(2):
+            assert span_invariants(recombined(t, rng)) == want
 
 
 # ---------- the flag sweep against the full lexicographic-minimum sweep ----------
@@ -428,12 +470,39 @@ def test_involutive_sweep_stops_at_cartans_equality(monkeypatch):
     assert is_involutive(t).involutive
 
 
+def test_flag_search_work_on_dense_segre(monkeypatch):
+    # a work count, not a timing: the nonzeros of every matrix Cartan's test
+    # hands to the elimination core on the seeded dense Seg(P2 x P2), which
+    # were 27,277 when the flags and delta ran on the dense basis
+    f2, n, a = segre_2x2()
+    t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(0)), n, a).tableau_r_perp
+    nonzeros = []
+    real = linalg.pivot_columns
+
+    def counted(rows):
+        nonzeros.append(sum(1 for row in rows
+                            for x in (row.values() if isinstance(row, dict) else row) if x))
+        return real(rows)
+    monkeypatch.setattr(linalg, "pivot_columns", counted)
+    assert not is_involutive(t).involutive
+    # delta once, each proper coordinate subset once, and each random flag
+    # (all invertible) ranked once and eliminated once
+    assert len(nonzeros) == 1 + (2 ** n - 2) + 2 * RANDOM_FLAG_COUNT
+    assert sum(nonzeros) <= 21_000
+
+
 def test_json_round_trip():
     t = cauchy_riemann_tableau()
     doc = tableau_to_json(t)
     t2 = tableau_from_json(json.dumps(doc))
     assert t2.dim_V == t.dim_V and t2.dim_W == t.dim_W
     assert [t2.flatten(M) for M in t2.basis] == [t.flatten(M) for M in t.basis]
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_tableau_from_json_rejects_booleans(entry):
+    with pytest.raises(ValueError, match="malformed rational"):
+        tableau_from_json({"dim_V": 2, "dim_W": 1, "basis": [[entry, "0"]]})
 
 
 @pytest.mark.parametrize("key", ["dim_V", "dim_W", "basis"])
