@@ -6,7 +6,8 @@ and an oracle-checked `cohomology` run, of the E8 adjoint and E7 `V(w7)`
 verdicts, of the oracle-checked E6 `V(w1)` and D6 `V(w6)` verdicts with the
 oracle bound raised, of a `tableau --op all` run on `tests/tableau_small.json`, of
 `tableau --op all` and `--op characters` runs on the dense-basis Seg(P2 x P2)
-and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau, of the
+and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau,
+of the stabilizer tableaux of two seeded dense second fundamental forms, of the
 explicit matrices `construct_rep` builds on modules with a weight space of
 dimension > 1, of the weight systems and root data the Kostant route walks
 (order included), and of the stdout of every demo.  A change that keeps these bytes
@@ -16,6 +17,7 @@ must update the hashes here and say why.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -27,7 +29,8 @@ import pytest
 from liecoh.cli import main
 from liecoh.repthy import construct_rep, weight_multiplicities
 from liecoh.rootsys import parse_type
-from liecoh.tableau import prolong, stabilizer_and_tableau
+from liecoh.tableau import prolong, stabilizer_and_tableau, tableau_to_json
+from test_tableau import dense_basis, segre_1x2, segre_2x2
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -86,6 +89,14 @@ TABLEAU_SHA256 = {
 # the exact vectors of prolong(t), in order, for Seg(P2 x P2) in adapted
 # coordinates (F2 = x_i y_j on T = C^2 + C^2, N = C^2 (x) C^2)
 SEGRE_2X2_PROLONG_SHA256 = "d2cd8a249fd96cc24875f7657996b48fb6460847e168918b3778db44c346766b"
+
+# tableau_to_json of the stabilizer tableau of a seeded dense F2: Seg(P2 x P2)
+# with seed 0, and Seg(P0 x P1)'s F2 with its two N-slices scaled by 1/2 and
+# 2/3, so that the block action has denominators and r has fractional vectors
+STABILIZER_SHA256 = {
+    "segre_2x2": "1833264263cfb2a9b7923bbcb8e3a0aa28b3c372c04ad61464b16d22731aa0dd",
+    "segre_1x2_thirds": "2ee0311d46d8bad05a70c5816df2d932648ee66886873cdc49db7a4ec1ff29a4",
+}
 
 # construct_rep(type, lam): basis weights, then every e, f and h matrix as its
 # sorted nonzeros; each module has a weight space of dimension > 1, where the
@@ -250,3 +261,19 @@ def test_segre_2x2_prolongation_basis():
     t = stabilizer_and_tableau(f2, 4, 4).tableau_r_perp
     text = json.dumps([[str(x) for x in v] for v in prolong(t)])
     assert sha256(text.encode()) == SEGRE_2X2_PROLONG_SHA256
+
+
+def stabilizer_case(name):
+    if name == "segre_2x2":
+        f2, n, a = segre_2x2()
+        return dense_basis(f2, n, a, random.Random(0)), n, a
+    f2, n, a = segre_1x2()
+    dense = dense_basis(f2, n, a, random.Random(1))
+    return [[[x * s for x in row] for row in M]
+            for M, s in zip(dense, (Fraction(1, 2), Fraction(2, 3)))], n, a
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZER_SHA256))
+def test_stabilizer_tableau_basis(name):
+    t = stabilizer_and_tableau(*stabilizer_case(name)).tableau_r_perp
+    assert sha256(json.dumps(tableau_to_json(t)).encode()) == STABILIZER_SHA256[name]
