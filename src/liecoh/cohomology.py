@@ -617,7 +617,7 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
     otherwise, listing the offending pieces.  With oracle=True the per-degree
     dimensions and the g_0 pieces are recomputed from explicit matrices and
     must agree exactly (check_oracle; skipped, and said so, when dim U
-    exceeds the oracle bound).
+    exceeds the oracle bound; bound=None lifts it, as in construct_rep).
     """
     if p < -1:
         raise ValueError("p must be >= -1")
@@ -654,7 +654,7 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
     )
     if oracle:
         dim_u = rs.weyl_dim(lam)
-        if dim_u > bound:
+        if bound is not None and dim_u > bound:
             report.oracle_note = (
                 f"oracle skipped: dim U = {dim_u} exceeds bound {bound}; "
                 "the combinatorial path alone decides")

@@ -11,7 +11,9 @@ results are reproducible bit for bit.
 
 _echelon is the package's only row reduction: every rank, kernel,
 independent subset, solve in a span, inverse and echelon basis
-(echelon_rows) in liecoh comes from it.
+(echelon_rows) in liecoh comes from it.  echelon_rows goes on to the reduced
+echelon form, canonical for the span: it clears each pivot column from the
+rows above with the same fraction-free, gcd-primitive integer steps.
 Its pivot rule is column by column: column c is a pivot iff it lies outside
 the span of the columns left of it (pivot_columns).  Inside a column the
 pivot is the candidate row with the fewest nonzeros; each row it updates is
@@ -94,12 +96,39 @@ def _echelon(rows):
 
 
 def echelon_rows(rows):
-    """Primitive integer {col: int} rows in echelon form, spanning the row space.
+    """The primitive integer reduced echelon basis of the row space, canonical for it.
 
-    One row per pivot, in increasing pivot order; each row is zero left of
-    its pivot column, so len(echelon_rows(rows)) is the rank.
+    One {col: int} row per pivot, in increasing pivot order, so
+    len(echelon_rows(rows)) is the rank.  Each row is zero left of its pivot
+    column and at every other row's pivot, its pivot entry is positive and
+    its entries have gcd 1; any two bases of one span give identical rows.
     """
-    return [row for _, row in _echelon(integer_rows(rows))]
+    echelon = _echelon(integer_rows(rows))
+    # from the last pivot back, clear each pivot column from the rows above
+    for k in range(len(echelon) - 1, -1, -1):
+        c, piv = echelon[k]
+        if piv[c] < 0:
+            for j in piv:
+                piv[j] = -piv[j]
+        p = piv[c]
+        for _, row in echelon[:k]:
+            if c not in row:
+                continue
+            g = gcd(p, row[c])
+            a, b = p // g, row[c] // g
+            for j in row:
+                row[j] *= a
+            for j, x in piv.items():
+                y = row.get(j, 0) - b * x
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+            g = gcd(*row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
+    return [row for _, row in echelon]
 
 
 def pivot_columns(rows):

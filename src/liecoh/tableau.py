@@ -12,14 +12,16 @@ eliminated once per tableau, with its columns in V*-index-major order,
 Tableau.delta_rank), and the reduced prolongation from the ranks of the
 bracket image and its skew part.  A basis of A^(1) is built (prolong) only
 when a caller asks for its vectors.
-A tableau keeps the primitive integer echelon rows of its flattened basis
-(Tableau.echelon), which its independence check computes anyway.  Ranks
-that depend only on the span of A -- the characters, rank delta and the
-membership check of reduced_prolongation -- are taken on those rows: an
-echelon row, W-row-major, is zero on every W-row above its pivot, so each
-flag, coordinate and delta block is a staircase instead of dense.  prolong
-and prolongation_bilinear keep the caller's basis, on which their
-coefficient vectors depend.  Along coordinate flags the flag search ranks
+A tableau keeps the primitive integer reduced echelon rows of its flattened
+basis (Tableau.echelon), from its independence check; they are canonical
+for the span, so any basis of A gives the same rows.  Ranks that depend
+only on the span of A -- the characters, rank delta and the membership
+check of reduced_prolongation -- are taken on those rows: an echelon row,
+W-row-major, is zero on every W-row above its pivot, so each flag,
+coordinate and delta block is a staircase instead of dense, and zero at
+every other row's pivot, which keeps it sparse.  prolong and
+prolongation_bilinear keep the caller's basis, on which their coefficient
+vectors depend.  Along coordinate flags the flag search ranks
 each coordinate subset once; a random flag is evaluated with sparse integer
 products.  The sweep stops at the first flag that attains Cartan's equality,
 whose characters are then the generic ones (cartan_characters).
@@ -31,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .errors import InternalCheckError
@@ -51,9 +54,10 @@ def _dimension(x):
 class Tableau:
     """A tableau by its basis matrices; the basis is fixed once it is built.
 
-    `echelon` is a second basis of A: the primitive integer echelon rows of
-    the flattened basis, {w * n + i: int} maps (n = dim V) in increasing
-    pivot order, one per basis matrix.
+    `echelon` is a second basis of A: the primitive integer reduced echelon
+    rows of the flattened basis, {w * n + i: int} maps (n = dim V) in
+    increasing pivot order with positive pivots, one per basis matrix.  It
+    is canonical for the span: any basis of A gives the same rows.
     """
     dim_V: int
     dim_W: int
@@ -313,7 +317,8 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
 
     f2[mu][i][j] (symmetric in i, j) are the components of
     F2 in L (x) S^2 T* (x) N with the one-dimensional L factor trivialized.
-    The stabilizer r is the exact kernel of the Leibniz action; its trace-form
+    The stabilizer r is the exact kernel of the Leibniz action, which sums
+    integers over one common denominator per vector; its trace-form
     complement maps into W (x) V* with V = L* (x) T and
     W = (L* (x) N) + (T* (x) N), the L* (x) N rows landing in the first
     derived system (identically zero columns).
@@ -328,16 +333,22 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
                     raise ValueError("f2 is not symmetric")
 
     dim_block = 1 + n * n + a * a
+    # the unit images over one common denominator, so the action sums ints
     images = _unit_images(f2, n, a)
+    scale = lcm(*(v.denominator for img in images for v in img.values()))
+    images = [{key: v.numerator * (scale // v.denominator) for key, v in img.items()}
+              for img in images]
 
     def action(x):
-        """x = (xL, xT, xN) flattened; returns x.F2 as {(mu, i, j): value}."""
+        """x = (xL, xT, xN) flattened; returns x.F2 as {(mu, i, j): Fraction}."""
+        den = lcm(*(xb.denominator for xb in x))
         out = {}
         for xb, img in zip(x, images):
             if xb:
+                c = xb.numerator * (den // xb.denominator)
                 for key, v in img.items():
-                    out[key] = out.get(key, 0) + xb * v
-        return {key: v for key, v in out.items() if v}
+                    out[key] = out.get(key, 0) + c * v
+        return {key: Fraction(v, den * scale) for key, v in out.items() if v}
 
     # r = kernel of the action, as row vectors in the block space
     r_basis = linalg.kernel_basis([{b: img[key] for b, img in enumerate(images) if key in img}

@@ -214,6 +214,13 @@ def test_h1_report_oracle_skip_note():
     assert "dim U = 27" in rep.oracle_note
 
 
+def test_h1_report_without_a_bound_runs_the_oracle():
+    rs = parse_type("A2")
+    rep = h1_report(rs, ParabolicMarking({1, 2}), (2, 2), 0, oracle=True, bound=None)
+    assert rep.oracle_ran
+    assert rep.aggregate == h1_report(rs, ParabolicMarking({1, 2}), (2, 2), 0).aggregate
+
+
 def test_h1_report_rejects_bad_p():
     rs = parse_type("A1")
     with pytest.raises(ValueError):

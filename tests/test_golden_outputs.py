@@ -91,7 +91,7 @@ TABLEAU_SHA256 = {
 SEGRE_2X2_PROLONG_SHA256 = "d2cd8a249fd96cc24875f7657996b48fb6460847e168918b3778db44c346766b"
 
 # tableau_to_json of the stabilizer tableau of a seeded dense F2: Seg(P2 x P2)
-# with seed 0, and Seg(P0 x P1)'s F2 with its two N-slices scaled by 1/2 and
+# with seed 0, and Seg(P1 x P2)'s F2 with its two N-slices scaled by 1/2 and
 # 2/3, so that the block action has denominators and r has fractional vectors
 STABILIZER_SHA256 = {
     "segre_2x2": "1833264263cfb2a9b7923bbcb8e3a0aa28b3c372c04ad61464b16d22731aa0dd",

@@ -346,3 +346,36 @@ def test_map_rows_need_ncols():
     with pytest.raises(ValueError):
         linalg.kernel_basis([{0: 1}])
     assert linalg.kernel_basis([{0: 1, 2: -1}], 3) == [[F(0), F(1), F(0)], [F(1), F(0), F(1)]]
+
+
+def fraction_rref_primitive(rows, ncols):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan, then each row
+    times the lcm of its denominators over the gcd of the result: the unique
+    primitive integer rows with positive pivots, as {col: int} maps."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    out = []
+    for row in rows[:r]:
+        ints = [x * lcm(*(y.denominator for y in row)) for x in row]
+        g = gcd(*(int(x) for x in ints))
+        out.append({j: int(x) // g for j, x in enumerate(ints) if x})
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.booleans())
+def test_echelon_rows_are_the_primitive_rref(matrix, maps):
+    ncols, rows = matrix
+    given_rows = [as_map(r) for r in rows] if maps else rows
+    assert linalg.echelon_rows(given_rows) == fraction_rref_primitive(rows, ncols)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecoh import linalg
+from liecoh.errors import InternalCheckError
 from liecoh.tableau import (COORDINATE_FLAG_BUDGET, FLAG_SEED, RANDOM_FLAG_COUNT,
                             Tableau, _delta_matrix, cartan_characters,
                             cauchy_riemann_tableau,
@@ -133,6 +134,29 @@ def test_stabilizer_annihilates_exactly():
     assert pair.dim_r + pair.tableau_r_perp.dim == 1 + 4 + 4
 
 
+def test_stabilizer_checks_the_kernel_it_is_given(monkeypatch):
+    # r is the first kernel_basis; a vector outside the stabilizer, or a
+    # repeated one, added to it must trip the exact checks
+    f2, n, a = segre_1x2()
+    real = linalg.kernel_basis
+    x_l = [Fraction(int(b == 0)) for b in range(1 + n * n + a * a)]  # scales F2
+
+    def r_kernel_with(extra):
+        calls = []
+
+        def patched(rows, ncols=None):
+            out = real(rows, ncols)
+            calls.append(out)
+            return out + extra(out) if len(calls) == 1 else out
+        return patched
+    for extra, message in ((lambda r: [x_l], "does not annihilate"),
+                           (lambda r: r[:1], "do not span")):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "kernel_basis", r_kernel_with(extra))
+            with pytest.raises(InternalCheckError, match=message):
+                stabilizer_and_tableau(f2, n, a)
+
+
 def test_stabilizer_bad_input():
     with pytest.raises(ValueError):
         stabilizer_and_tableau([[[Fraction(1)]]], 2, 1)
@@ -217,6 +241,10 @@ def test_echelon_rows_are_a_primitive_echelon_basis_of_a(t):
         assert all(type(x) is int and x for x in row.values())
         assert max(row) < t.dim_W * t.dim_V
         assert math.gcd(*row.values()) == 1
+        assert row[min(row)] > 0
+    # reduced: each row is zero at every other row's pivot
+    for k, row in enumerate(rows):
+        assert all(lead not in row for m, lead in enumerate(leads) if m != k)
     # the rows are independent (distinct leads), so they span A iff adding the
     # flattened basis leaves the rank at dim A
     assert linalg.rank(rows + [t.flatten(M) for M in t.basis]) == t.dim
@@ -364,7 +392,9 @@ def test_invariants_depend_only_on_the_span():
     for t in cases:
         want = span_invariants(t)
         for _ in range(2):
-            assert span_invariants(recombined(t, rng)) == want
+            other = recombined(t, rng)
+            assert other.echelon == t.echelon
+            assert span_invariants(other) == want
 
 
 # ---------- the flag sweep against the full lexicographic-minimum sweep ----------
@@ -473,7 +503,8 @@ def test_involutive_sweep_stops_at_cartans_equality(monkeypatch):
 def test_flag_search_work_on_dense_segre(monkeypatch):
     # a work count, not a timing: the nonzeros of every matrix Cartan's test
     # hands to the elimination core on the seeded dense Seg(P2 x P2), which
-    # were 27,277 when the flags and delta ran on the dense basis
+    # were 27,277 when the flags and delta ran on the dense basis, 20,482 on
+    # a plain echelon basis and 9,053 on the reduced echelon basis
     f2, n, a = segre_2x2()
     t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(0)), n, a).tableau_r_perp
     nonzeros = []
@@ -488,7 +519,7 @@ def test_flag_search_work_on_dense_segre(monkeypatch):
     # delta once, each proper coordinate subset once, and each random flag
     # (all invertible) ranked once and eliminated once
     assert len(nonzeros) == 1 + (2 ** n - 2) + 2 * RANDOM_FLAG_COUNT
-    assert sum(nonzeros) <= 21_000
+    assert sum(nonzeros) <= 10_000
 
 
 def test_json_round_trip():
