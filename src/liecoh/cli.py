@@ -14,13 +14,14 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import cohomology, repthy, tableau, vogel
 from .cohomology import InternalCheckError
-from .driver import (adjoint_scenario, degree_json, rational_str, run_scenario,
-                     scenario_from_json, scenario_to_json, verdict_json_text,
-                     verdict_table)
+from .driver import (ScenarioSpec, adjoint_scenario, piece_json, rational_str,
+                     run_scenario, scenario_from_json, scenario_to_json,
+                     verdict_json_text, verdict_table)
 from .grading import ParabolicMarking, grade_algebra, grade_module
 from .repthy import DEFAULT_ORACLE_BOUND
 from .rootsys import parse_type
@@ -166,11 +167,7 @@ def cmd_cohomology(args):
         raise InputError(str(e)) from e
     payload = {"type": str(rs), "marked": sorted(marking.marked),
                "gamma": list(gamma),
-               "pieces": [{"levi_highest_weight": list(p.levi_highest_weight),
-                           "degree": degree_json(p.degree),
-                           "dimension": p.dimension,
-                           "source_reflection": p.source_reflection}
-                          for p in pieces]}
+               "pieces": [piece_json(p) for p in pieces]}
     lines = [f"H^1(g_-, V_{list(gamma)}) for {rs} marked {sorted(marking.marked)}:"]
     lines += [f"  degree {p.degree}  dim {p.dimension}  levi {list(p.levi_highest_weight)}"
               f"  (node {p.source_reflection})" for p in pieces]
@@ -200,13 +197,6 @@ def load_fixture(name):
     return scenario_from_json(path.read_text())
 
 
-def _scenario(data):
-    try:
-        return scenario_from_json(data)
-    except ValueError as e:
-        raise InputError(str(e)) from e
-
-
 def cmd_rigidity(args):
     if args.list_fixtures:
         for name in fixtures():
@@ -224,20 +214,20 @@ def cmd_rigidity(args):
         if args.marked is None or args.weight is None or args.p is None:
             raise InputError("--type needs --marked, --weight and --p")
         rs = _rootsystem(args.type)
-        spec = _scenario({
-            "algebra": [str(f) for f in rs.factors],
-            "marked": sorted(_marking(args.marked).marked),
-            "weight": list(_weight(args.weight, rs.rank)),
-            "p": args.p,
-            "oracle": args.oracle,
-        })
+        marked = _marking(args.marked).marked
+        weight = _weight(args.weight, rs.rank)
+        try:
+            spec = ScenarioSpec(tuple(rs.factors), marked, weight, args.p, args.oracle, rs)
+        except ValueError as e:
+            raise InputError(str(e)) from e
     else:
         raise InputError("need --fixture, --scenario, or --type/--marked/--weight")
-    if args.p is not None and (args.fixture or args.scenario):
-        spec = _scenario({**scenario_to_json(spec), "p": args.p})
-    if args.oracle and not spec.oracle:
-        spec = _scenario({**scenario_to_json(spec), "oracle": True})
     try:
+        # the --p and --oracle overrides; __post_init__ validates them again
+        if args.p is not None:
+            spec = replace(spec, p=args.p)
+        if args.oracle:
+            spec = replace(spec, oracle=True)
         verdict = run_scenario(spec, bound=oracle_bound())
     except ValueError as e:
         raise InputError(str(e)) from e

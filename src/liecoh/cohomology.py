@@ -160,9 +160,11 @@ def kostant_h1(rs, marking, gamma):
     z = grading_element(rs, marking)
     pieces = []
     for i in sorted(marking.marked):
+        # never fires: at an unmarked j, (sigma_i(mu* + rho))_j =
+        # (mu* + rho)_j - (mu* + rho)_i C[j][i] >= 1, as C[j][i] <= 0
         w = rs.affine_action(i - 1, mu_star)
         if not is_levi_dominant(rs, marking, w):
-            continue
+            raise InternalCheckError(f"sigma_{i} . {mu_star} = {w} is not Levi-dominant")
         pieces.append(H1Piece(
             levi_highest_weight=tuple(-x for x in levi_lowest(rs, marking, w)),
             degree=_as_degree(-z(w)),

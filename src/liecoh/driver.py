@@ -145,15 +145,19 @@ def scenario_to_json(spec):
     }
 
 
-def _piece_json(component, mult, piece):
+def piece_json(piece):
+    """The JSON object of one H1Piece."""
     return {
-        "component": list(component),
-        "component_multiplicity": mult,
         "levi_highest_weight": list(piece.levi_highest_weight),
         "degree": degree_json(piece.degree),
         "dimension": piece.dimension,
         "source_reflection": piece.source_reflection,
     }
+
+
+def _component_piece_json(component, mult, piece):
+    return {"component": list(component), "component_multiplicity": mult,
+            **piece_json(piece)}
 
 
 def degree_json(d):
@@ -171,9 +175,9 @@ def verdict_to_json(v):
         "verdict": v.verdict,
         "gperp": [{"weight": list(c.highest_weight), "multiplicity": c.multiplicity}
                   for c in rep.gperp],
-        "h1_pieces": [_piece_json(hw, m, pc) for hw, m, pc in rep.pieces],
+        "h1_pieces": [_component_piece_json(hw, m, pc) for hw, m, pc in rep.pieces],
         "h1_by_degree": {str(degree_json(d)): n for d, n in rep.aggregate.items()},
-        "offending": [_piece_json(hw, m, pc) for hw, m, pc in rep.offending],
+        "offending": [_component_piece_json(hw, m, pc) for hw, m, pc in rep.offending],
         "gradings": {
             "algebra": {str(d): n for d, n in rep.algebra_grading.dims.items()},
             "module": {str(d): n for d, n in rep.module_grading.dims.items()},

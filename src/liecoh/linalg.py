@@ -9,19 +9,19 @@ neither the rank, the kernel nor the row space.  Map rows carry no width, so
 kernel_basis needs `ncols` for them.  Everything is computed over Q, so
 results are reproducible bit for bit.
 
-_echelon is the package's only row reduction: every rank, kernel,
-independent subset, solve in a span, inverse and echelon basis
-(echelon_rows) in liecoh comes from it.  echelon_rows goes on to the reduced
-echelon form, canonical for the span: it clears each pivot column from the
-rows above with the same fraction-free, gcd-primitive integer steps.
-Its pivot rule is column by column: column c is a pivot iff it lies outside
-the span of the columns left of it (pivot_columns).  Inside a column the
-pivot is the candidate row with the fewest nonzeros; each row it updates is
-divided by the gcd of its entries, so rows stay primitive integers and only
-rows with a nonzero entry in the pivot column are touched.
-Back-substitution (_back_substitute) also runs on integers, over one common
-denominator per solution, so a Fraction is made only for each entry
-returned.
+There is one row step, _eliminate: it clears a column of a row with a pivot
+row by a fraction-free integer update and divides the result by the gcd of
+its entries, so rows stay primitive integers.  _echelon runs it forward:
+column by column, column c is a pivot iff it lies outside the span of the
+columns left of it (pivot_columns), and inside a column the pivot is the
+candidate row with the fewest nonzeros; only rows with a nonzero entry in
+the pivot column are touched.  Every rank, pivot set and independent subset
+comes from it.  _reduced runs the same step back: from the last pivot up it
+clears each pivot column from the rows above and makes each pivot positive,
+which gives the reduced echelon form, canonical for the span.  Every kernel
+vector, span coordinate and echelon basis is read off that form entry by
+entry, with no further elimination, and a Fraction is made only for each
+entry returned.
 """
 
 from fractions import Fraction
@@ -48,6 +48,30 @@ def integer_rows(rows):
     return out
 
 
+def _eliminate(row, piv, c):
+    """Clear column c of `row` (in place) with the pivot row `piv`.
+
+    With a/b = piv[c]/row[c] in lowest terms, row becomes a * row - b * piv
+    divided by the gcd of its entries; cancelled entries are dropped, so a
+    row in the span of piv ends up empty.
+    """
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, x in piv.items():
+        y = row.get(j, 0) - b * x
+        if y:
+            row[j] = y
+        else:
+            row.pop(j, None)
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
 def _echelon(rows):
     """Echelon form of primitive integer map rows (consumed).
 
@@ -64,27 +88,12 @@ def _echelon(rows):
         c = heappop(leads)
         group = by_lead.pop(c)
         piv = min(group, key=len)
-        p = piv[c]
         for row in group:
             if row is piv:
                 continue
-            g = gcd(p, row[c])
-            a, b = p // g, row[c] // g
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, x in piv.items():
-                y = row.get(j, 0) - b * x
-                if y:
-                    row[j] = y
-                else:
-                    row.pop(j, None)
+            _eliminate(row, piv, c)
             if not row:
                 continue
-            g = gcd(*row.values())
-            if g != 1:
-                for j in row:
-                    row[j] //= g
             lead = min(row)
             if lead in by_lead:
                 by_lead[lead].append(row)
@@ -95,6 +104,25 @@ def _echelon(rows):
     return out
 
 
+def _reduced(rows):
+    """Reduced echelon form of primitive integer map rows (consumed).
+
+    The pivots and rows of _echelon, each row now positive at its pivot and
+    zero at every other row's pivot: the unique primitive integer reduced
+    echelon basis of the span.
+    """
+    echelon = _echelon(rows)
+    for k in range(len(echelon) - 1, -1, -1):
+        c, piv = echelon[k]
+        if piv[c] < 0:
+            for j in piv:
+                piv[j] = -piv[j]
+        for _, row in echelon[:k]:
+            if c in row:
+                _eliminate(row, piv, c)
+    return echelon
+
+
 def echelon_rows(rows):
     """The primitive integer reduced echelon basis of the row space, canonical for it.
 
@@ -103,32 +131,7 @@ def echelon_rows(rows):
     column and at every other row's pivot, its pivot entry is positive and
     its entries have gcd 1; any two bases of one span give identical rows.
     """
-    echelon = _echelon(integer_rows(rows))
-    # from the last pivot back, clear each pivot column from the rows above
-    for k in range(len(echelon) - 1, -1, -1):
-        c, piv = echelon[k]
-        if piv[c] < 0:
-            for j in piv:
-                piv[j] = -piv[j]
-        p = piv[c]
-        for _, row in echelon[:k]:
-            if c not in row:
-                continue
-            g = gcd(p, row[c])
-            a, b = p // g, row[c] // g
-            for j in row:
-                row[j] *= a
-            for j, x in piv.items():
-                y = row.get(j, 0) - b * x
-                if y:
-                    row[j] = y
-                else:
-                    row.pop(j, None)
-            g = gcd(*row.values())
-            if g != 1:
-                for j in row:
-                    row[j] //= g
-    return [row for _, row in echelon]
+    return [row for _, row in _reduced(integer_rows(rows))]
 
 
 def pivot_columns(rows):
@@ -145,42 +148,6 @@ def rank(rows):
     return len(pivot_columns(rows))
 
 
-def _back_substitute(echelon, c):
-    """Solve the echelon rows for the pivot unknowns left of column c.
-
-    Returns x, a {pivot column: int} map of the nonzero unknowns, and den > 0
-    such that, for each row whose pivot is left of c, sum_j row[j] x[j] =
-    den * row[c]; x is 0 at every non-pivot column.  Pivots right of c
-    belong to rows that vanish left of c, so their unknowns are 0.
-    """
-    x = {}
-    den = 1
-    for pc, row in reversed(echelon):
-        if pc >= c:
-            continue
-        s = den * row.get(c, 0) - sum(v * x[j] for j, v in row.items() if j in x)
-        p = row[pc]
-        g = gcd(s, p)
-        if p < 0:
-            g = -g
-        s, p = s // g, p // g
-        if p != 1:
-            den *= p
-            for j in x:
-                x[j] *= p
-        if s:
-            x[pc] = s
-    return x, den
-
-
-def _fractions_over(x, den, n):
-    """The vector x / den, x a {col: int} map, as n Fractions."""
-    vec = [Fraction(0)] * n
-    for j, v in x.items():
-        vec[j] = Fraction(v, den)
-    return vec
-
-
 def kernel_basis(rows, ncols=None):
     """Basis of {v : M v = 0}; exactly ncols - rank vectors.
 
@@ -195,18 +162,17 @@ def kernel_basis(rows, ncols=None):
         if not rows or isinstance(rows[0], dict):
             raise ValueError("ncols required for an empty or sparse matrix")
         ncols = len(rows[0])
-    echelon = _echelon(integer_rows(rows))
-    pivots = {c for c, _ in echelon}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        # M v = 0 with v[fc] = 1: the pivot unknowns solve M x = -M[:, fc]
-        x, den = _back_substitute(echelon, fc)
-        x = {j: -v for j, v in x.items()}
-        x[fc] = den
-        basis.append(_fractions_over(x, den, ncols))
-    return basis
+    reduced = _reduced(integer_rows(rows))
+    pivots = {c for c, _ in reduced}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
+    for f, v in basis.items():
+        v[f] = Fraction(1)
+    # a reduced row p x_c + sum_f row[f] x_f = 0 gives x_c = -row[f] / p at x_f = 1
+    for c, row in reduced:
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = Fraction(-x, row[c])
+    return list(basis.values())
 
 
 def _columns(vectors):
@@ -228,17 +194,17 @@ def independent_subset(vectors):
     return pivot_columns(_columns(vectors))
 
 
-def solve_in_span(span, target):
-    """Coefficients c with sum c_i span_i = target, or None if not in span.
+def span_coordinates(vectors):
+    """(independent_subset(vectors), the coordinates of every vector in it).
 
-    `span` must be linearly independent.
+    coords[k] lists the c with sum_i c[i] vectors[chosen[i]] = vectors[k].
+    Row operations keep the linear relations among the columns, and in the
+    reduced echelon form of the matrix with these columns each pivot column
+    is a multiple of a unit vector, so coordinate i of column k is its entry
+    in row i over that row's pivot entry.
     """
-    k = len(span)
-    echelon = _echelon(integer_rows(_columns(list(span) + [target])))
-    if echelon and echelon[-1][0] == k:
-        return None  # inconsistent
-    if len(echelon) != k:
-        raise ValueError("span is linearly dependent")
-    x, den = _back_substitute(echelon, k)
-    return _fractions_over(x, den, k)
-
+    reduced = _reduced(integer_rows(_columns(vectors)))
+    chosen = [c for c, _ in reduced]
+    coords = [[Fraction(row.get(k, 0), row[c]) for c, row in reduced]
+              for k in range(len(vectors))]
+    return chosen, coords

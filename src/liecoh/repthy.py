@@ -233,8 +233,9 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     h_i b at (i, b).  e = (e_1, ..., e_r) is injective below lam, so a
     candidate is a new basis vector iff its e-image lies outside the span of
     the e-images of the candidates before it, and the coordinates of f_i b in
-    the chosen e-images are the column f_col[i][b].  Freudenthal
-    multiplicities double-check every level.
+    the chosen e-images are the column f_col[i][b]: one span_coordinates
+    elimination per weight space gives both.  Freudenthal multiplicities
+    double-check every level.
     """
     lam = tuple(lam)
     dim = rs.weyl_dim(lam)
@@ -263,7 +264,7 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
             if weight_of[b][i]:  # + h_i b
                 image[i, b] = image.get((i, b), 0) + Fraction(weight_of[b][i])
             images.append({k: x for k, x in image.items() if x})
-        chosen = linalg.independent_subset(images)
+        chosen, coords = linalg.span_coordinates(images)
         if len(chosen) != wsys[nu]:
             raise InternalCheckError(
                 f"weight space {nu} of V{lam} got {len(chosen)} basis vectors, "
@@ -271,10 +272,9 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
         ids = range(len(weight_of), len(weight_of) + len(chosen))
         basis[nu] = ids
         weight_of += [nu] * len(chosen)
-        span = [images[x] for x in chosen]
-        e_image += span
-        for (i, b), image in zip(cands, images):
-            f_col[i][b] = {r: x for r, x in zip(ids, linalg.solve_in_span(span, image)) if x}
+        e_image += [images[x] for x in chosen]
+        for (i, b), c in zip(cands, coords):
+            f_col[i][b] = {r: x for r, x in zip(ids, c) if x}
 
     if len(weight_of) != dim:
         raise InternalCheckError(

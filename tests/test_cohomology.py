@@ -16,7 +16,7 @@ from liecoh.cohomology import (GradedComplex, H1Piece, InternalCheckError,
 from liecoh.grading import ParabolicMarking, grading_element
 from liecoh.repthy import (DEFAULT_ORACLE_BOUND, IrrComponent,
                            structure_constants, weight_multiplicities)
-from liecoh.rootsys import parse_type
+from liecoh.rootsys import RootSystem, parse_type
 
 
 def aggregate(pieces):
@@ -231,6 +231,20 @@ def test_kostant_rejects_non_dominant():
     rs = parse_type("A2")
     with pytest.raises(ValueError):
         kostant_h1(rs, ParabolicMarking({1}), IrrComponent((1, -1)))
+
+
+def test_kostant_checks_its_reflected_weights_are_levi_dominant(monkeypatch):
+    # sigma_i . mu* is Levi-dominant for dominant mu; a weight that is not
+    # would silently lose an H^1 piece, so it must raise
+    real = RootSystem.affine_action
+
+    def broken(self, i, weight):
+        w = real(self, i, weight)
+        return w[:1] + (-1,) + w[2:]
+
+    monkeypatch.setattr(RootSystem, "affine_action", broken)
+    with pytest.raises(InternalCheckError, match="not Levi-dominant"):
+        kostant_h1(parse_type("A2"), ParabolicMarking({1}), IrrComponent((1, 1)))
 
 
 def test_graded_h1_degree_check_survives_optimize():

@@ -45,11 +45,14 @@ def test_kernel_vectors_annihilated():
         assert all(x == 0 for x in mat_vec(M, v))
 
 
-def test_solve_in_span():
-    span = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    c = linalg.solve_in_span(span, [F(2), F(3), F(5)])
-    assert c == [F(2), F(3)]
-    assert linalg.solve_in_span(span, [F(0), F(0), F(1)]) is None
+def test_span_coordinates():
+    vectors = [[F(1), F(0), F(1)], [F(2), F(0), F(2)], [F(0), F(1), F(1)],
+               [F(2), F(3), F(5)], [F(0), F(0), F(1)]]
+    chosen, coords = linalg.span_coordinates(vectors)
+    assert chosen == [0, 2, 4]
+    assert coords == [[F(1), F(0), F(0)], [F(2), F(0), F(0)], [F(0), F(1), F(0)],
+                      [F(2), F(3), F(0)], [F(0), F(0), F(1)]]
+    assert linalg.span_coordinates([]) == ([], [])
 
 
 rational = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -117,19 +120,24 @@ def test_kernel_basis_matches_fraction_back_substitution(M):
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(max_dim=6), st.data())
-def test_solve_in_span_recovers_coefficients(M, data):
+def test_span_coordinates_recover_coefficients(M, data):
     span = [M[i] for i in linalg.independent_subset(M)]
     assume(span)
-    coeffs = data.draw(st.lists(rational, min_size=len(span), max_size=len(span)))
-    target = [sum(c * v[k] for c, v in zip(coeffs, span)) for k in range(len(M[0]))]
-    assert linalg.solve_in_span(span, target) == coeffs
+    coeffs = data.draw(st.lists(st.lists(rational, min_size=len(span), max_size=len(span)),
+                                max_size=3))
+    targets = [[sum(c * v[k] for c, v in zip(cs, span)) for k in range(len(M[0]))]
+               for cs in coeffs]
+    chosen, coords = linalg.span_coordinates(span + targets)
+    assert chosen == list(range(len(span)))
+    assert coords[len(span):] == coeffs
 
 
 def test_integer_rows_are_accepted():
     M = [[2, 4, 0], [1, 2, 3]]
     assert linalg.rank(M) == 2
     assert linalg.kernel_basis(M) == [[F(-2), F(1), F(0)]]
-    assert linalg.solve_in_span([[1, 0, 1], [0, 2, 2]], [3, 4, 7]) == [F(3), F(2)]
+    assert linalg.span_coordinates([[1, 0, 1], [0, 2, 2], [3, 4, 7]]) == (
+        [0, 1], [[F(1), F(0)], [F(0), F(1)], [F(3), F(2)]])
 
 
 # ---------- contracts of the one elimination core ----------
@@ -327,19 +335,20 @@ def test_sparse_core_matches_dense_bareiss(matrix, maps):
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_matrices(), st.data(), st.booleans())
-def test_solve_in_span_matches_dense_bareiss(matrix, data, maps):
-    ncols, rows = matrix
-    assume(rows)
-    span = [rows[i] for i in dense_pivot_columns([list(c) for c in zip(*rows)])]
+def test_span_coordinates_match_dense_bareiss(matrix, data, maps):
+    ncols, vectors = matrix
+    # one more vector: a combination of the greedy span, or a random one
+    span = [vectors[i] for i in dense_pivot_columns([list(c) for c in zip(*vectors)])]
     if data.draw(st.booleans()):
         coeffs = data.draw(st.lists(entries, min_size=len(span), max_size=len(span)))
-        target = [sum((c * v[k] for c, v in zip(coeffs, span)), F(0)) for k in range(ncols)]
+        vectors = vectors + [[sum((c * v[k] for c, v in zip(coeffs, span)), F(0))
+                              for k in range(ncols)]]
     else:
-        target = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    want = dense_solve_in_span(span, target)
-    if maps:
-        span, target = [as_map(v) for v in span], as_map(target)
-    assert linalg.solve_in_span(span, target) == want
+        vectors = vectors + [data.draw(st.lists(entries, min_size=ncols, max_size=ncols))]
+    want = dense_pivot_columns([list(c) for c in zip(*vectors)])
+    chosen, coords = linalg.span_coordinates([as_map(v) for v in vectors] if maps else vectors)
+    assert chosen == want
+    assert coords == [dense_solve_in_span([vectors[i] for i in want], v) for v in vectors]
 
 
 def test_map_rows_need_ncols():

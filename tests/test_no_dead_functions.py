@@ -9,6 +9,10 @@ A method is only ever reached through an object, so it counts only where
 its name is reached as an attribute or given as a string outside its own
 body: a local variable of the same name does not use it.  Dunder names
 are called by Python itself and are not scanned.
+
+linalg is held to more: each of its public functions must be named by
+another module of the package.  One that only tests or demos name is kept
+for them alone and belongs with them.
 """
 
 import ast
@@ -99,6 +103,14 @@ def dead(defining, sources):
                 else name not in names)]
 
 
+def uncalled(defining, callers):
+    """(line, name) of the public top-level functions in `defining` that no
+    source in `callers` uses."""
+    public = {node.name for node in ast.parse(defining).body
+              if isinstance(node, FUNCTIONS) and not node.name.startswith("_")}
+    return [(line, name) for line, name in dead(defining, callers) if name in public]
+
+
 def test_scan_finds_a_dead_function():
     module = ("def f(n):\n    return f(n - 1) if n else 0\n\n"
               "def g():\n    return 1\n\n"
@@ -125,4 +137,23 @@ def test_package_has_no_dead_functions():
     assert len(paths) > 5
     found = [f"{path.name}:{line}: {name}" for path in paths
              for line, name in dead(path.read_text(), sources)]
+    assert found == []
+
+
+def test_scan_finds_a_function_only_tests_call():
+    module = ("def used():\n    return _helper()\n\n"
+              "def tested():\n    return used()\n\n"
+              "def _helper():\n    return 0\n\n"
+              "LIMIT = 3\n")
+    caller = "from . import m\nprint(m.used())\n"
+    test = "import m\nassert m.tested() == 0 and m.LIMIT\n"
+    assert dead(module, [module, caller, test]) == []
+    assert uncalled(module, [caller]) == [(4, "tested")]
+
+
+def test_linalg_functions_have_callers_in_the_package():
+    linalg = PACKAGE / "linalg.py"
+    callers = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p != linalg]
+    found = [f"linalg.py:{line}: {name}"
+             for line, name in uncalled(linalg.read_text(), callers)]
     assert found == []
