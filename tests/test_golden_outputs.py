@@ -10,7 +10,9 @@ and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P
 of the stabilizer tableaux of two seeded dense second fundamental forms, of the
 explicit matrices `construct_rep` builds on modules with a weight space of
 dimension > 1, of the weight systems and root data the Kostant route walks
-(order included), and of the stdout of every demo.  A change that keeps these bytes
+(order included), of the H^0 and H^1 that graded_weights returns grade by grade on
+the oracle complexes of the benchmark ladder and the fixtures, and of the stdout
+of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
 must update the hashes here and say why.
 """
@@ -27,6 +29,8 @@ from fractions import Fraction
 import pytest
 
 from liecoh.cli import main
+from liecoh.cohomology import graded_weights, gperp_complex, module_complex
+from liecoh.grading import ParabolicMarking
 from liecoh.repthy import construct_rep, weight_multiplicities
 from liecoh.rootsys import parse_type
 from liecoh.tableau import prolong, stabilizer_and_tableau, tableau_to_json
@@ -158,6 +162,32 @@ ROOT_DATA_SHA256 = {
     "A2,G2": "a0c72062df626473227d628f2db24203c07d1a560213ef75ae1b00bf43d97f6a",
 }
 
+# repr((sorted(h0.items()), sorted(h1.items()))) of graded_weights on
+# gperp_complex(type, marked, lam): the oracle ladder of the benchmark, then
+# every fixture that runs the oracle; "module" is module_complex, gamma = (3, 0)
+GRADED_WEIGHTS_SHA256 = {
+    ("G2", (1,), (1, 0)): "27552e2aeda6bf12266f152d534ce7ea1fdd1cf9fcc2b37d8d3e56d656158e82",
+    ("B3", (3,), (0, 0, 1)):
+        "8a92c1985d4aec7c8cca0d744ffe65679a2032fc3e01c9b22ef287c638c45641",
+    ("D4", (1,), (1, 0, 0, 0)):
+        "d229398ae311e782e9010cff03f7084ceb7eccc80734fac15dc4aade66742830",
+    ("A4", (2,), (0, 1, 0, 0)):
+        "472dbd94cc1d39ef662f79546f239a9168c4b0b7bda73ca49cec7ab2f51e85a4",
+    ("A2", (1, 2), (2, 1)): "e87d105885b57f493d509fdac45d74cad618ee2858ff62732e19cccac55b05f0",
+    ("C2", (1, 2), (1, 1)): "a0b3c39b0098e25a9fbae0e9a5622eed9253be6480b7fa765ad4c5a070865023",
+    ("A2", (1, 2), (1, 1)): "1d67157049947174253c73dd3d651ac6a682450e6cf47b166c483348e10ecfd7",
+    ("C2", (1,), (2, 0)): "291d0aee68eb526e7206d2163bff0a899b4293f03d6dda53388fb43b6d507969",
+    ("A3", (2,), (0, 1, 0)):
+        "a20a2d86a6efc4ed15982650e736bad0abe0abf35b1efd51001fb4ae3ca84ccc",
+    ("A1,A1", (1, 2), (1, 1)):
+        "3fc8824830934ffd57e39e6a259cd201ec8c41a90a976c73df3bee843ebfb1d5",
+    ("A2,A2", (1, 3), (1, 0, 1, 0)):
+        "9d4468a82cb0047d1c4a771ccfbf574f01755b64f71974f7e2435ca9a5f1f741",
+    ("A1", (1,), (2,)): "1673cc9782bc814dabb045aefdd3f4a0db1dc548efc93709803d32bfc325d309",
+    ("module", (1, 2), (3, 0)):
+        "500d26d66931200dd3c061934a6df9bcd495f0500421fcc4579616950de56335",
+}
+
 DEMO_SHA256 = {
     "01_universal_dimensions.py":
         "3e6d9dd5d08663e802f81f7a8f250cabb50dda2880c599a9e7592e4eeb4e0a6e",
@@ -236,6 +266,18 @@ def test_root_data(name):
     parts = [repr([(r.coords, r.factor, r.height, r.parent) for r in rs.positive_roots]),
              repr(list(rs.root_weights.items())), repr(rs.coroots)]
     assert sha256("\n".join(parts).encode()) == ROOT_DATA_SHA256[name]
+
+
+@pytest.mark.parametrize("name,marked,lam", sorted(GRADED_WEIGHTS_SHA256),
+                         ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x)))
+def test_graded_weights(name, marked, lam):
+    if name == "module":
+        cx = module_complex(parse_type("A2"), ParabolicMarking(set(marked)), lam)
+    else:
+        cx = gperp_complex(parse_type(name), ParabolicMarking(set(marked)), lam)
+    h0, h1 = graded_weights(cx)
+    text = repr((sorted(h0.items()), sorted(h1.items())))
+    assert sha256(text.encode()) == GRADED_WEIGHTS_SHA256[name, marked, lam]
 
 
 def test_every_demo_is_pinned():
