@@ -22,7 +22,11 @@ Two independent routes:
     is spanned by one integer multiple L f_alpha of each root vector, and
     every g-perp slice by primitive integer vectors.  So the g-perp
     commutators, its membership check, d0, d1, the d1 . d0 check and every
-    rank run on Python ints.
+    rank run on Python ints.  In each block rank d0 is the number of pivot
+    columns P of d0 and d1 is ranked only on the C^1 coordinates off P: the
+    echelon rows of im d0 and the unit vectors off P are a basis of C^1, and
+    d1 kills im d0 (the check above), so rank d1 and every dimension of H^0
+    and H^1 are those of the whole block.
 
 Levi symmetry.  g_0 normalises g_- and acts on Gamma, so it acts on every
 cochain space Lambda^k g_-^* (x) Gamma, and d commutes with that action: d is
@@ -263,6 +267,12 @@ def graded_weights(cx):
     d1 . d0 = 0 and H^1 >= 0; every bracket must respect the grading.  Any
     exact entries work; the oracles' complexes are integral, so their blocks
     are assembled, checked and ranked on ints.
+
+    rank d0 is the number of pivot columns P of d0's echelon form, and d1 is
+    ranked only on the C^1 coordinates outside P.  That is exact: the
+    echelon rows of im d0 (one leading at each column of P) and the unit
+    vectors off P form a triangular basis of C^1, and d1 kills the first
+    kind, as the d1 . d0 = 0 check of the block, made before, has shown.
     """
     depths = cx.depths
     pair_depth = {(b, c): _add(depths[b], depths[c])
@@ -323,8 +333,10 @@ def graded_weights(cx):
             d1t += rows
         if _composition_is_nonzero(d0t, d1t):
             raise InternalCheckError(f"d1 . d0 != 0 in {_grade_text(d)}")
-        rank0 = linalg.rank(d0t) if d0t else 0
-        rank1 = linalg.rank(d1t) if d1t else 0
+        # rank d1 off the pivots of d0: exact, see the docstring
+        pivots = set(linalg.pivot_columns(d0t))
+        rank0 = len(pivots)
+        rank1 = linalg.rank([row for u, row in enumerate(d1t) if u not in pivots])
         dim = (n1 - rank1) - rank0
         if dim < 0:
             raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
@@ -443,10 +455,10 @@ def _complex(rs, marking, g, basis, image, den):
     """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
 
     g is _g_by_weight of the module, and basis maps each (degree, weight)
-    grade of Gamma to the basis vectors of that slice.  image(f, vector,
-    grade) gives f . vector, for an integer matrix f that is a multiple of
-    den, as a {coordinate: int} map of its nonzero coordinates in the basis
-    of that grade.
+    grade of Gamma to the basis vectors of that slice.  image(f), called once
+    for each integer matrix f that is a multiple of den, returns the action
+    (vector, grade) -> f . vector, as a {coordinate: int} map of its nonzero
+    coordinates in the basis of that grade.
 
     The g_- basis is x_a = L f_alpha for one integer L: den times the lcm
     of the denominators of the f_alpha entries and the bracket constants.
@@ -464,10 +476,10 @@ def _complex(rs, marking, g, basis, image, den):
     sources = sorted({s for d in cx.dominant_grades
                       for s in (d, *(_lower(d, i) for i in depths)) if s in basis})
     for a, depth in enumerate(depths):
-        f = {k: x.numerator * (L // x.denominator) for k, x in fs[a].items()}
+        action = image({k: x.numerator * (L // x.denominator) for k, x in fs[a].items()})
         for s in sources:
             t = _lower(s, depth)
-            cx.act[(a, s)] = [image(f, v, t) for v in basis[s]]
+            cx.act[(a, s)] = [action(v, t) for v in basis[s]]
     return cx
 
 
@@ -486,8 +498,9 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     for vid, w in enumerate(rep.basis_weights):
         basis.setdefault((z(w), w), []).append(vid)
 
-    def image(f, vid, grade):
-        return {k: f[(r, vid)] for k, r in enumerate(basis.get(grade, ())) if (r, vid) in f}
+    def image(f):
+        return lambda vid, grade: {k: f[(r, vid)] for k, r in enumerate(basis.get(grade, ()))
+                                   if (r, vid) in f}
 
     return _complex(rs, marking, _g_by_weight(rep), basis, image, 1)
 
@@ -505,7 +518,7 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     slices.  g-perp of weight mu is cut out of its slice by trace-form
     orthogonality against the g elements of weight -mu (plus tracelessness
     at mu = 0).  The root vector f_alpha of weight -alpha acts by the
-    commutator.
+    commutator, through repthy.bracket_with(f_alpha), indexed once per root.
 
     Integral slices.  The constraint rows are scaled to primitive integer
     rows, and each kernel_basis vector of a slice to the primitive integer
@@ -564,21 +577,26 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         raise InternalCheckError("represented algebra has wrong dimension; "
                                  "weight not faithful on some factor")
 
-    def image(f, vec, grade):
-        # f has weight -alpha (checked) and vec weight mu, so every entry of
-        # [f, vec] has weight t = mu - alpha and lies in t's slice of gl(U)
-        t = grade[1]
-        target = index.get(t, {})
-        cvec = {target[pair]: x for pair, x in repthy.commutator(f, vec).items()}
-        if any(sum(x * cvec.get(k, 0) for k, x in row.items()) for row in rows.get(t, [])):
-            raise InternalCheckError("g_- action left g-perp")
-        columns = free.get(t, {})
-        coords = {}
-        for k, x in cvec.items():
-            if k in columns:
-                i, c = columns[k]
-                coords[i] = x // c  # exact: x is a multiple of den
-        return coords
+    def image(f):
+        bracket = repthy.bracket_with(f)
+
+        def action(vec, grade):
+            # f has weight -alpha (checked) and vec weight mu, so every entry of
+            # [f, vec] has weight t = mu - alpha and lies in t's slice of gl(U)
+            t = grade[1]
+            target = index.get(t, {})
+            cvec = {target[pair]: x for pair, x in bracket(vec).items()}
+            # each constraint pairing, summed over the few entries of [f, vec]
+            if any(sum(row.get(k, 0) * x for k, x in cvec.items()) for row in rows.get(t, [])):
+                raise InternalCheckError("g_- action left g-perp")
+            columns = free.get(t, {})
+            coords = {}
+            for k, x in cvec.items():
+                if k in columns:
+                    i, c = columns[k]
+                    coords[i] = x // c  # exact: x is a multiple of den
+            return coords
+        return action
 
     den = lcm(1, *(c for columns in free.values() for _, c in columns.values()))
     return _complex(rs, marking, g, basis, image, den)

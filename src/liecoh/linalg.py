@@ -2,8 +2,8 @@
 
 A matrix is a list of rows.  A row is either a {col: x} map of its nonzero
 entries or a dense list; entries are int or Fraction.  Every routine first
-scales each row to integers by the lcm of its denominators (the identity on
-integer rows) and divides it by the gcd of its entries, keeping only the
+scales each row to integers by the lcm of its denominators (a row of ints is
+only copied) and divides it by the gcd of its entries, keeping only the
 nonzeros: that is the package's single scaling step.  Scaling a row changes
 neither the rank, the kernel nor the row space.  Map rows carry no width, so
 kernel_basis needs `ncols` for them.  Everything is computed over Q, so
@@ -32,8 +32,9 @@ from math import gcd, lcm
 def integer_rows(rows):
     """Each nonzero row as a primitive {col: int} map of its nonzeros.
 
-    A row is scaled by the lcm of its denominators and divided by the gcd of
-    the result, so it keeps its line; zero rows are dropped.
+    A row is scaled by the lcm of its denominators (a row of ints is copied
+    as it is) and divided by the gcd of the result, so it keeps its line;
+    zero rows are dropped.
     """
     out = []
     for row in rows:
@@ -41,8 +42,11 @@ def integer_rows(rows):
               if x]
         if not nz:
             continue
-        den = lcm(*(x.denominator for _, x in nz))
-        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
+        if all(type(x) is int for _, x in nz):
+            ints = dict(nz)
+        else:
+            den = lcm(*(x.denominator for _, x in nz))
+            ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
         g = gcd(*ints.values())
         out.append(ints if g == 1 else {j: x // g for j, x in ints.items()})
     return out

@@ -48,6 +48,8 @@ def weight_multiplicities(rs, lam):
     The arithmetic is on integers (rs.form, see rootsys).
     """
     lam = tuple(lam)
+    if len(lam) != rs.rank:
+        raise ValueError(f"weight {lam} has {len(lam)} coordinates; the rank is {rs.rank}")
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     alpha_fund = rs.simple_root_weights
@@ -288,22 +290,32 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     return RepMatrices(rs, lam, dim, weight_of, E, F, H)
 
 
-def commutator(A, B):
-    """[A, B] = AB - BA of matrices stored as {(row, col): x} maps of nonzeros.
+def bracket_with(A):
+    """B -> [A, B] = AB - BA, for matrices stored as {(row, col): x} maps of nonzeros.
 
-    The result is stored the same way: entries that cancel are dropped.
+    A is indexed by row and by column once, so each B costs one pass over
+    its entries.  The result is stored the same way: entries that cancel are
+    dropped.
     """
     rows, cols = {}, {}
-    for (r, c), y in B.items():
-        rows.setdefault(r, []).append((c, y))
-        cols.setdefault(c, []).append((r, y))
-    C = {}
     for (r, c), x in A.items():
-        for j, y in rows.get(c, ()):  # A[r][c] B[c][j]
-            C[(r, j)] = C.get((r, j), 0) + x * y
-        for i, y in cols.get(r, ()):  # B[i][r] A[r][c]
-            C[(i, c)] = C.get((i, c), 0) - y * x
-    return {k: x for k, x in C.items() if x}
+        rows.setdefault(r, []).append((c, x))
+        cols.setdefault(c, []).append((r, x))
+
+    def bracket(B):
+        C = {}
+        for (i, j), y in B.items():
+            for r, x in cols.get(i, ()):  # A[r][i] B[i][j]
+                C[(r, j)] = C.get((r, j), 0) + x * y
+            for c, x in rows.get(j, ()):  # B[i][j] A[j][c]
+                C[(i, c)] = C.get((i, c), 0) - y * x
+        return {k: x for k, x in C.items() if x}
+    return bracket
+
+
+def commutator(A, B):
+    """[A, B] = AB - BA, as bracket_with(A) applied to B."""
+    return bracket_with(A)(B)
 
 
 def root_vector_matrices(rep):

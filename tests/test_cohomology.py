@@ -284,14 +284,21 @@ def test_oracle_reach(name, marked, lam, expected):
     assert rep.aggregate == expected
 
 
+# above it: E7/P7, dim U = 56, where W_0 = W(E6), so the oracle ranks 27
+# dominant grades of 939 slices; and the E6 adjoint, dim U = 78, unbounded
+ORACLE_REACH_LIFTED = [
+    ("E7", {7}, (0, 0, 0, 0, 0, 0, 1), 56, {-1: 351, 0: 3003}),
+    ("E6", {2}, (0, 1, 0, 0, 0, 0), None, {-2: 175, -1: 1520}),
+]
+
+
 def test_oracle_reach_above_the_default_bound():
-    # E7/P7, dim U = 56: W_0 = W(E6), so the oracle ranks 27 dominant grades
-    # of 939 slices and checks Kostant's pieces, in about a second
-    rs = parse_type("E7")
-    rep = h1_report(rs, ParabolicMarking({7}), (0, 0, 0, 0, 0, 0, 1), -1,
-                    oracle=True, bound=56)
-    assert rep.oracle_ran
-    assert rep.aggregate == {-1: 351, 0: 3003}
+    for name, marked, lam, bound, expected in ORACLE_REACH_LIFTED:
+        rs = parse_type(name)
+        assert rs.weyl_dim(lam) > DEFAULT_ORACLE_BOUND
+        rep = h1_report(rs, ParabolicMarking(marked), lam, -1, oracle=True, bound=bound)
+        assert rep.oracle_ran, name
+        assert rep.aggregate == expected, name
 
 
 def test_gperp_complex_is_graded_by_degree_and_weight():
@@ -355,27 +362,48 @@ def test_root_vector_of_wrong_weight_is_rejected(monkeypatch):
 
 
 def test_action_leaving_gperp_is_rejected(monkeypatch):
-    real_commutator = cohomology.repthy.commutator
+    real_bracket_with = cohomology.repthy.bracket_with
     real_complex = cohomology._complex
 
-    def broken(A, B):
-        # double one entry of [f, B]: still in the right weight slice, but
-        # no longer trace-orthogonal to g
-        C = real_commutator(A, B)
-        if len(C) > 1:
-            C[min(C)] *= 2
-        return C
+    def broken(A):
+        bracket = real_bracket_with(A)
+
+        def doubled(B):
+            # double one entry of [f, B]: still in the right weight slice, but
+            # no longer trace-orthogonal to g
+            C = bracket(B)
+            if len(C) > 1:
+                C[min(C)] *= 2
+            return C
+        return doubled
 
     for name, lam in MUTATED:
         with monkeypatch.context() as patch:
             def complex_with_broken_action(*args):
                 # g and the g-perp basis are built by now; only the action is broken
-                patch.setattr(cohomology.repthy, "commutator", broken)
+                patch.setattr(cohomology.repthy, "bracket_with", broken)
                 return real_complex(*args)
 
             patch.setattr(cohomology, "_complex", complex_with_broken_action)
             with pytest.raises(InternalCheckError, match="left g-perp"):
                 gperp_complex(parse_type(name), ParabolicMarking({1, 2}), lam)
+
+
+def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
+    # a work count, not a timing: the rows of d1 handed to the elimination
+    # core on C2 V(1,1) marked {1, 2}, which were all 980 rows of d1 before
+    # the rows at the pivot columns of d0 were left out
+    cx = gperp_complex(parse_type("C2"), ParabolicMarking({1, 2}), (1, 1))
+    rows = []
+    real = linalg.rank
+
+    def counted(matrix):
+        rows.append(len(matrix))
+        return real(matrix)
+    monkeypatch.setattr(linalg, "rank", counted)
+    cohomology.graded_weights(cx)
+    assert len(rows) == len(cx.dominant_grades)
+    assert sum(rows) == 743
 
 
 def _scale_of(rs, marking, cx):

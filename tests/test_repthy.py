@@ -126,6 +126,13 @@ def test_construct_rep_bound():
         construct_rep(rs, (2, 2), bound=20)
 
 
+@pytest.mark.parametrize("lam", [(0, 1, 0, 1, 0), (0, 1, 0)])
+def test_construct_rep_rejects_a_weight_of_the_wrong_length(lam):
+    # the weight walk once failed here with a bare KeyError or IndexError
+    with pytest.raises(ValueError, match="the rank is 4"):
+        construct_rep(parse_type("A4"), lam, bound=None)
+
+
 REP_CASES = [("A1", (1,)), ("A1", (2,)), ("A1", (6,)), ("A2", (1, 0)),
              ("A2", (1, 1)), ("A2", (2, 2)), ("C2", (2, 0)), ("G2", (1, 0)),
              ("A1,A1", (2, 2)), ("A3", (0, 1, 0)), ("B3", (0, 1, 0)),
