@@ -15,13 +15,13 @@ its entries, so rows stay primitive integers.  _echelon runs it forward:
 column by column, column c is a pivot iff it lies outside the span of the
 columns left of it (pivot_columns), and inside a column the pivot is the
 candidate row with the fewest nonzeros; only rows with a nonzero entry in
-the pivot column are touched.  Every rank, pivot set and independent subset
-comes from it.  _reduced runs the same step back: from the last pivot up it
-clears each pivot column from the rows above and makes each pivot positive,
-which gives the reduced echelon form, canonical for the span.  Every kernel
-vector, span coordinate and echelon basis is read off that form entry by
-entry, with no further elimination, and a Fraction is made only for each
-entry returned.
+the pivot column are touched.  Every rank and pivot set comes from it.
+_reduced runs the same step back: from the last pivot up it clears each
+pivot column from the rows above and makes each pivot positive, which gives
+the reduced echelon form, canonical for the span.  Every kernel vector,
+echelon basis, greedy independent subset and span coordinate is read off
+that form entry by entry, with no further elimination, and a Fraction is
+made only for each entry returned.
 """
 
 from fractions import Fraction
@@ -179,35 +179,23 @@ def kernel_basis(rows, ncols=None):
     return list(basis.values())
 
 
-def _columns(vectors):
-    """Map rows of the matrix whose k-th column is vectors[k] (lists or maps)."""
-    rows = {}
-    for k, v in enumerate(vectors):
-        for r, x in (v.items() if isinstance(v, dict) else enumerate(v)):
-            if x:
-                rows.setdefault(r, {})[k] = x
-    return list(rows.values())
-
-
-def independent_subset(vectors):
-    """Indices of a maximal linearly independent subset, chosen greedily.
-
-    Vector k is picked iff it is outside the span of vectors 0..k-1, i.e.
-    iff column k of the matrix with these columns is a pivot.
-    """
-    return pivot_columns(_columns(vectors))
-
-
 def span_coordinates(vectors):
-    """(independent_subset(vectors), the coordinates of every vector in it).
+    """(chosen, coords): a greedy maximal independent subset, and coordinates in it.
 
-    coords[k] lists the c with sum_i c[i] vectors[chosen[i]] = vectors[k].
+    Vector k is chosen iff it is outside the span of vectors 0..k-1, i.e.
+    iff column k of the matrix with these columns is a pivot.  coords[k]
+    lists the c with sum_i c[i] vectors[chosen[i]] = vectors[k].
     Row operations keep the linear relations among the columns, and in the
     reduced echelon form of the matrix with these columns each pivot column
     is a multiple of a unit vector, so coordinate i of column k is its entry
     in row i over that row's pivot entry.
     """
-    reduced = _reduced(integer_rows(_columns(vectors)))
+    rows = {}  # map rows of the matrix whose k-th column is vectors[k] (a list or map)
+    for k, v in enumerate(vectors):
+        for r, x in (v.items() if isinstance(v, dict) else enumerate(v)):
+            if x:
+                rows.setdefault(r, {})[k] = x
+    reduced = _reduced(integer_rows(rows.values()))
     chosen = [c for c, _ in reduced]
     coords = [[Fraction(row.get(k, 0), row[c]) for c, row in reduced]
               for k in range(len(vectors))]

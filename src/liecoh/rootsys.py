@@ -332,6 +332,8 @@ class RootSystem:
 
     def weyl_dim(self, weight):
         """Weyl dimension formula; weight must be dominant integral."""
+        if len(weight) != self.rank:
+            raise ValueError(f"weight {weight} has the wrong length; the rank is {self.rank}")
         if not self.is_dominant(weight):
             raise ValueError(f"weight {weight} is not dominant")
         return self.weyl_product(weight, range(len(self.positive_roots)))

@@ -121,7 +121,7 @@ def test_kernel_basis_matches_fraction_back_substitution(M):
 @settings(max_examples=60, deadline=None)
 @given(matrices(max_dim=6), st.data())
 def test_span_coordinates_recover_coefficients(M, data):
-    span = [M[i] for i in linalg.independent_subset(M)]
+    span = [M[i] for i in linalg.span_coordinates(M)[0]]
     assume(span)
     coeffs = data.draw(st.lists(st.lists(rational, min_size=len(span), max_size=len(span)),
                                 max_size=3))
@@ -164,7 +164,7 @@ def greedy_independent(vectors):
 @settings(max_examples=40, deadline=None)
 @given(small_vectors())
 def test_independent_subset_is_greedy(vectors):
-    assert linalg.independent_subset(vectors) == greedy_independent(vectors)
+    assert linalg.span_coordinates(vectors)[0] == greedy_independent(vectors)
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,7 +330,7 @@ def test_sparse_core_matches_dense_bareiss(matrix, maps):
     assert linalg.rank(given_rows) == len(want)
     assert linalg.kernel_basis(given_rows, ncols) == dense_kernel_basis(rows, ncols)
     columns = [[r[j] for r in rows] for j in range(ncols)]
-    assert linalg.independent_subset(columns) == want
+    assert linalg.span_coordinates(columns)[0] == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -133,6 +133,17 @@ def test_construct_rep_rejects_a_weight_of_the_wrong_length(lam):
         construct_rep(parse_type("A4"), lam, bound=None)
 
 
+@pytest.mark.parametrize("lam", [(0, 1, 0, 1, 0), (0, 1, 0)])
+def test_weyl_dim_rejects_a_weight_of_the_wrong_length(lam):
+    # zip once truncated the weight: weyl_dim((0, 1, 0)) on A4 read 10, and
+    # construct_rep refused (0, 1, 0, 1, 0) as dim 45 over the default bound
+    rs = parse_type("A4")
+    with pytest.raises(ValueError, match="the rank is 4"):
+        rs.weyl_dim(lam)
+    with pytest.raises(ValueError, match="the rank is 4"):
+        construct_rep(rs, lam)
+
+
 REP_CASES = [("A1", (1,)), ("A1", (2,)), ("A1", (6,)), ("A2", (1, 0)),
              ("A2", (1, 1)), ("A2", (2, 2)), ("C2", (2, 0)), ("G2", (1, 0)),
              ("A1,A1", (2, 2)), ("A3", (0, 1, 0)), ("B3", (0, 1, 0)),

@@ -157,6 +157,37 @@ def test_stabilizer_checks_the_kernel_it_is_given(monkeypatch):
                 stabilizer_and_tableau(f2, n, a)
 
 
+def test_stabilizer_reports_a_dependent_complement_as_an_internal_error(monkeypatch):
+    # the complement's images are not eliminated for independence, so a
+    # dependent complement (the last vector replaced by the first, which keeps
+    # the count) from the second kernel_basis must trip the tableau's check
+    f2, n, a = segre_1x2()
+    real = linalg.kernel_basis
+    calls = []
+
+    def patched(rows, ncols=None):
+        out = real(rows, ncols)
+        calls.append(out)
+        return out[:-1] + out[:1] if len(calls) == 2 else out
+    monkeypatch.setattr(linalg, "kernel_basis", patched)
+    with pytest.raises(InternalCheckError, match="does not act injectively"):
+        stabilizer_and_tableau(f2, n, a)
+
+
+def test_stabilizer_eliminates_three_times(monkeypatch):
+    # a work count: the kernel r, its complement and the tableau's echelon
+    # basis; picking an independent subset of the images made it 4
+    calls = []
+    real = linalg._echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    stabilizer_and_tableau(*segre_1x2())
+    assert len(calls) == 3
+
+
 def test_stabilizer_bad_input():
     with pytest.raises(ValueError):
         stabilizer_and_tableau([[[Fraction(1)]]], 2, 1)
@@ -217,7 +248,7 @@ def tableaux(draw):
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     mats = draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
                                   min_size=w, max_size=w), max_size=5))
-    keep = linalg.independent_subset([[x for row in M for x in row] for M in mats])
+    keep = linalg.span_coordinates([[x for row in M for x in row] for M in mats])[0]
     return Tableau(n, w, [mats[i] for i in keep])
 
 
@@ -226,6 +257,7 @@ def tableaux(draw):
 def test_dimensions_by_rank_nullity_match_the_prolongation_basis(t):
     n, w = t.dim_V, t.dim_W
     dim_p = len(prolong(t))
+    assert t.delta_rank == a_major_delta_rank(t)
     assert prolongation_dim(t) == dim_p
     assert torsion_quotient_dim(t) == w * n * (n - 1) // 2 - (n * t.dim - dim_p)
 
@@ -364,9 +396,21 @@ def test_delta_rank_matches_a_major_delta_and_prolongation(case):
     f2, n, a = case()
     for seed in range(2):
         t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(seed)), n, a).tableau_r_perp
-        user = [{k: x for k, x in enumerate(t.flatten(M)) if x} for M in t.basis]
-        assert t.delta_rank == linalg.rank(_delta_matrix(user, n, t.dim_W))
+        assert t.delta_rank == a_major_delta_rank(t)
         assert t.delta_rank == n * t.dim - len(prolong(t))
+
+
+def a_major_delta_rank(t):
+    """rank delta with _delta_matrix's own a-major columns, on the caller's basis."""
+    user = [{k: x for k, x in enumerate(t.flatten(M)) if x} for M in t.basis]
+    return linalg.rank(_delta_matrix(user, t.dim_V, t.dim_W))
+
+
+@pytest.mark.parametrize("name", ["small", "quadric_5_dense", "segre_2x2_dense"])
+def test_delta_rank_matches_a_major_delta_on_the_json_tableaux(name):
+    with open(os.path.join(os.path.dirname(__file__), f"tableau_{name}.json")) as fh:
+        t = tableau_from_json(fh.read())
+    assert t.delta_rank == a_major_delta_rank(t)
 
 
 def recombined(t, rng):
