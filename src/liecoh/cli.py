@@ -4,8 +4,12 @@ Subcommands: vogel, grading, gperp, cohomology, rigidity, tableau, adjoint.
 Weight coordinates are comma-separated integers in Bourbaki fundamental-
 weight order, concatenated across factors; node indices are 1-based.
 All rationals serialize as "p/q" strings; nothing is ever printed in
-floating point.  Exit codes: 0 success, 2 bad input, 1 failed internal
-consistency check.
+floating point.
+
+`main` is the one place that maps an exception to an exit code: 0 success,
+2 for a ValueError (rejected input, with its message after "error:"), 1 for
+an InternalCheckError (a failed exact consistency check).  Any other
+exception is a bug and keeps its traceback.
 """
 
 import argparse
@@ -14,52 +18,30 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
-from fractions import Fraction
+from dataclasses import asdict, replace
 
 from . import cohomology, repthy, tableau, vogel
-from .cohomology import InternalCheckError
 from .driver import (ScenarioSpec, adjoint_scenario, piece_json, rational_str,
                      run_scenario, scenario_from_json, scenario_to_json,
                      verdict_json_text, verdict_table)
+from .errors import InternalCheckError
 from .grading import ParabolicMarking, grade_algebra, grade_module
 from .repthy import DEFAULT_ORACLE_BOUND
 from .rootsys import parse_type
-
-
-class InputError(ValueError):
-    pass
-
-
-def _rat(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"malformed rational {text!r}") from e
 
 
 def _weight(text, rank=None):
     try:
         w = tuple(int(c) for c in text.split(","))
     except ValueError as e:
-        raise InputError(f"malformed weight {text!r}: coordinates must be integers") from e
+        raise ValueError(f"malformed weight {text!r}: coordinates must be integers") from e
     if rank is not None and len(w) != rank:
-        raise InputError(f"weight {text!r} has {len(w)} coordinates, expected {rank}")
+        raise ValueError(f"weight {text!r} has {len(w)} coordinates, expected {rank}")
     return w
 
 
 def _marking(text):
-    try:
-        return ParabolicMarking(int(c) for c in text.split(","))
-    except ValueError as e:
-        raise InputError(str(e)) from e
-
-
-def _rootsystem(text):
-    try:
-        return parse_type(text)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    return ParabolicMarking(int(c) for c in text.split(","))
 
 
 def oracle_bound():
@@ -69,9 +51,9 @@ def oracle_bound():
     try:
         bound = int(raw)
     except ValueError as e:
-        raise InputError(f"ORACLE_DIM_MAX = {raw!r} is not an integer") from e
+        raise ValueError(f"ORACLE_DIM_MAX = {raw!r} is not an integer") from e
     if bound < 0:
-        raise InputError(f"ORACLE_DIM_MAX = {raw!r} is negative")
+        raise ValueError(f"ORACLE_DIM_MAX = {raw!r} is negative")
     return bound
 
 
@@ -85,9 +67,9 @@ def _emit(args, payload, table_lines):
 # ---------- subcommands ----------
 
 def cmd_vogel(args):
-    params = [_rat(x) for x in args.params.split(",")]
+    params = [tableau.parse_rational(x) for x in args.params.split(",")]
     if len(params) != 3:
-        raise InputError(f"--params needs three values alpha,beta,gamma, got {len(params)}")
+        raise ValueError(f"--params needs three values alpha,beta,gamma, got {len(params)}")
     a, b, g = params
     p = vogel.VogelParams(a, b, g)
     try:
@@ -100,9 +82,7 @@ def cmd_vogel(args):
         else:
             value, label = vogel.dim_g(p), "dim g"
     except vogel.DegenerateParameters as e:
-        raise InputError(f"degenerate parameter point: {e}") from e
-    except ValueError as e:
-        raise InputError(str(e)) from e
+        raise ValueError(f"degenerate parameter point: {e}") from e
     if args.format == "json":
         print(json.dumps({"params": [rational_str(x) for x in (a, b, g)],
                           "t": rational_str(p.t), "label": label,
@@ -113,36 +93,29 @@ def cmd_vogel(args):
 
 
 def cmd_grading(args):
-    rs = _rootsystem(args.type)
+    rs = parse_type(args.type)
     marking = _marking(args.marked)
-    try:
-        marking.validate(rs)
-        alg = grade_algebra(rs, marking)
-        payload = {"type": str(rs), "marked": sorted(marking.marked),
-                   "algebra": {str(d): n for d, n in alg.dims.items()},
-                   "depth": alg.depth()}
-        lines = [f"algebra grading of {rs}, marked {sorted(marking.marked)}:",
-                 f"  {alg.dims}  (depth {alg.depth()})"]
-        if args.weight:
-            w = _weight(args.weight, rs.rank)
-            mod = grade_module(rs, marking, w)
-            payload["weight"] = list(w)
-            payload["module"] = {str(d): n for d, n in mod.dims.items()}
-            lines.append(f"module grading of V_{list(w)} (top = 0):")
-            lines.append(f"  {mod.dims}")
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    alg = grade_algebra(rs, marking)
+    payload = {"type": str(rs), "marked": sorted(marking.marked),
+               "algebra": {str(d): n for d, n in alg.dims.items()},
+               "depth": alg.depth()}
+    lines = [f"algebra grading of {rs}, marked {sorted(marking.marked)}:",
+             f"  {alg.dims}  (depth {alg.depth()})"]
+    if args.weight:
+        w = _weight(args.weight, rs.rank)
+        mod = grade_module(rs, marking, w)
+        payload["weight"] = list(w)
+        payload["module"] = {str(d): n for d, n in mod.dims.items()}
+        lines.append(f"module grading of V_{list(w)} (top = 0):")
+        lines.append(f"  {mod.dims}")
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_gperp(args):
-    rs = _rootsystem(args.type)
+    rs = parse_type(args.type)
     w = _weight(args.weight, rs.rank)
-    try:
-        comps = repthy.gperp_decompose(rs, w)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    comps = repthy.gperp_decompose(rs, w)
     dims = [(list(c.highest_weight), c.multiplicity,
              rs.weyl_dim(c.highest_weight)) for c in comps]
     payload = {"type": str(rs), "weight": list(w),
@@ -157,14 +130,10 @@ def cmd_gperp(args):
 
 
 def cmd_cohomology(args):
-    rs = _rootsystem(args.type)
+    rs = parse_type(args.type)
     marking = _marking(args.marked)
     gamma = _weight(args.gamma, rs.rank)
-    try:
-        marking.validate(rs)
-        pieces = cohomology.kostant_h1(rs, marking, repthy.IrrComponent(gamma))
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    pieces = cohomology.kostant_h1(rs, marking, repthy.IrrComponent(gamma))
     payload = {"type": str(rs), "marked": sorted(marking.marked),
                "gamma": list(gamma),
                "pieces": [piece_json(p) for p in pieces]}
@@ -172,10 +141,7 @@ def cmd_cohomology(args):
     lines += [f"  degree {p.degree}  dim {p.dimension}  levi {list(p.levi_highest_weight)}"
               f"  (node {p.source_reflection})" for p in pieces]
     if args.oracle:
-        try:
-            cx = cohomology.module_complex(rs, marking, gamma, bound=oracle_bound())
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        cx = cohomology.module_complex(rs, marking, gamma, bound=oracle_bound())
         dims = cohomology.check_oracle(cx, [(1, p) for p in pieces])
         payload["oracle"] = {str(d): n for d, n in dims.items()}
         lines.append(f"oracle agreed: { {str(k): v for k, v in dims.items()} }")
@@ -193,7 +159,7 @@ def load_fixture(name):
     root = importlib.resources.files("liecoh") / "fixtures"
     path = root / f"{name}.json"
     if not path.is_file():
-        raise InputError(f"unknown fixture {name!r}; available: {', '.join(fixtures())}")
+        raise ValueError(f"unknown fixture {name!r}; available: {', '.join(fixtures())}")
     return scenario_from_json(path.read_text())
 
 
@@ -208,41 +174,32 @@ def cmd_rigidity(args):
         try:
             with open(args.scenario) as fh:
                 spec = scenario_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError) as e:
-            raise InputError(f"cannot read scenario {args.scenario!r}: {e}") from e
+        except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+            raise ValueError(f"cannot read scenario {args.scenario!r}: {e}") from e
     elif args.type:
         if args.marked is None or args.weight is None or args.p is None:
-            raise InputError("--type needs --marked, --weight and --p")
-        rs = _rootsystem(args.type)
+            raise ValueError("--type needs --marked, --weight and --p")
+        rs = parse_type(args.type)
         marked = _marking(args.marked).marked
         weight = _weight(args.weight, rs.rank)
-        try:
-            spec = ScenarioSpec(tuple(rs.factors), marked, weight, args.p, args.oracle, rs)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        spec = ScenarioSpec(tuple(rs.factors), marked, weight, args.p, args.oracle, rs)
     else:
-        raise InputError("need --fixture, --scenario, or --type/--marked/--weight")
-    try:
-        # the --p and --oracle overrides; __post_init__ validates them again
-        if args.p is not None:
-            spec = replace(spec, p=args.p)
-        if args.oracle:
-            spec = replace(spec, oracle=True)
-        verdict = run_scenario(spec, bound=oracle_bound())
-    except ValueError as e:
-        raise InputError(str(e)) from e
+        raise ValueError("need --fixture, --scenario, or --type/--marked/--weight")
+    # the --p and --oracle overrides; __post_init__ validates them again
+    if args.p is not None:
+        spec = replace(spec, p=args.p)
+    if args.oracle:
+        spec = replace(spec, oracle=True)
+    verdict = run_scenario(spec, bound=oracle_bound())
     print(verdict_json_text(verdict) if args.format == "json" else verdict_table(verdict))
     return 0
 
 
 def cmd_adjoint(args):
-    rs = _rootsystem(args.type)
+    rs = parse_type(args.type)
     if len(rs.factors) != 1:
-        raise InputError("adjoint scenarios are defined for a single simple factor")
-    try:
-        spec = adjoint_scenario(rs.factors[0], oracle=args.oracle)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+        raise ValueError("adjoint scenarios are defined for a single simple factor")
+    spec = adjoint_scenario(rs.factors[0], oracle=args.oracle)
     if args.run:
         verdict = run_scenario(spec, bound=oracle_bound())
         print(verdict_json_text(verdict) if args.format == "json" else verdict_table(verdict))
@@ -255,16 +212,12 @@ def cmd_tableau(args):
     try:
         with open(args.input) as fh:
             t = tableau.tableau_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        raise InputError(f"cannot read tableau {args.input!r}: {e}") from e
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise ValueError(f"cannot read tableau {args.input!r}: {e}") from e
     seed = args.flag_seed
     if args.op in ("involutive", "all"):
         rep = tableau.is_involutive(t, seed)
-        payload = {"dim_A": rep.dim_A, "characters": rep.characters,
-                   "dim_prolongation": rep.dim_prolongation, "bound": rep.bound,
-                   "involutive": rep.involutive,
-                   "character_of_generality": rep.character_of_generality,
-                   "generality_dim": rep.generality_dim}
+        payload = asdict(rep)
         lines = [f"dim A = {rep.dim_A}", f"A_j dims = {rep.characters}",
                  f"dim A^(1) = {rep.dim_prolongation}  bound = {rep.bound}",
                  f"involutive: {rep.involutive}"]
@@ -284,7 +237,7 @@ def cmd_tableau(args):
         payload = {"torsion_quotient_dim": dim}
         lines = [f"dim W (x) Lambda^2 V* / delta(A (x) V*) = {dim}"]
     else:
-        raise InputError(f"unknown tableau op {args.op!r}")
+        raise ValueError(f"unknown tableau op {args.op!r}")
     _emit(args, payload, lines)
     return 0
 
@@ -365,7 +318,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalCheckError as e:

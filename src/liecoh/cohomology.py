@@ -123,6 +123,7 @@ def is_levi_dominant(rs, marking, weight):
 
 def levi_weyl_dim(rs, marking, weight):
     """Weyl dimension formula over the Levi's positive roots (unmarked support)."""
+    rs.check_length(weight)
     if not is_levi_dominant(rs, marking, weight):
         raise ValueError(f"{weight} is not Levi-dominant")
     return rs.weyl_product(weight, [k for k, r in enumerate(rs.positive_roots)

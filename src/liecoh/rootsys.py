@@ -332,8 +332,6 @@ class RootSystem:
 
     def weyl_dim(self, weight):
         """Weyl dimension formula; weight must be dominant integral."""
-        if len(weight) != self.rank:
-            raise ValueError(f"weight {weight} has the wrong length; the rank is {self.rank}")
         if not self.is_dominant(weight):
             raise ValueError(f"weight {weight} is not dominant")
         return self.weyl_product(weight, range(len(self.positive_roots)))
@@ -345,6 +343,7 @@ class RootSystem:
         dimension, a Levi's give the Levi's.  The quotient must be a
         positive integer, which is checked.
         """
+        self.check_length(weight)
         num = den = 1
         for k in roots:
             ht = self.coroot_heights[k]
@@ -356,8 +355,14 @@ class RootSystem:
                 "positive integer")
         return num // den
 
+    def check_length(self, weight):
+        """ValueError unless weight has one coordinate per simple root."""
+        if len(weight) != self.rank:
+            raise ValueError(f"weight {weight} has the wrong length; the rank is {self.rank}")
+
     def dual_weight(self, weight):
         """Highest weight of the dual module, via the diagram involution."""
+        self.check_length(weight)
         out = list(weight)
         for f, off in zip(self.factors, self.offsets):
             n = f.rank

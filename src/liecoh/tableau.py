@@ -447,7 +447,8 @@ def reduced_prolongation(t, bracket_image):
 
 # ---------- JSON interface ----------
 
-def _parse_rational(s):
+def parse_rational(s):
+    """Fraction(s) for an int, else Fraction(str(s)); ValueError otherwise and on a bool."""
     if isinstance(s, bool):  # JSON true/false, which Fraction reads as 1/0
         raise ValueError(f"malformed rational {s!r}")
     try:
@@ -477,7 +478,7 @@ def tableau_from_json(doc):
     for flat in doc["basis"]:
         if not isinstance(flat, list) or len(flat) != n * w:
             raise ValueError("basis entry has wrong length")
-        vals = [_parse_rational(x) for x in flat]
+        vals = [parse_rational(x) for x in flat]
         basis.append([vals[r * n:(r + 1) * n] for r in range(w)])
     return Tableau(n, w, basis)
 

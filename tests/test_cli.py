@@ -1,8 +1,8 @@
 import json
 
-import pytest
-
+from liecoh import cohomology, tableau
 from liecoh.cli import fixtures, load_fixture, main
+from liecoh.errors import InternalCheckError
 from liecoh.tableau import cauchy_riemann_tableau, tableau_to_json
 
 
@@ -189,6 +189,30 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "ORACLE_DIM_MAX" in err, argv
+
+
+def test_internal_check_error_exits_1(capsys, monkeypatch):
+    def broken(cx, pieces):
+        raise InternalCheckError("oracle disagrees")
+    monkeypatch.setattr(cohomology, "check_oracle", broken)
+    code, out, err = run(capsys, "cohomology", "--type", "A1", "--marked", "1",
+                         "--gamma", "2", "--oracle")
+    assert code == 1
+    assert out == ""
+    assert err == "internal consistency failure: oracle disagrees\n"
+
+
+def test_value_error_from_any_library_call_exits_2(capsys, tmp_path, monkeypatch):
+    # no per-command wrapper: main alone turns a ValueError into exit 2
+    def rejecting(t, seed):
+        raise ValueError("tableau rejected")
+    monkeypatch.setattr(tableau, "is_involutive", rejecting)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tableau_to_json(cauchy_riemann_tableau())))
+    code, out, err = run(capsys, "tableau", "--input", str(path), "--op", "all")
+    assert code == 2
+    assert out == ""
+    assert err == "error: tableau rejected\n"
 
 
 def test_no_floats_in_rigidity_json(capsys):

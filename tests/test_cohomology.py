@@ -175,6 +175,19 @@ def test_levi_weyl_dim():
         levi_weyl_dim(rs, marking, (0, -1))
 
 
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 0), (1, 0, 5)])
+def test_kostant_route_rejects_a_weight_of_the_wrong_length(weight):
+    # zip and sliced blocks would truncate such a weight without a word
+    rs = parse_type("A2")
+    for marked in ({1}, {2}, {1, 2}):
+        marking = ParabolicMarking(marked)
+        for call in (lambda: kostant_h1(rs, marking, IrrComponent(weight)),
+                     lambda: kostant_h0(rs, marking, IrrComponent(weight)),
+                     lambda: levi_weyl_dim(rs, marking, weight)):
+            with pytest.raises(ValueError, match="wrong length; the rank is 2"):
+                call()
+
+
 def test_gperp_oracle_a2_adjoint():
     rs = parse_type("A2")
     got = gperp_direct_h1(rs, ParabolicMarking({1, 2}), (1, 1))
