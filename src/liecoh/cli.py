@@ -41,7 +41,12 @@ def _weight(text, rank=None):
 
 
 def _marking(text):
-    return ParabolicMarking(int(c) for c in text.split(","))
+    try:
+        nodes = [int(c) for c in text.split(",")]
+    except ValueError as e:
+        raise ValueError(f"malformed --marked {text!r}: expected comma-separated integer "
+                         "node numbers, such as 1,3") from e
+    return ParabolicMarking(nodes)
 
 
 def oracle_bound():

@@ -458,8 +458,10 @@ def _complex(rs, marking, g, basis, image, den):
     g is _g_by_weight of the module, and basis maps each (degree, weight)
     grade of Gamma to the basis vectors of that slice.  image(f), called once
     for each integer matrix f that is a multiple of den, returns the action
-    (vector, grade) -> f . vector, as a {coordinate: int} map of its nonzero
-    coordinates in the basis of that grade.
+    on a whole slice, (vectors, grade) -> [f . vector for each vector], each
+    as a {coordinate: int} map of its nonzero coordinates in the basis of
+    that grade; it is called once per (root vector, source slice), so what
+    depends only on the target grade is looked up once for the slice.
 
     The g_- basis is x_a = L f_alpha for one integer L: den times the lcm
     of the denominators of the f_alpha entries and the bracket constants.
@@ -479,8 +481,7 @@ def _complex(rs, marking, g, basis, image, den):
     for a, depth in enumerate(depths):
         action = image({k: x.numerator * (L // x.denominator) for k, x in fs[a].items()})
         for s in sources:
-            t = _lower(s, depth)
-            cx.act[(a, s)] = [action(v, t) for v in basis[s]]
+            cx.act[(a, s)] = action(basis[s], _lower(s, depth))
     return cx
 
 
@@ -500,8 +501,10 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
         basis.setdefault((z(w), w), []).append(vid)
 
     def image(f):
-        return lambda vid, grade: {k: f[(r, vid)] for k, r in enumerate(basis.get(grade, ()))
-                                   if (r, vid) in f}
+        def action(vids, grade):
+            targets = list(enumerate(basis.get(grade, ())))
+            return [{k: f[(r, vid)] for k, r in targets if (r, vid) in f} for vid in vids]
+        return action
 
     return _complex(rs, marking, _g_by_weight(rep), basis, image, 1)
 
@@ -522,11 +525,12 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     commutator, through repthy.bracket_with(f_alpha), indexed once per root.
 
     Integral slices.  The constraint rows are scaled to primitive integer
-    rows, and each kernel_basis vector of a slice to the primitive integer
-    vector on its line, c times the vector with 1 at its free column: a
-    diagonal change of basis of Gamma.  The coordinates of a g-perp element
-    X are then X[free column] / c.  _complex hands image integer matrices
-    f that are multiples of den, the lcm of every c, so [f, vector] and the
+    rows, and linalg.integer_kernel reads each g-perp basis vector of a slice
+    straight off their reduced echelon form as the primitive integer vector
+    on its line, c times the vector with 1 at its free column: a diagonal
+    change of basis of Gamma.  The coordinates of a g-perp element X are
+    then X[free column] / c.  _complex hands image integer matrices f that
+    are multiples of den, the lcm of every c, so [f, vector] and the
     division by c are exact integer arithmetic.
     """
     marking.validate(rs)
@@ -542,24 +546,23 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         for w in range(n):
             pairs_by_weight.setdefault(_difference(wts[v], wts[w]), []).append((v, w))
 
-    index = {}   # weight -> {(v, w): position in the slice}
-    rows = {}    # weight -> integer constraint rows cutting g-perp out of the slice
+    checks = {}  # weight -> integer constraint rows cutting g-perp out of the slice, by (v, w)
     basis = {}   # (degree, weight) -> primitive integer vectors as {(v, w): x}
-    free = {}    # weight -> {free column: (position of its basis vector, c)}
+    free = {}    # weight -> {(v, w) at a free column: (position of its basis vector, c)}
     g_rank = 0
     for mu, pairs in sorted(pairs_by_weight.items()):
-        index[mu] = {p: k for k, p in enumerate(pairs)}
+        index = {p: k for k, p in enumerate(pairs)}
         # tr(B M) = sum B[v][w] M[w][v] pairs the slice with weight -mu only
-        rows[mu] = linalg.integer_rows(
-            [{index[mu][(c, r)]: x for (r, c), x in M.items()}
-             for M in g.get(tuple(-x for x in mu), [])])
+        rows = linalg.integer_rows([{index[(c, r)]: x for (r, c), x in M.items()}
+                                    for M in g.get(tuple(-x for x in mu), [])])
         if mu == zero:
             for M in g[zero]:
                 if sum(x for (r, c), x in M.items() if r == c):
                     raise InternalCheckError("g-perp bookkeeping failed: an element "
                                              "of the Cartan subalgebra has nonzero trace")
-            rows[mu].append({k: 1 for k, (v, w) in enumerate(pairs) if v == w})
-        vectors = linalg.integer_rows(linalg.kernel_basis(rows[mu], len(pairs)))
+            rows.append({k: 1 for k, (v, w) in enumerate(pairs) if v == w})
+        checks[mu] = [{pairs[k]: x for k, x in row.items()} for row in rows]
+        vectors = linalg.integer_kernel(rows, len(pairs))
         # rank-nullity; at weight 0 the trace row is independent of g's rows,
         # since g acts by traceless matrices (checked just above)
         g_rank += len(pairs) - len(vectors) - (mu == zero)
@@ -569,11 +572,11 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
                 raise InternalCheckError(f"gl(U) slice of non-integral degree {degree}")
             basis[(int(degree), mu)] = [{pairs[k]: x for k, x in vec.items()}
                                         for vec in vectors]
-            # a kernel_basis vector is 1 at its free column and 0 at the
-            # others, and its free column is its last nonzero entry; scaled
-            # by c, the coordinate read off that column is divided by c
+            # an integer_kernel vector is c > 0 at its free column, its last
+            # key, and 0 at the other free columns, so the coordinate read off
+            # that column is divided by c
             lasts = [max(vec) for vec in vectors]
-            free[mu] = {k: (i, vectors[i][k]) for i, k in enumerate(lasts)}
+            free[mu] = {pairs[k]: (i, vectors[i][k]) for i, k in enumerate(lasts)}
     if g_rank != rs.dim_g():
         raise InternalCheckError("represented algebra has wrong dimension; "
                                  "weight not faithful on some factor")
@@ -581,22 +584,27 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     def image(f):
         bracket = repthy.bracket_with(f)
 
-        def action(vec, grade):
-            # f has weight -alpha (checked) and vec weight mu, so every entry of
-            # [f, vec] has weight t = mu - alpha and lies in t's slice of gl(U)
-            t = grade[1]
-            target = index.get(t, {})
-            cvec = {target[pair]: x for pair, x in bracket(vec).items()}
-            # each constraint pairing, summed over the few entries of [f, vec]
-            if any(sum(row.get(k, 0) * x for k, x in cvec.items()) for row in rows.get(t, [])):
-                raise InternalCheckError("g_- action left g-perp")
-            columns = free.get(t, {})
-            coords = {}
-            for k, x in cvec.items():
-                if k in columns:
-                    i, c = columns[k]
-                    coords[i] = x // c  # exact: x is a multiple of den
-            return coords
+        def action(vectors, grade):
+            # f has weight -alpha (checked) and each vector weight mu, so every
+            # entry of [f, vector] has weight t = mu - alpha and lies in t's
+            # slice of gl(U): one lookup of its checks and free columns serves
+            # the whole slice
+            constraints = checks.get(grade[1], ())
+            columns = free.get(grade[1], {})
+            out = []
+            for vec in vectors:
+                entries = bracket(vec)
+                # each constraint pairing, summed over the few entries of [f, vec]
+                if any(sum(row.get(pair, 0) * x for pair, x in entries.items())
+                       for row in constraints):
+                    raise InternalCheckError("g_- action left g-perp")
+                coords = {}
+                for pair, x in entries.items():
+                    if pair in columns:
+                        i, c = columns[pair]
+                        coords[i] = x // c  # exact: x is a multiple of den
+                out.append(coords)
+            return out
         return action
 
     den = lcm(1, *(c for columns in free.values() for _, c in columns.values()))

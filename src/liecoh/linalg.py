@@ -1,12 +1,15 @@
 """Exact rational linear algebra on sparse integer rows.
 
 A matrix is a list of rows.  A row is either a {col: x} map of its nonzero
-entries or a dense list; entries are int or Fraction.  Every routine first
-scales each row to integers by the lcm of its denominators (a row of ints is
-only copied) and divides it by the gcd of its entries, keeping only the
-nonzeros: that is the package's single scaling step.  Scaling a row changes
-neither the rank, the kernel nor the row space.  Map rows carry no width, so
-kernel_basis needs `ncols` for them.  Everything is computed over Q, so
+entries or a dense list; entries are int or Fraction.  integer_rows is the
+package's single scaling step: it scales each row to integers by the lcm of
+its denominators (a row of ints is only copied), divides it by the gcd of its
+entries and keeps only the nonzeros.  Scaling a row changes neither the rank,
+the kernel nor the row space.  rank and pivot_columns return no rows, so a
+row that is already a map of nonzero ints is only copied for them, not
+rescaled: the elimination divides a row by its gcd only where that pays, as
+it becomes a pivot row or after it is updated.  Map rows carry no width, so
+the kernels need `ncols` for them.  Everything is computed over Q, so
 results are reproducible bit for bit.
 
 There is one row step, _eliminate: it clears a column of a row with a pivot
@@ -20,8 +23,10 @@ _reduced runs the same step back: from the last pivot up it clears each
 pivot column from the rows above and makes each pivot positive, which gives
 the reduced echelon form, canonical for the span.  Every kernel vector,
 echelon basis, greedy independent subset and span coordinate is read off
-that form entry by entry, with no further elimination, and a Fraction is
-made only for each entry returned.
+that form entry by entry, with no further elimination.  A kernel vector is
+read off once, as the primitive integer vector on its line
+(integer_kernel); kernel_basis divides it by its entry at its free column,
+and a Fraction is made only for each entry returned.
 """
 
 from fractions import Fraction
@@ -77,10 +82,13 @@ def _eliminate(row, piv, c):
 
 
 def _echelon(rows):
-    """Echelon form of primitive integer map rows (consumed).
+    """Echelon form of nonzero integer map rows (consumed).
 
     Returns [(pivot column, row)] in increasing pivot order; each row is
-    zero left of its pivot column.
+    zero left of its pivot column.  A pivot row is divided by its gcd before
+    it clears other rows, so rows that come in unscaled (from rank and
+    pivot_columns) are eliminated as primitive ones are; the rows of
+    integer_rows and of _eliminate are primitive already.
     """
     by_lead = {}
     for row in rows:
@@ -92,6 +100,11 @@ def _echelon(rows):
         c = heappop(leads)
         group = by_lead.pop(c)
         piv = min(group, key=len)
+        if len(group) > 1:
+            g = gcd(*piv.values())
+            if g > 1:
+                for j in piv:
+                    piv[j] //= g
         for row in group:
             if row is piv:
                 continue
@@ -143,13 +156,58 @@ def pivot_columns(rows):
 
     Column c is a pivot iff it is not in the span of columns 0..c-1, so the
     rank of the first k columns is the number of pivots below k.
+
+    A row that is a map of nonzero ints is only copied, with no gcd
+    division: the scale of a row changes no pivot, and _echelon divides a
+    pivot row, and _eliminate every row it updates, by its gcd.  (A sum of
+    ints is an int; a sum with a Fraction in it is a Fraction.)  Empty maps
+    are dropped, and any other row goes through integer_rows.
     """
-    return [c for c, _ in _echelon(integer_rows(rows))]
+    ints = []
+    for row in rows:
+        if type(row) is dict and all(row.values()) and type(sum(row.values())) is int:
+            if row:
+                ints.append(dict(row))
+        else:
+            ints += integer_rows([row])
+    return [c for c, _ in _echelon(ints)]
 
 
 def rank(rows):
     """Rank over Q, computed exactly."""
     return len(pivot_columns(rows))
+
+
+def integer_kernel(rows, ncols):
+    """Basis of {v : M v = 0} as primitive integer {col: int} maps; ncols - rank of them.
+
+    There is one vector per free (non-pivot) column f, in increasing order
+    of f: the primitive integer vector on the line of kernel_basis's vector
+    for f.  It is positive at f, 0 at every other free column and 0 at every
+    column after f, so f is its last key; its keys increase.
+    """
+    reduced = _reduced(integer_rows(rows))
+    pivots = {c for c, _ in reduced}
+    # a reduced row p x_c + sum_f row[f] x_f = 0 gives x_c = -row[f] / p at
+    # x_f = 1; vector f is scaled by the lcm of the denominators of these x_c
+    # in lowest terms, so it is integral, and primitive: at each prime, some
+    # x_c's denominator carries the scale's full power
+    scale = {f: 1 for f in range(ncols) if f not in pivots}
+    for c, row in reduced:
+        p = row[c]
+        if p != 1:
+            for f, x in row.items():
+                if f != c:
+                    scale[f] = lcm(scale[f], p // gcd(x, p))
+    basis = {f: {} for f in scale}
+    for c, row in reduced:
+        p = row[c]
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -x * scale[f] // p
+    for f, vec in basis.items():
+        vec[f] = scale[f]
+    return list(basis.values())
 
 
 def kernel_basis(rows, ncols=None):
@@ -159,6 +217,7 @@ def kernel_basis(rows, ncols=None):
     of f.  It has 1 at f, 0 at every other free column and 0 at every column
     after f, so f is its last nonzero entry.  The coordinates of any kernel
     vector in this basis are therefore its entries at the free columns.
+    It is integer_kernel's vector for f divided by its entry at f.
 
     `ncols` is needed when `rows` is empty (the zero map) or made of maps.
     """
@@ -166,17 +225,14 @@ def kernel_basis(rows, ncols=None):
         if not rows or isinstance(rows[0], dict):
             raise ValueError("ncols required for an empty or sparse matrix")
         ncols = len(rows[0])
-    reduced = _reduced(integer_rows(rows))
-    pivots = {c for c, _ in reduced}
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
-    # a reduced row p x_c + sum_f row[f] x_f = 0 gives x_c = -row[f] / p at x_f = 1
-    for c, row in reduced:
-        for f, x in row.items():
-            if f != c:
-                basis[f][c] = Fraction(-x, row[c])
-    return list(basis.values())
+    basis = []
+    for vec in integer_kernel(rows, ncols):
+        scale = vec[max(vec)]
+        v = [Fraction(0)] * ncols
+        for j, x in vec.items():
+            v[j] = Fraction(x, scale)
+        basis.append(v)
+    return basis
 
 
 def span_coordinates(vectors):

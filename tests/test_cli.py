@@ -161,6 +161,8 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         ("grading", "--type", "Z9", "--marked", "1"),
         ("grading", "--type", "A2", "--marked", "7"),
         ("grading", "--type", "A2", "--marked", "1", "--weight", "1,x"),
+        ("grading", "--type", "A2", "--marked", ""),
+        ("grading", "--type", "A2", "--marked", "1,x"),
         ("rigidity", "--type", "A2", "--marked", "1", "--weight", "1,-1",
          "--p", "0"),
         ("rigidity", "--fixture", "no-such-fixture"),
@@ -177,11 +179,17 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         ("rigidity", "--type", "A1", "--marked", "1", "--weight", "2", "--p", "-5"),
         ("rigidity", "--fixture", "segre-1-1", "--p", "-5"),
         ("vogel", "--params", "-2,12,20", "--k", "-3"),
+        # a Vogel order k above the budget of dim_yk
+        ("vogel", "--params", "-2,12,20", "--k", "100000"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+    # a malformed marking names the option and the expected form
+    for text in ("", "1,x"):
+        _, _, err = run(capsys, "grading", "--type", "A2", "--marked", text)
+        assert f"malformed --marked {text!r}" in err and "such as 1,3" in err
     # a negative oracle bound would skip every oracle with exit 0
     monkeypatch.setenv("ORACLE_DIM_MAX", "-5")
     for argv in [("rigidity", "--fixture", "segre-1-1", "--oracle"),

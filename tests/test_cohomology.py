@@ -419,6 +419,31 @@ def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
     assert sum(rows) == 743
 
 
+def test_oracle_converts_no_integers_twice(monkeypatch):
+    # a work guard on C2 V(1,1) marked {1, 2}: the g-perp slices are read off
+    # as integer vectors with no Fraction kernel, and the d0 and d1 rows, maps
+    # of ints already, reach the elimination without a pass through integer_rows
+    rs, marking = parse_type("C2"), ParabolicMarking({1, 2})
+    # once first, so the cached companion root systems of the bracket
+    # constants (whose inverse Cartan matrices are kernels) are built
+    gperp_complex(rs, marking, (1, 1))
+
+    def refused(*args):
+        raise AssertionError("kernel_basis called")
+    monkeypatch.setattr(linalg, "kernel_basis", refused)
+    cx = gperp_complex(rs, marking, (1, 1))
+    scaled = []
+    real = linalg.integer_rows
+
+    def counted(rows):
+        rows = list(rows)
+        scaled.extend(rows)
+        return real(rows)
+    monkeypatch.setattr(linalg, "integer_rows", counted)
+    h0, h1 = cohomology.graded_weights(cx)
+    assert h1 and not scaled
+
+
 def _scale_of(rs, marking, cx):
     """The integer L with cx.brackets = L times the f_alpha bracket constants."""
     old = structure_constants(rs, negative_roots(rs, marking))

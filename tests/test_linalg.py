@@ -351,6 +351,57 @@ def test_span_coordinates_match_dense_bareiss(matrix, data, maps):
     assert coords == [dense_solve_in_span([vectors[i] for i in want], v) for v in vectors]
 
 
+def integer_map(row, factor, zeros):
+    """The row times the lcm of its denominators and `factor`, as a map of ints;
+    with `zeros`, its zero entries are kept as keys."""
+    den = lcm(*(x.denominator for x in row))
+    return {j: int(x * den) * factor for j, x in enumerate(row) if x or zeros}
+
+
+factors = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.sampled_from(["list", "map", "int list", "int map"]), st.data())
+def test_integer_kernel_is_the_primitive_kernel_basis(matrix, form, data):
+    ncols, rows = matrix
+    if form.startswith("int"):
+        given_rows = [integer_map(r, data.draw(factors), False) for r in rows]
+        if form == "int list":
+            given_rows = [[m.get(j, 0) for j in range(ncols)] for m in given_rows]
+    else:
+        given_rows = [as_map(r) for r in rows] if form == "map" else rows
+    got = [list(v.items()) for v in linalg.integer_kernel(given_rows, ncols)]
+    # key order included
+    assert got == [list(v.items())
+                   for v in linalg.integer_rows(linalg.kernel_basis(given_rows, ncols))]
+    assert got == [list(v.items()) for v in linalg.integer_rows(dense_kernel_basis(rows, ncols))]
+
+
+def test_integer_kernel_of_small_matrices():
+    units = [{0: 1}, {1: 1}, {2: 1}]
+    assert linalg.integer_kernel([], 3) == units
+    assert linalg.integer_kernel([[0, 0, 0], [F(0)] * 3], 3) == units
+    assert linalg.integer_kernel([{}, {1: 0}], 3) == units
+    # x0 = -3/2 x1 + 2 x2: scaled to integers at x1, already integral at x2
+    assert linalg.integer_kernel([{0: 2, 1: 3, 2: -4}], 3) == [{0: -3, 1: 2}, {0: 2, 2: 1}]
+    assert linalg.kernel_basis([{0: 2, 1: 3, 2: -4}], 3) == [[F(-3, 2), F(1), F(0)],
+                                                            [F(2), F(0), F(1)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.booleans(), st.data())
+def test_integer_map_rows_are_ranked_as_given(matrix, zeros, data):
+    # maps of ints that carry common factors, with zero entries kept or not
+    ncols, rows = matrix
+    maps = [integer_map(r, data.draw(factors), zeros) for r in rows]
+    before = [dict(m) for m in maps]
+    want = dense_pivot_columns(rows)
+    assert linalg.pivot_columns(maps) == want
+    assert linalg.rank(maps) == len(want)
+    assert [list(m.items()) for m in maps] == [list(m.items()) for m in before]
+
+
 def test_map_rows_need_ncols():
     with pytest.raises(ValueError):
         linalg.kernel_basis([{0: 1}])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liecoh.rootsys import parse_type
-from liecoh.vogel import (DegenerateParameters, VogelParams, dim_g, dim_y2,
+from liecoh.vogel import (K_MAX, DegenerateParameters, VogelParams, dim_g, dim_y2,
                           dim_y2_double_prime, dim_y2_prime, dim_y3, dim_yk,
                           rational_binomial)
 
@@ -105,6 +105,13 @@ def test_symmetries():
     # the primed variants are the alpha swaps
     assert dim_y2_prime(p) == dim_y2(VogelParams(8, -2, 12))
     assert dim_y2_double_prime(p) == dim_y2(VogelParams(12, 8, -2))
+
+
+def test_yk_refuses_k_over_its_budget():
+    # refused before any binomial is multiplied out: k = 100,000 did not finish in 120 s
+    for k in (K_MAX + 1, 100_000):
+        with pytest.raises(ValueError, match="K_MAX"):
+            dim_yk(EXCEPTIONAL_ROWS["E8"], k)
 
 
 def test_yk_degenerate_points_are_tagged():
