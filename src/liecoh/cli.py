@@ -72,6 +72,10 @@ def _emit(args, payload, table_lines):
 # ---------- subcommands ----------
 
 def cmd_vogel(args):
+    chosen = [name for name, on in (("--y2", args.y2), ("--y3", args.y3),
+                                    ("--k", args.k is not None)) if on]
+    if len(chosen) > 1:
+        raise ValueError(f"{' and '.join(chosen)} exclude each other: give at most one")
     params = [tableau.parse_rational(x) for x in args.params.split(",")]
     if len(params) != 3:
         raise ValueError(f"--params needs three values alpha,beta,gamma, got {len(params)}")

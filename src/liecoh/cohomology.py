@@ -647,11 +647,20 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
     dimensions and the g_0 pieces are recomputed from explicit matrices and
     must agree exactly (check_oracle; skipped, and said so, when dim U
     exceeds the oracle bound; bound=None lifts it, as in construct_rep).
+
+    lam must be a dominant weight of rs whose support is the marking: the
+    stabilizer of [v_lam] is the parabolic of supp lam, so any other marking
+    describes no variety.  ValueError otherwise.
     """
     if p < -1:
         raise ValueError("p must be >= -1")
     lam = tuple(lam)
-    marking.validate(rs)
+    if len(lam) != rs.rank:
+        raise ValueError(f"weight length {len(lam)} != rank {rs.rank}")
+    if not rs.is_dominant(lam):
+        raise ValueError(f"weight {lam} is not dominant")
+    if marking.marked != {i + 1 for i, c in enumerate(lam) if c}:
+        raise ValueError(f"marking {sorted(marking.marked)} is not the support of {lam}")
     comps = repthy.gperp_decompose(rs, lam)
     threshold = p + 2
     pieces = []

@@ -63,17 +63,8 @@ class RigidityVerdict:
 
 
 def run_scenario(spec, bound=DEFAULT_ORACLE_BOUND):
-    rs = spec.root_system()
-    marking = ParabolicMarking(spec.marked)
-    weight = spec.highest_weight
-    if len(weight) != rs.rank:
-        raise ValueError(f"weight length {len(weight)} != rank {rs.rank}")
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
-    if marking.marked != {i + 1 for i, c in enumerate(weight) if c}:
-        raise ValueError(f"marking {sorted(marking.marked)} is not the support of {weight}")
-    report = h1_report(rs, marking, weight, spec.p,
-                       oracle=spec.oracle, bound=bound)
+    report = h1_report(spec.root_system(), ParabolicMarking(spec.marked),
+                       spec.highest_weight, spec.p, oracle=spec.oracle, bound=bound)
     return RigidityVerdict(
         verdict=report.verdict,
         threshold=report.threshold,

@@ -18,13 +18,14 @@ are canonical for the span, so any basis of A gives the same rows.  Ranks
 that depend only on the span of A -- the characters, rank delta and the
 membership check of reduced_prolongation -- are taken on those rows: an
 echelon row, W-row-major, is zero on every W-row above its pivot, so each
-flag, coordinate and delta block is a staircase instead of dense, and zero
-at every other row's pivot, which keeps it sparse.  prolong and
+flag and delta block is a staircase instead of dense, and zero at every
+other row's pivot, which keeps it sparse.  prolong and
 prolongation_bilinear keep the caller's basis, on which their coefficient
-vectors depend.  Along coordinate flags the flag search ranks
-each coordinate subset once; a random flag is evaluated with sparse integer
-products.  The sweep stops at the first flag that attains Cartan's equality,
-whose characters are then the generic ones (cartan_characters).
+vectors depend.  The flag search has one evaluator for every candidate, the
+standard flag and then seeded random ones: sparse integer products and one
+pivot elimination per flag (_flag_dims).  The sweep stops at the first flag
+that attains Cartan's equality, whose characters are then the generic ones
+(cartan_characters).
 """
 
 import itertools
@@ -39,7 +40,6 @@ from . import linalg
 from .errors import InternalCheckError
 
 FLAG_SEED = 7
-COORDINATE_FLAG_BUDGET = 24
 RANDOM_FLAG_COUNT = 16
 
 
@@ -209,12 +209,11 @@ def _random_flags(n, seed):
 def cartan_characters(t, seed=FLAG_SEED):
     """[dim A_0, ..., dim A_{n-1}] for a character-maximizing generic flag.
 
-    The candidates are the coordinate flags (permutations of the standard
-    basis, in order, up to COORDINATE_FLAG_BUDGET) and then seeded random
-    integer flags; the answer is the lexicographic minimum of
-    (dim A_1, ..., dim A_{n-1}) over the candidates.  Along a coordinate
-    flag dim A_j is dim A minus the rank of A on the set of the first j
-    coordinate vectors, so each set is ranked once per sweep.
+    The candidates are the standard flag (the standard basis of V, in order)
+    and then seeded random integer flags; each goes through _flag_dims, and
+    the answer is the lexicographic minimum of (dim A_1, ..., dim A_{n-1})
+    over the candidates.  The standard flag is invertible, so there is always
+    a candidate, and for n = 1 it gives no dims: the answer is [dim A].
 
     The sweep stops at the first candidate with dim A + sum_j dim A_j =
     dim A^(1).  That candidate's dims are the full sweep's answer: Cartan's
@@ -225,31 +224,16 @@ def cartan_characters(t, seed=FLAG_SEED):
     dim A^(1) <= dim A + sum_j dim A_j(G) <= dim A + sum_j dim A_j(F) =
     dim A^(1), so F has the generic dims.  These are componentwise, hence
     lexicographically, at most those of every other candidate.  A
-    non-involutive tableau attains no equality and sweeps every candidate.
+    non-involutive tableau attains no equality and runs through every
+    candidate.
     """
     n = t.dim_V
-    if n == 1:
-        return [t.dim]
-    # every dim A_j depends only on the span of A
-    mats = t.echelon
-    ranks = {}  # rank of A on a set of coordinate vectors
-
-    def coordinate_dims(perm):
-        dims = []
-        for j in range(1, n):
-            cols = frozenset(perm[:j])
-            if cols not in ranks:
-                ranks[cols] = linalg.rank([{k: x for k, x in M.items() if k % n in cols}
-                                           for M in mats])
-            dims.append(t.dim - ranks[cols])
-        return dims
-
+    standard = [[int(i == j) for i in range(n)] for j in range(n)]
     dim_p = prolongation_dim(t)
     best = None
-    for dims in itertools.chain(
-            map(coordinate_dims, itertools.islice(itertools.permutations(range(n)),
-                                                  COORDINATE_FLAG_BUDGET)),
-            (_flag_dims(mats, t.dim_W, flag) for flag in _random_flags(n, seed))):
+    # every dim A_j depends only on the span of A, so the flags act on its echelon rows
+    for flag in itertools.chain([standard], _random_flags(n, seed)):
+        dims = _flag_dims(t.echelon, t.dim_W, flag)
         if best is None or dims < best:
             best = dims
         if dim_p == t.dim + sum(dims):
@@ -273,8 +257,8 @@ def is_involutive(t, seed=FLAG_SEED):
 
     `involutive` True is a proof: the sampled flag attains Cartan's equality,
     so it is generic and A is involutive.  False proves non-involutivity only
-    if the best sampled flag is generic; the candidates are finitely many
-    coordinate and seeded random flags, and none of them is certified
+    if the best sampled flag is generic; the candidates are the standard flag
+    and finitely many seeded random flags, and none of them is certified
     generic, so a strict inequality may come from a flag that is not.
     """
     chars = cartan_characters(t, seed)

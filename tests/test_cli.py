@@ -181,11 +181,16 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         ("vogel", "--params", "-2,12,20", "--k", "-3"),
         # a Vogel order k above the budget of dim_yk
         ("vogel", "--params", "-2,12,20", "--k", "100000"),
+        # more than one of --y2, --y3 and --k
+        ("vogel", "--params", "-2,12,20", "--y2", "--k", "3"),
+        ("vogel", "--params", "-2,12,20", "--y2", "--y3"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+    _, _, err = run(capsys, "vogel", "--params", "-2,12,20", "--y2", "--y3", "--k", "3")
+    assert "--y2 and --y3 and --k exclude each other" in err
     # a malformed marking names the option and the expected form
     for text in ("", "1,x"):
         _, _, err = run(capsys, "grading", "--type", "A2", "--marked", text)

@@ -240,6 +240,19 @@ def test_h1_report_rejects_bad_p():
         h1_report(rs, ParabolicMarking({1}), (2,), -2)
 
 
+def test_h1_report_validates_the_weight():
+    # the stabilizer of [v_lam] has marking supp lam, so no other marking is
+    # a variety: the checks run_scenario relies on
+    rs = parse_type("A2")
+    with pytest.raises(ValueError, match="not dominant"):
+        h1_report(rs, ParabolicMarking({1}), (1, -1), 0)
+    with pytest.raises(ValueError, match="length"):
+        h1_report(rs, ParabolicMarking({1}), (1,), 0)
+    for marked, weight in [({1}, (1, 1)), ({1, 2}, (1, 0))]:
+        with pytest.raises(ValueError, match="support"):
+            h1_report(rs, ParabolicMarking(marked), weight, -1, oracle=True)
+
+
 def test_kostant_rejects_non_dominant():
     rs = parse_type("A2")
     with pytest.raises(ValueError):

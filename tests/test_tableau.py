@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from liecoh import linalg
 from liecoh.errors import InternalCheckError
-from liecoh.tableau import (COORDINATE_FLAG_BUDGET, FLAG_SEED, RANDOM_FLAG_COUNT,
-                            Tableau, _delta_matrix, cartan_characters,
-                            cauchy_riemann_tableau,
+from liecoh.tableau import (FLAG_SEED, RANDOM_FLAG_COUNT, Tableau, _delta_matrix,
+                            cartan_characters, cauchy_riemann_tableau,
                             full_tableau, is_involutive, prolong,
                             prolongation_bilinear, prolongation_dim,
                             reduced_prolongation,
@@ -362,10 +361,15 @@ def quadric_4():
     return [[[Fraction(int(i == j)) for j in range(4)] for i in range(4)]], 4, 1
 
 
+def segre(p, q):
+    """x_i y_j on T = C^p + C^q, N = C^p (x) C^q, in adapted coordinates: Seg(Pp x Pq)."""
+    n = p + q
+    return [[[Fraction(int({i, j} == {x, p + y})) for j in range(n)] for i in range(n)]
+            for x in range(p) for y in range(q)], n, p * q
+
+
 def segre_1x2():
-    """x_0 y_j on T = C^1 + C^2, N = C^1 (x) C^2."""
-    return [[[Fraction(int({i, j} == {0, 1 + k})) for j in range(3)] for i in range(3)]
-            for k in range(2)], 3, 2
+    return segre(1, 2)
 
 
 def tableau_invariants(f2, n, a):
@@ -441,11 +445,16 @@ def test_invariants_depend_only_on_the_span():
 
 # ---------- the flag sweep against the full lexicographic-minimum sweep ----------
 
+# the flag family Cartan's test once swept: the first 24 coordinate flags
+# (permutations of the standard basis), then the seeded random flags
+OLD_COORDINATE_FLAGS = 24
+
+
 def candidate_flags(n, seed):
-    """Coordinate flags up to the budget, then the seeded invertible random flags."""
+    """The old family: coordinate flags up to 24, then the seeded invertible random flags."""
     flags = [[[int(i == j) for i in range(n)] for j in perm]
              for perm in itertools.islice(itertools.permutations(range(n)),
-                                          COORDINATE_FLAG_BUDGET)]
+                                          OLD_COORDINATE_FLAGS)]
     rng = random.Random(seed)
     for _ in range(RANDOM_FLAG_COUNT):
         flag = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -454,21 +463,29 @@ def candidate_flags(n, seed):
     return flags
 
 
-def flag_dims(t, flag):
-    """dim A_j = dim A - rank of M -> (M f_1, ..., M f_j), for j = 1..n-1.
+def flag_dims(t, flags):
+    """For each flag, dim A_j = dim A - rank of M -> (M f_1, ..., M f_j), j = 1..n-1.
 
     The rank of the first j column blocks is the number of pivots in them.
+    Each basis matrix is scaled to integers first, which keeps its line.
     """
     n, w = t.dim_V, t.dim_W
-    pivots = linalg.pivot_columns([[sum(M[r][i] * f[i] for i in range(n))
-                                    for f in flag[:-1] for r in range(w)]
-                                   for M in t.basis])
-    return [t.dim - sum(1 for c in pivots if c < j * w) for j in range(1, n)]
+    ints = []
+    for M in t.basis:
+        den = math.lcm(*(x.denominator for row in M for x in row))
+        ints.append([[x.numerator * (den // x.denominator) for x in row] for row in M])
+    out = []
+    for flag in flags:
+        pivots = linalg.pivot_columns([[sum(M[r][i] * f[i] for i in range(n))
+                                        for f in flag[:-1] for r in range(w)]
+                                       for M in ints])
+        out.append([t.dim - sum(1 for c in pivots if c < j * w) for j in range(1, n)])
+    return out
 
 
 def full_sweep_characters(t, seed):
     """Every candidate flag evaluated from scratch; the lexicographic minimum wins."""
-    return [t.dim] + min(flag_dims(t, f) for f in candidate_flags(t.dim_V, seed))
+    return [t.dim] + min(flag_dims(t, candidate_flags(t.dim_V, seed)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -490,16 +507,34 @@ def test_sweep_matches_the_full_sweep_on_both_kinds():
     assert kinds == {True, False}
 
 
+def veronese_2(m):
+    """x_i x_j on T = C^m, N = S^2 C^m, in adapted coordinates: v2(Pm)."""
+    pairs = [(p, q) for p in range(m) for q in range(p, m)]
+    return [[[Fraction(int({i, j} == {p, q})) for j in range(m)] for i in range(m)]
+            for p, q in pairs], m, len(pairs)
+
+
+@pytest.mark.parametrize("case", [(segre, 1, 3), (segre, 2, 3), (veronese_2, 3)],
+                         ids=["segre_1x3", "segre_2x3", "veronese_2_3"])
+def test_sweep_matches_the_full_sweep_on_adapted_coordinates(case):
+    # second fundamental forms in adapted coordinates, where coordinate flags
+    # are the natural candidates: the standard flag and the random flags
+    # find what the old family found
+    f2, n, a = case[0](*case[1:])
+    t = stabilizer_and_tableau(f2, n, a).tableau_r_perp
+    for seed in (FLAG_SEED, 1):
+        assert cartan_characters(t, seed) == full_sweep_characters(t, seed)
+
+
 def segre_2x2():
-    """x_i y_j on T = C^2 + C^2, N = C^2 (x) C^2, in adapted coordinates."""
-    return [[[Fraction(int({i, j} == {p, 2 + q})) for j in range(4)] for i in range(4)]
-            for p in range(2) for q in range(2)], 4, 4
+    """Seg(P2 x P2): x_i y_j on T = C^2 + C^2, N = C^2 (x) C^2."""
+    return segre(2, 2)
 
 
 def test_segre_2x2_needs_the_random_flags():
     t = stabilizer_and_tableau(*segre_2x2()).tableau_r_perp
-    dims = [flag_dims(t, f) for f in candidate_flags(4, FLAG_SEED)]
-    assert min(dims[:COORDINATE_FLAG_BUDGET]) == [12, 4, 0]
+    dims = flag_dims(t, candidate_flags(4, FLAG_SEED))
+    assert min(dims[:OLD_COORDINATE_FLAGS]) == [12, 4, 0]
     assert cartan_characters(t) == [24] + min(dims) == [24, 9, 1, 0]
     # not involutive, so the sweep runs to the end
     assert prolongation_dim(t) < 24 + 9 + 1
@@ -511,57 +546,47 @@ def dense_tableau(name):
         return tableau_from_json(fh.read())
 
 
-def sweep_rank_calls(t, monkeypatch):
-    """(rank calls on map rows, on list rows) made by one cartan_characters."""
-    prolongation_dim(t)  # ranks delta once, before the count starts
+def eliminations(t, monkeypatch):
+    """is_involutive(t), and (map rows?, nonzeros) for each matrix it eliminates."""
     calls = []
-    rank = linalg.rank
+    real = linalg.pivot_columns
 
-    def counting(rows):
-        calls.append(isinstance(rows[0], dict))
-        return rank(rows)
+    def counted(rows):
+        calls.append((all(isinstance(row, dict) for row in rows),
+                      sum(1 for row in rows
+                          for x in (row.values() if isinstance(row, dict) else row) if x)))
+        return real(rows)
     with monkeypatch.context() as m:
-        m.setattr(linalg, "rank", counting)
-        cartan_characters(t)
-    return calls.count(True), calls.count(False)
-
-
-def test_one_rank_per_coordinate_subspace(monkeypatch):
-    # not involutive: all 24 coordinate flags rank the 2^4 - 2 proper nonempty
-    # coordinate subsets once each, then every random flag is drawn and checked
-    t = dense_tableau("segre_2x2")
-    assert sweep_rank_calls(t, monkeypatch) == (2 ** 4 - 2, RANDOM_FLAG_COUNT)
-
-
-def test_involutive_sweep_stops_at_cartans_equality(monkeypatch):
-    # the first coordinate flag attains the equality: its 4 subsets are ranked
-    # and no random flag is drawn
-    t = dense_tableau("quadric_5")
-    assert sweep_rank_calls(t, monkeypatch) == (4, 0)
-    assert cartan_characters(t) == full_sweep_characters(t, FLAG_SEED)
-    assert is_involutive(t).involutive
+        m.setattr(linalg, "pivot_columns", counted)
+        report = is_involutive(t)
+    return report, calls
 
 
 def test_flag_search_work_on_dense_segre(monkeypatch):
     # a work count, not a timing: the nonzeros of every matrix Cartan's test
     # hands to the elimination core on the seeded dense Seg(P2 x P2), which
     # were 27,277 when the flags and delta ran on the dense basis, 20,482 on
-    # a plain echelon basis and 9,053 on the reduced echelon basis
+    # a plain echelon basis, 9,053 on the reduced echelon basis with 24
+    # coordinate flags before the random ones, and 7,631 with the standard flag
     f2, n, a = segre_2x2()
     t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(0)), n, a).tableau_r_perp
-    nonzeros = []
-    real = linalg.pivot_columns
+    report, calls = eliminations(t, monkeypatch)
+    assert not report.involutive
+    # delta once, each random draw (all invertible) ranked once as a dense
+    # flag, and the standard flag and each random flag eliminated once
+    assert [sparse for sparse, _ in calls].count(False) == RANDOM_FLAG_COUNT
+    assert len(calls) == 1 + RANDOM_FLAG_COUNT + 1 + RANDOM_FLAG_COUNT
+    assert sum(nonzeros for _, nonzeros in calls) <= 8_000
 
-    def counted(rows):
-        nonzeros.append(sum(1 for row in rows
-                            for x in (row.values() if isinstance(row, dict) else row) if x))
-        return real(rows)
-    monkeypatch.setattr(linalg, "pivot_columns", counted)
-    assert not is_involutive(t).involutive
-    # delta once, each proper coordinate subset once, and each random flag
-    # (all invertible) ranked once and eliminated once
-    assert len(nonzeros) == 1 + (2 ** n - 2) + 2 * RANDOM_FLAG_COUNT
-    assert sum(nonzeros) <= 10_000
+
+def test_involutive_sweep_stops_at_the_standard_flag(monkeypatch):
+    # the standard flag attains Cartan's equality: delta and that flag are
+    # eliminated, and no random flag is drawn
+    t = dense_tableau("quadric_5")
+    report, calls = eliminations(t, monkeypatch)
+    assert report.involutive
+    assert [sparse for sparse, _ in calls] == [True, True]
+    assert report.characters == full_sweep_characters(t, FLAG_SEED)
 
 
 def test_json_round_trip():
