@@ -158,15 +158,18 @@ def cmd_cohomology(args):
     return 0
 
 
+# the bundled scenario files, found through this package's own name, so a
+# second copy of the package imported under another name reads its own
+FIXTURES = importlib.resources.files(__package__) / "fixtures"
+
+
 def fixtures():
     """Names of the bundled scenario files."""
-    root = importlib.resources.files("liecoh") / "fixtures"
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.name[:-5] for p in FIXTURES.iterdir() if p.name.endswith(".json"))
 
 
 def load_fixture(name):
-    root = importlib.resources.files("liecoh") / "fixtures"
-    path = root / f"{name}.json"
+    path = FIXTURES / f"{name}.json"
     if not path.is_file():
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(fixtures())}")
     return scenario_from_json(path.read_text())

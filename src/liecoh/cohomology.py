@@ -224,11 +224,20 @@ class GradedComplex:
         """The total grades of C^0 and C^1 whose weight is W_0-dominant, in order.
 
         W_0-dominant means >= 0 at every unmarked node; each W_0-orbit of
-        grades holds exactly one.  Computed once, from slices and depths.
+        grades holds exactly one.  Computed once, from slices and depths.  A
+        slice whose weight plus the largest depth coordinate is negative at
+        some unmarked node reaches no dominant C^1 grade and is skipped; for
+        the others a sum is formed only for a depth that makes it dominant.
         """
-        grades = set(self.slices)
-        grades.update(_add(s, i) for s in self.slices for i in self.depths)
-        return sorted(d for d in grades if all(d[1][j] >= 0 for j in self.unmarked))
+        unmarked = self.unmarked
+        top = [(j, max((i[1][j] for i in self.depths), default=0)) for j in unmarked]
+        grades = {s for s in self.slices if all(s[1][j] >= 0 for j in unmarked)}
+        for s in self.slices:
+            w = s[1]
+            if all(w[j] + m >= 0 for j, m in top):
+                grades.update(_add(s, i) for i in self.depths
+                              if all(w[j] + i[1][j] >= 0 for j in unmarked))
+        return sorted(grades)
 
 
 def _difference(u, v):

@@ -8,25 +8,28 @@ entries and keeps only the nonzeros.  Scaling a row changes neither the rank,
 the kernel nor the row space.  rank and pivot_columns return no rows, so a
 row that is already a map of nonzero ints is only copied for them, not
 rescaled: the elimination divides a row by its gcd only where that pays, as
-it becomes a pivot row or after it is updated.  Map rows carry no width, so
-the kernels need `ncols` for them.  Everything is computed over Q, so
-results are reproducible bit for bit.
+it becomes a pivot row, after an update that scaled it, and once more before
+the back pass uses it.  Map rows carry no width, so the kernels need `ncols`
+for them.  Everything is computed over Q, so results are reproducible bit
+for bit.
 
 There is one row step, _eliminate: it clears a column of a row with a pivot
-row by a fraction-free integer update and divides the result by the gcd of
-its entries, so rows stay primitive integers.  _echelon runs it forward:
+row by a fraction-free integer update, a * row - b * piv with a > 0.  Only a
+row that was scaled (a > 1) is divided by the gcd of its entries; with
+a = 1, as in most of the oracle's updates, the update touches only the pivot
+row's support and grows entries additively.  _echelon runs it forward:
 column by column, column c is a pivot iff it lies outside the span of the
 columns left of it (pivot_columns), and inside a column the pivot is the
 candidate row with the fewest nonzeros; only rows with a nonzero entry in
 the pivot column are touched.  Every rank and pivot set comes from it.
-_reduced runs the same step back: from the last pivot up it clears each
-pivot column from the rows above and makes each pivot positive, which gives
-the reduced echelon form, canonical for the span.  Every kernel vector,
-echelon basis, greedy independent subset and span coordinate is read off
-that form entry by entry, with no further elimination.  A kernel vector is
-read off once, as the primitive integer vector on its line
-(integer_kernel); kernel_basis divides it by its entry at its free column,
-and a Fraction is made only for each entry returned.
+_reduced runs the same step back: from the last pivot up it divides each
+row by its gcd, makes its pivot positive and clears its pivot column from
+the rows above, which gives the reduced echelon form, canonical for the
+span.  Every kernel vector, echelon basis, greedy independent subset and
+span coordinate is read off that form entry by entry, with no further
+elimination.  A kernel vector is read off once, as the primitive integer
+vector on its line (integer_kernel); kernel_basis divides it by its entry at
+its free column, and a Fraction is made only for each entry returned.
 """
 
 from fractions import Fraction
@@ -60,12 +63,17 @@ def integer_rows(rows):
 def _eliminate(row, piv, c):
     """Clear column c of `row` (in place) with the pivot row `piv`.
 
-    With a/b = piv[c]/row[c] in lowest terms, row becomes a * row - b * piv
-    divided by the gcd of its entries; cancelled entries are dropped, so a
-    row in the span of piv ends up empty.
+    With a/b = piv[c]/row[c] in lowest terms and a > 0 (the sign goes into
+    b), row becomes a * row - b * piv; cancelled entries are dropped, so a
+    row in the span of piv ends up empty.  Only when a > 1 is the row
+    multiplied, and only then divided by the gcd of its entries: with a = 1
+    the entries off piv's support are left as they are.  So a row that came
+    in primitive need not leave so; _reduced makes the rows primitive.
     """
     g = gcd(piv[c], row[c])
     a, b = piv[c] // g, row[c] // g
+    if a < 0:
+        a, b = -a, -b
     if a != 1:
         for j in row:
             row[j] *= a
@@ -75,20 +83,23 @@ def _eliminate(row, piv, c):
             row[j] = y
         else:
             row.pop(j, None)
-    g = gcd(*row.values())
-    if g > 1:
-        for j in row:
-            row[j] //= g
+    if a != 1:
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
 
 
 def _echelon(rows):
     """Echelon form of nonzero integer map rows (consumed).
 
     Returns [(pivot column, row)] in increasing pivot order; each row is
-    zero left of its pivot column.  A pivot row is divided by its gcd before
-    it clears other rows, so rows that come in unscaled (from rank and
-    pivot_columns) are eliminated as primitive ones are; the rows of
-    integer_rows and of _eliminate are primitive already.
+    zero left of its pivot column, with its scale as the elimination left
+    it.  A pivot row is divided by its gcd before it clears other rows, so
+    rows that come in unscaled (from rank and pivot_columns) or that an
+    update with a = 1 left with a common factor are eliminated as primitive
+    ones are.  The scale of a row changes no pivot and, with the
+    fewest-nonzeros rule, no choice of pivot row.
     """
     by_lead = {}
     for row in rows:
@@ -122,18 +133,23 @@ def _echelon(rows):
 
 
 def _reduced(rows):
-    """Reduced echelon form of primitive integer map rows (consumed).
+    """Reduced echelon form of nonzero integer map rows (consumed).
 
-    The pivots and rows of _echelon, each row now positive at its pivot and
-    zero at every other row's pivot: the unique primitive integer reduced
-    echelon basis of the span.
+    The pivots and rows of _echelon, each row now primitive, positive at its
+    pivot and zero at every other row's pivot: the unique primitive integer
+    reduced echelon basis of the span.  From the last pivot up, a row is
+    final once the rows below have cleared it; it is then divided by its
+    gcd and its sign fixed, once, before it clears the rows above.
     """
     echelon = _echelon(rows)
     for k in range(len(echelon) - 1, -1, -1):
         c, piv = echelon[k]
+        g = gcd(*piv.values())
         if piv[c] < 0:
+            g = -g
+        if g != 1:
             for j in piv:
-                piv[j] = -piv[j]
+                piv[j] //= g
         for _, row in echelon[:k]:
             if c in row:
                 _eliminate(row, piv, c)
@@ -159,7 +175,7 @@ def pivot_columns(rows):
 
     A row that is a map of nonzero ints is only copied, with no gcd
     division: the scale of a row changes no pivot, and _echelon divides a
-    pivot row, and _eliminate every row it updates, by its gcd.  (A sum of
+    pivot row by its gcd before it clears others.  (A sum of
     ints is an int; a sum with a Fraction in it is a Fraction.)  Empty maps
     are dropped, and any other row goes through integer_rows.
     """

@@ -1,4 +1,8 @@
+import importlib
 import json
+import shutil
+import sys
+from pathlib import Path
 
 from liecoh import cohomology, tableau
 from liecoh.cli import fixtures, load_fixture, main
@@ -67,6 +71,23 @@ def test_fixtures_list():
                      "veronese-a1"]
     for name in names:
         load_fixture(name)
+
+
+def test_a_copy_of_the_package_reads_its_own_fixtures(tmp_path, monkeypatch):
+    # two checkouts can be imported side by side, one under another name
+    copy = tmp_path / "liecoh_copy"
+    shutil.copytree(Path(cohomology.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "fixtures" / "segre-1-1.json").unlink()
+    monkeypatch.syspath_prepend(str(tmp_path))
+    other = importlib.import_module("liecoh_copy.cli")
+    try:
+        assert Path(str(other.FIXTURES)).parent == copy
+        assert "segre-1-1" not in other.fixtures() and "segre-1-1" in fixtures()
+        assert repr(other.load_fixture("veronese-a1")) == repr(load_fixture("veronese-a1"))
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "liecoh_copy"]:
+            del sys.modules[name]
 
 
 def test_rigidity_fixture_run(capsys):

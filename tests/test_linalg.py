@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liecoh import linalg
-from liecoh.tableau import Tableau, _flag_dims
+from liecoh import cohomology, linalg
+from liecoh.grading import ParabolicMarking
+from liecoh.rootsys import parse_type
+from liecoh.tableau import Tableau, _flag_dims, is_involutive, stabilizer_and_tableau
+from test_tableau import dense_basis, segre_2x2
 
 
 def F(a, b=1):
@@ -439,3 +443,163 @@ def test_echelon_rows_are_the_primitive_rref(matrix, maps):
     ncols, rows = matrix
     given_rows = [as_map(r) for r in rows] if maps else rows
     assert linalg.echelon_rows(given_rows) == fraction_rref_primitive(rows, ncols)
+
+
+# ---------- the row step scales a row only when it must ----------
+
+def test_a_ratio_of_minus_one_is_an_addition():
+    # piv[0] / row[0] = -1: row + piv, and no entry off piv's support moves
+    row, piv = {0: 3, 1: 5, 2: 7, 4: -9}, {0: -3, 2: 1, 3: 2}
+    linalg._eliminate(row, piv, 0)
+    assert row == {1: 5, 2: 8, 3: 2, 4: -9}
+
+
+def test_a_ratio_of_one_keeps_the_rows_common_factor():
+    # row - piv has gcd 2, and is not divided by it
+    row, piv = {0: 2, 1: 4}, {0: 2, 1: 2, 2: 6}
+    linalg._eliminate(row, piv, 0)
+    assert row == {1: 2, 2: -6}
+
+
+def test_a_scaled_row_is_divided_by_its_gcd():
+    # a/b = 2/3: 2 row - 3 piv = {1: -4}, divided by 4 (and the sign stays)
+    row, piv = {0: 3, 1: 1}, {0: 2, 1: 2}
+    linalg._eliminate(row, piv, 0)
+    assert row == {1: -1}
+    # a/b = -2/3 has a = 2 after the sign goes into b: 2 row + 3 piv
+    row, piv = {0: 3, 1: 1}, {0: -2, 1: 2}
+    linalg._eliminate(row, piv, 0)
+    assert row == {1: 1}
+
+
+def test_reduced_makes_each_row_primitive_once():
+    # the forward pass leaves row 2 - row 1 = {1: 2, 2: 2} with its factor 2;
+    # the back pass divides it before it clears row 1
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 3, 2: 2}]
+    assert linalg._echelon([dict(r) for r in rows]) == [(0, {0: 1, 1: 1}), (1, {1: 2, 2: 2})]
+    assert linalg._reduced([dict(r) for r in rows]) == [(0, {0: 1, 2: -1}), (1, {1: 1, 2: 1})]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.data())
+def test_reduced_rows_are_primitive_with_positive_pivots(matrix, data):
+    # integer map rows that carry common factors and either sign
+    ncols, rows = matrix
+    maps = [m for m in (integer_map(r, data.draw(factors), False) for r in rows) if m]
+    reduced = linalg._reduced(maps)
+    pivots = [c for c, _ in reduced]
+    assert pivots == dense_pivot_columns(rows)
+    for c, row in reduced:
+        assert row[c] > 0 and gcd(*row.values()) == 1
+        assert min(row) == c and not set(row) & set(pivots) - {c}
+
+
+def per_update_gcd_step(row, piv, c):
+    """The row step as it was: a * row - b * piv for any sign of a, then always
+    divided by the gcd of its entries."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, x in piv.items():
+        y = row.get(j, 0) - b * x
+        if y:
+            row[j] = y
+        else:
+            row.pop(j, None)
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
+def longest_entry(rows, step):
+    """The most bits of any entry _echelon meets on `rows`, with `step` as its row step."""
+    rows = [dict(r) for r in rows]
+    top = max(abs(x).bit_length() for r in rows for x in r.values())
+
+    def measured(row, piv, c):
+        nonlocal top
+        step(row, piv, c)
+        top = max([top] + [abs(x).bit_length() for x in row.values()])
+    real = linalg._eliminate
+    linalg._eliminate = measured
+    try:
+        linalg._echelon(rows)
+    finally:
+        linalg._eliminate = real
+    return top
+
+
+nonzero_entries = st.integers(-50, 50).filter(bool)
+
+
+@st.composite
+def integer_matrices(draw):
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            rows.append({j: draw(nonzero_entries) for j in range(ncols)})
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), min_size=1))
+            rows.append({j: draw(nonzero_entries) for j in sorted(cols)})
+    return rows
+
+
+# the most bits by which the row step's longest entry outgrew the
+# per-update-gcd step's, over 20,000 derandomized draws of integer_matrices
+GROWTH_SLACK_BITS = 8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_matrices())
+def test_entry_growth_stays_near_the_per_update_gcd_step(rows):
+    # An update with a = 1 is not divided by its gcd, so entries may keep a
+    # common factor until the next scaled update or _reduced divides it out;
+    # they grow only additively meanwhile.  Dropping the gcd of the scaled
+    # updates too is not an option: on seeded dense matrices with entries up
+    # to +-50 it grew the longest entry from 272 to 4,786 bits (40 x 80),
+    # from 424 to 11,513 (60 x 150) and from 747 to 34,470 (100 x 300).
+    got = longest_entry(rows, linalg._eliminate)
+    assert got <= longest_entry(rows, per_update_gcd_step) + GROWTH_SLACK_BITS
+    # nor does any entry exceed Hadamard's bound on the minors of the matrix
+    bound = 1
+    for row in rows:
+        bound *= isqrt(sum(x * x for x in row.values())) + 1
+    assert got <= bound.bit_length()
+
+
+def rescaled_entries(run, monkeypatch):
+    """How many entries off the pivot row's support _eliminate changes while run() runs."""
+    changed = 0
+    real = linalg._eliminate
+
+    def counted(row, piv, c):
+        nonlocal changed
+        before = [(j, x) for j, x in row.items() if j not in piv]
+        real(row, piv, c)
+        changed += sum(row.get(j) != x for j, x in before)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_eliminate", counted)
+        run()
+    return changed
+
+
+def test_row_step_work_on_dense_segre_and_the_c2_oracle(monkeypatch):
+    # a work count, not a timing: the entries off the pivot row's support that
+    # the row step rewrites, which were 16,869 for Cartan's test on the seeded
+    # dense Seg(P2 x P2) and 8,185 for the C2 V(1,1) {1, 2} oracle when every
+    # update with a != 1 (a = -1 among them) multiplied the row and every
+    # update was divided by its gcd
+    f2, n, a = segre_2x2()
+    t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(0)), n, a).tableau_r_perp
+    assert rescaled_entries(lambda: is_involutive(t), monkeypatch) <= 12_299
+    rs, marking = parse_type("C2"), ParabolicMarking({1, 2})
+
+    def oracle():
+        return cohomology.h1_report(rs, marking, (1, 1), -1, oracle=True)
+    # once first, so the cached companion root systems are built
+    oracle()
+    assert rescaled_entries(oracle, monkeypatch) <= 1_319
