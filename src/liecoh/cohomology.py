@@ -122,12 +122,18 @@ def is_levi_dominant(rs, marking, weight):
 
 
 def levi_weyl_dim(rs, marking, weight):
-    """Weyl dimension formula over the Levi's positive roots (unmarked support)."""
+    """Weyl dimension formula over the Levi's positive roots (unmarked support).
+
+    The Levi's root indices are listed once per root system and marking.
+    """
     rs.check_length(weight)
     if not is_levi_dominant(rs, marking, weight):
         raise ValueError(f"{weight} is not Levi-dominant")
-    return rs.weyl_product(weight, [k for k, r in enumerate(rs.positive_roots)
-                                    if root_degree(marking, r.coords) == 0])
+    roots = rs._levi_roots.get(marking)
+    if roots is None:
+        roots = rs._levi_roots[marking] = tuple(
+            k for k, r in enumerate(rs.positive_roots) if root_degree(marking, r.coords) == 0)
+    return rs.weyl_product(weight, roots)
 
 
 def levi_lowest(rs, marking, weight):

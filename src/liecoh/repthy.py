@@ -1,13 +1,17 @@
 """Weight systems, tensor decompositions, g-perp, and explicit module matrices.
 
 All weights are tuples of fundamental coordinates (global across factors).
-The weight system of V_lam is walked level by level below lam.  The
-alpha_i-string through a weight w is unbroken, w - r alpha_i, ..., w + p
-alpha_i, with r - p = <w, alpha_i^vee> = w_i (Humphreys, Introduction to Lie
-Algebras and Representation Theory, 21.3).  The weights w + k alpha_i, k >= 1,
-lie on levels already walked, so w - alpha_i is a weight iff w_i + p >= 1.  A
-new weight c with c_j < 0 has s_j c = c - c_j alpha_j on a level already
-walked, so its dominant representative is one reflection and one lookup away.
+The weight system of V_lam is the union of the W-orbits of its dominant
+weights, and these are every dominant mu <= lam (Humphreys, Introduction to
+Lie Algebras and Representation Theory, 21.3).  Below lam they are linked by
+positive-root steps: a dominant mu < lam has a positive root alpha with lam -
+alpha dominant and mu <= lam - alpha (Stembridge, "The partial order of
+dominant weights", Adv. Math. 136, 1998), so subtracting positive roots from
+dominant weights and keeping the dominant results reaches all of them.  An
+orbit is walked down from its dominant weight by s_i w = w - w_i alpha_i
+wherever w_i > 0, which reaches every weight of the orbit and records its
+dominant representative (Moody-Patera, SIAM J. Algebraic Discrete Methods 3,
+1982).  Freudenthal's recursion then runs on the dominant weights alone.
 
 Explicit modules are built on a weight basis by closing under the lowering
 operators, and every basis vector is known by one global id.  A vector's
@@ -40,46 +44,52 @@ class IrrComponent:
 def weight_multiplicities(rs, lam):
     """Full weight system of the irreducible module V_lam (Freudenthal).
 
-    Returns {weight: multiplicity}; total multiplicity equals weyl_dim(lam).
-    The walk goes by alpha_i-strings (Humphreys 21.3, module docstring):
-    w - alpha_i is a weight iff w_i + p >= 1, p the largest k with w + k
-    alpha_i found, so no candidate outside V_lam is reflected; a new weight c
-    with c_j < 0 shares the dominant representative of s_j c, found before.
-    The arithmetic is on integers (rs.form, see rootsys).
+    Returns {weight: multiplicity}, top down by level below lam (the height
+    of lam - w in simple roots), ties by increasing tuple; the total
+    multiplicity equals weyl_dim(lam).  The dominant weights are reached from
+    lam by positive-root steps and each W-orbit is walked down from its
+    dominant weight (module docstring); Freudenthal then runs on the dominant
+    weights alone.  The arithmetic is on integers (rs.form, see rootsys).
     """
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise ValueError(f"weight {lam} has {len(lam)} coordinates; the rank is {rs.rank}")
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    alpha_fund = rs.simple_root_weights
-    dom = {lam: lam}  # weight -> its dominant representative
+    # dominant weights below lam, each reached from one above it by a positive root
+    steps = [(rs.root_weights[r.coords], r.height) for r in rs.positive_roots]
     depth = {lam: 0}  # dominant weight -> its level below lam
-    frontier, level = [lam], 0
+    frontier = [lam]
     while frontier:
-        level += 1
         nxt = []
         for w in frontier:
-            for i, af in enumerate(alpha_fund):
+            for af, ht in steps:
                 c = tuple(map(sub, w, af))
-                if c in dom:
-                    continue
-                if w[i] < 1:
-                    # w + k alpha_i for k = 1..p lie on levels already walked
-                    p, u = 0, tuple(map(add, w, af))
-                    while u in dom:
-                        p, u = p + 1, tuple(map(add, u, af))
-                    if w[i] + p < 1:
-                        continue
-                j = next((j for j, x in enumerate(c) if x < 0), None)
-                if j is None:
-                    dom[c] = c
-                    depth[c] = level
-                else:
-                    # s_j c = c - c_j alpha_j lies on a level already walked
-                    dom[c] = dom[rs.reflect(j, c)]
-                nxt.append(c)
+                if min(c) >= 0 and c not in depth:
+                    depth[c] = depth[w] + ht
+                    nxt.append(c)
         frontier = nxt
+    # each orbit down from its dominant weight: s_i w = w - w_i alpha_i lies
+    # w_i levels lower, and alpha_i is nonzero only at i and its neighbours
+    moves = [[(j, a) for j, a in enumerate(af) if a] for af in rs.simple_root_weights]
+    dom = {}  # weight -> its dominant representative
+    levels = {}  # level -> its weights
+    for d, dep in depth.items():
+        dom[d] = d
+        levels.setdefault(dep, []).append(d)
+        stack = [(d, dep)]
+        while stack:
+            w, lw = stack.pop()
+            for i, wi in enumerate(w):
+                if wi > 0:
+                    c = list(w)
+                    for j, a in moves[i]:
+                        c[j] -= wi * a
+                    c = tuple(c)
+                    if c not in dom:
+                        dom[c] = d
+                        levels.setdefault(lw + wi, []).append(c)
+                        stack.append((c, lw + wi))
     dominants = sorted(depth, key=lambda w: (depth[w], w))
     # Freudenthal recursion, top down:
     # m(mu) = sum_{a > 0, k >= 1} 2 m(mu + k a) (mu + k a, a)
@@ -113,7 +123,7 @@ def weight_multiplicities(rs, lam):
                 f"Freudenthal multiplicity {total}/{denom} of {mu} in V{lam} is not "
                 "a positive integer")
         mult[mu] = total // denom
-    out = {w: mult[d] for w, d in dom.items()}
+    out = {w: mult[dom[w]] for lv in sorted(levels) for w in sorted(levels[lv])}
     if sum(out.values()) != rs.weyl_dim(lam):
         raise InternalCheckError(
             f"weight multiplicities of V{lam} sum to {sum(out.values())}, "
@@ -243,17 +253,14 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     dim = rs.weyl_dim(lam)
     if bound is not None and dim > bound:
         raise ValueError(f"dim V_lam = {dim} exceeds the oracle bound {bound}")
-    wsys = weight_system(rs, lam)
+    wsys = weight_system(rs, lam)  # top down by level below lam
     alpha_fund = rs.simple_root_weights
-    # top down by depth below lam; height[j] = den * height of omega_j (column sum)
-    height = [sum(col) for col in zip(*rs.inverse_cartan_scaled)]
-    order = sorted(wsys, key=lambda w: (-sum(map(mul, height, w)), w))
 
     basis = {lam: range(1)}  # weight -> global ids of its basis vectors
     weight_of = [lam]
     e_image = [{}]  # vid -> {(j, row vid): x}, its column of every e_j
     f_col = [{} for _ in alpha_fund]  # f_col[i][vid] -> {row vid: x}
-    for nu in order[1:]:  # order[0] is lam
+    for nu in list(wsys)[1:]:  # the first is lam
         cands = [(i, b) for i, af in enumerate(alpha_fund)
                  for b in basis.get(tuple(map(add, nu, af)), ())]
         images = []

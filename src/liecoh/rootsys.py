@@ -151,6 +151,8 @@ class RootSystem:
         self.coroot_heights = [sum(k) for k in self.coroots]
         self._build_form()
         self._weight_systems = {}  # lam -> read-only weight system, see repthy.weight_system
+        self._weyl_dims = {}  # dominant weight -> its Weyl dimension, see weyl_dim
+        self._levi_roots = {}  # marking -> its Levi's positive roots, see cohomology.levi_weyl_dim
 
     def _block_cartan(self):
         C = [[0] * self.rank for _ in range(self.rank)]
@@ -331,10 +333,20 @@ class RootSystem:
         return seen
 
     def weyl_dim(self, weight):
-        """Weyl dimension formula; weight must be dominant integral."""
+        """Weyl dimension formula; weight must be dominant integral.
+
+        The weight is validated on every call and its product is computed
+        once per RootSystem.
+        """
         if not self.is_dominant(weight):
             raise ValueError(f"weight {weight} is not dominant")
-        return self.weyl_product(weight, range(len(self.positive_roots)))
+        self.check_length(weight)
+        weight = tuple(weight)
+        dim = self._weyl_dims.get(weight)
+        if dim is None:
+            dim = self._weyl_dims[weight] = self.weyl_product(
+                weight, range(len(self.positive_roots)))
+        return dim
 
     def weyl_product(self, weight, roots):
         """prod <weight + rho, a^vee> / prod <rho, a^vee> over positive roots a.
@@ -421,5 +433,6 @@ def parse_factor(text):
 
 
 def parse_type(text):
-    """Parse 'A2', 'A1xA1', 'A1,A1' into a RootSystem."""
-    return build([parse_factor(p) for p in text.replace("x", ",").split(",")])
+    """Parse 'A2', 'A1xA1', 'A1XA1', 'A1,A1' into a RootSystem."""
+    return build([parse_factor(p)
+                  for p in text.replace("x", ",").replace("X", ",").split(",")])

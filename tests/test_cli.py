@@ -45,6 +45,15 @@ def test_grading_example(capsys):
     assert doc["algebra"] == {"-1": 4, "0": 7, "1": 4}
 
 
+def test_grading_product_type_in_capitals(capsys):
+    # the factor separator is read in either case, like the factors
+    code, out, _ = run(capsys, "--format", "json", "grading", "--type", "A1XA1",
+                       "--marked", "1,2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["algebra"] == {"-1": 2, "0": 2, "1": 2}
+
+
 def test_gperp_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "gperp", "--type", "A2",
                        "--weight", "1,1")

@@ -2,15 +2,15 @@
 
 Pins the sha256 of the verdict JSON that `liecoh --format json rigidity
 --fixture NAME` prints for every bundled fixture, of the JSON of a `gperp`
-and an oracle-checked `cohomology` run, of the E8 adjoint and E7 `V(w7)`
-verdicts, of the oracle-checked E6 `V(w1)` and D6 `V(w6)` verdicts with the
+and an oracle-checked `cohomology` run, of the E8 adjoint, E7 `V(w7)`, E8
+`V(w1)` and E8 `V(w7)` verdicts, of the oracle-checked E6 `V(w1)` and D6 `V(w6)` verdicts with the
 oracle bound raised, of a `tableau --op all` run on `tests/tableau_small.json`, of
 `tableau --op all` and `--op characters` runs on the dense-basis Seg(P2 x P2)
 and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P2 x P2) stabilizer tableau,
 of the stabilizer tableaux of two seeded dense second fundamental forms, of the
 explicit matrices `construct_rep` builds on modules with a weight space of
-dimension > 1, of the weight systems and root data the Kostant route walks
-(order included), of the H^0 and H^1 that graded_weights returns grade by grade on
+dimension > 1, of the weight systems (in their order and as sets) and root
+data the Kostant route walks, of the H^0 and H^1 that graded_weights returns grade by grade on
 the oracle complexes of the benchmark ladder and the fixtures, and of the stdout
 of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
@@ -62,6 +62,10 @@ COMMAND_SHA256 = {
     ("rigidity", "--type", "E8", "--marked", "1", "--weight", "1,0,0,0,0,0,0,0",
      "--p", "-1"):
         "1a59f1ac801b8ee710ada388e0e5ebca183f3c22fd27dfef46cb8ded29e7edaf",
+    # the largest weight system the Kostant route walks: 9,121 weights, dim U = 30380
+    ("rigidity", "--type", "E8", "--marked", "7", "--weight", "0,0,0,0,0,0,1,0",
+     "--p", "-1"):
+        "dbb87199b5266898deb9d720db849499e5283c3660b3952a9bbcf47c22b43e92",
     ("tableau", "--input", os.path.join(ROOT, "tests", "tableau_small.json"),
      "--op", "all"):
         "d30a0b2a54cf5ccd4257838e690c9db285a95ddcdb325ff40379e63f06e5b940",
@@ -120,8 +124,9 @@ REP_SHA256 = {
         "538777f670b00239128da9ef552dc404a6d66ed5311285e81facd9302cc90ca2",
 }
 
-# repr(list(weight_multiplicities(type, lam).items())): the weights in the
-# order the walk finds them, with their multiplicities; None is the adjoint
+# repr(list(weight_multiplicities(type, lam).items())): the weights in their
+# documented order, top down by level below lam and ties by increasing tuple,
+# with their multiplicities; None is the adjoint
 WEIGHT_SYSTEM_SHA256 = {
     ("A2", (2, 2)): "776137d2d10a51e9a8ce07c6c095fc4bd4f08c33f9bd740bbfd7ff8a515cbc7b",
     ("B2", (2, 1)): "f9b00460797e0052957fe52b328f3a97023fac794c47bb4aa321d5a9b2265493",
@@ -129,14 +134,33 @@ WEIGHT_SYSTEM_SHA256 = {
     ("A1,A2", (1, 1, 1)):
         "228d2467c878c895631a5aa6eb00df2863d212fdce4a0cadf5d78d9e4782c14f",
     ("F4", (0, 0, 0, 1)):
-        "610ab9a05cc2afe87c7e88a48b6e11e664e5160be57d74902b28a1f27f2ef792",
+        "ee0f6f36e15768982701119616e1fea3345bbdea37af6f6e731f6e8480e690fc",
     ("E6", (1, 0, 0, 0, 0, 0)):
-        "36cd0b5d417f2e6daebc7b19e7c95a9de96941ebaeeb1c266355c3f24871ee28",
+        "076d8a97c962e2fa8d18ec6ff7781951fe70e365e5428dc4e877dc3ef79bce77",
     ("E7", (0, 0, 0, 0, 0, 0, 1)):
-        "de2c2773cdfd5398ca2967f94d4d7a25f32d489e3bc539432b0e8317d13ccdd4",
-    ("E8", None): "ef4ab1d4fd358f1caf53aca6b55dddcaa22ee2d1b4a3b21f3e746cec2f09f3e5",
+        "a04deb9dbbe6ae517349a5cbd42b87ea54db96bdec35417702e4b75406a9c62c",
+    ("E8", None): "3d342fd1d823be17c368b0b80709a21724b73abe8ceeb2cfb052d4c42df7c33a",
     ("E8", (1, 0, 0, 0, 0, 0, 0, 0)):
-        "3551f407cb5a215cabee0c9086bdac8602abf845090d9131fa54bf68fe8fea2f",
+        "55f092c7af58f5241f71eb3e61c408a2c139ef76509c81896e6f6c30fa872cfc",
+}
+
+# repr(sorted(weight_multiplicities(type, lam).items())): the weight systems
+# above as sets with multiplicities, whatever their order
+WEIGHT_CONTENT_SHA256 = {
+    ("A2", (2, 2)): "f138f1f4004e6603a78574568a0b81c5f23d3d679a8edd4e1cbadb28afb316ec",
+    ("B2", (2, 1)): "74136dd3ff1e61adb947816717a27d1cf8486a49106a01106ffbea64f6d2f559",
+    ("G2", (0, 1)): "a081ab944ca4f23ec0b74090bfcd9c061d2296e591ff4478040eef57a662de7e",
+    ("A1,A2", (1, 1, 1)):
+        "8edc3b0fc6345c1a3db56561b28004c2a3f8000bec86291f29b12f430523966f",
+    ("F4", (0, 0, 0, 1)):
+        "736f402801cd942731db1186b174cb480c26a313e320f34bae24d7ee03e799eb",
+    ("E6", (1, 0, 0, 0, 0, 0)):
+        "00f317b8d89a1fd51dcfee78d601ff8b89f74c6c611ec95a1de8a46227b71e70",
+    ("E7", (0, 0, 0, 0, 0, 0, 1)):
+        "9d43a7de52549b2c597f9b73b5e5f14ece69b5802e13e1048f12f09862b4bbed",
+    ("E8", None): "79700b1aaae22d096dde6acd70d5b694944cb39ffd0c4d255f7bf806ccb3439c",
+    ("E8", (1, 0, 0, 0, 0, 0, 0, 0)):
+        "a8a8b3418304d2ce03ad7b9d9b8997e0dfc60e2db2d10734efaa63707b268eeb",
 }
 
 # positive roots as (coords, factor, height, parent), then root_weights and
@@ -211,9 +235,14 @@ def test_fixture_verdict_json(name, capsys):
 
 
 def command_id(argv):
-    # the first pinned run of a subcommand is named by it alone, later ones add the type
-    first = min(a for a in COMMAND_SHA256 if a[0] == argv[0])
-    return argv[0] if argv == first else f"{argv[0]}-{argv[2]}"
+    # the first pinned run of a subcommand is named by it alone, later ones add
+    # the type, and later runs on a type already named add its second option too
+    same = sorted(a for a in COMMAND_SHA256 if a[0] == argv[0])
+    if argv == same[0]:
+        return argv[0]
+    if argv == min(a for a in same if a[2] == argv[2]):
+        return f"{argv[0]}-{argv[2]}"
+    return f"{argv[0]}-{argv[2]}-{argv[3].lstrip('-')}{argv[4]}"
 
 
 @pytest.mark.parametrize("argv", sorted(COMMAND_SHA256), ids=command_id)
@@ -258,6 +287,15 @@ def test_weight_system_order(name, lam):
     rs = parse_type(name)
     ws = weight_multiplicities(rs, rs.adjoint_weight() if lam is None else lam)
     assert sha256(repr(list(ws.items())).encode()) == WEIGHT_SYSTEM_SHA256[name, lam]
+
+
+@pytest.mark.parametrize("name,lam", sorted(WEIGHT_CONTENT_SHA256, key=repr),
+                         ids=lambda x: x if isinstance(x, str)
+                         else "adjoint" if x is None else ",".join(map(str, x)))
+def test_weight_system_content(name, lam):
+    rs = parse_type(name)
+    ws = weight_multiplicities(rs, rs.adjoint_weight() if lam is None else lam)
+    assert sha256(repr(sorted(ws.items())).encode()) == WEIGHT_CONTENT_SHA256[name, lam]
 
 
 @pytest.mark.parametrize("name", sorted(ROOT_DATA_SHA256))

@@ -96,6 +96,21 @@ def test_weyl_dim_rejects_non_dominant():
         parse_type("A2").weyl_dim((1, -1))
 
 
+def test_weyl_dim_validates_after_memoizing():
+    # each Weyl product is kept per RootSystem; the weight is still checked first
+    rs = parse_type("A2")
+    assert rs.weyl_dim((1, 1)) == 8 and rs.weyl_dim([1, 1]) == 8
+    assert rs.weyl_dim((2, 0)) == 6
+    with pytest.raises(ValueError, match="wrong length"):
+        rs.weyl_dim((1, 1, 0))
+    with pytest.raises(ValueError, match="wrong length"):
+        rs.weyl_dim((1,))
+    with pytest.raises(ValueError, match="not dominant"):
+        rs.weyl_dim((1, -1))
+    with pytest.raises(ValueError, match="not dominant"):
+        rs.weyl_dim((-1, 1))
+
+
 def test_affine_action_a1():
     rs = parse_type("A1")
     for m in range(-3, 5):
@@ -160,8 +175,9 @@ def test_adjoint_weights_exceptional():
 
 
 def test_parse_type_products():
-    rs = parse_type("A1xA1")
-    assert rs.rank == 2 and len(rs.factors) == 2
+    for text in ("A1xA1", "A1XA1", "a1xa1", "a1Xa1"):
+        rs = parse_type(text)
+        assert rs.rank == 2 and [str(f) for f in rs.factors] == ["A1", "A1"]
     rs = parse_type("A2,B3")
     assert rs.rank == 5
     with pytest.raises(ValueError):

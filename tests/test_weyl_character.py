@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from liecoh.cohomology import InternalCheckError, h1_report, levi_weyl_dim
 from liecoh.grading import ParabolicMarking, grading_element, root_degree
 from liecoh.repthy import weight_multiplicities, weight_system
-from liecoh.rootsys import parse_type
+from liecoh.rootsys import RootSystem, parse_type
 
 TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
          "D4", "D5", "G2", "F4", "A1,A1", "A1,A2", "A1,B2")
@@ -144,6 +144,38 @@ def test_integer_core_equals_rational_reference_on_e_types(name, lam):
     # the hypothesis test above draws no E type; the last case is the E8 adjoint
     rs = parse_type(name)
     assert weight_multiplicities(rs, lam) == ref_multiplicities(rs, lam)
+
+
+@pytest.mark.parametrize("name,lam", [("G2", (2, 1)), ("B3", (1, 1, 1)),
+                                      ("A1,A2", (1, 1, 1))],
+                         ids=["G2-2,1", "B3-1,1,1", "A1xA2-1,1,1"])
+def test_weight_order_is_level_then_tuple(name, lam):
+    # the documented order: top down by level below lam, ties by increasing tuple
+    rs = parse_type(name)
+    ws = weight_multiplicities(rs, lam)
+    keys = [(ref_depth(rs, lam, w), w) for w in ws]
+    assert all(level is not None for level, _ in keys)
+    assert keys == sorted(keys)
+    assert ws == ref_multiplicities(rs, lam)
+
+
+def test_each_weyl_product_once_per_report(monkeypatch):
+    # a work count, not a timing, on the E8 adjoint verdict
+    calls = []
+    real = RootSystem.weyl_product
+
+    def counted(self, weight, roots):
+        calls.append((tuple(weight), roots))
+        return real(self, weight, roots)
+
+    monkeypatch.setattr(RootSystem, "weyl_product", counted)
+    rs = parse_type("E8")
+    h1_report(rs, ParabolicMarking({8}), rs.adjoint_weight(), -1)
+    products = [(weight, tuple(roots)) for weight, roots in calls]
+    assert len(products) == len(set(products))
+    # every Levi product reads the one list of Levi roots built for the marking
+    levi = [roots for _, roots in calls if len(roots) < len(rs.positive_roots)]
+    assert levi and all(roots is levi[0] for roots in levi)
 
 
 # ---------- corrupted integer data is caught ----------
