@@ -49,6 +49,10 @@ FIXTURE_SHA256 = {
 }
 
 COMMAND_SHA256 = {
+    ("grading", "--type", "A3", "--marked", "2", "--weight", "0,1,0"):
+        "3ed7564fa44e3cb81340a28794292e54e984926e3cb346061d6ff7415ffd636f",
+    ("grading", "--type", "E6", "--marked", "2"):
+        "055f780ed10cbe7f5479c15dc291be73ac18f9e158f0583845efb13c9cf3a267",
     ("gperp", "--type", "A2", "--weight", "1,1"):
         "58fe1f6861bf48d18e27180ca23d793b47cd26ddbff0df0ba9d1789bdc4759a9",
     ("cohomology", "--type", "A2", "--marked", "1,2", "--gamma", "3,0", "--oracle"):
@@ -69,6 +73,12 @@ COMMAND_SHA256 = {
     ("tableau", "--input", os.path.join(ROOT, "tests", "tableau_small.json"),
      "--op", "all"):
         "d30a0b2a54cf5ccd4257838e690c9db285a95ddcdb325ff40379e63f06e5b940",
+}
+
+# the same commands in `--format table`
+TABLE_SHA256 = {
+    ("grading", "--type", "A3", "--marked", "2", "--weight", "0,1,0"):
+        "b8925fc8f23503013995c124c889bee4c1681aafe5393c65f41904e155737146",
 }
 
 # oracle-checked verdicts of non-Borel markings above the default oracle bound,
@@ -249,6 +259,13 @@ def command_id(argv):
 def test_command_json(argv, capsys):
     assert main(["--format", "json", *argv]) == 0
     assert sha256(capsys.readouterr().out.encode()) == COMMAND_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_SHA256), ids=command_id)
+def test_command_table(argv, capsys):
+    assert argv in COMMAND_SHA256
+    assert main(["--format", "table", *argv]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == TABLE_SHA256[argv]
 
 
 @pytest.mark.parametrize("key", sorted(LIFTED_ORACLE_SHA256), ids=lambda key: key[2])
