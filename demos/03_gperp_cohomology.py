@@ -11,7 +11,7 @@ from liecoh import (IrrComponent, ParabolicMarking, direct_h1,
                     gperp_decompose, gperp_direct_h1, kostant_h1, parse_type)
 
 rs = parse_type("A2")
-marking = ParabolicMarking({1, 2})
+marking = ParabolicMarking(rs, {1, 2})
 lam = (1, 1)  # adjoint module: U = sl3, the flag variety in P(sl3)
 
 print("g-perp components for sl3 acting on itself:")
@@ -21,15 +21,15 @@ for comp in gperp_decompose(rs, lam):
 
 print("\nH^1(g_-, component) per component, combinatorial vs direct:")
 for comp in gperp_decompose(rs, lam):
-    pieces = kostant_h1(rs, marking, comp)
+    pieces = kostant_h1(marking, comp)
     combi = {}
     for piece in pieces:
         combi[piece.degree] = combi.get(piece.degree, 0) + piece.dimension
-    oracle = direct_h1(rs, marking, comp.highest_weight)
+    oracle = direct_h1(marking, comp.highest_weight)
     tag = "ok" if combi == oracle else "MISMATCH"
     print(f"  V_{list(comp.highest_weight)}: {combi}  oracle {oracle}  [{tag}]")
 
 print("\nwhole g-perp at once, straight from matrices inside sl(8):")
-print(" ", gperp_direct_h1(rs, marking, lam))
+print(" ", gperp_direct_h1(marking, lam))
 print("the degree-1 classes stop the H^1 criterion from certifying order two;")
 print("whether F(1,2;3) in P^7 is rigid at order two is open.")

@@ -14,9 +14,8 @@ from .cohomology import (CohomologyReport, GradedComplex, H1Piece,
 from .driver import (RigidityVerdict, ScenarioSpec, adjoint_scenario,
                      run_scenario, scenario_from_json, scenario_to_json,
                      verdict_to_json)
-from .grading import (GradedDims, GradingElementValue, ParabolicMarking,
-                      algebra_depth, grade_algebra, grade_module,
-                      grading_element)
+from .grading import (GradingElementValue, ParabolicMarking, algebra_depth,
+                      grade_algebra, grade_module)
 from .repthy import (DEFAULT_ORACLE_BOUND, IrrComponent, RepMatrices,
                      construct_rep, gperp_decompose, root_vector_matrices,
                      structure_constants, tensor_decompose,

@@ -25,7 +25,7 @@ from .driver import (ScenarioSpec, adjoint_scenario, piece_json, rational_str,
                      run_scenario, scenario_from_json, scenario_to_json,
                      verdict_json_text, verdict_table)
 from .errors import InternalCheckError
-from .grading import ParabolicMarking, grade_algebra, grade_module
+from .grading import ParabolicMarking, algebra_depth, grade_algebra, grade_module
 from .repthy import DEFAULT_ORACLE_BOUND
 from .rootsys import parse_type
 
@@ -40,13 +40,13 @@ def _weight(text, rank=None):
     return w
 
 
-def _marking(text):
+def _nodes(text):
+    """The node numbers of a --marked value; ParabolicMarking checks them."""
     try:
-        nodes = [int(c) for c in text.split(",")]
+        return [int(c) for c in text.split(",")]
     except ValueError as e:
         raise ValueError(f"malformed --marked {text!r}: expected comma-separated integer "
                          "node numbers, such as 1,3") from e
-    return ParabolicMarking(nodes)
 
 
 def oracle_bound():
@@ -103,20 +103,21 @@ def cmd_vogel(args):
 
 def cmd_grading(args):
     rs = parse_type(args.type)
-    marking = _marking(args.marked)
-    alg = grade_algebra(rs, marking)
+    marking = ParabolicMarking(rs, _nodes(args.marked))
+    alg = grade_algebra(marking)
+    depth = algebra_depth(marking)
     payload = {"type": str(rs), "marked": sorted(marking.marked),
-               "algebra": {str(d): n for d, n in alg.dims.items()},
-               "depth": alg.depth()}
+               "algebra": {str(d): n for d, n in alg.items()},
+               "depth": depth}
     lines = [f"algebra grading of {rs}, marked {sorted(marking.marked)}:",
-             f"  {alg.dims}  (depth {alg.depth()})"]
+             f"  {alg}  (depth {depth})"]
     if args.weight:
         w = _weight(args.weight, rs.rank)
-        mod = grade_module(rs, marking, w)
+        mod = grade_module(marking, w)
         payload["weight"] = list(w)
-        payload["module"] = {str(d): n for d, n in mod.dims.items()}
+        payload["module"] = {str(d): n for d, n in mod.items()}
         lines.append(f"module grading of V_{list(w)} (top = 0):")
-        lines.append(f"  {mod.dims}")
+        lines.append(f"  {mod}")
     _emit(args, payload, lines)
     return 0
 
@@ -140,9 +141,9 @@ def cmd_gperp(args):
 
 def cmd_cohomology(args):
     rs = parse_type(args.type)
-    marking = _marking(args.marked)
+    marking = ParabolicMarking(rs, _nodes(args.marked))
     gamma = _weight(args.gamma, rs.rank)
-    pieces = cohomology.kostant_h1(rs, marking, repthy.IrrComponent(gamma))
+    pieces = cohomology.kostant_h1(marking, repthy.IrrComponent(gamma))
     payload = {"type": str(rs), "marked": sorted(marking.marked),
                "gamma": list(gamma),
                "pieces": [piece_json(p) for p in pieces]}
@@ -150,7 +151,7 @@ def cmd_cohomology(args):
     lines += [f"  degree {p.degree}  dim {p.dimension}  levi {list(p.levi_highest_weight)}"
               f"  (node {p.source_reflection})" for p in pieces]
     if args.oracle:
-        cx = cohomology.module_complex(rs, marking, gamma, bound=oracle_bound())
+        cx = cohomology.module_complex(marking, gamma, bound=oracle_bound())
         dims = cohomology.check_oracle(cx, [(1, p) for p in pieces])
         payload["oracle"] = {str(d): n for d, n in dims.items()}
         lines.append(f"oracle agreed: { {str(k): v for k, v in dims.items()} }")
@@ -192,12 +193,12 @@ def cmd_rigidity(args):
         if args.marked is None or args.weight is None or args.p is None:
             raise ValueError("--type needs --marked, --weight and --p")
         rs = parse_type(args.type)
-        marked = _marking(args.marked).marked
+        marked = _nodes(args.marked)
         weight = _weight(args.weight, rs.rank)
         spec = ScenarioSpec(tuple(rs.factors), marked, weight, args.p, args.oracle, rs)
     else:
         raise ValueError("need --fixture, --scenario, or --type/--marked/--weight")
-    # the --p and --oracle overrides; __post_init__ validates them again
+    # the --p and --oracle overrides; __post_init__ checks them again
     if args.p is not None:
         spec = replace(spec, p=args.p)
     if args.oracle:

@@ -55,6 +55,10 @@ levi_highest_weight), counted with the g-perp multiplicities.  The oracle's
 highest weight is levi_highest_weight as stored, with no dual (pinned by
 the tests).
 
+Every function here takes the parabolic as one grading.ParabolicMarking,
+which carries its root system, Z, the Levi nodes (the unmarked nodes, whose
+reflections generate W_0) and the Z-degree of every positive root.
+
 h1_report runs the full pipeline for Gamma = g-perp inside sl(U) and turns
 the graded dimensions into a rigidity verdict: RIGID when no piece lives in
 degree >= p + 2, INCONCLUSIVE otherwise.
@@ -91,8 +95,7 @@ from operator import add, sub
 
 from . import linalg, repthy
 from .errors import InternalCheckError
-from .grading import (GradedDims, grade_algebra, grade_module, grading_element,
-                      root_degree)
+from .grading import grade_algebra, grade_module
 from .repthy import (DEFAULT_ORACLE_BOUND, construct_rep, root_vector_matrices,
                      structure_constants)
 
@@ -112,74 +115,59 @@ class H1Piece:
     source_reflection: int  # 1-based marked node
 
 
-def levi_nodes(rs, marking):
-    """The unmarked nodes, 0-based: the simple roots of g_0, whose reflections generate W_0."""
-    return tuple(j for j in range(rs.rank) if (j + 1) not in marking.marked)
+def is_levi_dominant(marking, weight):
+    return all(weight[j] >= 0 for j in marking.unmarked)
 
 
-def is_levi_dominant(rs, marking, weight):
-    return all(weight[j] >= 0 for j in levi_nodes(rs, marking))
-
-
-def levi_weyl_dim(rs, marking, weight):
-    """Weyl dimension formula over the Levi's positive roots (unmarked support).
-
-    The Levi's root indices are listed once per root system and marking.
-    """
-    rs.check_length(weight)
-    if not is_levi_dominant(rs, marking, weight):
+def levi_weyl_dim(marking, weight):
+    """Weyl dimension formula over the Levi's positive roots (marking.levi_roots)."""
+    marking.rs.check_length(weight)
+    if not is_levi_dominant(marking, weight):
         raise ValueError(f"{weight} is not Levi-dominant")
-    roots = rs._levi_roots.get(marking)
-    if roots is None:
-        roots = rs._levi_roots[marking] = tuple(
-            k for k, r in enumerate(rs.positive_roots) if root_degree(marking, r.coords) == 0)
-    return rs.weyl_product(weight, roots)
+    return marking.rs.weyl_product(weight, marking.levi_roots)
 
 
-def levi_lowest(rs, marking, weight):
+def levi_lowest(marking, weight):
     """Lowest weight of the Levi irreducible with the given highest weight."""
-    unmarked = levi_nodes(rs, marking)
     w = tuple(weight)
     while True:
-        for j in unmarked:
+        for j in marking.unmarked:
             if w[j] > 0:
-                w = rs.reflect(j, w)
+                w = marking.rs.reflect(j, w)
                 break
         else:
             return w
 
 
-def kostant_h0(rs, marking, gamma):
+def kostant_h0(marking, gamma):
     """H^0(g_-, V_mu) as a single piece: the dual of the top Levi constituent of V_mu*."""
-    mu_star = rs.dual_weight(gamma.highest_weight)
-    z = grading_element(rs, marking)
-    return H1Piece(tuple(-x for x in levi_lowest(rs, marking, mu_star)),
-                   _as_degree(-z(mu_star)),
-                   levi_weyl_dim(rs, marking, mu_star), 0)
+    mu_star = marking.rs.dual_weight(gamma.highest_weight)
+    return H1Piece(tuple(-x for x in levi_lowest(marking, mu_star)),
+                   _as_degree(-marking.z(mu_star)),
+                   levi_weyl_dim(marking, mu_star), 0)
 
 
-def kostant_h1(rs, marking, gamma):
+def kostant_h1(marking, gamma):
     """H^1(g_-, V_mu) pieces, one per marked simple reflection.
 
     Multiplicity of the input component is NOT folded in; callers aggregate.
     """
-    marking.validate(rs)
+    rs = marking.rs
     mu = tuple(gamma.highest_weight)
     if not rs.is_dominant(mu):
         raise ValueError(f"component weight {mu} is not dominant")
     mu_star = rs.dual_weight(mu)
-    z = grading_element(rs, marking)
     pieces = []
     for i in sorted(marking.marked):
         # never fires: at an unmarked j, (sigma_i(mu* + rho))_j =
         # (mu* + rho)_j - (mu* + rho)_i C[j][i] >= 1, as C[j][i] <= 0
         w = rs.affine_action(i - 1, mu_star)
-        if not is_levi_dominant(rs, marking, w):
+        if not is_levi_dominant(marking, w):
             raise InternalCheckError(f"sigma_{i} . {mu_star} = {w} is not Levi-dominant")
         pieces.append(H1Piece(
-            levi_highest_weight=tuple(-x for x in levi_lowest(rs, marking, w)),
-            degree=_as_degree(-z(w)),
-            dimension=levi_weyl_dim(rs, marking, w),
+            levi_highest_weight=tuple(-x for x in levi_lowest(marking, w)),
+            degree=_as_degree(-marking.z(w)),
+            dimension=levi_weyl_dim(marking, w),
             source_reflection=i,
         ))
     return pieces
@@ -425,12 +413,10 @@ def check_oracle(cx, pieces):
     return got
 
 
-def negative_roots(rs, marking):
-    """Positive roots alpha with Z(alpha) >= 1; f_alpha spans g_-."""
-    out = [r.coords for r in rs.positive_roots
-           if root_degree(marking, r.coords) >= 1]
-    out.sort(key=lambda c: (root_degree(marking, c), c))
-    return out
+def negative_roots(marking):
+    """Positive roots alpha with Z(alpha) >= 1, by degree; f_alpha spans g_-."""
+    degree = marking.root_degrees
+    return sorted((c for c, d in degree.items() if d >= 1), key=lambda c: (degree[c], c))
 
 
 def _g_by_weight(rep):
@@ -456,18 +442,19 @@ def _g_by_weight(rep):
     return out
 
 
-def _g_minus(rs, marking):
+def _g_minus(marking):
     """Depths and bracket constants of the root vectors f_alpha spanning g_-.
 
     Both follow negative_roots: depths[a] = (Z-degree, weight) of the root
     alpha_a, and the brackets are structure_constants of those roots.
     """
-    roots = negative_roots(rs, marking)
-    depths = [(root_degree(marking, c), rs.root_weights[c]) for c in roots]
+    rs = marking.rs
+    roots = negative_roots(marking)
+    depths = [(marking.root_degrees[c], rs.root_weights[c]) for c in roots]
     return depths, structure_constants(rs, roots)
 
 
-def _complex(rs, marking, g, basis, image, den):
+def _complex(marking, g, basis, image, den):
     """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
 
     g is _g_by_weight of the module, and basis maps each (degree, weight)
@@ -483,14 +470,14 @@ def _complex(rs, marking, g, basis, image, den):
     act holds the blocks of the source grades that the dominant grades
     reach, d itself (d0) and d - depths[a] (d1), and no others.
     """
-    depths, brackets = _g_minus(rs, marking)
+    depths, brackets = _g_minus(marking)
     fs = [g[tuple(-x for x in alpha)][0] for _, alpha in depths]
     L = den * lcm(1, *(x.denominator for f in fs for x in f.values()),
                   *(x.denominator for terms in brackets.values() for x in terms.values()))
     brackets = {pair: {c: x.numerator * (L // x.denominator) for c, x in terms.items()}
                 for pair, terms in brackets.items()}
     cx = GradedComplex({s: len(vectors) for s, vectors in basis.items()}, depths, {},
-                       brackets, rs, levi_nodes(rs, marking))
+                       brackets, marking.rs, marking.unmarked)
     sources = sorted({s for d in cx.dominant_grades
                       for s in (d, *(_lower(d, i) for i in depths)) if s in basis})
     for a, depth in enumerate(depths):
@@ -500,7 +487,7 @@ def _complex(rs, marking, g, basis, image, den):
     return cx
 
 
-def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
+def module_complex(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     """GradedComplex for an abstract irreducible coefficient module V_gamma.
 
     Gamma is graded by (raw Z-eigenvalue, weight) of its weight basis (no
@@ -508,9 +495,8 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     explicit module; brackets come from a faithful companion so the trivial
     module also works.
     """
-    marking.validate(rs)
-    rep = construct_rep(rs, gamma_weight, bound)
-    z = grading_element(rs, marking)
+    rep = construct_rep(marking.rs, gamma_weight, bound)
+    z = marking.z
     basis = {}
     for vid, w in enumerate(rep.basis_weights):
         basis.setdefault((z(w), w), []).append(vid)
@@ -521,15 +507,15 @@ def module_complex(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
             return [{k: f[(r, vid)] for k, r in targets if (r, vid) in f} for vid in vids]
         return action
 
-    return _complex(rs, marking, _g_by_weight(rep), basis, image, 1)
+    return _complex(marking, _g_by_weight(rep), basis, image, 1)
 
 
-def direct_h1(rs, marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
+def direct_h1(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     """Per-degree H^1 dims for an abstract irreducible module, by matrix ranks."""
-    return graded_h1(module_complex(rs, marking, gamma_weight, bound))
+    return graded_h1(module_complex(marking, gamma_weight, bound))
 
 
-def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
+def gperp_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
     """GradedComplex for Gamma = g-perp inside sl(U), U = V_lam, by (degree, weight).
 
     g is realized by explicit matrices on U.  E_vw in gl(U) has weight
@@ -548,11 +534,11 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
     are multiples of den, the lcm of every c, so [f, vector] and the
     division by c are exact integer arithmetic.
     """
-    marking.validate(rs)
+    rs = marking.rs
     rep = construct_rep(rs, lam, bound)
     n = rep.dimension
     wts = rep.basis_weights
-    z = grading_element(rs, marking)
+    z = marking.z
     g = _g_by_weight(rep)
     zero = (0,) * rs.rank
 
@@ -623,12 +609,12 @@ def gperp_complex(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
         return action
 
     den = lcm(1, *(c for columns in free.values() for _, c in columns.values()))
-    return _complex(rs, marking, g, basis, image, den)
+    return _complex(marking, g, basis, image, den)
 
 
-def gperp_direct_h1(rs, marking, lam, bound=DEFAULT_ORACLE_BOUND):
+def gperp_direct_h1(marking, lam, bound=DEFAULT_ORACLE_BOUND):
     """Oracle: per-degree H^1(g_-, g-perp) dims straight from matrices."""
-    return graded_h1(gperp_complex(rs, marking, lam, bound))
+    return graded_h1(gperp_complex(marking, lam, bound))
 
 
 # ---------- report ----------
@@ -645,14 +631,14 @@ class CohomologyReport:
     aggregate: dict       # degree -> total dimension (multiplicity-weighted)
     offending: list
     verdict: str
-    algebra_grading: GradedDims
-    module_grading: GradedDims
+    algebra_grading: dict  # degree -> dim of g_degree (grade_algebra)
+    module_grading: dict   # degree -> dim of U_degree, top = 0 (grade_module)
     oracle_requested: bool = False
     oracle_ran: bool = False
     oracle_note: str = ""
 
 
-def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
+def h1_report(marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
     """Decompose g-perp, run kostant_h1 on every component, and pass verdict.
 
     p asks for rigidity at order p + 3, and a piece of degree d obstructs
@@ -663,12 +649,13 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
     must agree exactly (check_oracle; skipped, and said so, when dim U
     exceeds the oracle bound; bound=None lifts it, as in construct_rep).
 
-    lam must be a dominant weight of rs whose support is the marking: the
+    lam must be a dominant weight of marking.rs whose support is the marking: the
     stabilizer of [v_lam] is the parabolic of supp lam, so any other marking
     describes no variety.  ValueError otherwise.
     """
     if p < -1:
         raise ValueError("p must be >= -1")
+    rs = marking.rs
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise ValueError(f"weight length {len(lam)} != rank {rs.rank}")
@@ -681,7 +668,7 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
     pieces = []
     aggregate = {}
     for comp in comps:
-        for piece in kostant_h1(rs, marking, comp):
+        for piece in kostant_h1(marking, comp):
             pieces.append((comp.highest_weight, comp.multiplicity, piece))
             aggregate[piece.degree] = aggregate.get(piece.degree, 0) \
                 + comp.multiplicity * piece.dimension
@@ -701,8 +688,8 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
         aggregate=aggregate,
         offending=offending,
         verdict=verdict,
-        algebra_grading=grade_algebra(rs, marking),
-        module_grading=grade_module(rs, marking, lam),
+        algebra_grading=grade_algebra(marking),
+        module_grading=grade_module(marking, lam),
         oracle_requested=oracle,
     )
     if oracle:
@@ -712,7 +699,7 @@ def h1_report(rs, marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
                 f"oracle skipped: dim U = {dim_u} exceeds bound {bound}; "
                 "the combinatorial path alone decides")
         else:
-            check_oracle(gperp_complex(rs, marking, lam, bound),
+            check_oracle(gperp_complex(marking, lam, bound),
                          [(mult, piece) for _, mult, piece in pieces])
             report.oracle_ran = True
             report.oracle_note = ("direct matrix computation agreed with the "

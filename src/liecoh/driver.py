@@ -63,7 +63,7 @@ class RigidityVerdict:
 
 
 def run_scenario(spec, bound=DEFAULT_ORACLE_BOUND):
-    report = h1_report(spec.root_system(), ParabolicMarking(spec.marked),
+    report = h1_report(ParabolicMarking(spec.root_system(), spec.marked),
                        spec.highest_weight, spec.p, oracle=spec.oracle, bound=bound)
     return RigidityVerdict(
         verdict=report.verdict,
@@ -170,8 +170,8 @@ def verdict_to_json(v):
         "h1_by_degree": {str(degree_json(d)): n for d, n in rep.aggregate.items()},
         "offending": [_component_piece_json(hw, m, pc) for hw, m, pc in rep.offending],
         "gradings": {
-            "algebra": {str(d): n for d, n in rep.algebra_grading.dims.items()},
-            "module": {str(d): n for d, n in rep.module_grading.dims.items()},
+            "algebra": {str(d): n for d, n in rep.algebra_grading.items()},
+            "module": {str(d): n for d, n in rep.module_grading.items()},
         },
         "oracle": {
             "requested": rep.oracle_requested,
@@ -190,8 +190,8 @@ def verdict_table(v):
     lines = []
     head = "x".join(rep.algebra)
     lines.append(f"algebra {head}  marked {rep.marked}  weight {list(rep.weight)}  p = {rep.p}")
-    lines.append(f"algebra grading: {rep.algebra_grading.dims}")
-    lines.append(f"module grading (top = 0): {rep.module_grading.dims}")
+    lines.append(f"algebra grading: {rep.algebra_grading}")
+    lines.append(f"module grading (top = 0): {rep.module_grading}")
     lines.append("g-perp components:")
     for c in rep.gperp:
         lines.append(f"  {list(c.highest_weight)}  x{c.multiplicity}")

@@ -1,11 +1,14 @@
 """Parabolic markings, the grading element Z, and Z-gradings of g and modules.
 
-Node indices are 1-based (Bourbaki order, concatenated across factors).
-Z is the functional on the weight lattice with Z(alpha_i) = 1 for marked i
-and 0 for unmarked i; on a weight it evaluates through the inverse Cartan
-matrix.  Gradings of g are symmetric about 0; module gradings are shifted
-so the top (highest-weight) slice sits in degree 0, matching the convention
-used for osculating sequences.
+A ParabolicMarking is one parabolic of one root system, named by its marked
+nodes.  Node indices are 1-based (Bourbaki order, concatenated across
+factors).  Everything the rest of the package reads off the parabolic is
+built, and checked, once when the marking is: the Levi nodes, Z, and the
+Z-degree of every positive root.  Z is the functional on the weight lattice
+with Z(alpha_i) = 1 for marked i and 0 for unmarked i; on a weight it
+evaluates through the inverse Cartan matrix.  Gradings of g are symmetric
+about 0; module gradings are shifted so the top (highest-weight) slice sits
+in degree 0, matching the convention used for osculating sequences.
 """
 
 from dataclasses import dataclass
@@ -14,25 +17,6 @@ from operator import mul
 
 from . import repthy
 from .errors import InternalCheckError
-
-
-@dataclass(frozen=True)
-class ParabolicMarking:
-    marked: frozenset  # 1-based global node indices
-
-    def __init__(self, marked):
-        object.__setattr__(self, "marked", frozenset(int(i) for i in marked))
-        if not self.marked:
-            raise ValueError("marking must be non-empty")
-        if any(i < 1 for i in self.marked):
-            raise ValueError("node indices are 1-based")
-
-    def validate(self, rs):
-        if any(i > rs.rank for i in self.marked):
-            raise ValueError(f"marked node out of range for rank {rs.rank}")
-
-    def zero_based(self):
-        return sorted(i - 1 for i in self.marked)
 
 
 @dataclass(frozen=True)
@@ -45,65 +29,84 @@ class GradingElementValue:
         return Fraction(sum(map(mul, self.row, weight)), self.den)
 
 
-@dataclass
-class GradedDims:
-    dims: dict  # degree -> dimension
+class ParabolicMarking:
+    """The parabolic of rs with the given marked nodes; ValueError on bad nodes.
 
-    def depth(self):
-        return max(abs(d) for d in self.dims)
+    rs:           the root system
+    marked:       frozenset of the marked nodes, 1-based
+    unmarked:     the unmarked nodes, 0-based: the simple roots of g_0, whose
+                  reflections generate the Levi Weyl group W_0
+    z:            the grading element, a GradingElementValue, Z(alpha_i) = [i marked]
+    root_degrees: positive root (simple-root coordinates) -> Z(root), the sum
+                  of its marked coefficients, in the order of rs.positive_roots
+    levi_roots:   the indices into rs.positive_roots of the degree-0 roots,
+                  the positive roots of g_0
+    """
+
+    def __init__(self, rs, marked):
+        nodes = frozenset(marked)
+        if not nodes:
+            raise ValueError("marking must be non-empty")
+        for i in nodes:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ValueError(f"a marked node must be an integer, got {i!r}")
+        if any(i < 1 for i in nodes):
+            raise ValueError("node indices are 1-based")
+        if any(i > rs.rank for i in nodes):
+            raise ValueError(f"marked node out of range for rank {rs.rank}")
+        self.rs = rs
+        self.marked = nodes
+        self.unmarked = tuple(j for j in range(rs.rank) if j + 1 not in nodes)
+        marked0 = sorted(i - 1 for i in nodes)
+        self.z = GradingElementValue(
+            tuple(sum(rs.inverse_cartan_scaled[i][j] for i in marked0)
+                  for j in range(rs.rank)),
+            rs.inverse_cartan_den)
+        for j, alpha in enumerate(rs.simple_root_weights):
+            if self.z(alpha) != (1 if j + 1 in nodes else 0):
+                raise InternalCheckError(
+                    f"Z(alpha_{j + 1}) = {self.z(alpha)} disagrees with the marking")
+        self.root_degrees = {r.coords: sum(r.coords[i] for i in marked0)
+                             for r in rs.positive_roots}
+        self.levi_roots = tuple(k for k, r in enumerate(rs.positive_roots)
+                                if not self.root_degrees[r.coords])
 
 
-def grading_element(rs, marking):
-    """The grading element of a marking: Z(alpha_i) = [i marked]."""
-    marking.validate(rs)
-    row = tuple(sum(rs.inverse_cartan_scaled[i][j] for i in marking.zero_based())
-                for j in range(rs.rank))
-    z = GradingElementValue(row, rs.inverse_cartan_den)
-    for j, alpha in enumerate(rs.simple_root_weights):
-        if z(alpha) != (1 if (j + 1) in marking.marked else 0):
-            raise InternalCheckError(f"Z(alpha_{j + 1}) = {z(alpha)} disagrees with the marking")
-    return z
-
-
-def root_degree(marking, root_coords):
-    """Z-value of a root: the sum of its marked simple-root coefficients."""
-    return sum(root_coords[i] for i in marking.zero_based())
-
-
-def grade_algebra(rs, marking):
-    """Dimensions of the Z-graded pieces of g; symmetric about 0."""
-    marking.validate(rs)
+def grade_algebra(marking):
+    """Dimensions of the Z-graded pieces of g, {degree: dim} in increasing
+    degree; symmetric about 0."""
+    rs = marking.rs
     dims = {0: rs.rank}
-    for r in rs.positive_roots:
-        d = root_degree(marking, r.coords)
+    for d in marking.root_degrees.values():
         dims[d] = dims.get(d, 0) + 1
         dims[-d] = dims.get(-d, 0) + 1
     if sum(dims.values()) != rs.dim_g():
         raise InternalCheckError("graded pieces of g do not add up to dim g")
     if any(dims[d] != dims[-d] for d in dims):
         raise InternalCheckError(f"grading of g is not symmetric about 0: {dims}")
-    return GradedDims(dict(sorted(dims.items())))
+    return dict(sorted(dims.items()))
 
 
-def algebra_depth(rs, marking):
+def algebra_depth(marking):
     """Z(highest root), maximized over factors; the k of g = g_-k + ... + g_k."""
-    return max(root_degree(marking, theta) for theta in rs.highest_root_per_factor)
+    return max(marking.root_degrees[theta]
+               for theta in marking.rs.highest_root_per_factor)
 
 
-def grade_module(rs, marking, lam):
-    """Graded dimensions of V_lam, shifted so the top degree is 0.
+def grade_module(marking, lam):
+    """Graded dimensions of V_lam, {degree: dim} in increasing degree, shifted
+    so the top degree is 0.
 
     dims[-j] is the total multiplicity of weights nu with Z(nu) = Z(lam) - j.
     The support is contiguous {0, -1, ..., -f}, and dims[0] = 1 because
     supp(lam) must lie inside the marking.
     """
-    marking.validate(rs)
     if any(c and (j + 1) not in marking.marked for j, c in enumerate(lam)):
         raise ValueError(f"support of {tuple(lam)} is not inside the marking")
-    z = grading_element(rs, marking)
+    z = marking.z
     top = sum(map(mul, z.row, lam))  # z.den * Z(lam)
     dims = {}
-    for nu, m in repthy.weight_system(rs, lam).items():
+    for nu, m in repthy.weight_system(marking.rs, lam).items():
         scaled = top - sum(map(mul, z.row, nu))  # z.den * (Z(lam) - Z(nu))
         j, r = divmod(scaled, z.den)
         if r or j < 0:
@@ -113,4 +116,4 @@ def grade_module(rs, marking, lam):
     f = -min(dims)
     if set(dims) != set(range(-f, 1)):
         raise InternalCheckError(f"module grading has gaps: {sorted(dims)}")
-    return GradedDims(dict(sorted(dims.items())))
+    return dict(sorted(dims.items()))

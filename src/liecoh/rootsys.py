@@ -152,7 +152,6 @@ class RootSystem:
         self._build_form()
         self._weight_systems = {}  # lam -> read-only weight system, see repthy.weight_system
         self._weyl_dims = {}  # dominant weight -> its Weyl dimension, see weyl_dim
-        self._levi_roots = {}  # marking -> its Levi's positive roots, see cohomology.levi_weyl_dim
 
     def _block_cartan(self):
         C = [[0] * self.rank for _ in range(self.rank)]
@@ -335,7 +334,7 @@ class RootSystem:
     def weyl_dim(self, weight):
         """Weyl dimension formula; weight must be dominant integral.
 
-        The weight is validated on every call and its product is computed
+        The weight is checked on every call and its product is computed
         once per RootSystem.
         """
         if not self.is_dominant(weight):

@@ -221,6 +221,10 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         assert err.strip(), argv
     _, _, err = run(capsys, "vogel", "--params", "-2,12,20", "--y2", "--y3", "--k", "3")
     assert "--y2 and --y3 and --k exclude each other" in err
+    # a node past the rank is refused where the marking is built
+    code, _, err = run(capsys, "rigidity", "--type", "A2", "--marked", "5", "--weight", "1,0",
+                       "--p", "-1")
+    assert code == 2 and err == "error: marked node out of range for rank 2\n"
     # a malformed marking names the option and the expected form
     for text in ("", "1,x"):
         _, _, err = run(capsys, "grading", "--type", "A2", "--marked", text)

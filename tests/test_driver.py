@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liecoh import driver
+from liecoh import driver, grading
 from liecoh.driver import (ScenarioSpec, adjoint_scenario, run_scenario,
                            scenario_from_json, scenario_to_json,
                            verdict_json_text, verdict_to_json)
@@ -45,6 +45,24 @@ def test_adjoint_scenario_builds_its_root_system_once(monkeypatch):
     assert s == spec(["G2"], {2}, (0, 1), -1)  # the carried RootSystem is not compared
     assert run_scenario(s).verdict == "RIGID"
     assert len(built) == 1
+
+
+def test_a_scenario_builds_its_grading_element_once(monkeypatch):
+    # a work count: the marking builds Z once, and every stage of the run,
+    # each g-perp component's kostant_h1 among them, reads it from there
+    built = []
+    real = grading.GradingElementValue
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(grading, "GradingElementValue", counting)
+    s = adjoint_scenario(("E", 7))
+    assert len(run_scenario(s).report.gperp) > 1
+    assert len(built) == 1
+    # the Levi roots are listed on the marking, not kept on the root system
+    assert not hasattr(s.root_system(), "_levi_roots")
 
 
 def test_adjoint_scenario_rejects_a1():

@@ -327,9 +327,9 @@ def test_root_data(name):
                          ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x)))
 def test_graded_weights(name, marked, lam):
     if name == "module":
-        cx = module_complex(parse_type("A2"), ParabolicMarking(set(marked)), lam)
+        cx = module_complex(ParabolicMarking(parse_type("A2"), set(marked)), lam)
     else:
-        cx = gperp_complex(parse_type(name), ParabolicMarking(set(marked)), lam)
+        cx = gperp_complex(ParabolicMarking(parse_type(name), set(marked)), lam)
     h0, h1 = graded_weights(cx)
     text = repr((sorted(h0.items()), sorted(h1.items())))
     assert sha256(text.encode()) == GRADED_WEIGHTS_SHA256[name, marked, lam]

@@ -596,10 +596,10 @@ def test_row_step_work_on_dense_segre_and_the_c2_oracle(monkeypatch):
     f2, n, a = segre_2x2()
     t = stabilizer_and_tableau(dense_basis(f2, n, a, random.Random(0)), n, a).tableau_r_perp
     assert rescaled_entries(lambda: is_involutive(t), monkeypatch) <= 12_299
-    rs, marking = parse_type("C2"), ParabolicMarking({1, 2})
+    marking = ParabolicMarking(parse_type("C2"), {1, 2})
 
     def oracle():
-        return cohomology.h1_report(rs, marking, (1, 1), -1, oracle=True)
+        return cohomology.h1_report(marking, (1, 1), -1, oracle=True)
     # once first, so the cached companion root systems are built
     oracle()
     assert rescaled_entries(oracle, monkeypatch) <= 1_319
