@@ -10,7 +10,7 @@ and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P
 of the stabilizer tableaux of two seeded dense second fundamental forms, of the
 explicit matrices `construct_rep` builds on modules with a weight space of
 dimension > 1, of the weight systems (in their order and as sets) and root
-data the Kostant route walks, of the H^0 and H^1 that graded_weights returns grade by grade on
+data the Kostant route walks, of their inverse Cartan matrices and invariant forms, of the H^0 and H^1 that graded_weights returns grade by grade on
 the oracle complexes of the benchmark ladder and the fixtures, and of the stdout
 of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
@@ -196,6 +196,29 @@ ROOT_DATA_SHA256 = {
     "A2,G2": "a0c72062df626473227d628f2db24203c07d1a560213ef75ae1b00bf43d97f6a",
 }
 
+# repr((inverse_cartan_den, inverse_cartan_scaled, form_den, form)) on the same
+# types: C^-1 over its denominator and the normalized invariant form
+ROOT_FORM_SHA256 = {
+    "A2": "09a7b27c18bf184a2afacc0e291ecc190f5c450ce2428cb90fb5e8c1f568f422",
+    "A3": "c72fe202744e0cdac768d1446a10a6b85f6d1e1737dbeee79928b95e0b4f4be5",
+    "A4": "56d11b9c8284813ad4663f0d1585166eda52da78fb165679d9fc140c1e8ceca4",
+    "A5": "6c5667b39113330445ae592bfa21a3178032dc624c5c509fd766e6ed88a7cd5e",
+    "A7": "7f43f4d7efb1fc95ef816fb382f79fbea2645b55b94b85b519f60d1eb634b032",
+    "B3": "2a179e9ff9e752b229b30bc2a6455b4d517bf6c2ec8e5968e19f599c9d695145",
+    "C2": "840149829894af05cbd8d0bd4d8ed3790ae8701f3fde88fbae5d83f801b2ff40",
+    "C3": "3030de4d2f2e62346ff3bed54910b982d21a4ebc41c34c2172414fe6cfe2f4dc",
+    "C4": "d54b5473b806e5ac299e26ebe11ff622162882156017ed086732fc5ed756a034",
+    "D4": "cd7fb684155d707484baa084bd4209e4c96fa683b5db976c59f29ecc0909ac84",
+    "D5": "c1fc52974bee924ba2079c5ddc8e85069e3190eb11c5b5d9bb2d3c0819433e3d",
+    "D6": "6ad3000012455befd5d1d73872326b52279d0847d86bba5ea7ea247c9dba3162",
+    "E6": "41663522c514ebd0024e68c2137360039ca9a9ff23eba1fc24f249a0b8230e7a",
+    "E7": "f9da125882e37bf7c9337f77b9ba0e12a06ff3d800bb2f480aa1e3e5676c85fa",
+    "E8": "3beecf42b2f054d379dc9c2e02985c1d7d540151f31126d8a3a4b4ad4655769a",
+    "F4": "caa9938e4ad997a426079a3587f6705765677080905b294f1454088182c45686",
+    "G2": "3fee6caceaf9c4f5824e0996fbf03bd65d7fa572eb7bc53d0f258bad8a6d9d32",
+    "A2,G2": "d52c48f69a04847892b3999d86d0c34b11376b20e772d6ddf99893e0a04dc543",
+}
+
 # repr((sorted(h0.items()), sorted(h1.items()))) of graded_weights on
 # gperp_complex(type, marked, lam): the oracle ladder of the benchmark, then
 # every fixture that runs the oracle; "module" is module_complex, gamma = (3, 0)
@@ -321,6 +344,15 @@ def test_root_data(name):
     parts = [repr([(r.coords, r.factor, r.height, r.parent) for r in rs.positive_roots]),
              repr(list(rs.root_weights.items())), repr(rs.coroots)]
     assert sha256("\n".join(parts).encode()) == ROOT_DATA_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_FORM_SHA256))
+def test_root_form(name):
+    # Freudenthal is homogeneous of degree 0 in the form, and the Weyl and
+    # Kostant routes never read it, so no other pin sees a rescaled form
+    rs = parse_type(name)
+    text = repr((rs.inverse_cartan_den, rs.inverse_cartan_scaled, rs.form_den, rs.form))
+    assert sha256(text.encode()) == ROOT_FORM_SHA256[name]
 
 
 @pytest.mark.parametrize("name,marked,lam", sorted(GRADED_WEIGHTS_SHA256),
