@@ -657,8 +657,7 @@ def h1_report(marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
         raise ValueError("p must be >= -1")
     rs = marking.rs
     lam = tuple(lam)
-    if len(lam) != rs.rank:
-        raise ValueError(f"weight length {len(lam)} != rank {rs.rank}")
+    rs.check_length(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     if marking.marked != {i + 1 for i, c in enumerate(lam) if c}:

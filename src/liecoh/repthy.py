@@ -52,8 +52,7 @@ def weight_multiplicities(rs, lam):
     weights alone.  The arithmetic is on integers (rs.form, see rootsys).
     """
     lam = tuple(lam)
-    if len(lam) != rs.rank:
-        raise ValueError(f"weight {lam} has {len(lam)} coordinates; the rank is {rs.rank}")
+    rs.check_length(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     # dominant weights below lam, each reached from one above it by a positive root

@@ -8,9 +8,12 @@ Conventions, fixed once and used everywhere:
   * Roots are stored in simple-root coordinates.
   * The invariant form is normalized per simple factor so the highest root
     has squared length 2.
+  * d[i] is the integer symmetrizer of the Cartan matrix, d_i C_ij = d_j C_ji:
+    1 on short roots (and on every root of a simply-laced factor), 2 or 3 on
+    long ones, so d_i is (alpha_i, alpha_i) / 2 up to one scale per factor.
 
-Weyl-character arithmetic runs on integers, built once per RootSystem and
-checked when it is built:
+The root data is built on integers alone, once per RootSystem, and checked
+when it is built:
   * coroots[k] holds the coroot of the k-th positive root alpha in
     simple-coroot coordinates, k_j = 2 c_j d_j / (alpha, alpha) for
     alpha = sum c_j alpha_j, so <lam, alpha^vee> = sum_j lam_j k_j for a
@@ -18,16 +21,14 @@ checked when it is built:
     <rho, alpha^vee>.
   * form / form_den is the normalized invariant form on fundamental
     coordinates: (w1, w2) = sum_ij w1_i form[i][j] w2_j / form_den.
-  * inverse_cartan_scaled / inverse_cartan_den is C^-1 (inverse_cartan keeps
-    the rational matrix), so the simple-root coordinates of a weight are
-    integer dot products over one denominator.
+  * inverse_cartan_scaled / inverse_cartan_den is C^-1, so the simple-root
+    coordinates of a weight are integer dot products over one denominator.
   * root_weights maps each positive root, in simple-root coordinates, to its
     fundamental coordinates.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 
 from . import linalg
@@ -43,6 +44,8 @@ class SimpleFactor:
 
     def __post_init__(self):
         f, n = self.family, self.rank
+        if f not in tuple(FAMILIES) or not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"no simple type: family {f!r}, rank {n!r}")
         ok = (
             (f == "A" and n >= 1)
             or (f in "BC" and n >= 2)
@@ -96,18 +99,17 @@ def _cartan_simple(factor):
 
 
 def _lengths_simple(factor):
-    """Half squared lengths d_i = (a_i, a_i)/2, long roots normalized to 1."""
+    """Integer symmetrizer d_i of one simple factor: 1 on short roots."""
     f, n = factor.family, factor.rank
-    d = [Fraction(1)] * n
+    d = [1] * n
     if f == "B":
-        d[n - 1] = Fraction(1, 2)
+        d[:n - 1] = [2] * (n - 1)
     elif f == "C":
-        for i in range(n - 1):
-            d[i] = Fraction(1, 2)
+        d[n - 1] = 2
     elif f == "F":
-        d[2] = d[3] = Fraction(1, 2)
+        d[0] = d[1] = 2
     elif f == "G":
-        d[0] = Fraction(1, 3)
+        d[1] = 3
     return d
 
 
@@ -136,9 +138,7 @@ class RootSystem:
         self.cartan = self._block_cartan()
         # fundamental coordinates of alpha_i: column i of the Cartan matrix
         self.simple_root_weights = [tuple(col) for col in zip(*self.cartan)]
-        self.inverse_cartan = _invert(self.cartan)
-        self.inverse_cartan_den, self.inverse_cartan_scaled = _common_denominator(
-            self.inverse_cartan)
+        self.inverse_cartan_den, self.inverse_cartan_scaled = _invert(self.cartan)
         self.d = []
         for f in self.factors:
             self.d.extend(_lengths_simple(f))
@@ -146,8 +146,7 @@ class RootSystem:
         self.rho = tuple([1] * self.rank)
         self.highest_root_per_factor = [self._highest_root(s)
                                         for s in range(len(self.factors))]
-        _, (d_scaled,) = _common_denominator([self.d])
-        self.coroots = [self._coroot(r.coords, d_scaled) for r in self.positive_roots]
+        self.coroots = [self._coroot(r.coords) for r in self.positive_roots]
         self.coroot_heights = [sum(k) for k in self.coroots]
         self._build_form()
         self._weight_systems = {}  # lam -> read-only weight system, see repthy.weight_system
@@ -221,28 +220,35 @@ class RootSystem:
                 raise InternalCheckError(f"highest root does not dominate {r.coords}")
         return best.coords
 
-    def _coroot(self, root_coords, d_scaled):
+    def _coroot(self, root_coords):
         """Simple-coroot coordinates k_j = 2 c_j d_j / (alpha, alpha) of alpha^vee.
 
-        d_scaled is d times a common denominator D, so (alpha, alpha) * D =
-        sum_i c_i d_scaled_i <alpha_i^vee, alpha>; the k_j must be integers.
+        (alpha, alpha) = sum_i c_i d_i <alpha_i^vee, alpha> up to the factor's
+        scale, which cancels; the k_j must be integers.
         """
         norm2 = sum(map(mul, root_coords,
-                        map(mul, d_scaled, self.root_weights[root_coords])))
-        k = [2 * c * d for c, d in zip(root_coords, d_scaled)]
+                        map(mul, self.d, self.root_weights[root_coords])))
+        k = [2 * c * d for c, d in zip(root_coords, self.d)]
         if any(x % norm2 for x in k):
             raise InternalCheckError(f"coroot of {root_coords} is not integral")
         return tuple(x // norm2 for x in k)
 
     def _build_form(self):
-        """form / form_den: (omega_i, omega_j) = (C^-1)_ji d_j, an integer matrix.
+        """form / form_den: (omega_i, omega_j) = (C^-1)_ji d_j / d_long(j), reduced.
 
-        Long simple roots have d_i = 1, so every highest root has squared
-        length 2; this is checked, as is the symmetry of the form.
+        d_long(j) is the d of the long roots of node j's factor, so every
+        highest root has squared length 2; this is checked, as is the
+        symmetry of the form.
         """
-        self.form_den, self.form = _common_denominator(
-            [[self.inverse_cartan[j][i] * self.d[j] for j in range(self.rank)]
-             for i in range(self.rank)])
+        d_long = []
+        for f, off in zip(self.factors, self.offsets):
+            d_long += [max(self.d[off:off + f.rank])] * f.rank
+        scale = lcm(*d_long)
+        form = [[self.inverse_cartan_scaled[j][i] * self.d[j] * (scale // d_long[j])
+                 for j in range(self.rank)] for i in range(self.rank)]
+        den = self.inverse_cartan_den * scale
+        g = gcd(den, *(x for row in form for x in row))
+        self.form_den, self.form = den // g, [[x // g for x in row] for row in form]
         if any(self.form[i][j] != self.form[j][i]
                for i in range(self.rank) for j in range(i)):
             raise InternalCheckError(f"invariant form of {self} is not symmetric")
@@ -266,10 +272,6 @@ class RootSystem:
                      for i in range(self.rank))
 
     # ---------- pairings ----------
-
-    def inner(self, w1, w2):
-        """Invariant form on weights, highest root squared length 2 per factor."""
-        return Fraction(self.scaled_inner(w1, w2), self.form_den)
 
     def scaled_inner(self, w1, w2):
         """form_den * (w1, w2), an integer."""
@@ -362,7 +364,7 @@ class RootSystem:
             den *= ht
         if num % den or num // den <= 0:
             raise InternalCheckError(
-                f"Weyl dimension {Fraction(num, den)} of {tuple(weight)} is not a "
+                f"Weyl dimension {num}/{den} of {tuple(weight)} is not a "
                 "positive integer")
         return num // den
 
@@ -400,22 +402,19 @@ class RootSystem:
         return "x".join(str(f) for f in self.factors)
 
 
-def _invert(int_matrix):
-    """C^-1 from the kernel of (C | -I).
+def _invert(cartan):
+    """(D, D C^-1) from the integer kernel of (C | -I), D the least common denominator.
 
-    C is invertible, so the free columns are the last n and the j-th kernel
-    vector is (C^-1 e_j, e_j).
+    C is invertible, so the free columns are the last n and the vector at
+    free column n + j is s_j (C^-1 e_j, e_j), s_j the least denominator of
+    column j of C^-1; D = lcm(s_j).
     """
-    n = len(int_matrix)
-    ker = linalg.kernel_basis([list(row) + [-int(i == j) for j in range(n)]
-                               for i, row in enumerate(int_matrix)])
-    return [[ker[j][i] for j in range(n)] for i in range(n)]
-
-
-def _common_denominator(matrix):
-    """(D, integer matrix) with matrix = integer matrix / D, D the lcm of denominators."""
-    den = lcm(*(Fraction(x).denominator for row in matrix for x in row))
-    return den, [[int(x * den) for x in row] for row in matrix]
+    n = len(cartan)
+    ker = linalg.integer_kernel([list(row) + [-int(i == j) for j in range(n)]
+                                 for i, row in enumerate(cartan)], 2 * n)
+    den = lcm(*(v[n + j] for j, v in enumerate(ker)))
+    return den, [[ker[j].get(i, 0) * (den // ker[j][n + j]) for j in range(n)]
+                 for i in range(n)]
 
 
 def build(factors):

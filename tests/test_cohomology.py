@@ -433,11 +433,10 @@ def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
 def test_oracle_converts_no_integers_twice(monkeypatch):
     # a work guard on C2 V(1,1) marked {1, 2}: the g-perp slices are read off
     # as integer vectors with no Fraction kernel, and the d0 and d1 rows, maps
-    # of ints already, reach the elimination without a pass through integer_rows
+    # of ints already, reach the elimination without a pass through integer_rows;
+    # the companion root systems of the bracket constants build no Fraction
+    # kernel either, so the refusal is in place from the first call
     marking = ParabolicMarking(parse_type("C2"), {1, 2})
-    # once first, so the cached companion root systems of the bracket
-    # constants (whose inverse Cartan matrices are kernels) are built
-    gperp_complex(marking, (1, 1))
 
     def refused(*args):
         raise AssertionError("kernel_basis called")

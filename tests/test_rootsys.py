@@ -1,7 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
+from liecoh import linalg
 from liecoh.rootsys import RootSystem, SimpleFactor, build, parse_type
 
 POSITIVE_ROOT_COUNTS = {
@@ -11,7 +10,9 @@ POSITIVE_ROOT_COUNTS = {
 
 
 def test_invalid_factors():
-    for family, rank in [("E", 5), ("F", 3), ("G", 3), ("B", 1), ("D", 2), ("Z", 2)]:
+    # a family must be one of the seven letters, a rank an int and not a bool
+    for family, rank in [("E", 5), ("F", 3), ("G", 3), ("B", 1), ("D", 2), ("Z", 2),
+                         ("BC", 2), ("", 3), ("A", 2.0), ("A", True), ("A", "2")]:
         with pytest.raises(ValueError):
             SimpleFactor(family, rank)
 
@@ -38,7 +39,7 @@ def test_a1_build():
     rs = parse_type("A1")
     assert rs.cartan == [[2]]
     assert len(rs.positive_roots) == 1
-    assert rs.inverse_cartan == [[Fraction(1, 2)]]
+    assert (rs.inverse_cartan_den, rs.inverse_cartan_scaled) == (2, [[1]])
 
 
 def test_g2_highest_root():
@@ -56,24 +57,36 @@ def test_positive_root_counts(name, count):
 
 @pytest.mark.parametrize("name", sorted(POSITIVE_ROOT_COUNTS))
 def test_cartan_inverse_exact(name):
+    # C * inverse_cartan_scaled = inverse_cartan_den * I
     rs = parse_type(name)
     n = rs.rank
     for i in range(n):
         for j in range(n):
-            s = sum(Fraction(rs.cartan[i][k]) * rs.inverse_cartan[k][j]
-                    for k in range(n))
-            assert s == (1 if i == j else 0)
+            s = sum(rs.cartan[i][k] * rs.inverse_cartan_scaled[k][j] for k in range(n))
+            assert s == (rs.inverse_cartan_den if i == j else 0)
 
 
 def test_inverse_cartan_a2():
     rs = parse_type("A2")
-    assert rs.inverse_cartan == [[Fraction(2, 3), Fraction(1, 3)],
-                                 [Fraction(1, 3), Fraction(2, 3)]]
+    assert (rs.inverse_cartan_den, rs.inverse_cartan_scaled) == (3, [[2, 1], [1, 2]])
 
 
 def test_inverse_cartan_product_blocks():
     rs = parse_type("A1,A1")
-    assert rs.inverse_cartan == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    assert (rs.inverse_cartan_den, rs.inverse_cartan_scaled) == (2, [[1, 0], [0, 1]])
+
+
+def test_root_data_builds_no_rational_kernel(monkeypatch):
+    # a work count: C^-1 is read off the integer kernel, never kernel_basis's
+    # Fraction vectors
+    def refused(*args):
+        raise AssertionError("kernel_basis called")
+    monkeypatch.setattr(linalg, "kernel_basis", refused)
+    names = ["A2,G2", "F4", "G2"] + [f"E{n}" for n in (6, 7, 8)]
+    names += [f"{family}{n}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+              for n in range(low, 9)]
+    for name in names:
+        parse_type(name)
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVE_ROOT_COUNTS))
@@ -163,7 +176,7 @@ def test_theta_norm_normalization():
     for name in POSITIVE_ROOT_COUNTS:
         rs = parse_type(name)
         theta = rs.adjoint_weight()
-        assert rs.inner(theta, theta) == 2
+        assert rs.scaled_inner(theta, theta) == 2 * rs.form_den
 
 
 def test_adjoint_weights_exceptional():
