@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 
 from . import cohomology, repthy, tableau, vogel
 from .driver import (ScenarioSpec, adjoint_scenario, piece_json, rational_str,
@@ -264,6 +265,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+# built once per process and shared by every main call, which only reads it;
+# most of a build is argparse's gettext lookups
+@cache
 def build_parser():
     ap = _Parser(
         prog="liecoh",

@@ -26,7 +26,8 @@ Two independent routes:
     columns P of d0 and d1 is ranked only on the C^1 coordinates off P: the
     echelon rows of im d0 and the unit vectors off P are a basis of C^1, and
     d1 kills im d0 (the check above), so rank d1 and every dimension of H^0
-    and H^1 are those of the whole block.
+    and H^1 are those of the whole block.  Both eliminations take a block's
+    columns fewest nonzeros first, which changes P but no rank.
 
 Levi symmetry.  g_0 normalises g_- and acts on Gamma, so it acts on every
 cochain space Lambda^k g_-^* (x) Gamma, and d commutes with that action: d is
@@ -87,9 +88,11 @@ References: Hwang-Yamaguchi, Duke Math. J. 120 (2003); Landsberg-Robles,
 Math. 16 (2012).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from operator import add, sub
 
@@ -262,6 +265,21 @@ def _composition_is_nonzero(d0t, d1t):
     return False
 
 
+def _sparsest_first(rows):
+    """Relabel the columns of sparse rows in place, fewest nonzeros first.
+
+    Column j becomes the position of j in the returned list, the old labels
+    sorted by their count of nonzero rows, ties by label; each row is
+    replaced by its relabelled copy.
+    """
+    count = Counter(chain.from_iterable(rows))
+    order = sorted(sorted(count), key=count.__getitem__)
+    label = dict(zip(order, range(len(order))))
+    for i, row in enumerate(rows):
+        rows[i] = dict(zip(map(label.__getitem__, row), row.values()))
+    return order
+
+
 def graded_weights(cx):
     """H^0 and H^1 of a GradedComplex as {(degree, weight): dim}, over every grade.
 
@@ -277,6 +295,15 @@ def graded_weights(cx):
     echelon rows of im d0 (one leading at each column of P) and the unit
     vectors off P form a triangular basis of C^1, and d1 kills the first
     kind, as the d1 . d0 = 0 check of the block, made before, has shown.
+
+    Both eliminations relabel the block's columns fewest nonzeros first
+    (_sparsest_first), which leaves far fewer rows to update than the
+    assembly's order.  The argument above holds in any column order: in the
+    relabelled order each echelon row of im d0 is still zero before its lead
+    in P, so with the unit vectors off P, sorted by lead, it is still a
+    triangular basis of C^1.  P itself may differ from one order to another,
+    but its size, rank d0, cannot, nor can a rank of d1 under a permutation
+    of its columns.
     """
     depths = cx.depths
     pair_depth = {(b, c): _add(depths[b], depths[c])
@@ -337,10 +364,14 @@ def graded_weights(cx):
             d1t += rows
         if _composition_is_nonzero(d0t, d1t):
             raise InternalCheckError(f"d1 . d0 != 0 in {_grade_text(d)}")
-        # rank d1 off the pivots of d0: exact, see the docstring
-        pivots = set(linalg.pivot_columns(d0t))
+        # rank d1 off the pivots of d0, both sparsest column first: exact, see
+        # the docstring
+        order = _sparsest_first(d0t)
+        pivots = {order[c] for c in linalg.pivot_columns(d0t)}
         rank0 = len(pivots)
-        rank1 = linalg.rank([row for u, row in enumerate(d1t) if u not in pivots])
+        rows1 = [row for u, row in enumerate(d1t) if u not in pivots]
+        _sparsest_first(rows1)
+        rank1 = len(linalg.pivot_columns(rows1))
         dim = (n1 - rank1) - rank0
         if dim < 0:
             raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")

@@ -30,6 +30,17 @@ span coordinate is read off that form entry by entry, with no further
 elimination.  A kernel vector is read off once, as the primitive integer
 vector on its line (integer_kernel); kernel_basis divides it by its entry at
 its free column, and a Fraction is made only for each entry returned.
+
+Every function here eliminates in the caller's column order, and
+pivot_columns returns pivots in it.  That order carries meaning: Cartan's
+flag search reads the rank of each prefix of columns off pivot_columns
+(tableau._flag_dims), and a kernel vector is named by its free column.  A
+caller that wants only ranks relabels its columns itself, as the oracle
+does (sparsest first, cohomology._sparsest_first).  Relabelling inside rank
+instead, for every caller, made the rank calls of Cartan's test on the
+seeded dense tableaux about a quarter slower (4.8 to 6.0 ms a pass, 2-core
+host): its dense rows gain nothing from the new order and pay for the
+relabel.
 """
 
 from fractions import Fraction

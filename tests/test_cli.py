@@ -4,7 +4,9 @@ import shutil
 import sys
 from pathlib import Path
 
-from liecoh import cohomology, tableau
+import pytest
+
+from liecoh import cli, cohomology, tableau
 from liecoh.cli import fixtures, load_fixture, main
 from liecoh.errors import InternalCheckError
 from liecoh.tableau import cauchy_riemann_tableau, tableau_to_json
@@ -268,3 +270,46 @@ def test_no_floats_in_rigidity_json(capsys):
     assert code == 0
     assert "." not in out.replace("direct matrix computation agreed with the "
                                   "combinatorial dimensions in every degree", "")
+
+
+def test_consecutive_calls_share_one_parser_and_leave_no_state(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; each pair below is a call and
+    # then one that a leftover of the first would change
+    cli.build_parser.cache_clear()
+    # --format json, then the default table
+    code, out, _ = run(capsys, "--format", "json", "vogel", "--params", "-2,12,20", "--k", "1")
+    assert code == 0 and json.loads(out)["value"] == "248"
+    code, out, _ = run(capsys, "vogel", "--params", "-2,12,20", "--k", "1")
+    assert code == 0 and out == "248\n"
+    # --oracle, then no --oracle
+    gamma = ("cohomology", "--type", "A1", "--marked", "1", "--gamma", "4")
+    code, out, _ = run(capsys, "--format", "json", *gamma, "--oracle")
+    assert code == 0 and json.loads(out)["oracle"] == {"3": 1}
+    code, out, _ = run(capsys, "--format", "json", *gamma)
+    assert code == 0 and "oracle" not in json.loads(out)
+    # an exit-2 call, from main and from argparse, then a good call
+    code, out, err = run(capsys, "grading", "--type", "Z9", "--marked", "1")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    with pytest.raises(SystemExit) as refused:
+        main(["vogel", "--params", "-2,12,20", "--nope"])
+    assert refused.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "vogel", "--params", "-2,12,20", "--k", "1")
+    assert (code, out, err) == (0, "248\n", "")
+    # tableau --flag-seed 1, then the default seed
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tableau_to_json(cauchy_riemann_tableau())))
+    seeds = []
+    real = tableau.cartan_characters
+
+    def recorded(t, seed):
+        seeds.append(seed)
+        return real(t, seed)
+    monkeypatch.setattr(tableau, "cartan_characters", recorded)
+    for extra in (("--flag-seed", "1"), ()):
+        code, out, _ = run(capsys, "tableau", "--input", str(path), "--op", "characters", *extra)
+        assert code == 0 and out == "A_j dims = [2, 0]\n"
+    assert seeds == [1, tableau.FLAG_SEED]
+    # one parser for all nine calls
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()

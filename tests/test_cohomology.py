@@ -309,10 +309,12 @@ def test_oracle_reach(name, marked, lam, expected):
 
 
 # above it: E7/P7, dim U = 56, where W_0 = W(E6), so the oracle ranks 27
-# dominant grades of 939 slices; and the E6 adjoint, dim U = 78, unbounded
+# dominant grades of 939 slices; and the E6 and E7 adjoints, dim U = 78 and
+# 133, unbounded
 ORACLE_REACH_LIFTED = [
     ("E7", {7}, (0, 0, 0, 0, 0, 0, 1), 56, {-1: 351, 0: 3003}),
     ("E6", {2}, (0, 1, 0, 0, 0, 0), None, {-2: 175, -1: 1520}),
+    ("E7", {1}, (1, 0, 0, 0, 0, 0, 0), None, {-2: 462, -1: 5952}),
 ]
 
 
@@ -323,6 +325,24 @@ def test_oracle_reach_above_the_default_bound():
         rep = h1_report(ParabolicMarking(rs, marked), lam, -1, oracle=True, bound=bound)
         assert rep.oracle_ran, name
         assert rep.aggregate == expected, name
+
+
+def test_oracle_blocks_are_eliminated_sparsest_column_first(monkeypatch):
+    # a work count, not a timing: the row updates of the whole E6 adjoint
+    # oracle, 11,457 when each block was eliminated in its assembly's
+    # column order
+    calls = 0
+    real = linalg._eliminate
+
+    def counted(row, piv, c):
+        nonlocal calls
+        calls += 1
+        real(row, piv, c)
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    rep = h1_report(ParabolicMarking(parse_type("E6"), {2}), (0, 1, 0, 0, 0, 0), -1,
+                    oracle=True, bound=None)
+    assert rep.oracle_ran
+    assert calls <= 3_000
 
 
 def test_gperp_complex_is_graded_by_degree_and_weight():
@@ -418,15 +438,17 @@ def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
     # core on C2 V(1,1) marked {1, 2}, which were all 980 rows of d1 before
     # the rows at the pivot columns of d0 were left out
     cx = gperp_complex(ParabolicMarking(parse_type("C2"), {1, 2}), (1, 1))
-    rows = []
-    real = linalg.rank
+    sizes = []
+    real = linalg.pivot_columns
 
     def counted(matrix):
-        rows.append(len(matrix))
+        sizes.append(len(matrix))
         return real(matrix)
-    monkeypatch.setattr(linalg, "rank", counted)
+    monkeypatch.setattr(linalg, "pivot_columns", counted)
     cohomology.graded_weights(cx)
-    assert len(rows) == len(cx.dominant_grades)
+    # each grade takes the pivots of d0's rows, then of d1's rows off them
+    assert len(sizes) == 2 * len(cx.dominant_grades)
+    rows = sizes[1::2]
     assert sum(rows) == 743
 
 
