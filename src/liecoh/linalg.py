@@ -1,16 +1,19 @@
-"""Exact rational linear algebra on sparse integer rows.
+"""Exact rational linear algebra on sparse integer rows, with integer outputs.
 
 A matrix is a list of rows.  A row is either a {col: x} map of its nonzero
-entries or a dense list; entries are int or Fraction.  integer_rows is the
-package's single scaling step: it scales each row to integers by the lcm of
-its denominators (a row of ints is only copied), divides it by the gcd of its
-entries and keeps only the nonzeros.  Scaling a row changes neither the rank,
+entries or a dense list; entries are ints or fractions.  Every result is
+made of ints: pivots, ranks, and rows and kernel vectors as {col: int}
+maps.  A caller that needs a rational vector divides by the entry it
+normalizes, as tableau.prolong does.  integer_rows is the package's single
+scaling step: it scales each row to integers by the lcm of its denominators
+(a row of ints is only copied), divides it by the gcd of its entries and
+keeps only the nonzeros.  Scaling a row changes neither the rank,
 the kernel nor the row space.  rank and pivot_columns return no rows, so a
 row that is already a map of nonzero ints is only copied for them, not
 rescaled: the elimination divides a row by its gcd only where that pays, as
 it becomes a pivot row, after an update that scaled it, and once more before
-the back pass uses it.  Map rows carry no width, so the kernels need `ncols`
-for them.  Everything is computed over Q, so results are reproducible bit
+the back pass uses it.  Map rows carry no width, so integer_kernel takes
+`ncols`.  Everything is computed over Q, so results are reproducible bit
 for bit.
 
 There is one row step, _eliminate: it clears a column of a row with a pivot
@@ -25,11 +28,13 @@ the pivot column are touched.  Every rank and pivot set comes from it.
 _reduced runs the same step back: from the last pivot up it divides each
 row by its gcd, makes its pivot positive and clears its pivot column from
 the rows above, which gives the reduced echelon form, canonical for the
-span.  Every kernel vector, echelon basis, greedy independent subset and
-span coordinate is read off that form entry by entry, with no further
-elimination.  A kernel vector is read off once, as the primitive integer
-vector on its line (integer_kernel); kernel_basis divides it by its entry at
-its free column, and a Fraction is made only for each entry returned.
+span.  Every kernel vector and echelon basis is read off that form entry by
+entry, with no further elimination: a kernel vector as the primitive integer
+vector on its line (integer_kernel), an echelon row as it stands
+(echelon_rows).  The reduced rows of a matrix whose columns are vectors
+also give a greedy independent subset of them, the pivots, and the
+coordinates of every vector in that subset, each entry over its row's pivot
+entry (repthy.construct_rep reads them so).
 
 Every function here eliminates in the caller's column order, and
 pivot_columns returns pivots in it.  That order carries meaning: Cartan's
@@ -43,7 +48,6 @@ host): its dense rows gain nothing from the new order and pay for the
 relabel.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -187,7 +191,7 @@ def pivot_columns(rows):
     A row that is a map of nonzero ints is only copied, with no gcd
     division: the scale of a row changes no pivot, and _echelon divides a
     pivot row by its gcd before it clears others.  (A sum of
-    ints is an int; a sum with a Fraction in it is a Fraction.)  Empty maps
+    ints is an int; a sum with a fraction in it is a fraction.)  Empty maps
     are dropped, and any other row goes through integer_rows.
     """
     ints = []
@@ -209,9 +213,12 @@ def integer_kernel(rows, ncols):
     """Basis of {v : M v = 0} as primitive integer {col: int} maps; ncols - rank of them.
 
     There is one vector per free (non-pivot) column f, in increasing order
-    of f: the primitive integer vector on the line of kernel_basis's vector
-    for f.  It is positive at f, 0 at every other free column and 0 at every
-    column after f, so f is its last key; its keys increase.
+    of f.  It is primitive, positive at f, 0 at every other free column and
+    0 at every column after f, so f is its last key; its keys increase.  So
+    the coordinates of a kernel vector in this basis are its entries at the
+    free columns over the basis vectors' entries there, and vector f over
+    its entry at f is the unique kernel vector with 1 at f and 0 at the
+    other free columns.
     """
     reduced = _reduced(integer_rows(rows))
     pivots = {c for c, _ in reduced}
@@ -235,51 +242,3 @@ def integer_kernel(rows, ncols):
     for f, vec in basis.items():
         vec[f] = scale[f]
     return list(basis.values())
-
-
-def kernel_basis(rows, ncols=None):
-    """Basis of {v : M v = 0}; exactly ncols - rank vectors.
-
-    There is one vector per free (non-pivot) column f, in increasing order
-    of f.  It has 1 at f, 0 at every other free column and 0 at every column
-    after f, so f is its last nonzero entry.  The coordinates of any kernel
-    vector in this basis are therefore its entries at the free columns.
-    It is integer_kernel's vector for f divided by its entry at f.
-
-    `ncols` is needed when `rows` is empty (the zero map) or made of maps.
-    """
-    if ncols is None:
-        if not rows or isinstance(rows[0], dict):
-            raise ValueError("ncols required for an empty or sparse matrix")
-        ncols = len(rows[0])
-    basis = []
-    for vec in integer_kernel(rows, ncols):
-        scale = vec[max(vec)]
-        v = [Fraction(0)] * ncols
-        for j, x in vec.items():
-            v[j] = Fraction(x, scale)
-        basis.append(v)
-    return basis
-
-
-def span_coordinates(vectors):
-    """(chosen, coords): a greedy maximal independent subset, and coordinates in it.
-
-    Vector k is chosen iff it is outside the span of vectors 0..k-1, i.e.
-    iff column k of the matrix with these columns is a pivot.  coords[k]
-    lists the c with sum_i c[i] vectors[chosen[i]] = vectors[k].
-    Row operations keep the linear relations among the columns, and in the
-    reduced echelon form of the matrix with these columns each pivot column
-    is a multiple of a unit vector, so coordinate i of column k is its entry
-    in row i over that row's pivot entry.
-    """
-    rows = {}  # map rows of the matrix whose k-th column is vectors[k] (a list or map)
-    for k, v in enumerate(vectors):
-        for r, x in (v.items() if isinstance(v, dict) else enumerate(v)):
-            if x:
-                rows.setdefault(r, {})[k] = x
-    reduced = _reduced(integer_rows(rows.values()))
-    chosen = [c for c, _ in reduced]
-    coords = [[Fraction(row.get(k, 0), row[c]) for c, row in reduced]
-              for k in range(len(vectors))]
-    return chosen, coords

@@ -244,9 +244,13 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     h_i b at (i, b).  e = (e_1, ..., e_r) is injective below lam, so a
     candidate is a new basis vector iff its e-image lies outside the span of
     the e-images of the candidates before it, and the coordinates of f_i b in
-    the chosen e-images are the column f_col[i][b]: one span_coordinates
-    elimination per weight space gives both.  Freudenthal multiplicities
-    double-check every level.
+    the chosen e-images are the column f_col[i][b].  One reduced echelon
+    form per weight space, of the matrix whose columns are the e-images,
+    gives both: the chosen candidates are its pivots, and f_i b's coordinate
+    in a row is the row's entry at the candidate over its pivot entry (row
+    operations keep the linear relations among the columns, and each pivot
+    column of the reduced form is a multiple of a unit vector).  Freudenthal
+    multiplicities double-check every level.
     """
     lam = tuple(lam)
     dim = rs.weyl_dim(lam)
@@ -272,7 +276,14 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
             if weight_of[b][i]:  # + h_i b
                 image[i, b] = image.get((i, b), 0) + Fraction(weight_of[b][i])
             images.append({k: x for k, x in image.items() if x})
-        chosen, coords = linalg.span_coordinates(images)
+        matrix = {}  # its rows, as maps; its k-th column is images[k]
+        for k, image in enumerate(images):
+            for r, x in image.items():
+                matrix.setdefault(r, {})[k] = x
+        reduced = [(min(row), row) for row in linalg.echelon_rows(matrix.values())]
+        chosen = [c for c, _ in reduced]
+        coords = [[Fraction(row.get(k, 0), row[c]) for c, row in reduced]
+                  for k in range(len(cands))]
         if len(chosen) != wsys[nu]:
             raise InternalCheckError(
                 f"weight space {nu} of V{lam} got {len(chosen)} basis vectors, "

@@ -11,7 +11,10 @@ dimension is dim W (x) Lambda^2 V* - rank delta, by rank-nullity (delta is
 eliminated once per tableau, its V* blocks reversed so that each row leads
 with its sparse side, Tableau.delta_rank), and the reduced prolongation from
 the ranks of the bracket image and its skew part.  A basis of A^(1) is built
-(prolong) only when a caller asks for its vectors.
+(prolong) only when a caller asks for its vectors: the integer kernel of
+delta, each vector over its entry at its free column.  The stabilizer
+tableau of a quadratic form is built on integer kernels too, and a Fraction
+is made only for each of its entries (stabilizer_and_tableau).
 A tableau keeps the primitive integer reduced echelon rows of its basis,
 given as sparse maps (Tableau.echelon), from its independence check; they
 are canonical for the span, so any basis of A gives the same rows.  Ranks
@@ -146,7 +149,15 @@ def prolong(t):
     into a symmetric W-valued form.
     """
     n = t.dim_V
-    return linalg.kernel_basis(_delta_matrix(map(t.sparse, t.basis), n, t.dim_W), t.dim * n)
+    basis = []
+    for vec in linalg.integer_kernel(_delta_matrix(map(t.sparse, t.basis), n, t.dim_W),
+                                     t.dim * n):
+        scale = vec[max(vec)]  # 1 at the free column, so coefficients are unique
+        v = [Fraction(0)] * (t.dim * n)
+        for j, x in vec.items():
+            v[j] = Fraction(x, scale)
+        basis.append(v)
+    return basis
 
 
 def prolongation_bilinear(t, coeffs):
@@ -303,9 +314,12 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
 
     f2[mu][i][j] (symmetric in i, j) are the components of
     F2 in L (x) S^2 T* (x) N with the one-dimensional L factor trivialized.
-    The stabilizer r is the exact kernel of the Leibniz action, which sums
-    integers over one common denominator per vector; its trace-form
-    complement maps into W (x) V* with V = L* (x) T and
+    The stabilizer r is the exact kernel of the Leibniz action.  The unit
+    images are put over one common denominator, `scale`, and r and its
+    complement are integer kernel vectors, so the action sums ints; a
+    Fraction is made only for each tableau entry, the image of a complement
+    vector over its free-column entry.  The trace-form complement of r
+    maps into W (x) V* with V = L* (x) T and
     W = (L* (x) N) + (T* (x) N), the L* (x) N rows landing in the first
     derived system (identically zero columns).
 
@@ -330,32 +344,30 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
               for img in images]
 
     def action(x):
-        """x = (xL, xT, xN) flattened; returns x.F2 as {(mu, i, j): Fraction}."""
-        den = lcm(*(xb.denominator for xb in x))
+        """x = (xL, xT, xN) flattened, a {b: int} map; scale x.F2 as {(mu, i, j): int}."""
         out = {}
-        for xb, img in zip(x, images):
-            if xb:
-                c = xb.numerator * (den // xb.denominator)
-                for key, v in img.items():
-                    out[key] = out.get(key, 0) + c * v
-        return {key: Fraction(v, den * scale) for key, v in out.items() if v}
+        for b, c in x.items():
+            for key, v in images[b].items():
+                out[key] = out.get(key, 0) + c * v
+        return {key: v for key, v in out.items() if v}
 
-    # r = kernel of the action, as row vectors in the block space
-    r_basis = linalg.kernel_basis([{b: img[key] for b, img in enumerate(images) if key in img}
-                                   for key in ((mu, i, j) for mu in range(a) for i in range(n)
-                                               for j in range(i, n))], dim_block)
+    # r = kernel of the action, as integer row vectors in the block space
+    r_basis = linalg.integer_kernel([{b: img[key] for b, img in enumerate(images) if key in img}
+                                     for key in ((mu, i, j) for mu in range(a) for i in range(n)
+                                                 for j in range(i, n))], dim_block)
     # verify annihilation exactly
     for v in r_basis:
         if action(v):
             raise InternalCheckError("stabilizer element does not annihilate the form")
     # trace form on the block space is the standard dot product in these coords
-    perp = linalg.kernel_basis(r_basis, dim_block)
+    perp = linalg.integer_kernel(r_basis, dim_block)
 
     basis = []
     for y in perp:
+        den = y[max(y)] * scale  # y over its free-column entry, as the basis vector
         M = [[Fraction(0)] * n for _ in range(a + n * a)]
         for (mu, k, j), v in action(y).items():
-            M[a + k * a + mu][j] = v
+            M[a + k * a + mu][j] = Fraction(v, den)
         basis.append(M)
     try:
         t = Tableau(n, a + n * a, basis)

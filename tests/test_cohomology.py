@@ -454,15 +454,10 @@ def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
 
 def test_oracle_converts_no_integers_twice(monkeypatch):
     # a work guard on C2 V(1,1) marked {1, 2}: the g-perp slices are read off
-    # as integer vectors with no Fraction kernel, and the d0 and d1 rows, maps
-    # of ints already, reach the elimination without a pass through integer_rows;
-    # the companion root systems of the bracket constants build no Fraction
-    # kernel either, so the refusal is in place from the first call
+    # as integer vectors (linalg makes no Fraction, test_linalg's scan), and
+    # the d0 and d1 rows, maps of ints already, reach the elimination without
+    # a pass through integer_rows
     marking = ParabolicMarking(parse_type("C2"), {1, 2})
-
-    def refused(*args):
-        raise AssertionError("kernel_basis called")
-    monkeypatch.setattr(linalg, "kernel_basis", refused)
     cx = gperp_complex(marking, (1, 1))
     scaled = []
     real = linalg.integer_rows

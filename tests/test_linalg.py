@@ -1,15 +1,16 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liecoh import cohomology, linalg
 from liecoh.grading import ParabolicMarking
 from liecoh.rootsys import parse_type
 from liecoh.tableau import Tableau, _flag_dims, is_involutive, stabilizer_and_tableau
-from test_tableau import dense_basis, segre_2x2
+from test_tableau import dense_basis, greedy_coordinates, segre_2x2
 
 
 def F(a, b=1):
@@ -18,6 +19,24 @@ def F(a, b=1):
 
 def mat_vec(M, v):
     return [sum(a * b for a, b in zip(row, v)) for row in M]
+
+
+def unit_kernel(rows, ncols):
+    """integer_kernel's vectors, each over its entry at its free column (its
+    last key), as dense Fraction lists: the kernel basis with 1 at each free
+    column and 0 at the others, which the rational references compute."""
+    basis = []
+    for vec in linalg.integer_kernel(rows, ncols):
+        v = [F(0)] * ncols
+        for j, x in vec.items():
+            v[j] = F(x, vec[max(vec)])
+        basis.append(v)
+    return basis
+
+
+def columns_of(vectors):
+    """The matrix whose k-th column is vectors[k], as dense rows."""
+    return [list(c) for c in zip(*vectors)]
 
 
 def test_rank_identity():
@@ -33,30 +52,34 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert linalg.kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
+    assert linalg.integer_kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == []
 
 
 def test_kernel_zero_matrix():
-    ker = linalg.kernel_basis([[F(0)] * 3 for _ in range(2)])
-    assert len(ker) == 3
+    ker = linalg.integer_kernel([[F(0)] * 3 for _ in range(2)], 3)
+    assert ker == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_vectors_annihilated():
     M = [[F(1), F(1), F(0)]]
-    ker = linalg.kernel_basis(M)
+    ker = linalg.integer_kernel(M, 3)
     assert len(ker) == 2
     for v in ker:
-        assert all(x == 0 for x in mat_vec(M, v))
+        assert all(x == 0 for x in mat_vec(M, [v.get(j, 0) for j in range(3)]))
 
 
 def test_span_coordinates():
+    # the reduced echelon rows of the matrix with these columns: the pivots
+    # are the greedy subset, and the coordinates rebuild every column
     vectors = [[F(1), F(0), F(1)], [F(2), F(0), F(2)], [F(0), F(1), F(1)],
                [F(2), F(3), F(5)], [F(0), F(0), F(1)]]
-    chosen, coords = linalg.span_coordinates(vectors)
-    assert chosen == [0, 2, 4]
+    assert linalg.echelon_rows(columns_of(vectors)) == [{0: 1, 1: 2, 3: 2},
+                                                        {2: 1, 3: 3}, {4: 1}]
+    chosen, coords = greedy_coordinates(vectors)
+    assert chosen == [0, 2, 4] == linalg.pivot_columns(columns_of(vectors))
     assert coords == [[F(1), F(0), F(0)], [F(2), F(0), F(0)], [F(0), F(1), F(0)],
                       [F(2), F(3), F(0)], [F(0), F(0), F(1)]]
-    assert linalg.span_coordinates([]) == ([], [])
+    assert greedy_coordinates([]) == ([], [])
 
 
 rational = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -72,21 +95,21 @@ def matrices(draw, max_dim=5):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(M):
-    assert linalg.rank(M) + len(linalg.kernel_basis(M)) == len(M[0])
+    assert linalg.rank(M) + len(linalg.integer_kernel(M, len(M[0]))) == len(M[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_exactness(M):
-    for v in linalg.kernel_basis(M):
-        assert all(x == 0 for x in mat_vec(M, v))
+    for v in linalg.integer_kernel(M, len(M[0])):
+        assert all(x == 0 for x in mat_vec(M, [v.get(j, 0) for j in range(len(M[0]))]))
 
 
 def fraction_kernel_reference(M):
     """Kernel basis by plain Fraction elimination and back-substitution.
 
     The kernel vector with 1 at a free column and 0 at the other free columns
-    is unique, so any echelon form gives the same vectors as kernel_basis.
+    is unique, so any echelon form gives the same vectors as unit_kernel.
     """
     rows = [[Fraction(x) for x in row] for row in M]
     nc = len(rows[0])
@@ -119,19 +142,19 @@ def fraction_kernel_reference(M):
 @settings(max_examples=80, deadline=None)
 @given(matrices(max_dim=7))
 def test_kernel_basis_matches_fraction_back_substitution(M):
-    assert linalg.kernel_basis(M) == fraction_kernel_reference(M)
+    assert unit_kernel(M, len(M[0])) == fraction_kernel_reference(M)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(max_dim=6), st.data())
 def test_span_coordinates_recover_coefficients(M, data):
-    span = [M[i] for i in linalg.span_coordinates(M)[0]]
+    span = [M[i] for i in linalg.pivot_columns(columns_of(M))]
     assume(span)
     coeffs = data.draw(st.lists(st.lists(rational, min_size=len(span), max_size=len(span)),
                                 max_size=3))
     targets = [[sum(c * v[k] for c, v in zip(cs, span)) for k in range(len(M[0]))]
                for cs in coeffs]
-    chosen, coords = linalg.span_coordinates(span + targets)
+    chosen, coords = greedy_coordinates(span + targets)
     assert chosen == list(range(len(span)))
     assert coords[len(span):] == coeffs
 
@@ -139,8 +162,9 @@ def test_span_coordinates_recover_coefficients(M, data):
 def test_integer_rows_are_accepted():
     M = [[2, 4, 0], [1, 2, 3]]
     assert linalg.rank(M) == 2
-    assert linalg.kernel_basis(M) == [[F(-2), F(1), F(0)]]
-    assert linalg.span_coordinates([[1, 0, 1], [0, 2, 2], [3, 4, 7]]) == (
+    assert linalg.integer_kernel(M, 3) == [{0: -2, 1: 1}]
+    assert linalg.echelon_rows([[1, 0, 3], [0, 2, 4], [1, 2, 7]]) == [{0: 1, 2: 3}, {1: 1, 2: 2}]
+    assert greedy_coordinates([[1, 0, 1], [0, 2, 2], [3, 4, 7]]) == (
         [0, 1], [[F(1), F(0)], [F(0), F(1)], [F(3), F(2)]])
 
 
@@ -168,19 +192,25 @@ def greedy_independent(vectors):
 @settings(max_examples=40, deadline=None)
 @given(small_vectors())
 def test_independent_subset_is_greedy(vectors):
-    assert linalg.span_coordinates(vectors)[0] == greedy_independent(vectors)
+    want = greedy_independent(vectors)
+    assert linalg.pivot_columns(columns_of(vectors)) == want
+    assert [min(row) for row in linalg.echelon_rows(columns_of(vectors))] == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_vectors())
 def test_kernel_basis_unit_coordinates(M):
-    ker = linalg.kernel_basis(M)
-    free = [max(k for k, x in enumerate(v) if x) for v in ker]
+    ker = linalg.integer_kernel(M, len(M[0]))
+    free = [max(v) for v in ker]
     assert free == sorted(set(free))
     assert not set(free) & set(linalg.pivot_columns(M))
     for v, f in zip(ker, free):
-        assert v[f] == 1
-        assert all(v[g] == 0 for g in free if g != f)
+        assert v[f] > 0 and list(v) == sorted(v)
+        assert all(g not in v for g in free if g != f)
+    # over its entry at f, vector f is the kernel vector with 1 at f and 0 at
+    # the other free columns
+    assert [[x * v[f] for x in u] for u, v, f in zip(unit_kernel(M, len(M[0])), ker, free)] == \
+        [[v.get(j, 0) for j in range(len(M[0]))] for v in ker]
 
 
 @settings(max_examples=25, deadline=None)
@@ -332,9 +362,9 @@ def test_sparse_core_matches_dense_bareiss(matrix, maps):
     want = dense_pivot_columns(rows)
     assert linalg.pivot_columns(given_rows) == want
     assert linalg.rank(given_rows) == len(want)
-    assert linalg.kernel_basis(given_rows, ncols) == dense_kernel_basis(rows, ncols)
+    assert unit_kernel(given_rows, ncols) == dense_kernel_basis(rows, ncols)
     columns = [[r[j] for r in rows] for j in range(ncols)]
-    assert linalg.span_coordinates(columns)[0] == want
+    assert greedy_coordinates(columns)[0] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,10 +379,14 @@ def test_span_coordinates_match_dense_bareiss(matrix, data, maps):
                               for k in range(ncols)]]
     else:
         vectors = vectors + [data.draw(st.lists(entries, min_size=ncols, max_size=ncols))]
-    want = dense_pivot_columns([list(c) for c in zip(*vectors)])
-    chosen, coords = linalg.span_coordinates([as_map(v) for v in vectors] if maps else vectors)
-    assert chosen == want
+    want = dense_pivot_columns(columns_of(vectors))
+    chosen, coords = greedy_coordinates([as_map(v) for v in vectors] if maps else vectors)
+    assert chosen == want == linalg.pivot_columns(columns_of(vectors))
     assert coords == [dense_solve_in_span([vectors[i] for i in want], v) for v in vectors]
+    # the coordinates rebuild every column
+    for v, c in zip(vectors, coords):
+        assert [sum((x * vectors[i][r] for x, i in zip(c, chosen)), F(0))
+                for r in range(ncols)] == v
 
 
 def integer_map(row, factor, zeros):
@@ -363,22 +397,25 @@ def integer_map(row, factor, zeros):
 
 
 factors = st.integers(-6, 6).filter(bool)
+forms = st.sampled_from(["list", "map", "int list", "int map"])
+
+
+def in_form(rows, ncols, form, data):
+    """The rows as given (dense rationals), as maps, or scaled by a drawn
+    factor to ints, as maps or dense lists."""
+    if form.startswith("int"):
+        maps = [integer_map(r, data.draw(factors), False) for r in rows]
+        return [[m.get(j, 0) for j in range(ncols)] for m in maps] if form == "int list" else maps
+    return [as_map(r) for r in rows] if form == "map" else rows
 
 
 @settings(max_examples=150, deadline=None)
-@given(mixed_matrices(), st.sampled_from(["list", "map", "int list", "int map"]), st.data())
+@given(mixed_matrices(), forms, st.data())
 def test_integer_kernel_is_the_primitive_kernel_basis(matrix, form, data):
     ncols, rows = matrix
-    if form.startswith("int"):
-        given_rows = [integer_map(r, data.draw(factors), False) for r in rows]
-        if form == "int list":
-            given_rows = [[m.get(j, 0) for j in range(ncols)] for m in given_rows]
-    else:
-        given_rows = [as_map(r) for r in rows] if form == "map" else rows
+    given_rows = in_form(rows, ncols, form, data)
     got = [list(v.items()) for v in linalg.integer_kernel(given_rows, ncols)]
     # key order included
-    assert got == [list(v.items())
-                   for v in linalg.integer_rows(linalg.kernel_basis(given_rows, ncols))]
     assert got == [list(v.items()) for v in linalg.integer_rows(dense_kernel_basis(rows, ncols))]
 
 
@@ -389,8 +426,8 @@ def test_integer_kernel_of_small_matrices():
     assert linalg.integer_kernel([{}, {1: 0}], 3) == units
     # x0 = -3/2 x1 + 2 x2: scaled to integers at x1, already integral at x2
     assert linalg.integer_kernel([{0: 2, 1: 3, 2: -4}], 3) == [{0: -3, 1: 2}, {0: 2, 2: 1}]
-    assert linalg.kernel_basis([{0: 2, 1: 3, 2: -4}], 3) == [[F(-3, 2), F(1), F(0)],
-                                                            [F(2), F(0), F(1)]]
+    assert unit_kernel([{0: 2, 1: 3, 2: -4}], 3) == [[F(-3, 2), F(1), F(0)],
+                                                    [F(2), F(0), F(1)]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -407,9 +444,12 @@ def test_integer_map_rows_are_ranked_as_given(matrix, zeros, data):
 
 
 def test_map_rows_need_ncols():
-    with pytest.raises(ValueError):
-        linalg.kernel_basis([{0: 1}])
-    assert linalg.kernel_basis([{0: 1, 2: -1}], 3) == [[F(0), F(1), F(0)], [F(1), F(0), F(1)]]
+    # a map row carries no width: the columns past its last key are free
+    # only as far as ncols reaches
+    assert [linalg.integer_kernel([{0: 1}], n) for n in (1, 2, 3)] == [[], [{1: 1}],
+                                                                       [{1: 1}, {2: 1}]]
+    assert linalg.integer_kernel([{0: 1, 2: -1}], 3) == [{1: 1}, {0: 1, 2: 1}]
+    assert unit_kernel([{0: 1, 2: -1}], 3) == [[F(0), F(1), F(0)], [F(1), F(0), F(1)]]
 
 
 def fraction_rref_primitive(rows, ncols):
@@ -443,6 +483,43 @@ def test_echelon_rows_are_the_primitive_rref(matrix, maps):
     ncols, rows = matrix
     given_rows = [as_map(r) for r in rows] if maps else rows
     assert linalg.echelon_rows(given_rows) == fraction_rref_primitive(rows, ncols)
+
+
+# ---------- the core's outputs are integers ----------
+
+def fraction_names(source):
+    """Line numbers at which `source` names Fraction: as a name, an attribute
+    (fractions.Fraction) or an imported alias."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "Fraction"
+                  or isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                  or isinstance(node, ast.ImportFrom) and any(
+                      alias.name == "Fraction" for alias in node.names))
+
+
+def test_scan_finds_a_named_fraction():
+    source = ("from fractions import Fraction\nimport fractions\n"
+              "x = fractions.Fraction(1)\ny = Fraction(2)\nz = 'Fraction in a string'\n")
+    assert fraction_names(source) == [1, 3, 4]
+
+
+def test_linalg_names_no_fraction():
+    # every output of the core is made of ints; a caller that needs a
+    # rational vector makes it (tableau.prolong, repthy.construct_rep)
+    assert fraction_names(pathlib.Path(linalg.__file__).read_text()) == []
+
+
+def all_ints(vectors):
+    return all(type(j) is int and type(x) is int for v in vectors for j, x in v.items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_matrices(), forms, st.data())
+def test_integer_kernel_and_echelon_rows_return_only_ints(matrix, form, data):
+    ncols, rows = matrix
+    given_rows = in_form(rows, ncols, form, data)
+    assert all_ints(linalg.integer_kernel(given_rows, ncols))
+    assert all_ints(linalg.echelon_rows(given_rows))
 
 
 # ---------- the row step scales a row only when it must ----------

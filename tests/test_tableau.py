@@ -134,16 +134,16 @@ def test_stabilizer_annihilates_exactly():
 
 
 def test_stabilizer_checks_the_kernel_it_is_given(monkeypatch):
-    # r is the first kernel_basis; a vector outside the stabilizer, or a
+    # r is the first integer_kernel; a vector outside the stabilizer, or a
     # repeated one, added to it must trip the exact checks
     f2, n, a = segre_1x2()
-    real = linalg.kernel_basis
-    x_l = [Fraction(int(b == 0)) for b in range(1 + n * n + a * a)]  # scales F2
+    real = linalg.integer_kernel
+    x_l = {0: 1}  # scales F2
 
     def r_kernel_with(extra):
         calls = []
 
-        def patched(rows, ncols=None):
+        def patched(rows, ncols):
             out = real(rows, ncols)
             calls.append(out)
             return out + extra(out) if len(calls) == 1 else out
@@ -151,7 +151,7 @@ def test_stabilizer_checks_the_kernel_it_is_given(monkeypatch):
     for extra, message in ((lambda r: [x_l], "does not annihilate"),
                            (lambda r: r[:1], "do not span")):
         with monkeypatch.context() as m:
-            m.setattr(linalg, "kernel_basis", r_kernel_with(extra))
+            m.setattr(linalg, "integer_kernel", r_kernel_with(extra))
             with pytest.raises(InternalCheckError, match=message):
                 stabilizer_and_tableau(f2, n, a)
 
@@ -159,16 +159,16 @@ def test_stabilizer_checks_the_kernel_it_is_given(monkeypatch):
 def test_stabilizer_reports_a_dependent_complement_as_an_internal_error(monkeypatch):
     # the complement's images are not eliminated for independence, so a
     # dependent complement (the last vector replaced by the first, which keeps
-    # the count) from the second kernel_basis must trip the tableau's check
+    # the count) from the second integer_kernel must trip the tableau's check
     f2, n, a = segre_1x2()
-    real = linalg.kernel_basis
+    real = linalg.integer_kernel
     calls = []
 
-    def patched(rows, ncols=None):
+    def patched(rows, ncols):
         out = real(rows, ncols)
         calls.append(out)
         return out[:-1] + out[:1] if len(calls) == 2 else out
-    monkeypatch.setattr(linalg, "kernel_basis", patched)
+    monkeypatch.setattr(linalg, "integer_kernel", patched)
     with pytest.raises(InternalCheckError, match="does not act injectively"):
         stabilizer_and_tableau(f2, n, a)
 
@@ -240,6 +240,24 @@ def test_reduced_prolongation_outside_a():
 
 # ---------- rank-nullity and the block-diagonal A (x) V* against references ----------
 
+def greedy_coordinates(vectors):
+    """(chosen, coords): a greedy maximal independent subset, and coordinates in it.
+
+    Read off linalg.echelon_rows of the matrix whose k-th column is
+    vectors[k], as repthy.construct_rep reads them: vector k is chosen iff
+    column k is a pivot, and coords[k][i] is row i's entry at k over its
+    pivot entry, so sum_i coords[k][i] vectors[chosen[i]] = vectors[k].
+    """
+    matrix = {}
+    for k, v in enumerate(vectors):
+        for r, x in (v.items() if isinstance(v, dict) else enumerate(v)):
+            if x:
+                matrix.setdefault(r, {})[k] = x
+    reduced = [(min(row), row) for row in linalg.echelon_rows(matrix.values())]
+    return ([c for c, _ in reduced],
+            [[Fraction(row.get(k, 0), row[c]) for c, row in reduced] for k in range(len(vectors))])
+
+
 @st.composite
 def tableaux(draw):
     n = draw(st.integers(1, 4))
@@ -247,7 +265,7 @@ def tableaux(draw):
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     mats = draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
                                   min_size=w, max_size=w), max_size=5))
-    keep = linalg.span_coordinates([[x for row in M for x in row] for M in mats])[0]
+    keep = greedy_coordinates([[x for row in M for x in row] for M in mats])[0]
     return Tableau(n, w, [mats[i] for i in keep])
 
 
@@ -302,7 +320,7 @@ def reduced_prolongation_reference(t, image):
     rank(prol) + rank(coords) - rank(prol + coords).
     """
     avstar = avstar_basis(t)
-    chosen, coords = linalg.span_coordinates(avstar + image)
+    chosen, coords = greedy_coordinates(avstar + image)
     if chosen != list(range(len(avstar))):
         raise ValueError("outside A (x) V*")
     coords = coords[len(avstar):]
