@@ -13,8 +13,10 @@ with its sparse side, Tableau.delta_rank), and the reduced prolongation from
 the ranks of the bracket image and its skew part.  A basis of A^(1) is built
 (prolong) only when a caller asks for its vectors: the integer kernel of
 delta, each vector over its entry at its free column.  The stabilizer
-tableau of a quadratic form is built on integer kernels too, and a Fraction
-is made only for each of its entries (stabilizer_and_tableau).
+tableau of a quadratic form is built on ints: F2 is scaled to integers on
+entry, its stabilizer and complement are integer kernels, the echelon is
+read off the sparse images of the unit vectors, and a Fraction is made only
+for each entry of the basis (stabilizer_and_tableau).
 A tableau keeps the primitive integer reduced echelon rows of its basis,
 given as sparse maps (Tableau.echelon), from its independence check; they
 are canonical for the span, so any basis of A gives the same rows.  Ranks
@@ -34,7 +36,7 @@ that attains Cartan's equality, whose characters are then the generic ones
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -44,6 +46,8 @@ from .errors import InternalCheckError
 
 FLAG_SEED = 7
 RANDOM_FLAG_COUNT = 16
+# the larger side of delta a tableau read from JSON may have (tableau_from_json)
+DELTA_SIDE_MAX = 10_000
 
 
 def _dimension(x):
@@ -61,19 +65,28 @@ class Tableau:
     rows of the flattened basis, {w * n + i: int} maps (n = dim V) in
     increasing pivot order with positive pivots, one per basis matrix.  It
     is canonical for the span: any basis of A gives the same rows.
+
+    `spanning`, init-only, is a spanning set of A as {w * n + i: x} maps,
+    for a caller that holds one sparser than the basis; the echelon is then
+    read off it instead of off the basis.  The caller vouches that the basis
+    lies in its span and is independent, as stabilizer_and_tableau proves
+    for its own; the count check then makes the echelon a basis of the
+    span of the basis.
     """
     dim_V: int
     dim_W: int
     basis: list  # list of dim_W x dim_V matrices, linearly independent
     echelon: list = field(init=False, repr=False, compare=False)
+    spanning: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, spanning):
         _dimension(self.dim_V)
         _dimension(self.dim_W)
         for M in self.basis:
             if len(M) != self.dim_W or any(len(row) != self.dim_V for row in M):
                 raise ValueError("basis matrix has wrong shape")
-        self.echelon = linalg.echelon_rows(map(self.sparse, self.basis))
+        self.echelon = linalg.echelon_rows(map(self.sparse, self.basis) if spanning is None
+                                           else spanning)
         if len(self.echelon) != len(self.basis):
             raise ValueError("tableau basis is linearly dependent")
 
@@ -312,24 +325,39 @@ class StabilizerPair:
 def stabilizer_and_tableau(f2, dim_T, dim_N):
     """Stabilizer of F2 in gl(L) + gl(T) + gl(N) and the complement tableau.
 
-    f2[mu][i][j] (symmetric in i, j) are the components of
+    f2[mu][i][j] (symmetric in i, j; ints or Fractions) are the components of
     F2 in L (x) S^2 T* (x) N with the one-dimensional L factor trivialized.
-    The stabilizer r is the exact kernel of the Leibniz action.  The unit
-    images are put over one common denominator, `scale`, and r and its
-    complement are integer kernel vectors, so the action sums ints; a
-    Fraction is made only for each tableau entry, the image of a complement
-    vector over its free-column entry.  The trace-form complement of r
-    maps into W (x) V* with V = L* (x) T and
+    The stabilizer r is the exact kernel of the Leibniz action phi on the
+    block space Q^N.  F2 is scaled to integers on entry by the lcm of its
+    denominators, `scale`, so the unit images phi(e_b) and the action sum
+    ints, and r and its complement perp (the trace-form complement, r^perp)
+    are integer kernel vectors; a Fraction is made only for each tableau
+    entry, the image of a complement vector over its free-column entry.
+    perp maps into W (x) V* with V = L* (x) T and
     W = (L* (x) N) + (T* (x) N), the L* (x) N rows landing in the first
     derived system (identically zero columns).
 
-    r, the kernel of the action, meets r^perp only in 0, the dot product being
-    positive definite on Q^N, so the images of the perp basis are independent
-    and become the tableau basis as they are; the tableau's check tests it.
+    The tableau A = phi(Q^N) is spanned by the sparse unit images, and its
+    echelon is read off them; its basis phi(perp) is not eliminated.  That
+    basis is independent by exact checks, each an InternalCheckError.  r
+    annihilates F2, so span(r) lies in ker phi.  len(r) + len(perp) = N.  r
+    and perp are each independent: each vector is nonzero at its last column
+    and zero at the others' (integer kernel vectors are so).  Every perp
+    vector is orthogonal to r, so span(perp) meets span(r) only in 0, the
+    dot product being positive definite on Q^N.  rank phi = len(echelon) =
+    len(perp) (the tableau's count check), so dim ker phi = N - len(perp) =
+    len(r) and ker phi = span(r).  So phi is injective on span(perp), and
+    phi(perp) is a basis of A.
     """
     n, a = _dimension(dim_T), _dimension(dim_N)
     if len(f2) != a or any(len(m) != n or any(len(r) != n for r in m) for m in f2):
         raise ValueError("f2 has inconsistent block dimensions")
+    entries = [x for m in f2 for row in m for x in row]
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise ValueError(f"f2 entries must be ints or Fractions, got {x!r}")
+    scale = lcm(*(x.denominator for x in entries))
+    f2 = [[[x.numerator * (scale // x.denominator) for x in row] for row in m] for m in f2]
     for mu in range(a):
         for i in range(n):
             for j in range(n):
@@ -337,11 +365,7 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
                     raise ValueError("f2 is not symmetric")
 
     dim_block = 1 + n * n + a * a
-    # the unit images over one common denominator, so the action sums ints
     images = _unit_images(f2, n, a)
-    scale = lcm(*(v.denominator for img in images for v in img.values()))
-    images = [{key: v.numerator * (scale // v.denominator) for key, v in img.items()}
-              for img in images]
 
     def action(x):
         """x = (xL, xT, xN) flattened, a {b: int} map; scale x.F2 as {(mu, i, j): int}."""
@@ -361,6 +385,15 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
             raise InternalCheckError("stabilizer element does not annihilate the form")
     # trace form on the block space is the standard dot product in these coords
     perp = linalg.integer_kernel(r_basis, dim_block)
+    if len(r_basis) + len(perp) != dim_block:
+        raise InternalCheckError("stabilizer and its complement do not span the block")
+    if not _independent_at_last_columns(r_basis):
+        raise InternalCheckError("stabilizer basis is linearly dependent")
+    if not _independent_at_last_columns(perp):
+        raise InternalCheckError("the stabilizer's complement does not act injectively")
+    for y in perp:
+        if any(sum(x * v[b] for b, x in y.items() if b in v) for v in r_basis):
+            raise InternalCheckError("the stabilizer's complement is not orthogonal to it")
 
     basis = []
     for y in perp:
@@ -369,13 +402,26 @@ def stabilizer_and_tableau(f2, dim_T, dim_N):
         for (mu, k, j), v in action(y).items():
             M[a + k * a + mu][j] = Fraction(v, den)
         basis.append(M)
+    # the unit images span phi(Q^N), which holds the basis: M[a + k a + mu][j] flattened
+    spanning = [{(a + k * a + mu) * n + j: v for (mu, k, j), v in img.items()} for img in images]
     try:
-        t = Tableau(n, a + n * a, basis)
-    except ValueError as e:  # the dimensions are checked above: the basis is dependent
+        t = Tableau(n, a + n * a, basis, spanning)
+    except ValueError as e:  # rank phi != len(perp), so phi is not injective on it
         raise InternalCheckError("the stabilizer's complement does not act injectively") from e
-    if len(r_basis) + len(perp) != dim_block:
-        raise InternalCheckError("stabilizer and its complement do not span the block")
     return StabilizerPair(len(r_basis), t)
+
+
+def _independent_at_last_columns(vecs):
+    """True when each {col: int} map is nonzero at its last column and zero at the others'.
+
+    The vectors restricted to their last columns are then diagonal, so they
+    are independent; integer_kernel's vectors are so.
+    """
+    last = [max(v, default=None) for v in vecs]
+    cols = set(last)
+    return (None not in cols and len(cols) == len(vecs)
+            and all(v[f] and not any(v[c] for c in v.keys() & cols if c != f)
+                    for v, f in zip(vecs, last)))
 
 
 def _unit_images(f2, n, a):
@@ -457,7 +503,10 @@ def tableau_from_json(doc):
     """{"dim_V": n, "dim_W": w, "basis": [[row-major "p/q" strings]]}.
 
     Raises ValueError on a document that lacks a key or has the wrong shape
-    or type.
+    or type, and, before any matrix is built, on a tableau whose delta would
+    have more than DELTA_SIDE_MAX rows, w C(n, 2), or columns, dim A n: the
+    characters, the prolongation and the torsion all eliminate delta, and
+    the flag search ranks n x n flags.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -470,6 +519,10 @@ def tableau_from_json(doc):
         raise ValueError("tableau 'basis' must be a list")
     n = _dimension(doc["dim_V"])
     w = _dimension(doc["dim_W"])
+    side = max(w * n * (n - 1) // 2, len(doc["basis"]) * n)
+    if side > DELTA_SIDE_MAX:
+        raise ValueError(f"tableau is over the work budget: delta would have a side of {side}, "
+                         f"more than DELTA_SIDE_MAX = {DELTA_SIDE_MAX}")
     basis = []
     for flat in doc["basis"]:
         if not isinstance(flat, list) or len(flat) != n * w:

@@ -2,6 +2,7 @@ import importlib
 import json
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,19 @@ def test_value_error_from_any_library_call_exits_2(capsys, tmp_path, monkeypatch
     assert code == 2
     assert out == ""
     assert err == "error: tableau rejected\n"
+
+
+@pytest.mark.parametrize("op", ["characters", "prolong", "torsion"])
+def test_tableau_over_the_work_budget_exits_2_at_once(capsys, tmp_path, op):
+    # a 10^5 x 10^5 tableau: the standard flag and delta's empty rows alone
+    # ran past an 8 s timeout before the budget
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim_V": 100_000, "dim_W": 100_000, "basis": []}))
+    start = time.monotonic()
+    code, out, err = run(capsys, "tableau", "--input", str(path), "--op", op)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert "DELTA_SIDE_MAX" in err
 
 
 def test_no_floats_in_rigidity_json(capsys):

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from liecoh import linalg
 from liecoh.errors import InternalCheckError
-from liecoh.tableau import (FLAG_SEED, RANDOM_FLAG_COUNT, Tableau, _delta_matrix,
-                            cartan_characters, cauchy_riemann_tableau,
+from liecoh.tableau import (DELTA_SIDE_MAX, FLAG_SEED, RANDOM_FLAG_COUNT, Tableau,
+                            _delta_matrix, cartan_characters, cauchy_riemann_tableau,
                             full_tableau, is_involutive, prolong,
                             prolongation_bilinear, prolongation_dim,
                             reduced_prolongation,
@@ -159,7 +159,8 @@ def test_stabilizer_checks_the_kernel_it_is_given(monkeypatch):
 def test_stabilizer_reports_a_dependent_complement_as_an_internal_error(monkeypatch):
     # the complement's images are not eliminated for independence, so a
     # dependent complement (the last vector replaced by the first, which keeps
-    # the count) from the second integer_kernel must trip the tableau's check
+    # the count) from the second integer_kernel must trip the check that
+    # each complement vector is alone at its last column
     f2, n, a = segre_1x2()
     real = linalg.integer_kernel
     calls = []
@@ -173,9 +174,62 @@ def test_stabilizer_reports_a_dependent_complement_as_an_internal_error(monkeypa
         stabilizer_and_tableau(f2, n, a)
 
 
+def test_stabilizer_reports_a_complement_off_r_perp_as_an_internal_error(monkeypatch):
+    # a complement vector plus a vector of r has the same image and keeps the
+    # count and the last columns, but the independence proof needs perp in
+    # r^perp: the orthogonality check must trip
+    f2, n, a = segre_1x2()
+    real = linalg.integer_kernel
+    calls = []
+
+    def patched(rows, ncols):
+        out = real(rows, ncols)
+        calls.append(out)
+        if len(calls) == 2:
+            r = calls[0][0]
+            moved = {c: out[0].get(c, 0) + r.get(c, 0) for c in out[0].keys() | r.keys()}
+            last = {max(v) for v in out}
+            assert max(moved) == max(out[0]) and not (moved.keys() & last) - {max(moved)}
+            return [moved] + out[1:]
+        return out
+    monkeypatch.setattr(linalg, "integer_kernel", patched)
+    with pytest.raises(InternalCheckError, match="not orthogonal"):
+        stabilizer_and_tableau(f2, n, a)
+
+
+def test_stabilizer_reports_a_dependent_kernel_as_an_internal_error(monkeypatch):
+    # r with its last vector replaced by its first, and the complement's first
+    # vector dropped to keep the count: every other check passes, but r no
+    # longer spans ker phi and the images of the complement are dependent,
+    # so r's last columns must show that r is
+    f2, n, a = segre_1x2()
+    real = linalg.integer_kernel
+    calls = []
+
+    def patched(rows, ncols):
+        calls.append(None)
+        if len(calls) == 1:
+            out = real(rows, ncols)
+            return out[:-1] + out[:1]
+        return real(rows, ncols)[1:]
+    monkeypatch.setattr(linalg, "integer_kernel", patched)
+    with pytest.raises(InternalCheckError, match="stabilizer basis is linearly dependent"):
+        stabilizer_and_tableau(f2, n, a)
+
+
+def test_stabilizer_echelon_is_the_echelon_of_its_basis():
+    # the echelon is read off the unit images; it must be the one the basis gives
+    for f2, n, a in (segre_1x2(), segre_2x2(), quadric_5(), veronese_2(3)):
+        for rng in (None, random.Random(1)):
+            form = f2 if rng is None else dense_basis(f2, n, a, rng)
+            t = stabilizer_and_tableau(form, n, a).tableau_r_perp
+            assert t.echelon == linalg.echelon_rows(map(t.sparse, t.basis))
+
+
 def test_stabilizer_eliminates_three_times(monkeypatch):
     # a work count: the kernel r, its complement and the tableau's echelon
-    # basis; picking an independent subset of the images made it 4
+    # basis, read off the unit images; picking an independent subset of the
+    # images made it 4
     calls = []
     real = linalg._echelon
 
@@ -187,12 +241,34 @@ def test_stabilizer_eliminates_three_times(monkeypatch):
     assert len(calls) == 3
 
 
+def test_stabilizer_elimination_work_on_dense_segre(monkeypatch):
+    # a work count, not a timing: the pivot entries the row step touches on
+    # the seeded dense Seg(P2 x P2), 11,289 when the tableau's echelon was
+    # eliminated from the dense images of the complement, 3,914 off the
+    # sparse unit images
+    touched = []
+    real = linalg._eliminate
+
+    def counted(row, piv, c):
+        touched.append(len(piv))
+        return real(row, piv, c)
+    f2, n, a = segre_2x2()
+    form = dense_basis(f2, n, a, random.Random(0))
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    stabilizer_and_tableau(form, n, a)
+    assert sum(touched) <= 6_000
+
+
 def test_stabilizer_bad_input():
     with pytest.raises(ValueError):
         stabilizer_and_tableau([[[Fraction(1)]]], 2, 1)
     with pytest.raises(ValueError):
         stabilizer_and_tableau(
             [[[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]], 2, 1)
+    # a float, a string and a bool are refused, not read as a number
+    for entry in (0.5, "1", True):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            stabilizer_and_tableau([[[entry, Fraction(1)], [Fraction(1), Fraction(0)]]], 2, 1)
 
 
 def flat_bilinear(t, coeffs):
@@ -605,6 +681,18 @@ def test_involutive_sweep_stops_at_the_standard_flag(monkeypatch):
     assert report.involutive
     assert [sparse for sparse, _ in calls] == [True, True]
     assert report.characters == full_sweep_characters(t, FLAG_SEED)
+
+
+def test_tableau_from_json_budget_is_on_both_sides_of_delta():
+    # delta has dim W C(dim V, 2) rows and dim A dim V columns
+    assert tableau_from_json({"dim_V": 5, "dim_W": 1000, "basis": []}).dim == 0
+    with pytest.raises(ValueError, match="DELTA_SIDE_MAX"):
+        tableau_from_json({"dim_V": 5, "dim_W": 1001, "basis": []})
+    # dim A = DELTA_SIDE_MAX passes the budget, then fails the independence check
+    with pytest.raises(ValueError, match="dependent"):
+        tableau_from_json({"dim_V": 1, "dim_W": 1, "basis": [["1"]] * DELTA_SIDE_MAX})
+    with pytest.raises(ValueError, match="DELTA_SIDE_MAX"):
+        tableau_from_json({"dim_V": 1, "dim_W": 1, "basis": [["1"]] * (DELTA_SIDE_MAX + 1)})
 
 
 def test_json_round_trip():
