@@ -178,19 +178,28 @@ def load_fixture(name):
 
 
 def cmd_rigidity(args):
+    chosen = [name for name, on in (("--list-fixtures", args.list_fixtures),
+                                    ("--fixture", args.fixture is not None),
+                                    ("--scenario", args.scenario is not None),
+                                    ("--type", args.type is not None)) if on]
+    if len(chosen) > 1:
+        raise ValueError(f"{' and '.join(chosen)} exclude each other: give at most one")
+    for name, value in (("--marked", args.marked), ("--weight", args.weight)):
+        if value is not None and args.type is None:
+            raise ValueError(f"{name} goes only with --type")
     if args.list_fixtures:
         for name in fixtures():
             print(name)
         return 0
-    if args.fixture:
+    if args.fixture is not None:
         spec = load_fixture(args.fixture)
-    elif args.scenario:
+    elif args.scenario is not None:
         try:
             with open(args.scenario) as fh:
                 spec = scenario_from_json(json.load(fh))
         except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
             raise ValueError(f"cannot read scenario {args.scenario!r}: {e}") from e
-    elif args.type:
+    elif args.type is not None:
         if args.marked is None or args.weight is None or args.p is None:
             raise ValueError("--type needs --marked, --weight and --p")
         rs = parse_type(args.type)

@@ -142,14 +142,6 @@ def levi_lowest(marking, weight):
             return w
 
 
-def kostant_h0(marking, gamma):
-    """H^0(g_-, V_mu) as a single piece: the dual of the top Levi constituent of V_mu*."""
-    mu_star = marking.rs.dual_weight(gamma.highest_weight)
-    return H1Piece(tuple(-x for x in levi_lowest(marking, mu_star)),
-                   _as_degree(-marking.z(mu_star)),
-                   levi_weyl_dim(marking, mu_star), 0)
-
-
 def kostant_h1(marking, gamma):
     """H^1(g_-, V_mu) pieces, one per marked simple reflection.
 

@@ -147,12 +147,11 @@ def weight_system(rs, lam):
 def tensor_decompose(rs, lam, mu):
     """Decompose V_lam (x) V_mu into irreducibles (Brauer-Klimyk).
 
+    Walks the weights of V_lam, so V_lam should be the smaller factor.
     Returns a list of IrrComponent sorted by highest weight; the dimension
     identity sum(mult * dim) = dim(lam) * dim(mu) is checked.
     """
     lam, mu = tuple(lam), tuple(mu)
-    if rs.weyl_dim(mu) < rs.weyl_dim(lam):
-        lam, mu = mu, lam
     rho = rs.rho
     acc = {}
     for nu, m in weight_system(rs, lam).items():

@@ -314,12 +314,12 @@ class RootSystem:
             else:
                 return w, sign
 
-    def weyl_orbit(self, weight, nodes=None):
-        """Weyl orbit of a weight (set of tuples), under the reflections at nodes.
+    def weyl_orbit(self, weight, nodes):
+        """Orbit of a weight (set of tuples) under the reflections at nodes.
 
-        nodes are 0-based simple nodes, all of them by default.
+        nodes (required) are 0-based simple nodes; they generate the Weyl
+        group of the orbit, such as a Levi's W_0 from its unmarked nodes.
         """
-        nodes = range(self.rank) if nodes is None else nodes
         seen = {tuple(weight)}
         frontier = [tuple(weight)]
         while frontier:

@@ -34,15 +34,6 @@ class VogelParams:
     def t(self):
         return self.alpha + self.beta + self.gamma
 
-    def swapped(self, which):
-        """Exchange alpha with beta ('beta') or with gamma ('gamma')."""
-        a, b, g = self.alpha, self.beta, self.gamma
-        if which == "beta":
-            return VogelParams(b, a, g)
-        if which == "gamma":
-            return VogelParams(g, b, a)
-        raise ValueError(which)
-
 
 def rational_binomial(x, y):
     """(1+x)(2+x)...(y+x) / y! evaluated exactly; y = 0 gives 1."""
@@ -94,14 +85,6 @@ def dim_y3(p):
     num = -t * (a - 2 * t) * (b - 2 * t) * (g - 2 * t) * (b + t) * (g + t) \
         * (t + b - a) * (t + g - a) * (5 * a - 2 * t)
     return num / den
-
-
-def dim_y2_prime(p):
-    return dim_y2(p.swapped("beta"))
-
-
-def dim_y2_double_prime(p):
-    return dim_y2(p.swapped("gamma"))
 
 
 K_MAX = 10_000

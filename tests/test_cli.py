@@ -217,6 +217,16 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         # more than one of --y2, --y3 and --k
         ("vogel", "--params", "-2,12,20", "--y2", "--k", "3"),
         ("vogel", "--params", "-2,12,20", "--y2", "--y3"),
+        # more than one rigidity source, and --marked or --weight without --type
+        ("rigidity", "--fixture", "segre-1-1", "--type", "A2", "--marked", "1",
+         "--weight", "1,0"),
+        ("rigidity", "--fixture", "segre-1-1", "--scenario", "/nonexistent"),
+        ("rigidity", "--list-fixtures", "--fixture", "segre-1-1"),
+        ("rigidity", "--list-fixtures", "--type", "A2"),
+        ("rigidity", "--scenario", files[0], "--type", "A2"),
+        ("rigidity", "--fixture", "segre-1-1", "--marked", "1"),
+        ("rigidity", "--fixture", "segre-1-1", "--weight", "1,0"),
+        ("rigidity", "--marked", "1", "--weight", "1,0", "--p", "-1"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -224,6 +234,10 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         assert err.strip(), argv
     _, _, err = run(capsys, "vogel", "--params", "-2,12,20", "--y2", "--y3", "--k", "3")
     assert "--y2 and --y3 and --k exclude each other" in err
+    _, out, err = run(capsys, "rigidity", "--list-fixtures", "--fixture", "segre-1-1")
+    assert out == "" and "--list-fixtures and --fixture exclude each other" in err
+    _, _, err = run(capsys, "rigidity", "--fixture", "segre-1-1", "--weight", "1,0")
+    assert err == "error: --weight goes only with --type\n"
     # a node past the rank is refused where the marking is built
     code, _, err = run(capsys, "rigidity", "--type", "A2", "--marked", "5", "--weight", "1,0",
                        "--p", "-1")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from liecoh import cohomology, linalg
 from liecoh.cohomology import (GradedComplex, H1Piece, InternalCheckError,
                                direct_h1, gperp_complex, gperp_direct_h1,
-                               graded_h1, h1_report, kostant_h0, kostant_h1,
+                               graded_h1, h1_report, kostant_h1,
                                levi_weyl_dim, module_complex, negative_roots)
 from liecoh.grading import ParabolicMarking
 from liecoh.repthy import (DEFAULT_ORACLE_BOUND, IrrComponent,
@@ -140,12 +140,9 @@ def test_h0_euler_bookkeeping():
     rs = parse_type("A2")
     marking = ParabolicMarking(rs, {1, 2})
     cx = module_complex(marking, (3, 0))
-    h0 = h0_by_degree(cx)
-    # H^0 of an irreducible is the dual of the top Levi constituent: here 1-dim
-    piece = kostant_h0(marking, IrrComponent((3, 0)))
-    assert h0 == {piece.degree: piece.dimension}
-    assert sum(h0.values()) == 1
-    assert piece.degree == -3
+    # H^0 of an irreducible is the dual of the top Levi constituent: here the
+    # lowest weight line of V(3,0), which g_- kills, in degree -3
+    assert h0_by_degree(cx) == {-3: 1}
 
 
 def test_kunneth_on_segre():
@@ -180,7 +177,6 @@ def test_kostant_route_rejects_a_weight_of_the_wrong_length(weight):
     for marked in ({1}, {2}, {1, 2}):
         marking = ParabolicMarking(rs, marked)
         for call in (lambda: kostant_h1(marking, IrrComponent(weight)),
-                     lambda: kostant_h0(marking, IrrComponent(weight)),
                      lambda: levi_weyl_dim(marking, weight)):
             with pytest.raises(ValueError, match="wrong length; the rank is 2"):
                 call()

@@ -10,9 +10,17 @@ its name is reached as an attribute or given as a string outside its own
 body: a local variable of the same name does not use it.  Dunder names
 are called by Python itself and are not scanned.
 
-linalg is held to more: each of its public functions must be named by
-another module of the package.  One that only tests or demos name is kept
-for them alone and belongs with them.
+Every module is held to more: each of its definitions must be named by the
+program itself, that is by a module of the package, a demo or the benchmark
+(bench/ without its own tests).  Re-exports from __init__.py do not count,
+and nor do the tests: a name that only tests reach is kept for them alone
+and belongs with them.  The exceptions are listed in TEST_ONLY, so adding
+or removing a test-only name means editing that list on purpose.  It holds
+tableau_to_json alone, because ROADMAP item 1 will give it its program
+caller: the program will write the tableaux it builds.
+
+linalg is held to more still: each of its public functions must be named by
+another module of the package.
 """
 
 import ast
@@ -22,6 +30,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liecoh"
 SCANNED = [ROOT / "src", ROOT / "tests", ROOT / "demos"]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# the definitions that only tests name, as "module.py: name"
+TEST_ONLY = ["tableau.py: tableau_to_json"]
 
 
 def _names(node):
@@ -111,6 +121,17 @@ def uncalled(defining, callers):
     return [(line, name) for line, name in dead(defining, callers) if name in public]
 
 
+def unused_by_program(root):
+    """"module.py: name" of each definition of the package under `root` that
+    neither the package (its __init__.py left out), the demos nor bench/
+    (its test_bench.py left out) names."""
+    package = sorted((root / "src" / "liecoh").glob("*.py"))
+    modules = [p for p in package if p.name != "__init__.py"]
+    bench = [p for p in sorted((root / "bench").glob("*.py")) if p.name != "test_bench.py"]
+    sources = [p.read_text() for p in modules + sorted((root / "demos").glob("*.py")) + bench]
+    return [f"{p.name}: {name}" for p in modules for _, name in dead(p.read_text(), sources)]
+
+
 def test_scan_finds_a_dead_function():
     module = ("def f(n):\n    return f(n - 1) if n else 0\n\n"
               "def g():\n    return 1\n\n"
@@ -157,3 +178,26 @@ def test_linalg_functions_have_callers_in_the_package():
     found = [f"linalg.py:{line}: {name}"
              for line, name in uncalled(linalg.read_text(), callers)]
     assert found == []
+
+
+def test_scan_finds_a_name_only_tests_or_reexports_use(tmp_path):
+    files = {
+        "src/liecoh/__init__.py": "from .m import exported\n",
+        "src/liecoh/m.py": ("def benched():\n    return 0\n\n"
+                            "def tested():\n    return 1\n\n"
+                            "def exported():\n    return 2\n\n"
+                            "def used():\n    return 3\n"),
+        "src/liecoh/n.py": "from .m import used\n",
+        "bench/cases.py": "import liecoh.m\nprint(liecoh.m.benched())\n",
+        "bench/test_bench.py": "from liecoh.m import tested\n",
+        "demos/01_demo.py": "import liecoh\nprint(liecoh)\n",
+        "tests/test_m.py": "from liecoh.m import exported, tested\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unused_by_program(tmp_path) == ["m.py: tested", "m.py: exported"]
+
+
+def test_only_the_listed_names_are_used_by_tests_alone():
+    assert unused_by_program(ROOT) == TEST_ONLY

@@ -5,8 +5,7 @@ import pytest
 
 from liecoh.rootsys import parse_type
 from liecoh.vogel import (K_MAX, DegenerateParameters, VogelParams, dim_g, dim_y2,
-                          dim_y2_double_prime, dim_y2_prime, dim_y3, dim_yk,
-                          rational_binomial)
+                          dim_y3, dim_yk, rational_binomial)
 
 EXCEPTIONAL_ROWS = {
     "D4": VogelParams(-2, 4, 4),
@@ -102,9 +101,6 @@ def test_symmetries():
     assert dim_g(p) == dim_g(VogelParams(8, -2, 12)) == dim_g(VogelParams(12, 8, -2))
     # dim_yk is symmetric in beta and gamma
     assert dim_yk(p, 2) == dim_yk(VogelParams(-2, 12, 8), 2)
-    # the primed variants are the alpha swaps
-    assert dim_y2_prime(p) == dim_y2(VogelParams(8, -2, 12))
-    assert dim_y2_double_prime(p) == dim_y2(VogelParams(12, 8, -2))
 
 
 def test_yk_refuses_k_over_its_budget():
