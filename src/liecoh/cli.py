@@ -187,6 +187,8 @@ def cmd_rigidity(args):
     for name, value in (("--marked", args.marked), ("--weight", args.weight)):
         if value is not None and args.type is None:
             raise ValueError(f"{name} goes only with --type")
+    if args.list_fixtures and (args.p is not None or args.oracle):
+        raise ValueError("--p and --oracle do not go with --list-fixtures")
     if args.list_fixtures:
         for name in fixtures():
             print(name)

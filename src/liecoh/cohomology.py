@@ -46,13 +46,9 @@ Borel marking has W_0 = 1 and ranks every grade, as before.
 The fold.  check_oracle compares the oracle with Kostant piece by piece,
 not only degree by degree.  In each degree the weights of H^1 are the
 character of a g_0-module, and levi_pieces splits it into irreducibles by
-Racah-Speiser: a weight mu goes to mu + rho' (rho' = 1 at every unmarked
-node, which differs from the Levi's rho by a W_0-invariant weight), is
-brought into the W_0-dominant chamber with the sign of the Weyl element, and
-counts with that sign for the highest weight (that chamber weight - rho'),
-not at all on a wall; this is Weyl's character formula for g_0 read
-backwards.  The result must equal Kostant's multiset of (degree,
-levi_highest_weight), counted with the g-perp multiplicities.  The oracle's
+rs.fold over the unmarked nodes, Racah-Speiser for W_0.  The result must
+equal Kostant's multiset of (degree, levi_highest_weight), counted with the
+g-perp multiplicities.  The oracle's
 highest weight is levi_highest_weight as stored, with no dual (pinned by
 the tests).
 
@@ -186,12 +182,10 @@ class GradedComplex:
               Gamma_{source - depths[a]} by columns, one {target coordinate: x}
               map of nonzeros per source basis vector
     brackets: (a, b) -> {c: coeff} for a < b, [x_a, x_b] = sum coeff x_c
-    rs, unmarked: the root system and the unmarked nodes (0-based) that
-              generate the Levi Weyl group W_0.  graded_weights ranks only
-              the W_0-dominant grades, and the oracles build act only for the
-              source grades those reach (see _complex).  With no unmarked
-              node (a Borel marking, or a complex built by hand) every grade
-              is dominant and act must be complete.
+    marking:  the ParabolicMarking.  graded_weights ranks only the
+              W_0-dominant grades, and the oracles build act only for the
+              source grades those reach (see _complex); for a Borel marking
+              every grade is dominant and act must be complete.
 
     The oracles build this complex over Z: every entry of act and every
     bracket coefficient is an int.  The g_- basis is the bracket-path root
@@ -205,8 +199,7 @@ class GradedComplex:
     depths: list
     act: dict
     brackets: dict
-    rs: object = None
-    unmarked: tuple = ()
+    marking: object
 
     @cached_property
     def dominant_grades(self):
@@ -218,7 +211,7 @@ class GradedComplex:
         some unmarked node reaches no dominant C^1 grade and is skipped; for
         the others a sum is formed only for a depth that makes it dominant.
         """
-        unmarked = self.unmarked
+        unmarked = self.marking.unmarked
         top = [(j, max((i[1][j] for i in self.depths), default=0)) for j in unmarked]
         grades = {s for s in self.slices if all(s[1][j] >= 0 for j in unmarked)}
         for s in self.slices:
@@ -369,7 +362,7 @@ def graded_weights(cx):
             raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
         if dim or n0 > rank0:
             deg = _as_degree(d[0])
-            for w in cx.rs.weyl_orbit(d[1], cx.unmarked) if cx.unmarked else (d[1],):
+            for w in cx.marking.rs.orbit(d[1], cx.marking.unmarked):
                 if dim:
                     h1[(deg, w)] = dim
                 if n0 > rank0:
@@ -389,24 +382,18 @@ def graded_h1(cx):
     return _by_degree(graded_weights(cx)[1])
 
 
-def levi_pieces(cx, weights):
-    """Fold {(degree, weight): multiplicity} into g_0-irreducibles by Racah-Speiser.
+def levi_pieces(marking, weights):
+    """Fold {(degree, weight): multiplicity} into g_0-irreducibles, degree by degree.
 
-    weights is the full weight multiset of a g_0-module (graded_weights).
-    Each weight mu is sent to mu + rho', with rho' = 1 at every unmarked node
-    and 0 elsewhere, and brought into the W_0-dominant chamber with the sign
-    of the Weyl element; mu counts for the highest weight (dominant - rho')
-    with that sign, and not at all on a wall.  Returns {(degree, g_0 highest
-    weight): multiplicity}.
+    weights is the full weight multiset of a g_0-module (graded_weights);
+    each degree is rs.fold over the unmarked nodes.  Returns {(degree, g_0
+    highest weight): multiplicity}, sorted.
     """
-    shift = [int(j in cx.unmarked) for j in range(cx.rs.rank)]
-    out = {}
+    by_degree = {}
     for (deg, mu), k in weights.items():
-        top, sign = cx.rs.dominize_signed(map(add, mu, shift), cx.unmarked)
-        if sign:
-            key = (deg, _difference(top, shift))
-            out[key] = out.get(key, 0) + sign * k
-    return {key: k for key, k in sorted(out.items()) if k}
+        by_degree.setdefault(deg, []).append((mu, k))
+    return {(deg, hw): k for deg in sorted(by_degree)
+            for hw, k in marking.rs.fold(by_degree[deg], marking.unmarked).items()}
 
 
 def check_oracle(cx, pieces):
@@ -428,7 +415,7 @@ def check_oracle(cx, pieces):
         raise InternalCheckError(
             f"combinatorial H^1 {dict(sorted(expected.items()))} disagrees with "
             f"the matrix oracle {got}")
-    folded = levi_pieces(cx, h1)
+    folded = levi_pieces(cx.marking, h1)
     if folded != kostant:
         raise InternalCheckError(
             f"combinatorial H^1 pieces {dict(sorted(kostant.items()))} disagree "
@@ -500,7 +487,7 @@ def _complex(marking, g, basis, image, den):
     brackets = {pair: {c: x.numerator * (L // x.denominator) for c, x in terms.items()}
                 for pair, terms in brackets.items()}
     cx = GradedComplex({s: len(vectors) for s, vectors in basis.items()}, depths, {},
-                       brackets, marking.rs, marking.unmarked)
+                       brackets, marking)
     sources = sorted({s for d in cx.dominant_grades
                       for s in (d, *(_lower(d, i) for i in depths)) if s in basis})
     for a, depth in enumerate(depths):

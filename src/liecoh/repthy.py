@@ -7,11 +7,10 @@ Lie Algebras and Representation Theory, 21.3).  Below lam they are linked by
 positive-root steps: a dominant mu < lam has a positive root alpha with lam -
 alpha dominant and mu <= lam - alpha (Stembridge, "The partial order of
 dominant weights", Adv. Math. 136, 1998), so subtracting positive roots from
-dominant weights and keeping the dominant results reaches all of them.  An
-orbit is walked down from its dominant weight by s_i w = w - w_i alpha_i
-wherever w_i > 0, which reaches every weight of the orbit and records its
-dominant representative (Moody-Patera, SIAM J. Algebraic Discrete Methods 3,
-1982).  Freudenthal's recursion then runs on the dominant weights alone.
+dominant weights and keeping the dominant results reaches all of them.
+Each W-orbit is walked down from its dominant weight (rs.orbit), which
+records the dominant representative of every weight, so Freudenthal's
+recursion runs on the dominant weights alone.  Brauer-Klimyk is rs.fold.
 
 Explicit modules are built on a weight basis by closing under the lowering
 operators, and every basis vector is known by one global id.  A vector's
@@ -47,9 +46,8 @@ def weight_multiplicities(rs, lam):
     Returns {weight: multiplicity}, top down by level below lam (the height
     of lam - w in simple roots), ties by increasing tuple; the total
     multiplicity equals weyl_dim(lam).  The dominant weights are reached from
-    lam by positive-root steps and each W-orbit is walked down from its
-    dominant weight (module docstring); Freudenthal then runs on the dominant
-    weights alone.  The arithmetic is on integers (rs.form, see rootsys).
+    lam by positive-root steps and each W-orbit is rs.orbit of its
+    dominant weight; Freudenthal then runs on the dominant weights alone.  The arithmetic is on integers (rs.form, see rootsys).
     """
     lam = tuple(lam)
     rs.check_length(lam)
@@ -68,27 +66,12 @@ def weight_multiplicities(rs, lam):
                     depth[c] = depth[w] + ht
                     nxt.append(c)
         frontier = nxt
-    # each orbit down from its dominant weight: s_i w = w - w_i alpha_i lies
-    # w_i levels lower, and alpha_i is nonzero only at i and its neighbours
-    moves = [[(j, a) for j, a in enumerate(af) if a] for af in rs.simple_root_weights]
     dom = {}  # weight -> its dominant representative
     levels = {}  # level -> its weights
     for d, dep in depth.items():
-        dom[d] = d
-        levels.setdefault(dep, []).append(d)
-        stack = [(d, dep)]
-        while stack:
-            w, lw = stack.pop()
-            for i, wi in enumerate(w):
-                if wi > 0:
-                    c = list(w)
-                    for j, a in moves[i]:
-                        c[j] -= wi * a
-                    c = tuple(c)
-                    if c not in dom:
-                        dom[c] = d
-                        levels.setdefault(lw + wi, []).append(c)
-                        stack.append((c, lw + wi))
+        for w, lw in rs.orbit(d, range(rs.rank)).items():
+            dom[w] = d
+            levels.setdefault(dep + lw, []).append(w)
     dominants = sorted(depth, key=lambda w: (depth[w], w))
     # Freudenthal recursion, top down:
     # m(mu) = sum_{a > 0, k >= 1} 2 m(mu + k a) (mu + k a, a)
@@ -147,27 +130,14 @@ def weight_system(rs, lam):
 def tensor_decompose(rs, lam, mu):
     """Decompose V_lam (x) V_mu into irreducibles (Brauer-Klimyk).
 
-    Walks the weights of V_lam, so V_lam should be the smaller factor.
-    Returns a list of IrrComponent sorted by highest weight; the dimension
+    Folds the weights of V_lam shifted by mu (rs.fold over W), so V_lam
+    should be the smaller factor.  Returns a list of IrrComponent sorted by highest weight; the dimension
     identity sum(mult * dim) = dim(lam) * dim(mu) is checked.
     """
     lam, mu = tuple(lam), tuple(mu)
-    rho = rs.rho
-    acc = {}
-    for nu, m in weight_system(rs, lam).items():
-        xi = tuple(a + b + c for a, b, c in zip(nu, mu, rho))
-        dom, sign = rs.dominize_signed(xi)
-        if sign == 0:
-            continue
-        hw = tuple(a - b for a, b in zip(dom, rho))
-        acc[hw] = acc.get(hw, 0) + sign * m
-    comps = []
-    for hw in sorted(acc):
-        if acc[hw] < 0:
-            raise InternalCheckError(
-                f"Brauer-Klimyk gives V{hw} the negative multiplicity {acc[hw]}")
-        if acc[hw]:
-            comps.append(IrrComponent(hw, acc[hw]))
+    comps = [IrrComponent(hw, m) for hw, m in rs.fold(
+        ((map(add, nu, mu), m) for nu, m in weight_system(rs, lam).items()),
+        range(rs.rank)).items()]
     total = sum(c.multiplicity * rs.weyl_dim(c.highest_weight) for c in comps)
     if total != rs.weyl_dim(lam) * rs.weyl_dim(mu):
         raise InternalCheckError(

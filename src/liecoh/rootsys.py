@@ -25,11 +25,23 @@ when it is built:
     coordinates of a weight are integer dot products over one denominator.
   * root_weights maps each positive root, in simple-root coordinates, to its
     fundamental coordinates.
+
+Two Weyl-group walks serve every module, for the group W' of the
+reflections at given nodes (all of them for W, the unmarked ones for W_0):
+  * orbit walks the W'-orbit of a weight >= 0 at the nodes down by
+    s_i w = w - w_i alpha_i wherever w_i > 0, w_i levels lower (level: the
+    height of weight - w), which reaches every weight of the orbit
+    (Moody-Patera, SIAM J. Algebraic Discrete Methods 3, 1982).
+  * fold is Racah-Speiser, Weyl's character formula read backwards: mu + rho
+    is brought into the dominant chamber of W' with the sign of the Weyl
+    element, and mu counts with that sign for the highest weight (that
+    chamber weight - rho), not at all on a wall.  rho may be any rho' = 1
+    at the nodes, as rho - rho' is W'-invariant.
 """
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import InternalCheckError
@@ -138,6 +150,9 @@ class RootSystem:
         self.cartan = self._block_cartan()
         # fundamental coordinates of alpha_i: column i of the Cartan matrix
         self.simple_root_weights = [tuple(col) for col in zip(*self.cartan)]
+        # sigma_i w = w - w_i alpha_i changes w only where alpha_i is nonzero
+        self.moves = [[(j, a) for j, a in enumerate(af) if a]
+                      for af in self.simple_root_weights]
         self.inverse_cartan_den, self.inverse_cartan_scaled = _invert(self.cartan)
         self.d = []
         for f in self.factors:
@@ -287,21 +302,22 @@ class RootSystem:
         ci = weight[i]
         if not ci:
             return tuple(weight)
-        return tuple(w - ci * a for w, a in zip(weight, self.simple_root_weights[i]))
+        w = list(weight)
+        for j, a in self.moves[i]:
+            w[j] -= ci * a
+        return tuple(w)
 
     def affine_action(self, i, weight):
         """sigma_i . mu = sigma_i(mu + rho) - rho."""
         shifted = tuple(c + 1 for c in weight)
         return tuple(c - 1 for c in self.reflect(i, shifted))
 
-    def dominize_signed(self, weight, nodes=None):
+    def dominize_signed(self, weight, nodes):
         """(dominant rep, det sign), or (None, 0) if the weight lies on a wall.
 
-        nodes (0-based, default all) restricts to the Weyl group generated by
-        their simple reflections: dominant then means >= 0 at those nodes.
+        nodes (0-based) generate the Weyl group: dominant means >= 0 at them.
         """
         w = tuple(weight)
-        nodes = range(self.rank) if nodes is None else nodes
         sign = 1
         while True:
             for i in nodes:
@@ -314,24 +330,47 @@ class RootSystem:
             else:
                 return w, sign
 
-    def weyl_orbit(self, weight, nodes):
-        """Orbit of a weight (set of tuples) under the reflections at nodes.
+    def orbit(self, weight, nodes):
+        """{w: level below weight} over the orbit of weight under the reflections at nodes.
 
-        nodes (required) are 0-based simple nodes; they generate the Weyl
-        group of the orbit, such as a Levi's W_0 from its unmarked nodes.
+        weight must be >= 0 at nodes (0-based); see the module docstring.
         """
-        seen = {tuple(weight)}
-        frontier = [tuple(weight)]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in nodes:
-                    r = self.reflect(i, w)
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        return seen
+        top = tuple(weight)
+        if any(top[i] < 0 for i in nodes):
+            raise ValueError(f"weight {top} is negative at a node")
+        out = {top: 0}
+        stack = [(top, 0)]
+        while stack:
+            w, level = stack.pop()
+            for i in nodes:
+                wi = w[i]
+                if wi > 0:
+                    c = list(w)
+                    for j, a in self.moves[i]:
+                        c[j] -= wi * a
+                    c = tuple(c)
+                    if c not in out:
+                        out[c] = level + wi
+                        stack.append((c, level + wi))
+        return out
+
+    def fold(self, pairs, nodes):
+        """Racah-Speiser: (weight, multiplicity) pairs -> {highest weight: multiplicity}.
+
+        Over the Weyl group of nodes (module docstring); sorted by highest
+        weight, zero totals dropped.  The pairs must be the weights of a
+        module: a negative total raises.
+        """
+        acc = {}
+        for mu, m in pairs:
+            top, sign = self.dominize_signed(map(add, mu, self.rho), nodes)
+            if sign:
+                hw = tuple(map(sub, top, self.rho))
+                acc[hw] = acc.get(hw, 0) + sign * m
+        bad = {hw: m for hw, m in acc.items() if m < 0}
+        if bad:
+            raise InternalCheckError(f"Racah-Speiser gives negative multiplicities {bad}")
+        return {hw: m for hw, m in sorted(acc.items()) if m}
 
     def weyl_dim(self, weight):
         """Weyl dimension formula; weight must be dominant integral.

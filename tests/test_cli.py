@@ -227,6 +227,9 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         ("rigidity", "--fixture", "segre-1-1", "--marked", "1"),
         ("rigidity", "--fixture", "segre-1-1", "--weight", "1,0"),
         ("rigidity", "--marked", "1", "--weight", "1,0", "--p", "-1"),
+        # the overrides need a scenario source to override
+        ("rigidity", "--list-fixtures", "--p", "0"),
+        ("rigidity", "--list-fixtures", "--oracle"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -238,6 +241,8 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
     assert out == "" and "--list-fixtures and --fixture exclude each other" in err
     _, _, err = run(capsys, "rigidity", "--fixture", "segre-1-1", "--weight", "1,0")
     assert err == "error: --weight goes only with --type\n"
+    _, out, err = run(capsys, "rigidity", "--list-fixtures", "--oracle")
+    assert out == "" and err == "error: --p and --oracle do not go with --list-fixtures\n"
     # a node past the rank is refused where the marking is built
     code, _, err = run(capsys, "rigidity", "--type", "A2", "--marked", "5", "--weight", "1,0",
                        "--p", "-1")

@@ -273,11 +273,14 @@ def test_graded_h1_degree_check_survives_optimize():
     script = """
 from fractions import Fraction
 from liecoh.cohomology import GradedComplex, InternalCheckError, graded_h1
+from liecoh.grading import ParabolicMarking
+from liecoh.rootsys import parse_type
 slices = {(d, (d,)): 1 for d in range(3)}
 act = {(a, s): [[Fraction(0)]] if (s[0] - 1, (s[0] - 1,)) in slices else []
        for a in range(3) for s in slices}
 try:
-    print(graded_h1(GradedComplex(slices, [(1, (1,))] * 3, act, {(0, 1): {2: 1}})))
+    print(graded_h1(GradedComplex(slices, [(1, (1,))] * 3, act, {(0, 1): {2: 1}},
+                                  ParabolicMarking(parse_type("A1"), {1}))))
 except InternalCheckError:
     print("InternalCheckError")
 """
@@ -500,7 +503,8 @@ def test_oracle_complex_is_integral_and_scale_invariant(build, name, lam):
         cx.slices, cx.depths,
         {key: [{r: x / L for r, x in col.items()} for col in block]
          for key, block in cx.act.items()},
-        {pair: {c: x / L for c, x in terms.items()} for pair, terms in cx.brackets.items()})
+        {pair: {c: x / L for c, x in terms.items()} for pair, terms in cx.brackets.items()},
+        cx.marking)
     assert not _all_ints(unscaled)
     assert graded_h1(cx) == graded_h1(unscaled)
     assert h0_by_degree(cx) == h0_by_degree(unscaled)
@@ -548,7 +552,7 @@ def _full_complex(build, marking, lam):
     borel = ParabolicMarking(marking.rs, marking.marked)
     borel.unmarked = ()
     cx = build(borel, lam)
-    assert cx.unmarked == ()
+    assert cx.marking.unmarked == ()
     return cx
 
 
@@ -625,8 +629,9 @@ def test_non_dominant_block_equals_its_dominant_representative(build, name, mark
     sweep = _sweep(_full_complex(build, marking, lam))
     grade = next(d for d, (_, h1) in sweep.items()
                  if h1 and any(d[1][j] < 0 for j in unmarked))
-    dominant, = [w for w in rs.weyl_orbit(grade[1], unmarked)
-                 if all(w[j] >= 0 for j in unmarked)]
+    # the one W_0-dominant weight of the degree whose W_0-orbit holds grade
+    dominant, = {w for deg, w in sweep if deg == grade[0]
+                 and all(w[j] >= 0 for j in unmarked) and grade[1] in rs.orbit(w, unmarked)}
     assert dominant != grade[1]
     assert sweep[(grade[0], dominant)] == sweep[grade]
 
@@ -638,7 +643,7 @@ def test_reduced_oracle_equals_the_full_sweep(build, name, marked, lam):
     sweep = _sweep(full)
     cx = build(marking, lam)
     # the reduced complex builds fewer action blocks and ranks fewer grades
-    assert cx.unmarked and len(cx.act) < len(full.act)
+    assert cx.marking.unmarked and len(cx.act) < len(full.act)
     assert len(cx.dominant_grades) < len(sweep)
     h1, h0 = graded_h1(cx), h0_by_degree(cx)
     assert h1 == _by_degree(sweep, 1) and h1
@@ -652,7 +657,7 @@ def test_reduced_oracle_equals_the_full_sweep(build, name, marked, lam):
 def test_borel_marking_builds_every_block():
     rs = parse_type("A2")
     cx = gperp_complex(ParabolicMarking(rs, {1, 2}), (1, 1))
-    assert cx.unmarked == ()
+    assert cx.marking.unmarked == ()
     assert len(cx.act) == len(cx.depths) * len(cx.slices)
     assert len(cx.dominant_grades) == len(
         set(cx.slices) | {_add_grade(s, i) for s in cx.slices for i in cx.depths})
@@ -680,7 +685,7 @@ def test_oracle_pieces_equal_kostant_as_stored(name, marked, lam):
     kostant = _kostant_pieces(h1_report(marking, lam, -1))
     cx = gperp_complex(marking, lam)
     _, h1 = cohomology.graded_weights(cx)
-    folded = cohomology.levi_pieces(cx, h1)
+    folded = cohomology.levi_pieces(marking, h1)
     assert folded == kostant
     # the g_0-dual of every piece is a different multiset, so this pins the
     # convention: the oracle's highest weight is levi_highest_weight itself

@@ -1,5 +1,13 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liecoh.cohomology import levi_weyl_dim
+from liecoh.errors import InternalCheckError
+from liecoh.grading import ParabolicMarking
+from liecoh.repthy import weight_system
 from liecoh.rootsys import RootSystem, SimpleFactor, build, parse_type
 
 POSITIVE_ROOT_COUNTS = {
@@ -148,7 +156,7 @@ def test_affine_action_preserves_dimension_when_regular():
     rs = parse_type("A2")
     lam = (2, 1)
     w = rs.affine_action(0, lam)
-    dom, sign = rs.dominize_signed(tuple(c + 1 for c in w))
+    dom, sign = rs.dominize_signed(tuple(c + 1 for c in w), range(rs.rank))
     assert sign == -1
     back = tuple(c - 1 for c in dom)
     assert rs.weyl_dim(back) == rs.weyl_dim(lam)
@@ -198,3 +206,101 @@ def test_parse_type_products():
 def test_product_weyl_dim_multiplies():
     rs = parse_type("A1,A2")
     assert rs.weyl_dim((2, 1, 1)) == 3 * 8
+
+
+# ---------- the two Weyl-group walks: orbit and fold ----------
+
+WALK_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A1,A2", "A1,A1,A1")
+
+
+def _reflect(rs, i, w):
+    """s_i w = w - w_i alpha_i, alpha_i read off column i of the Cartan matrix."""
+    return tuple(x - w[i] * rs.cartan[j][i] for j, x in enumerate(w))
+
+
+def _closure(rs, weight, nodes):
+    """Breadth-first closure of {weight} under every reflection at nodes."""
+    seen, frontier = {weight}, {weight}
+    while frontier:
+        frontier = {_reflect(rs, i, w) for w in frontier for i in nodes} - seen
+        seen |= frontier
+    return seen
+
+
+def _height(rs, top, w):
+    """Height of top - w in simple roots, through C^-1."""
+    diff = [a - b for a, b in zip(top, w)]
+    total = sum(x * d for row in rs.inverse_cartan_scaled for x, d in zip(row, diff))
+    assert total % rs.inverse_cartan_den == 0
+    return total // rs.inverse_cartan_den
+
+
+@st.composite
+def walk_cases(draw):
+    """(rs, nodes, weight): all nodes (W) or a subset (a W_0), weight >= 0 at nodes."""
+    rs = parse_type(draw(st.sampled_from(WALK_TYPES)))
+    nodes = draw(st.one_of(st.just(tuple(range(rs.rank))),
+                           st.lists(st.sampled_from(range(rs.rank)), unique=True)
+                           .map(lambda x: tuple(sorted(x)))))
+    weight = tuple(draw(st.integers(0, 2) if i in nodes else st.integers(-3, 3))
+                   for i in range(rs.rank))
+    return rs, nodes, weight
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(walk_cases())
+def test_orbit_is_the_reflection_closure_with_heights(case):
+    rs, nodes, weight = case
+    orbit = rs.orbit(weight, nodes)
+    assert set(orbit) == _closure(rs, weight, nodes)
+    assert all(level == _height(rs, weight, w) for w, level in orbit.items())
+
+
+def test_orbit_refuses_a_weight_negative_at_a_node():
+    rs = parse_type("A2")
+    assert rs.orbit((-1, 2), (1,)) == {(-1, 2): 0, (1, -2): 2}
+    with pytest.raises(ValueError, match="negative"):
+        rs.orbit((-1, 2), (0, 1))
+
+
+def test_fold_refuses_a_negative_total():
+    # -2 + rho = -1 reflects to 1 with sign -1: V(0) would count -1 times
+    rs = parse_type("A1")
+    assert rs.fold([((2,), 1), ((0,), 1), ((-2,), 1)], (0,)) == {(2,): 1}
+    with pytest.raises(InternalCheckError, match="negative"):
+        rs.fold([((-2,), 1)], (0,))
+
+
+def _small_weights():
+    """(type, lambda) with dim V_lambda <= 300, entries 0-2."""
+    out = []
+    for name in WALK_TYPES:
+        rs = parse_type(name)
+        for lam in itertools.product(range(3), repeat=rs.rank):
+            if rs.weyl_dim(lam) <= 300:
+                out.append((name, lam))
+    return out
+
+
+SMALL_WEIGHTS = _small_weights()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_WEIGHTS))
+def test_fold_of_a_weight_system_over_w_is_its_highest_weight(case):
+    name, lam = case
+    rs = parse_type(name)
+    assert rs.fold(weight_system(rs, lam).items(), range(rs.rank)) == {lam: 1}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_WEIGHTS), st.data())
+def test_fold_over_w0_gives_levi_pieces_of_the_right_dimension(case, data):
+    name, lam = case
+    rs = parse_type(name)
+    marked = data.draw(st.lists(st.integers(1, rs.rank), min_size=1, unique=True))
+    marking = ParabolicMarking(rs, marked)
+    pieces = rs.fold(weight_system(rs, lam).items(), marking.unmarked)
+    assert all(m > 0 for m in pieces.values())
+    assert sum(m * levi_weyl_dim(marking, hw) for hw, m in pieces.items()) \
+        == rs.weyl_dim(lam)
