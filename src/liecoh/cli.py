@@ -207,7 +207,7 @@ def cmd_rigidity(args):
         rs = parse_type(args.type)
         marked = _nodes(args.marked)
         weight = _weight(args.weight, rs.rank)
-        spec = ScenarioSpec(tuple(rs.factors), marked, weight, args.p, args.oracle, rs)
+        spec = ScenarioSpec(tuple(rs.factors), marked, weight, args.p, args.oracle)
     else:
         raise ValueError("need --fixture, --scenario, or --type/--marked/--weight")
     # the --p and --oracle overrides; __post_init__ checks them again

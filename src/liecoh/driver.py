@@ -7,13 +7,13 @@ and deterministic: the same spec always serializes to the same report.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import CohomologyReport, h1_report
 from .grading import ParabolicMarking
 from .repthy import DEFAULT_ORACLE_BOUND
-from .rootsys import RootSystem, SimpleFactor, build, parse_factor
+from .rootsys import SimpleFactor, as_factors, build, parse_factor
 
 
 def _integer(x, what):
@@ -30,27 +30,20 @@ class ScenarioSpec:
     highest_weight: tuple
     p: int
     oracle: bool = False
-    # the RootSystem of `algebra` when the caller has built it already; it is
-    # not part of the scenario's value (equality, hashing, JSON)
-    prebuilt: RootSystem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if _integer(self.p, "p") < -1:
             raise ValueError("p must be >= -1")
         if not isinstance(self.oracle, bool):
             raise ValueError(f"oracle must be true or false, got {self.oracle!r}")
-        object.__setattr__(self, "algebra", tuple(
-            f if isinstance(f, SimpleFactor) else SimpleFactor(*f)
-            for f in self.algebra))
+        object.__setattr__(self, "algebra", as_factors(self.algebra))
         object.__setattr__(self, "marked", frozenset(
             _integer(i, "a marked node") for i in self.marked))
         object.__setattr__(self, "highest_weight", tuple(
             _integer(c, "a weight coordinate") for c in self.highest_weight))
 
     def root_system(self):
-        if self.prebuilt is not None:
-            return self.prebuilt
-        return build(list(self.algebra))
+        return build(self.algebra)
 
 
 @dataclass
@@ -91,7 +84,7 @@ def adjoint_scenario(factor, oracle=False):
     rs = build([factor])
     theta = rs.adjoint_weight(0)
     marked = frozenset(i + 1 for i, c in enumerate(theta) if c)
-    return ScenarioSpec((factor,), marked, theta, -1, oracle, rs)
+    return ScenarioSpec((factor,), marked, theta, -1, oracle)
 
 
 # ---------- serialization ----------

@@ -12,6 +12,16 @@ Conventions, fixed once and used everywhere:
     1 on short roots (and on every root of a simply-laced factor), 2 or 3 on
     long ones, so d_i is (alpha_i, alpha_i) / 2 up to one scale per factor.
 
+build gives one RootSystem per type per process: equal factor lists, as
+SimpleFactors or (family, rank) pairs, get the identical object, so its
+memos (weight systems, Weyl dimensions) serve every scenario on the type.
+Its data are read-only: no package code writes them after __init__, and a
+caller that needs an instance of its own, to corrupt in a test or to count
+the work of a fresh build, calls RootSystem(...) directly.  The data stay
+lists, because the golden tests hash their repr.  A type with more than
+ROOTS_MAX positive roots, counted from the type before any root is walked,
+is refused with a ValueError.
+
 The root data is built on integers alone, once per RootSystem, and checked
 when it is built:
   * coroots[k] holds the coroot of the k-th positive root alpha in
@@ -40,6 +50,7 @@ reflections at given nodes (all of them for W, the unmarked ones for W_0):
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -47,6 +58,8 @@ from . import linalg
 from .errors import InternalCheckError
 
 FAMILIES = "ABCDEFG"
+# the positive roots of A100, which builds in about 1 s on a 2-core host
+ROOTS_MAX = 5_050
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,23 @@ class SimpleFactor:
 
     def __str__(self):
         return f"{self.family}{self.rank}"
+
+
+def as_factors(factors):
+    """factors (SimpleFactors or (family, rank) pairs) as a tuple of SimpleFactor."""
+    return tuple(f if isinstance(f, SimpleFactor) else SimpleFactor(*f) for f in factors)
+
+
+def positive_root_count(factor):
+    """The number of positive roots of a simple factor, read off its type."""
+    n = factor.rank
+    if factor.family == "A":
+        return n * (n + 1) // 2
+    if factor.family in "BC":
+        return n * n
+    if factor.family == "D":
+        return n * (n - 1)
+    return {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}[str(factor)]
 
 
 def _cartan_simple(factor):
@@ -137,10 +167,13 @@ class RootSystem:
     """Root data for a semisimple product, factors block-concatenated."""
 
     def __init__(self, factors):
-        self.factors = [f if isinstance(f, SimpleFactor) else SimpleFactor(*f)
-                        for f in factors]
+        self.factors = list(as_factors(factors))
         if not self.factors:
             raise ValueError("empty factor list")
+        roots = sum(map(positive_root_count, self.factors))
+        if roots > ROOTS_MAX:
+            raise ValueError(f"{self} has {roots} positive roots, over the root-system "
+                             f"budget ROOTS_MAX = {ROOTS_MAX}")
         self.rank = sum(f.rank for f in self.factors)
         self.offsets = []
         off = 0
@@ -177,52 +210,59 @@ class RootSystem:
         return C
 
     def _enumerate_positive_roots(self):
-        """(positive roots, root_weights), by alpha_i-strings upward from the simple roots."""
+        """(positive roots, root_weights), by alpha_i-strings upward from the simple roots.
+
+        A root of height h + 1 is found from one of height h, and the walk
+        visits every pair (root of height h, alpha_i), so down[k][i], the
+        number of roots root_k - j alpha_i with j >= 1, is one more than that
+        of root_k - alpha_i once height h is walked.
+        """
         node_factor = [self.factor_of_node(i) for i in range(self.rank)]
+        # coords, factor, height, parent as in PositiveRoot; parent indexes this list
         roots = []
         weights = []  # fundamental coords of roots[k]: <root, alpha_i^vee> = weights[k][i]
+        down = []
         seen = {}
         for i in range(self.rank):
             coords = tuple(1 if j == i else 0 for j in range(self.rank))
             seen[coords] = len(roots)
-            roots.append(PositiveRoot(coords, node_factor[i], 1, None))
+            roots.append((coords, node_factor[i], 1, None))
             weights.append(self.simple_root_weights[i])
+            down.append([0] * self.rank)
         frontier = list(range(self.rank))
         while frontier:
             new_frontier = []
             for ri in frontier:
-                root, weight = roots[ri], weights[ri]
+                coords, factor, height, _ = roots[ri]
+                weight, below = weights[ri], down[ri]
                 for i in range(self.rank):
-                    if node_factor[i] != root.factor:
+                    if node_factor[i] != factor:
                         continue
-                    cand = list(root.coords)
+                    cand = list(coords)
                     cand[i] += 1
                     cand = tuple(cand)
-                    if cand in seen:
-                        continue
-                    # root string: cand is a root iff p - <root, alpha_i^vee> > 0,
-                    # p counting the roots root - k alpha_i, k >= 1
-                    p = 0
-                    lower = list(root.coords)
-                    while lower[i]:
-                        lower[i] -= 1
-                        if tuple(lower) not in seen:
-                            break
-                        p += 1
-                    if p - weight[i] > 0:
-                        seen[cand] = len(roots)
-                        roots.append(PositiveRoot(cand, root.factor,
-                                                  root.height + 1, (ri, i)))
+                    k = seen.get(cand)
+                    if k is None:
+                        # root string: cand is a root iff p - <root, alpha_i^vee> > 0,
+                        # p = below[i] counting the roots root - j alpha_i, j >= 1
+                        if below[i] - weight[i] <= 0:
+                            continue
+                        k = seen[cand] = len(roots)
+                        roots.append((cand, factor, height + 1, (ri, i)))
                         weights.append(tuple(map(add, weight, self.simple_root_weights[i])))
-                        new_frontier.append(len(roots) - 1)
+                        down.append([0] * self.rank)
+                        new_frontier.append(k)
+                    down[k][i] = below[i] + 1
             frontier = new_frontier
-        order = sorted(range(len(roots)), key=lambda k: (roots[k].height, roots[k].coords))
+        order = sorted(range(len(roots)), key=lambda k: (roots[k][2], roots[k][0]))
         remap = {old: new for new, old in enumerate(order)}
-        return ([PositiveRoot(roots[k].coords, roots[k].factor, roots[k].height,
-                              None if roots[k].parent is None
-                              else (remap[roots[k].parent[0]], roots[k].parent[1]))
-                 for k in order],
-                {roots[k].coords: weights[k] for k in order})
+        positive = []
+        for k in order:
+            coords, factor, height, parent = roots[k]
+            if parent is not None:
+                parent = (remap[parent[0]], parent[1])
+            positive.append(PositiveRoot(coords, factor, height, parent))
+        return positive, {roots[k][0]: weights[k] for k in order}
 
     def _highest_root(self, s):
         best = None
@@ -457,7 +497,15 @@ def _invert(cartan):
 
 
 def build(factors):
-    """Build a RootSystem from a list of SimpleFactor (or (family, rank) pairs)."""
+    """The shared RootSystem of a list of SimpleFactor (or (family, rank) pairs).
+
+    One instance per type per process, read-only (module docstring).
+    """
+    return _shared(as_factors(factors))
+
+
+@cache
+def _shared(factors):
     return RootSystem(factors)
 
 

@@ -297,6 +297,20 @@ def test_tableau_over_the_work_budget_exits_2_at_once(capsys, tmp_path, op):
     assert "DELTA_SIDE_MAX" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("grading", "--type", "A200", "--marked", "1"),
+    ("rigidity", "--type", "A200", "--marked", "1", "--weight", "1", "--p", "-1"),
+])
+def test_root_system_over_the_budget_exits_2_at_once(capsys, argv):
+    # A200 has 20,100 positive roots; it ran past a 15 s timeout before the budget
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: A200 has 20100 positive roots, over the root-system "
+                   "budget ROOTS_MAX = 5050\n")
+
+
 def test_no_floats_in_rigidity_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "rigidity",
                        "--fixture", "segre-1-1")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liecoh import driver, grading
+from liecoh import grading, repthy, rootsys
 from liecoh.driver import (ScenarioSpec, adjoint_scenario, run_scenario,
                            scenario_from_json, scenario_to_json,
                            verdict_json_text, verdict_to_json)
@@ -33,18 +33,46 @@ def test_adjoint_scenario_c2():
     assert s.highest_weight == (2, 0)
 
 
-def test_adjoint_scenario_builds_its_root_system_once(monkeypatch):
+def _count_root_systems(monkeypatch):
+    """The factor lists of every RootSystem constructed from now on, memo cleared."""
     built = []
+    real = rootsys.RootSystem.__init__
 
-    def counting_build(factors):
-        built.append(factors)
-        return driver.RootSystem(factors)
+    def counted(self, factors):
+        real(self, factors)
+        built.append(tuple(self.factors))
 
-    monkeypatch.setattr(driver, "build", counting_build)
+    rootsys._shared.cache_clear()
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", counted)
+    return built
+
+
+def test_adjoint_scenario_builds_its_root_system_once(monkeypatch):
+    built = _count_root_systems(monkeypatch)
     s = adjoint_scenario(("G", 2))
-    assert s == spec(["G2"], {2}, (0, 1), -1)  # the carried RootSystem is not compared
+    assert s == spec(["G2"], {2}, (0, 1), -1)
     assert run_scenario(s).verdict == "RIGID"
-    assert len(built) == 1
+    assert built == [(SimpleFactor("G", 2),)]
+
+
+def test_scenarios_on_one_type_share_its_root_system(monkeypatch):
+    # the E7 adjoint is V(omega_1) marked {1}: its Freudenthal walk runs once
+    built = _count_root_systems(monkeypatch)
+    walks = []
+    real = repthy.weight_multiplicities
+
+    def counted(rs, lam):
+        walks.append((str(rs), tuple(lam)))
+        return real(rs, lam)
+
+    monkeypatch.setattr(repthy, "weight_multiplicities", counted)
+    w1, w7 = (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)
+    specs = [adjoint_scenario(("E", 7)), spec(["E7"], {7}, w7, -1), spec(["E7"], {1}, w1, -1)]
+    assert specs[0] == specs[2]
+    verdicts = [run_scenario(s).verdict for s in specs]
+    assert verdicts[0] == verdicts[2]
+    assert built == [(SimpleFactor("E", 7),)]
+    assert walks.count(("E7", w1)) == 1
 
 
 def test_a_scenario_builds_its_grading_element_once(monkeypatch):

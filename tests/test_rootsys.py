@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecoh import rootsys
 from liecoh.cohomology import levi_weyl_dim
 from liecoh.errors import InternalCheckError
 from liecoh.grading import ParabolicMarking
 from liecoh.repthy import weight_system
-from liecoh.rootsys import RootSystem, SimpleFactor, build, parse_type
+from liecoh.rootsys import (ROOTS_MAX, RootSystem, SimpleFactor, build, parse_type,
+                            positive_root_count)
 
 POSITIVE_ROOT_COUNTS = {
     "A1": 1, "A2": 3, "A5": 15, "B2": 4, "B4": 16, "C3": 9, "D4": 12,
@@ -30,10 +32,58 @@ def test_build_looks_up_each_node_factor_once(monkeypatch):
     real = RootSystem.factor_of_node
     monkeypatch.setattr(RootSystem, "factor_of_node",
                         lambda self, i: calls.append(i) or real(self, i))
-    for name in ("E8", "A2,G2", "A1,B3,D4"):
+    for factors in ([("E", 8)], [("A", 2), ("G", 2)], [("A", 1), ("B", 3), ("D", 4)]):
         calls.clear()
-        rs = parse_type(name)
+        rs = RootSystem(factors)  # private: parse_type may return a built one
         assert len(calls) <= rs.rank
+
+
+def test_build_shares_one_root_system_per_type():
+    assert build([("E", 8)]) is build([SimpleFactor("E", 8)])
+    assert build((("A", 1), ("A", 1))) is parse_type("A1xA1") is parse_type("a1,A1")
+    assert parse_type("A1xA2") is not parse_type("A2xA1")
+    # RootSystem(...) stays a private instance
+    assert RootSystem([("A", 2)]) is not parse_type("A2")
+    assert RootSystem([("A", 2)]) is not RootSystem([("A", 2)])
+
+
+def test_a_refused_build_leaves_the_memo_as_it_was():
+    rs = parse_type("B3")
+    for bad in ([("B", 1)], [("A", 2), ("Z", 2)], [], [("A", 200)]):
+        with pytest.raises(ValueError):
+            build(bad)
+    for bad in ("B1", "A2xZ2", "A200"):
+        with pytest.raises(ValueError):
+            parse_type(bad)
+    assert parse_type("B3") is rs and len(rs.positive_roots) == 9
+    assert len(parse_type("A2,A3").positive_roots) == 9
+
+
+@pytest.mark.parametrize("family,low,high", [("A", 1, 9), ("B", 2, 9), ("C", 2, 9),
+                                              ("D", 3, 9), ("E", 6, 8), ("F", 4, 4),
+                                              ("G", 2, 2)])
+def test_positive_root_count_read_off_the_type(family, low, high):
+    for n in range(low, high + 1):
+        factor = SimpleFactor(family, n)
+        assert positive_root_count(factor) == len(RootSystem([factor]).positive_roots)
+
+
+def test_root_budget_counts_every_factor_before_any_root_is_walked(monkeypatch):
+    assert positive_root_count(SimpleFactor("A", 100)) == ROOTS_MAX
+    monkeypatch.setattr(RootSystem, "_block_cartan",
+                        lambda self: pytest.fail("walked an over-budget type"))
+    # A71 alone has 2,556 positive roots, A71xA71 5,112
+    with pytest.raises(ValueError, match="A71xA71 has 5112 positive roots, over the "
+                                         "root-system budget ROOTS_MAX = 5050"):
+        RootSystem([("A", 71), ("A", 71)])
+    with pytest.raises(ValueError, match="A101 has 5151 positive roots"):
+        build([("A", 101)])
+    # the budget itself is allowed (A100 takes about 1 s to build, so a small one stands in)
+    monkeypatch.undo()
+    monkeypatch.setattr(rootsys, "ROOTS_MAX", 3)
+    assert len(RootSystem([("A", 2)]).positive_roots) == 3
+    with pytest.raises(ValueError, match="A1xA2 has 4 positive roots"):
+        RootSystem([("A", 1), ("A", 2)])
 
 
 def test_a2_build():

@@ -192,7 +192,7 @@ def test_each_weyl_product_once_per_report(monkeypatch):
         return real(self, weight, roots)
 
     monkeypatch.setattr(RootSystem, "weyl_product", counted)
-    rs = parse_type("E8")
+    rs = RootSystem([("E", 8)])  # private: the shared E8 may hold Weyl dimensions
     h1_report(ParabolicMarking(rs, {8}), rs.adjoint_weight(), -1)
     products = [(weight, tuple(roots)) for weight, roots in calls]
     assert len(products) == len(set(products))
@@ -203,8 +203,10 @@ def test_each_weyl_product_once_per_report(monkeypatch):
 
 # ---------- corrupted integer data is caught ----------
 
+# each corrupts a private RootSystem: parse_type's is shared by every test
+
 def test_corrupted_coroot_is_caught():
-    rs = parse_type("A2")
+    rs = RootSystem([("A", 2)])
     rs.coroots[1] = (2, 0)  # positive root 1 is alpha_1, with coroot (1, 0)
     # the Weyl product of (1, 0) is now 1 * 3 * 3 / 2 ...
     with pytest.raises(InternalCheckError, match="not a positive integer"):
@@ -215,7 +217,7 @@ def test_corrupted_coroot_is_caught():
 
 
 def test_corrupted_form_entry_is_caught():
-    rs = parse_type("A2")
+    rs = RootSystem([("A", 2)])
     rs.form[0][1] += 1
     with pytest.raises(InternalCheckError, match="Freudenthal multiplicity"):
         weight_multiplicities(rs, (1, 1))
@@ -226,10 +228,10 @@ def test_corruption_is_caught_under_optimize():
     script = """
 from liecoh.cohomology import InternalCheckError
 from liecoh.repthy import weight_multiplicities
-from liecoh.rootsys import parse_type
+from liecoh.rootsys import RootSystem
 for corrupt, lam in ((lambda rs: rs.coroots.__setitem__(1, (2, 0)), (1, 0)),
                      (lambda rs: rs.form[0].__setitem__(1, 2), (1, 1))):
-    rs = parse_type("A2")
+    rs = RootSystem([("A", 2)])
     corrupt(rs)
     try:
         weight_multiplicities(rs, lam)
@@ -269,7 +271,7 @@ def test_one_weight_system_per_report(monkeypatch):
         return real(root_system, lam)
 
     monkeypatch.setattr(repthy, "weight_multiplicities", counted)
-    rs = parse_type("A2")
+    rs = RootSystem([("A", 2)])  # private: the shared A2 may hold V(1,1) already
     report = h1_report(ParabolicMarking(rs, {1, 2}), (1, 1), -1, oracle=True)
     assert report.oracle_ran
     # Brauer-Klimyk, the module grading and construct_rep share one walk
