@@ -76,6 +76,16 @@ def test_cohomology_oracle(capsys):
     assert doc["oracle"] == {"3": 1}
 
 
+def test_cohomology_oracle_on_a_fractional_degree(capsys):
+    # V(1,0) of A2 graded by the first node lives in degrees 2/3 and -1/3
+    code, out, _ = run(capsys, "--format", "json", "cohomology", "--type", "A2",
+                       "--marked", "1", "--gamma", "1,0", "--oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert [piece["degree"] for piece in doc["pieces"]] == ["2/3"]
+    assert doc["oracle"] == {"2/3": 3}
+
+
 def test_fixtures_list():
     names = fixtures()
     assert names == ["adjoint-a2", "adjoint-c2", "adjoint-g2",

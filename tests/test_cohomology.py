@@ -84,6 +84,12 @@ ORACLE_FIXTURES = [
     ("A3", {2}, (1, 0, 1)),
     ("C2", {1}, (0, 1)),
     ("G2", {2}, (1, 0)),
+    # modules whose Z-degrees are fractions: 3/2, 2/3, 1/2, 1/2 and 1/3
+    ("A1", {1}, (1,)),
+    ("A2", {1}, (1, 0)),
+    ("B3", {3}, (0, 0, 1)),
+    ("A3", {2}, (1, 0, 0)),
+    ("E6", {1}, (1, 0, 0, 0, 0, 0)),
 ]
 
 
