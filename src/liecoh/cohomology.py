@@ -12,8 +12,8 @@ Two independent routes:
   * graded_weights (graded_h1 sums it by degree) assembles the
     differentials grade by grade from explicit action matrices and bracket
     constants and takes exact ranks.  It checks d1 . d0 = 0 in every block
-    it builds and aborts if that fails.  A grade is a pair
-    (Z-degree, torus weight): every weight vector of V_gamma (module_complex),
+    it builds and aborts if that fails.  A grade is a torus weight, and its
+    Z-degree is Z(weight): every weight vector of V_gamma (module_complex),
     every matrix unit of gl(U) (gperp_complex) and every root vector has a
     single weight, so the differentials are block-diagonal by weight and
     each block is small.  Both complexes share one assembly and one weight
@@ -34,8 +34,8 @@ cochain space Lambda^k g_-^* (x) Gamma, and d commutes with that action: d is
 made of brackets and of the g action, and g_0 acts on both by derivations.
 So H^0 and H^1 are g_0-modules in each Z-degree, and a representative in
 the Levi group of each w in the Levi Weyl group W_0 (generated by the
-unmarked simple reflections, which fix Z) carries the grade (d, mu)
-isomorphically onto (d, w mu).  That is plain equivariance; it uses nothing
+unmarked simple reflections, which fix Z) carries the grade mu
+isomorphically onto w mu, of the same Z-degree.  That is plain equivariance; it uses nothing
 of Kostant's theorem, so the oracle stays independent of the route it
 checks.  graded_weights therefore assembles, checks and ranks only the
 grades whose weight is W_0-dominant (>= 0 at every unmarked node, one per
@@ -170,21 +170,22 @@ def kostant_h1(marking, gamma):
 class GradedComplex:
     """Graded data for the C^0 -> C^1 -> C^2 complex of g_- with values in Gamma.
 
-    A grade is a pair (degree, weight): a Z-degree and a torus weight in
-    fundamental coordinates.  Every object is homogeneous, so the
-    differentials are block-diagonal by grade and graded_weights ranks them
-    block by block.
+    A grade is a torus weight in fundamental coordinates; its Z-degree is
+    marking.z(weight), computed only where a result or a message is written.
+    Every object is homogeneous, so the differentials are block-diagonal by
+    weight and graded_weights ranks them block by block.
 
-    slices:   grade -> dimension of Gamma in that grade
-    depths:   grade shift of each g_- basis element x_a = L f_alpha, which
-              has grade -depths[a]: depths[a] = (i_a, alpha), i_a > 0 the depth
-    act:      (a, source grade) -> the matrix of x_a: Gamma_source ->
-              Gamma_{source - depths[a]} by columns, one {target coordinate: x}
-              map of nonzeros per source basis vector
+    slices:   weight -> dimension of Gamma at that weight
+    depths:   the root weight alpha_a of each g_- basis element
+              x_a = L f_alpha, which has weight -depths[a]
+    act:      source weight s -> [(a, block)] over the x_a whose block is
+              not zero, in increasing a; the block is the matrix of x_a:
+              Gamma_s -> Gamma_{s - depths[a]} by columns, one
+              {target coordinate: x} map of nonzeros per source basis vector
     brackets: (a, b) -> {c: coeff} for a < b, [x_a, x_b] = sum coeff x_c
     marking:  the ParabolicMarking.  graded_weights ranks only the
               W_0-dominant grades, and the oracles build act only for the
-              source grades those reach (see _complex); for a Borel marking
+              source weights those reach (see _complex); for a Borel marking
               every grade is dominant and act must be complete.
 
     The oracles build this complex over Z: every entry of act and every
@@ -203,22 +204,21 @@ class GradedComplex:
 
     @cached_property
     def dominant_grades(self):
-        """The total grades of C^0 and C^1 whose weight is W_0-dominant, in order.
+        """The weights of C^0 and C^1 that are W_0-dominant, sorted.
 
         W_0-dominant means >= 0 at every unmarked node; each W_0-orbit of
-        grades holds exactly one.  Computed once, from slices and depths.  A
+        weights holds exactly one.  Computed once, from slices and depths.  A
         slice whose weight plus the largest depth coordinate is negative at
         some unmarked node reaches no dominant C^1 grade and is skipped; for
         the others a sum is formed only for a depth that makes it dominant.
         """
         unmarked = self.marking.unmarked
-        top = [(j, max((i[1][j] for i in self.depths), default=0)) for j in unmarked]
-        grades = {s for s in self.slices if all(s[1][j] >= 0 for j in unmarked)}
+        top = [(j, max((i[j] for i in self.depths), default=0)) for j in unmarked]
+        grades = {s for s in self.slices if all(s[j] >= 0 for j in unmarked)}
         for s in self.slices:
-            w = s[1]
-            if all(w[j] + m >= 0 for j, m in top):
-                grades.update(_add(s, i) for i in self.depths
-                              if all(w[j] + i[1][j] >= 0 for j in unmarked))
+            if all(s[j] + m >= 0 for j, m in top):
+                grades.update(tuple(map(add, s, i)) for i in self.depths
+                              if all(s[j] + i[j] >= 0 for j in unmarked))
         return sorted(grades)
 
 
@@ -226,16 +226,8 @@ def _difference(u, v):
     return tuple(map(sub, u, v))
 
 
-def _add(grade, depth):
-    return (grade[0] + depth[0], tuple(map(add, grade[1], depth[1])))
-
-
-def _lower(grade, depth):
-    return (grade[0] - depth[0], _difference(grade[1], depth[1]))
-
-
-def _grade_text(grade):
-    return f"degree {_as_degree(grade[0])}, weight {grade[1]}"
+def _grade_text(marking, weight):
+    return f"degree {_as_degree(marking.z(weight))}, weight {weight}"
 
 
 def _composition_is_nonzero(d0t, d1t):
@@ -290,31 +282,27 @@ def graded_weights(cx):
     but its size, rank d0, cannot, nor can a rank of d1 under a permutation
     of its columns.
     """
-    depths = cx.depths
-    pair_depth = {(b, c): _add(depths[b], depths[c])
-                  for b in range(len(depths)) for c in range(b + 1, len(depths))}
-    for (b, c), terms in cx.brackets.items():
-        for a, coeff in terms.items():
-            if coeff and depths[a] != pair_depth[(b, c)]:
-                raise InternalCheckError(
-                    f"bracket [x_{b}, x_{c}] has x_{a} of the wrong grade: x_{a} "
-                    f"lowers {_grade_text(depths[a])}, x_{b} and x_{c} together "
-                    f"{_grade_text(pair_depth[(b, c)])}")
+    depths, marking = cx.depths, cx.marking
     m = len(depths)
     width = max(cx.slices.values(), default=0)
     # coordinate r of psi(x_b, x_c), b < c, is C^2 column (b m + c) width + r,
     # one number per coordinate; the sparse rows of d1 hold only what is written
     produced = {}  # a -> [(column of psi(x_b, x_c) at r = 0, coeff of x_a in [x_b, x_c])]
     for (b, c), terms in cx.brackets.items():
+        together = tuple(map(add, depths[b], depths[c]))
         for a, coeff in terms.items():
             if coeff:
+                if depths[a] != together:
+                    raise InternalCheckError(
+                        f"bracket [x_{b}, x_{c}] has x_{a} of the wrong grade: x_{a} "
+                        f"lowers {_grade_text(marking, depths[a])}, x_{b} and x_{c} "
+                        f"together {_grade_text(marking, together)}")
                 produced.setdefault(a, []).append(((b * m + c) * width, coeff))
-    acting = {}  # source grade -> [(b, action block of x_b)] without the all-zero blocks
 
     h1 = {}
     h0 = {}
     for d in cx.dominant_grades:
-        blocks1 = [(a, s) for a, s in ((a, _lower(d, i)) for a, i in enumerate(depths))
+        blocks1 = [(a, s) for a, s in ((a, _difference(d, i)) for a, i in enumerate(depths))
                    if s in cx.slices]
         off1 = {}
         n1 = 0
@@ -326,8 +314,8 @@ def graded_weights(cx):
         # d0 and d1 are built transposed, one sparse row per C^0 and per C^1
         # coordinate: C^2 is the larger side, and the action blocks are
         # stored by source vector
-        d0t = [{off1[a] + r: x for a, _ in blocks1 for r, x in cx.act[(a, d)][v].items()}
-               for v in range(n0)] if n1 else []
+        d0t = [{off1[a] + r: x for a, block in cx.act.get(d, ()) for r, x in block[v].items()}
+               for v in range(n0)]
         d1t = []
         for a, s in blocks1:
             rows = [{} for _ in range(cx.slices[s])]
@@ -337,9 +325,7 @@ def graded_weights(cx):
                     row[col + r] = coeff
             # alpha(x_b) x_c.X - alpha(x_c) x_b.X, on the pairs that hold a; x_a
             # is deeper than x_b and x_c above, so every entry is written once
-            if s not in acting:
-                acting[s] = [(b, cx.act[(b, s)]) for b in range(m) if any(cx.act[(b, s)])]
-            for other, block in acting[s]:
+            for other, block in cx.act.get(s, ()):
                 if other != a:
                     col, sign = ((a * m + other) * width, 1) if a < other \
                         else ((other * m + a) * width, -1)
@@ -348,7 +334,7 @@ def graded_weights(cx):
                             row[col + r] = sign * x
             d1t += rows
         if _composition_is_nonzero(d0t, d1t):
-            raise InternalCheckError(f"d1 . d0 != 0 in {_grade_text(d)}")
+            raise InternalCheckError(f"d1 . d0 != 0 in {_grade_text(marking, d)}")
         # rank d1 off the pivots of d0, both sparsest column first: exact, see
         # the docstring
         order = _sparsest_first(d0t)
@@ -359,10 +345,10 @@ def graded_weights(cx):
         rank1 = len(linalg.pivot_columns(rows1))
         dim = (n1 - rank1) - rank0
         if dim < 0:
-            raise InternalCheckError(f"negative H^1 dimension in {_grade_text(d)}")
+            raise InternalCheckError(f"negative H^1 dimension in {_grade_text(marking, d)}")
         if dim or n0 > rank0:
-            deg = _as_degree(d[0])
-            for w in cx.marking.rs.orbit(d[1], cx.marking.unmarked):
+            deg = _as_degree(marking.z(d))
+            for w in marking.rs.orbit(d, marking.unmarked):
                 if dim:
                     h1[(deg, w)] = dim
                 if n0 > rank0:
@@ -455,33 +441,32 @@ def _g_by_weight(rep):
 def _g_minus(marking):
     """Depths and bracket constants of the root vectors f_alpha spanning g_-.
 
-    Both follow negative_roots: depths[a] = (Z-degree, weight) of the root
-    alpha_a, and the brackets are structure_constants of those roots.
+    Both follow negative_roots: depths[a] is the weight of the root alpha_a,
+    and the brackets are structure_constants of those roots.
     """
     rs = marking.rs
     roots = negative_roots(marking)
-    depths = [(marking.root_degrees[c], rs.root_weights[c]) for c in roots]
-    return depths, structure_constants(rs, roots)
+    return [rs.root_weights[c] for c in roots], structure_constants(rs, roots)
 
 
 def _complex(marking, g, basis, image, den):
     """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
 
-    g is _g_by_weight of the module, and basis maps each (degree, weight)
-    grade of Gamma to the basis vectors of that slice.  image(f), called once
-    for each integer matrix f that is a multiple of den, returns the action
-    on a whole slice, (vectors, grade) -> [f . vector for each vector], each
-    as a {coordinate: int} map of its nonzero coordinates in the basis of
-    that grade; it is called once per (root vector, source slice), so what
-    depends only on the target grade is looked up once for the slice.
+    g is _g_by_weight of the module, and basis maps each weight of Gamma to
+    the basis vectors of that slice.  image(f), called once for each integer
+    matrix f that is a multiple of den, returns the action on a whole slice,
+    (vectors, weight) -> [f . vector for each vector], each as a
+    {coordinate: int} map of its nonzero coordinates in the basis of that
+    target weight; it is called once per (root vector, source slice), so
+    what depends only on the target weight is looked up once for the slice.
 
     The g_- basis is x_a = L f_alpha for one integer L: den times the lcm
     of the denominators of the f_alpha entries and the bracket constants.
-    act holds the blocks of the source grades that the dominant grades
-    reach, d itself (d0) and d - depths[a] (d1), and no others.
+    act holds the nonzero blocks of the source weights that the dominant
+    grades reach, d itself (d0) and d - depths[a] (d1), and no others.
     """
     depths, brackets = _g_minus(marking)
-    fs = [g[tuple(-x for x in alpha)][0] for _, alpha in depths]
+    fs = [g[tuple(-x for x in alpha)][0] for alpha in depths]
     L = den * lcm(1, *(x.denominator for f in fs for x in f.values()),
                   *(x.denominator for terms in brackets.values() for x in terms.values()))
     brackets = {pair: {c: x.numerator * (L // x.denominator) for c, x in terms.items()}
@@ -489,31 +474,32 @@ def _complex(marking, g, basis, image, den):
     cx = GradedComplex({s: len(vectors) for s, vectors in basis.items()}, depths, {},
                        brackets, marking)
     sources = sorted({s for d in cx.dominant_grades
-                      for s in (d, *(_lower(d, i) for i in depths)) if s in basis})
+                      for s in (d, *(_difference(d, i) for i in depths)) if s in basis})
     for a, depth in enumerate(depths):
         action = image({k: x.numerator * (L // x.denominator) for k, x in fs[a].items()})
         for s in sources:
-            cx.act[(a, s)] = action(basis[s], _lower(s, depth))
+            block = action(basis[s], _difference(s, depth))
+            if any(block):
+                cx.act.setdefault(s, []).append((a, block))
     return cx
 
 
 def module_complex(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     """GradedComplex for an abstract irreducible coefficient module V_gamma.
 
-    Gamma is graded by (raw Z-eigenvalue, weight) of its weight basis (no
-    shift).  The g_- action comes from bracket-path root vectors on the
-    explicit module; brackets come from a faithful companion so the trivial
-    module also works.
+    Gamma is graded by the weights of its weight basis, so a slice's
+    Z-degree is the raw Z-eigenvalue, with no shift.  The g_- action comes
+    from bracket-path root vectors on the explicit module; brackets come
+    from a faithful companion so the trivial module also works.
     """
     rep = construct_rep(marking.rs, gamma_weight, bound)
-    z = marking.z
     basis = {}
     for vid, w in enumerate(rep.basis_weights):
-        basis.setdefault((z(w), w), []).append(vid)
+        basis.setdefault(w, []).append(vid)
 
     def image(f):
-        def action(vids, grade):
-            targets = list(enumerate(basis.get(grade, ())))
+        def action(vids, weight):
+            targets = list(enumerate(basis.get(weight, ())))
             return [{k: f[(r, vid)] for k, r in targets if (r, vid) in f} for vid in vids]
         return action
 
@@ -526,7 +512,7 @@ def direct_h1(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
 
 
 def gperp_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
-    """GradedComplex for Gamma = g-perp inside sl(U), U = V_lam, by (degree, weight).
+    """GradedComplex for Gamma = g-perp inside sl(U), U = V_lam, by weight.
 
     g is realized by explicit matrices on U.  E_vw in gl(U) has weight
     wt(v) - wt(w) and Z-degree Z(wt(v) - wt(w)), so gl(U) splits into weight
@@ -548,7 +534,6 @@ def gperp_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
     rep = construct_rep(rs, lam, bound)
     n = rep.dimension
     wts = rep.basis_weights
-    z = marking.z
     g = _g_by_weight(rep)
     zero = (0,) * rs.rank
 
@@ -558,7 +543,7 @@ def gperp_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
             pairs_by_weight.setdefault(_difference(wts[v], wts[w]), []).append((v, w))
 
     checks = {}  # weight -> integer constraint rows cutting g-perp out of the slice, by (v, w)
-    basis = {}   # (degree, weight) -> primitive integer vectors as {(v, w): x}
+    basis = {}   # weight -> primitive integer vectors as {(v, w): x}
     free = {}    # weight -> {(v, w) at a free column: (position of its basis vector, c)}
     g_rank = 0
     for mu, pairs in sorted(pairs_by_weight.items()):
@@ -578,11 +563,10 @@ def gperp_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
         # since g acts by traceless matrices (checked just above)
         g_rank += len(pairs) - len(vectors) - (mu == zero)
         if vectors:
-            degree = z(mu)
+            degree = marking.z(mu)
             if degree.denominator != 1:
                 raise InternalCheckError(f"gl(U) slice of non-integral degree {degree}")
-            basis[(int(degree), mu)] = [{pairs[k]: x for k, x in vec.items()}
-                                        for vec in vectors]
+            basis[mu] = [{pairs[k]: x for k, x in vec.items()} for vec in vectors]
             # an integer_kernel vector is c > 0 at its free column, its last
             # key, and 0 at the other free columns, so the coordinate read off
             # that column is divided by c
@@ -595,13 +579,13 @@ def gperp_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
     def image(f):
         bracket = repthy.bracket_with(f)
 
-        def action(vectors, grade):
+        def action(vectors, weight):
             # f has weight -alpha (checked) and each vector weight mu, so every
             # entry of [f, vector] has weight t = mu - alpha and lies in t's
             # slice of gl(U): one lookup of its checks and free columns serves
             # the whole slice
-            constraints = checks.get(grade[1], ())
-            columns = free.get(grade[1], {})
+            constraints = checks.get(weight, ())
+            columns = free.get(weight, {})
             out = []
             for vec in vectors:
                 entries = bracket(vec)

@@ -97,8 +97,8 @@ def rational_str(x):
 def scenario_from_json(doc):
     """ScenarioSpec from {"algebra", "marked", "weight", "p"[, "oracle"]}.
 
-    Raises ValueError on a document that lacks a key or has the wrong shape
-    or type.
+    Raises ValueError on a document that lacks a key, has a key not named
+    here or has the wrong shape or type.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -107,6 +107,9 @@ def scenario_from_json(doc):
     for key in ("algebra", "marked", "weight", "p"):
         if key not in doc:
             raise ValueError(f"scenario has no {key!r}")
+    for key in doc:
+        if key not in ("algebra", "marked", "weight", "p", "oracle"):
+            raise ValueError(f"scenario has an unknown key {key!r}")
     for key in ("algebra", "marked", "weight"):
         if not isinstance(doc[key], list):
             raise ValueError(f"scenario {key!r} must be a list")

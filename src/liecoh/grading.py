@@ -41,6 +41,9 @@ class ParabolicMarking:
                   of its marked coefficients, in the order of rs.positive_roots
     levi_roots:   the indices into rs.positive_roots of the degree-0 roots,
                   the positive roots of g_0
+
+    A marking is read-only: the fields are checked against each other once,
+    here, so setting or deleting any of them raises AttributeError.
     """
 
     def __init__(self, rs, marked):
@@ -54,22 +57,27 @@ class ParabolicMarking:
             raise ValueError("node indices are 1-based")
         if any(i > rs.rank for i in nodes):
             raise ValueError(f"marked node out of range for rank {rs.rank}")
-        self.rs = rs
-        self.marked = nodes
-        self.unmarked = tuple(j for j in range(rs.rank) if j + 1 not in nodes)
         marked0 = sorted(i - 1 for i in nodes)
-        self.z = GradingElementValue(
+        z = GradingElementValue(
             tuple(sum(rs.inverse_cartan_scaled[i][j] for i in marked0)
                   for j in range(rs.rank)),
             rs.inverse_cartan_den)
         for j, alpha in enumerate(rs.simple_root_weights):
-            if self.z(alpha) != (1 if j + 1 in nodes else 0):
+            if z(alpha) != (1 if j + 1 in nodes else 0):
                 raise InternalCheckError(
-                    f"Z(alpha_{j + 1}) = {self.z(alpha)} disagrees with the marking")
-        self.root_degrees = {r.coords: sum(r.coords[i] for i in marked0)
-                             for r in rs.positive_roots}
-        self.levi_roots = tuple(k for k, r in enumerate(rs.positive_roots)
-                                if not self.root_degrees[r.coords])
+                    f"Z(alpha_{j + 1}) = {z(alpha)} disagrees with the marking")
+        root_degrees = {r.coords: sum(r.coords[i] for i in marked0)
+                        for r in rs.positive_roots}
+        self.__dict__.update(
+            rs=rs, marked=nodes, z=z, root_degrees=root_degrees,
+            unmarked=tuple(j for j in range(rs.rank) if j + 1 not in nodes),
+            levi_roots=tuple(k for k, r in enumerate(rs.positive_roots)
+                             if not root_degrees[r.coords]))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a ParabolicMarking is read-only; {name} cannot be changed")
+
+    __delattr__ = __setattr__
 
 
 def grade_algebra(marking):

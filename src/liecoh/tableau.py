@@ -490,11 +490,20 @@ def reduced_prolongation(t, bracket_image):
 # ---------- JSON interface ----------
 
 def parse_rational(s):
-    """Fraction(s) for an int, else Fraction(str(s)); ValueError otherwise and on a bool."""
+    """Fraction(s) for an int, else Fraction(str(s)); ValueError otherwise.
+
+    A bool is refused, and so is exponent notation: Fraction("1e10000000")
+    alone spends seconds building a ten-million-digit integer.
+    """
     if isinstance(s, bool):  # JSON true/false, which Fraction reads as 1/0
         raise ValueError(f"malformed rational {s!r}")
+    if isinstance(s, int):
+        return Fraction(s)
+    text = str(s)
+    if "e" in text.lower():
+        raise ValueError(f"malformed rational {s!r}")
     try:
-        return Fraction(s) if isinstance(s, int) else Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"malformed rational {s!r}") from e
 
@@ -502,11 +511,11 @@ def parse_rational(s):
 def tableau_from_json(doc):
     """{"dim_V": n, "dim_W": w, "basis": [[row-major "p/q" strings]]}.
 
-    Raises ValueError on a document that lacks a key or has the wrong shape
-    or type, and, before any matrix is built, on a tableau whose delta would
-    have more than DELTA_SIDE_MAX rows, w C(n, 2), or columns, dim A n: the
-    characters, the prolongation and the torsion all eliminate delta, and
-    the flag search ranks n x n flags.
+    Raises ValueError on a document that lacks a key, has a key not named
+    here or has the wrong shape or type, and, before any matrix is built, on
+    a tableau whose delta would have more than DELTA_SIDE_MAX rows, w C(n, 2),
+    or columns, dim A n: the characters, the prolongation and the torsion all
+    eliminate delta, and the flag search ranks n x n flags.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -515,6 +524,9 @@ def tableau_from_json(doc):
     for key in ("dim_V", "dim_W", "basis"):
         if key not in doc:
             raise ValueError(f"tableau has no {key!r}")
+    for key in doc:
+        if key not in ("dim_V", "dim_W", "basis"):
+            raise ValueError(f"tableau has an unknown key {key!r}")
     if not isinstance(doc["basis"], list):
         raise ValueError("tableau 'basis' must be a list")
     n = _dimension(doc["dim_V"])

@@ -188,10 +188,13 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
                  {"algebra": ["A2"], "marked": [1], "weight": [1.5, 0], "p": 0},
                  {**good, "p": 0.5},
                  {**good, "oracle": "false"},
-                 {key: x for key, x in good.items() if key != "p"}]
+                 {key: x for key, x in good.items() if key != "p"},
+                 # an unknown key, such as a misspelt "oracle"
+                 {**good, "extra": 1}, {**good, "oracel": True}]
     tableaux = [{"dim_V": 1, "dim_W": 1, "basis": [["1/0"]]}, [1],
                 {"dim_V": -1, "dim_W": 1, "basis": []}, {"dim_W": 1, "basis": []},
-                {"dim_V": 2, "dim_W": 1, "basis": [[True, "0"]]}]
+                {"dim_V": 2, "dim_W": 1, "basis": [[True, "0"]]},
+                {"dim_V": 1, "dim_W": 1, "basis": [], "extra": 1}]
     files = []
     for k, doc in enumerate(scenarios + tableaux):
         path = tmp_path / f"input{k}.json"
@@ -245,6 +248,11 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+    for k, key in [(len(scenarios) - 2, "extra"), (len(scenarios) - 1, "oracel")]:
+        _, _, err = run(capsys, "rigidity", "--scenario", files[k])
+        assert err.endswith(f": scenario has an unknown key '{key}'\n")
+    _, _, err = run(capsys, "tableau", "--input", files[-1])
+    assert err.endswith(": tableau has an unknown key 'extra'\n")
     _, _, err = run(capsys, "vogel", "--params", "-2,12,20", "--y2", "--y3", "--k", "3")
     assert "--y2 and --y3 and --k exclude each other" in err
     _, out, err = run(capsys, "rigidity", "--list-fixtures", "--fixture", "segre-1-1")
@@ -305,6 +313,30 @@ def test_tableau_over_the_work_budget_exits_2_at_once(capsys, tmp_path, op):
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == ""
     assert "DELTA_SIDE_MAX" in err
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "1E10000000", "2.5e-9999999"])
+def test_exponent_notation_exits_2_at_once(capsys, tmp_path, entry):
+    # Fraction("1e10000000") alone took seconds; both the Vogel parameters
+    # and a tableau entry are read by parse_rational
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim_V": 1, "dim_W": 1, "basis": [[entry]]}))
+    for argv in [("vogel", "--params", f"{entry},2,3"), ("tableau", "--input", str(path))]:
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.endswith(f"malformed rational {entry!r}\n")
+
+
+def test_rationals_without_an_exponent_still_parse(capsys, tmp_path):
+    code, out, _ = run(capsys, "--format", "json", "vogel", "--params", "-3,1/2,0.5")
+    assert code == 0 and json.loads(out)["params"] == ["-3", "1/2", "1/2"]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim_V": 2, "dim_W": 1, "basis": [[1, "-3"], ["1/2", "0.5"]]}))
+    code, out, _ = run(capsys, "--format", "json", "tableau", "--input", str(path),
+                       "--op", "characters")
+    assert code == 0 and json.loads(out)
 
 
 @pytest.mark.parametrize("argv", [

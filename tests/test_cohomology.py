@@ -1,8 +1,11 @@
+import importlib.util
 import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -102,24 +105,38 @@ def test_kostant_equals_direct_oracle(name, marked, gamma):
     assert direct_h1(marking, gamma) == aggregate(pieces)
 
 
+def _lower(weight, depth):
+    return tuple(x - y for x, y in zip(weight, depth))
+
+
+def _add(weight, depth):
+    return tuple(x + y for x, y in zip(weight, depth))
+
+
+def _check_blocks(cx):
+    """Every block of cx.act maps its source slice into its target slice.
+
+    The blocks of a source weight come in increasing a and none is zero;
+    each has one column map per source vector, inside the target slice.
+    """
+    for s, pairs in cx.act.items():
+        assert [a for a, _ in pairs] == sorted({a for a, _ in pairs})
+        for a, block in pairs:
+            assert any(block) and len(block) == cx.slices[s]
+            target = cx.slices[_lower(s, cx.depths[a])]
+            assert all(0 <= r < target for col in block for r in col)
+
+
 def test_degree_additivity_of_action_blocks():
-    # module_complex grades V_gamma by (Z-degree, weight) and checks every
-    # root vector entry against its weight; exercise a depth-2 case
+    # module_complex grades V_gamma by weight and checks every root vector
+    # entry against it; x_a lowers the Z-degree by the degree of its root,
+    # Z(depths[a]).  Exercise a depth-2 case
     rs = parse_type("A2")
     marking = ParabolicMarking(rs, {1, 2})
-    z = marking.z
     cx = module_complex(marking, (2, 2))
-    assert sorted(cx.depths) == [(1, (-1, 2)), (1, (2, -1)), (2, (1, 1))]
-    for depth, alpha in cx.depths:
-        assert depth == z(alpha)
-    for degree, weight in cx.slices:
-        assert degree == z(weight)
-    for (a, s), block in cx.act.items():
-        target = (s[0] - cx.depths[a][0],
-                  tuple(x - y for x, y in zip(s[1], cx.depths[a][1])))
-        # one column map per source vector, each inside the target slice
-        assert len(block) == cx.slices[s]
-        assert all(0 <= r < cx.slices.get(target, 0) for col in block for r in col)
+    assert cx.depths == [(-1, 2), (2, -1), (1, 1)]
+    assert [marking.z(i) for i in cx.depths] == [1, 1, 2]
+    _check_blocks(cx)
 
 
 def test_d1_after_d0_vanishes_everywhere():
@@ -274,26 +291,27 @@ def test_kostant_checks_its_reflected_weights_are_levi_dominant(monkeypatch):
 
 
 def test_graded_h1_degree_check_survives_optimize():
-    # [x_0, x_1] = x_2 with all three of grade (1, (1,)) breaks additivity;
-    # python -O strips asserts, so the check must be an explicit raise
+    # [x_0, x_1] = x_2 with all three of the A1 root weight (2,) breaks
+    # additivity: x_0 and x_1 together lower the weight by (4,).  python -O
+    # strips asserts, so the check must be an explicit raise
     script = """
-from fractions import Fraction
 from liecoh.cohomology import GradedComplex, InternalCheckError, graded_h1
 from liecoh.grading import ParabolicMarking
 from liecoh.rootsys import parse_type
-slices = {(d, (d,)): 1 for d in range(3)}
-act = {(a, s): [[Fraction(0)]] if (s[0] - 1, (s[0] - 1,)) in slices else []
-       for a in range(3) for s in slices}
+# the slices of V(2), on which every block is left zero
+cx = GradedComplex({(w,): 1 for w in (-2, 0, 2)}, [(2,)] * 3, {}, {(0, 1): {2: 1}},
+                   ParabolicMarking(parse_type("A1"), {1}))
 try:
-    print(graded_h1(GradedComplex(slices, [(1, (1,))] * 3, act, {(0, 1): {2: 1}},
-                                  ParabolicMarking(parse_type("A1"), {1}))))
-except InternalCheckError:
-    print("InternalCheckError")
+    print(graded_h1(cx))
+except InternalCheckError as e:
+    print(e)
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "InternalCheckError"
+    assert out.stdout.strip() == (
+        "bracket [x_0, x_1] has x_2 of the wrong grade: x_2 lowers degree 1, weight "
+        "(2,), x_0 and x_1 together degree 2, weight (4,)")
 
 
 # oracle reach: the weight-graded complex decides these within the default bound
@@ -351,19 +369,27 @@ def test_oracle_blocks_are_eliminated_sparsest_column_first(monkeypatch):
 
 
 def test_gperp_complex_is_graded_by_degree_and_weight():
+    # graded by weight, and every slice of g-perp has an integral Z-degree
     rs = parse_type("A2")
     marking = ParabolicMarking(rs, {1, 2})
-    z = marking.z
     cx = gperp_complex(marking, (1, 1))
-    for degree, weight in cx.slices:
-        assert degree == z(weight)
-    assert sorted(cx.depths) == [(1, (-1, 2)), (1, (2, -1)), (2, (1, 1))]
-    for (a, s), block in cx.act.items():
-        target = (s[0] - cx.depths[a][0],
-                  tuple(x - y for x, y in zip(s[1], cx.depths[a][1])))
-        # one column map per source vector, each inside the target slice
-        assert len(block) == cx.slices[s]
-        assert all(0 <= r < cx.slices.get(target, 0) for col in block for r in col)
+    assert all(marking.z(weight).denominator == 1 for weight in cx.slices)
+    assert cx.depths == [(-1, 2), (2, -1), (1, 1)]
+    _check_blocks(cx)
+
+
+def test_bench_cochain_dim_reads_the_complex(monkeypatch):
+    # bench/tracer.py's cohomology.graded_h1.cochain_dim counter reads
+    # cx.slices and cx.depths; a renamed field would silently empty it.  The
+    # tracer is loaded from its file, writing no bytecode beside it
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracer)
+    cx = gperp_complex(ParabolicMarking(parse_type("A2"), {1, 2}), (1, 1))
+    # 55 = dim g-perp, times 1 + 3 + 3 for C^0, C^1 and C^2 over three roots
+    assert tracer._cochain_dim(cx) == 385
 
 
 # both complexes have a scaled g_- basis, L > 1; on C2 (1,1) construct_rep's
@@ -490,8 +516,8 @@ def _scale_of(marking, cx):
 
 
 def _all_ints(cx):
-    return (all(type(x) is int for block in cx.act.values() for col in block
-                for x in col.values())
+    return (all(type(x) is int for pairs in cx.act.values() for _, block in pairs
+                for col in block for x in col.values())
             and all(type(x) is int for terms in cx.brackets.values() for x in terms.values()))
 
 
@@ -507,8 +533,8 @@ def test_oracle_complex_is_integral_and_scale_invariant(build, name, lam):
     # the same complex in the f_alpha basis of g_-: act and brackets over L
     unscaled = GradedComplex(
         cx.slices, cx.depths,
-        {key: [{r: x / L for r, x in col.items()} for col in block]
-         for key, block in cx.act.items()},
+        {s: [(a, [{r: x / L for r, x in col.items()} for col in block]) for a, block in pairs]
+         for s, pairs in cx.act.items()},
         {pair: {c: x / L for c, x in terms.items()} for pair, terms in cx.brackets.items()},
         cx.marking)
     assert not _all_ints(unscaled)
@@ -554,16 +580,22 @@ def test_kostant_equals_gperp_oracle_on_small_triples(triple):
 # ---------- W_0-equivariance: rank only the Levi-dominant blocks ----------
 
 def _full_complex(build, marking, lam):
-    """The complex with every action block built, as for a Borel marking."""
-    borel = ParabolicMarking(marking.rs, marking.marked)
-    borel.unmarked = ()
+    """The complex with every action block built, as for a Borel marking.
+
+    The builders read rs, z, root_degrees and unmarked off a marking; this
+    stand-in keeps the first three and has no Levi nodes, so every grade is
+    ranked.  It has no Levi roots either, so nothing can read a Levi that
+    contradicts unmarked.
+    """
+    borel = SimpleNamespace(rs=marking.rs, z=marking.z, root_degrees=marking.root_degrees,
+                            unmarked=())
     cx = build(borel, lam)
     assert cx.marking.unmarked == ()
     return cx
 
 
-def _lower(grade, depth):
-    return (grade[0] - depth[0], tuple(x - y for x, y in zip(grade[1], depth[1])))
+def _block_count(cx):
+    return sum(map(len, cx.act.values()))
 
 
 def _block_dims(cx, grade):
@@ -583,17 +615,17 @@ def _block_dims(cx, grade):
             c2[(b, c, r)] = len(c2)
     n0 = slices.get(grade, 0)
     d0 = [[0] * n0 for _ in c1]
-    for v in range(n0):
-        for a in range(len(depths)):
-            for r, x in cx.act[(a, grade)][v].items():
+    for a, block in cx.act.get(grade, ()):
+        for v in range(n0):
+            for r, x in block[v].items():
                 d0[col1[(a, r)]][v] += x
     d1 = [[0] * len(c1) for _ in c2]
     for (a, r), k in col1.items():
         s = _lower(grade, depths[a])
-        for other in range(len(depths)):
+        for other, block in cx.act.get(s, ()):
             if other != a:
                 b, c, sign = (other, a, 1) if other < a else (a, other, -1)
-                for r2, x in cx.act[(other, s)][r].items():
+                for r2, x in block[r].items():
                     d1[c2[(b, c, r2)]][k] += sign * x
         for (b, c), terms in cx.brackets.items():
             if terms.get(a):
@@ -604,20 +636,16 @@ def _block_dims(cx, grade):
 
 
 def _sweep(cx):
-    """{grade: (dim H^0, dim H^1)} over every grade of a complete complex."""
-    grades = set(cx.slices) | {_add_grade(s, i) for s in cx.slices for i in cx.depths}
+    """{weight: (dim H^0, dim H^1)} over every grade of a complete complex."""
+    grades = set(cx.slices) | {_add(s, i) for s in cx.slices for i in cx.depths}
     return {d: _block_dims(cx, d) for d in sorted(grades)}
 
 
-def _add_grade(grade, depth):
-    return (grade[0] + depth[0], tuple(x + y for x, y in zip(grade[1], depth[1])))
-
-
-def _by_degree(sweep, k):
+def _by_degree(z, sweep, k):
     out = {}
-    for (deg, _), dims in sweep.items():
+    for w, dims in sweep.items():
         if dims[k]:
-            out[deg] = out.get(deg, 0) + dims[k]
+            out[z(w)] = out.get(z(w), 0) + dims[k]
     return dict(sorted(out.items()))
 
 
@@ -634,12 +662,12 @@ def test_non_dominant_block_equals_its_dominant_representative(build, name, mark
     unmarked = marking.unmarked
     sweep = _sweep(_full_complex(build, marking, lam))
     grade = next(d for d, (_, h1) in sweep.items()
-                 if h1 and any(d[1][j] < 0 for j in unmarked))
-    # the one W_0-dominant weight of the degree whose W_0-orbit holds grade
-    dominant, = {w for deg, w in sweep if deg == grade[0]
-                 and all(w[j] >= 0 for j in unmarked) and grade[1] in rs.orbit(w, unmarked)}
-    assert dominant != grade[1]
-    assert sweep[(grade[0], dominant)] == sweep[grade]
+                 if h1 and any(d[j] < 0 for j in unmarked))
+    # the one W_0-dominant weight whose W_0-orbit holds grade
+    dominant, = {w for w in sweep
+                 if all(w[j] >= 0 for j in unmarked) and grade in rs.orbit(w, unmarked)}
+    assert dominant != grade
+    assert sweep[dominant] == sweep[grade]
 
 
 @pytest.mark.parametrize("build,name,marked,lam", W0_CASES)
@@ -649,24 +677,43 @@ def test_reduced_oracle_equals_the_full_sweep(build, name, marked, lam):
     sweep = _sweep(full)
     cx = build(marking, lam)
     # the reduced complex builds fewer action blocks and ranks fewer grades
-    assert cx.marking.unmarked and len(cx.act) < len(full.act)
+    assert cx.marking.unmarked and _block_count(cx) < _block_count(full)
     assert len(cx.dominant_grades) < len(sweep)
+    z = marking.z
     h1, h0 = graded_h1(cx), h0_by_degree(cx)
-    assert h1 == _by_degree(sweep, 1) and h1
-    assert h0 == _by_degree(sweep, 0)
+    assert h1 == _by_degree(z, sweep, 1) and h1
+    assert h0 == _by_degree(z, sweep, 0)
     # weight by weight too, on every grade
     h0w, h1w = cohomology.graded_weights(cx)
-    assert h1w == {(d[0], d[1]): dims[1] for d, dims in sweep.items() if dims[1]}
-    assert h0w == {(d[0], d[1]): dims[0] for d, dims in sweep.items() if dims[0]}
+    assert h1w == {(z(w), w): dims[1] for w, dims in sweep.items() if dims[1]}
+    assert h0w == {(z(w), w): dims[0] for w, dims in sweep.items() if dims[0]}
 
 
-def test_borel_marking_builds_every_block():
+def test_borel_marking_builds_every_block(monkeypatch):
+    # W_0 = 1 ranks every grade, so _complex computes the block of every root
+    # vector on every slice, and act keeps exactly the nonzero ones
+    built = []
+    real = cohomology._complex
+
+    def recording(marking, g, basis, image, den):
+        def recorded_image(f):
+            action = image(f)
+
+            def recorded(vectors, weight):
+                block = action(vectors, weight)
+                built.append(any(block))
+                return block
+            return recorded
+        return real(marking, g, basis, recorded_image, den)
+    monkeypatch.setattr(cohomology, "_complex", recording)
     rs = parse_type("A2")
     cx = gperp_complex(ParabolicMarking(rs, {1, 2}), (1, 1))
     assert cx.marking.unmarked == ()
-    assert len(cx.act) == len(cx.depths) * len(cx.slices)
+    assert len(built) == len(cx.depths) * len(cx.slices)
+    assert _block_count(cx) == sum(built) > 0
+    _check_blocks(cx)
     assert len(cx.dominant_grades) == len(
-        set(cx.slices) | {_add_grade(s, i) for s in cx.slices for i in cx.depths})
+        set(cx.slices) | {_add(s, i) for s in cx.slices for i in cx.depths})
 
 
 # ---------- the oracle's g_0 pieces against Kostant's, as stored ----------

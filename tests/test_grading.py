@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,14 +78,29 @@ def test_grade_module_examples():
 def test_grade_module_rejects_bad_degrees():
     marking = ParabolicMarking(parse_type("A1"), {1})
     z = marking.z  # Z(w) = w / 2
+    # grade_module reads rs, marked and z; a stand-in carries a broken Z.
     # Z halved: the weight 0 of V(2) sits half a degree below the top
-    marking.z = GradingElementValue(z.row, 2 * z.den)
+    halved = SimpleNamespace(rs=marking.rs, marked=marking.marked,
+                             z=GradingElementValue(z.row, 2 * z.den))
     with pytest.raises(InternalCheckError, match=r"\(0,\) of V\(2,\) has module degree -1/2$"):
-        grade_module(marking, (2,))
+        grade_module(halved, (2,))
     # Z negated: the weight 0 of V(2) sits one degree above the top
-    marking.z = GradingElementValue(tuple(-x for x in z.row), z.den)
+    negated = SimpleNamespace(rs=marking.rs, marked=marking.marked,
+                              z=GradingElementValue(tuple(-x for x in z.row), z.den))
     with pytest.raises(InternalCheckError, match=r"\(0,\) of V\(2,\) has module degree 1$"):
-        grade_module(marking, (2,))
+        grade_module(negated, (2,))
+
+
+def test_marking_is_read_only():
+    # its fields are checked against each other once, when it is built
+    marking = ParabolicMarking(parse_type("A3"), {2})
+    with pytest.raises(AttributeError, match="read-only"):
+        marking.unmarked = ()
+    with pytest.raises(AttributeError, match="read-only"):
+        marking.z = GradingElementValue((0, 0, 0), 1)
+    with pytest.raises(AttributeError, match="read-only"):
+        del marking.levi_roots
+    assert marking.unmarked == (0, 2) and len(marking.levi_roots) == 2
 
 
 @pytest.mark.parametrize("name", ALL_SIMPLE_RANK6)
