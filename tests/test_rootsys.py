@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -354,3 +356,33 @@ def test_fold_over_w0_gives_levi_pieces_of_the_right_dimension(case, data):
     assert all(m > 0 for m in pieces.values())
     assert sum(m * levi_weyl_dim(marking, hw) for hw, m in pieces.items()) \
         == rs.weyl_dim(lam)
+
+
+# ---------- every root pairing is one integer per simple root ----------
+
+PAIRING_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                 + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+                 + ["E6", "E7", "E8", "F4", "G2", "A1,G2", "B3,C3"])
+
+
+@pytest.mark.parametrize("name", PAIRING_TYPES)
+def test_root_pairings_read_off_the_simple_root_norms(name):
+    # (omega_j, alpha) = c_j (alpha_j, alpha_j) / 2 for alpha = sum c_i alpha_i,
+    # so the Weyl dimension is prod (lam + rho, alpha) / prod (rho, alpha)
+    rs = parse_type(name)
+    units = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
+    norms = [rs.scaled_inner(a, a) for a in rs.simple_root_weights]
+    assert all(n > 0 and n % 2 == 0 for n in norms)
+    for r in rs.positive_roots:
+        alpha = rs.root_weights[r.coords]
+        assert [rs.scaled_inner(w, alpha) for w in units] == [
+            c * n // 2 for c, n in zip(r.coords, norms)]
+    rng = random.Random(name)
+    for _ in range(4):
+        lam = tuple(rng.randrange(3) for _ in range(rs.rank))
+        top = low = 1
+        for r in rs.positive_roots:
+            alpha = rs.root_weights[r.coords]
+            top *= rs.scaled_inner([x + 1 for x in lam], alpha)
+            low *= rs.scaled_inner(rs.rho, alpha)
+        assert rs.weyl_dim(lam) == Fraction(top, low)

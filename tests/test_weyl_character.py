@@ -9,6 +9,7 @@ matrix, d_i, positive roots) with the library.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -167,6 +168,21 @@ def test_integer_core_equals_rational_reference_on_e_types(name, lam):
     # the hypothesis test above draws no E type; the last case is the E8 adjoint
     rs = parse_type(name)
     assert weight_multiplicities(rs, lam) == ref_multiplicities(rs, lam)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_weyl_dims_equal_the_rational_reference_on_e_types(name):
+    # the Weyl and Levi dimensions of the hypothesis test above, on seeded draws
+    rs = parse_type(name)
+    rng = random.Random(name)
+    for _ in range(6):
+        lam = tuple(rng.randrange(3) for _ in range(rs.rank))
+        assert rs.weyl_dim(lam) == ref_dim(rs, lam, rs.positive_roots)
+        marked = set(rng.sample(range(1, rs.rank + 1), rng.randrange(1, 4)))
+        mu = tuple(rng.randrange(-3, 4) if j + 1 in marked else rng.randrange(3)
+                   for j in range(rs.rank))
+        levi = [r for r in rs.positive_roots if not any(r.coords[i - 1] for i in marked)]
+        assert levi_weyl_dim(ParabolicMarking(rs, marked), mu) == ref_dim(rs, mu, levi)
 
 
 @pytest.mark.parametrize("name,lam", [("G2", (2, 1)), ("B3", (1, 1, 1)),
