@@ -112,7 +112,7 @@ def cmd_grading(args):
                "depth": depth}
     lines = [f"algebra grading of {rs}, marked {sorted(marking.marked)}:",
              f"  {alg}  (depth {depth})"]
-    if args.weight:
+    if args.weight is not None:
         w = _weight(args.weight, rs.rank)
         mod = grade_module(marking, w)
         payload["weight"] = list(w)

@@ -41,7 +41,7 @@ checks.  graded_weights therefore assembles, checks and ranks only the
 grades whose weight is W_0-dominant (>= 0 at every unmarked node, one per
 W_0-orbit) and gives every conjugate the same dimensions, and the oracles
 build action blocks only for the source grades that those blocks use.  A
-Borel marking has W_0 = 1 and ranks every grade, as before.
+Borel marking has W_0 = 1 and ranks every grade.
 
 The fold.  check_oracle compares the oracle with Kostant piece by piece,
 not only degree by degree.  In each degree the weights of H^1 are the

@@ -47,7 +47,8 @@ def weight_multiplicities(rs, lam):
     of lam - w in simple roots), ties by increasing tuple; the total
     multiplicity equals weyl_dim(lam).  The dominant weights are reached from
     lam by positive-root steps and each W-orbit is rs.orbit of its
-    dominant weight; Freudenthal then runs on the dominant weights alone.  The arithmetic is on integers (rs.form, see rootsys).
+    dominant weight; Freudenthal then runs on the dominant weights alone, on
+    integers (rs.half_norms, see rootsys).
     """
     lam = tuple(lam)
     rs.check_length(lam)
@@ -78,8 +79,8 @@ def weight_multiplicities(rs, lam):
     #         / ((lam + rho, lam + rho) - (mu + rho, mu + rho)),
     # with every inner product scaled by rs.form_den, which cancels
     roots = []
-    for af in rs.root_weights.values():
-        fa = tuple(sum(map(mul, row, af)) for row in rs.form)  # form_den * (., a)
+    for c, af in rs.root_weights.items():
+        fa = tuple(map(mul, c, rs.half_norms))  # form_den * (., a)
         roots.append((af, fa, sum(map(mul, af, fa))))
     rho = rs.rho
     lam_rho = tuple(map(add, lam, rho))

@@ -27,10 +27,12 @@ when it is built:
   * coroots[k] holds the coroot of the k-th positive root alpha in
     simple-coroot coordinates, k_j = 2 c_j d_j / (alpha, alpha) for
     alpha = sum c_j alpha_j, so <lam, alpha^vee> = sum_j lam_j k_j for a
-    weight lam in fundamental coordinates; coroot_heights[k] = sum_j k_j is
-    <rho, alpha^vee>.
+    weight lam in fundamental coordinates.
   * form / form_den is the normalized invariant form on fundamental
     coordinates: (w1, w2) = sum_ij w1_i form[i][j] w2_j / form_den.
+  * half_norms[i] = form_den (alpha_i, alpha_i) / 2, so form_den (w, alpha)
+    = sum_i w_i c_i half_norms[i]: w pairs with alpha = beta + alpha_i
+    (PositiveRoot.parent) as with beta, plus w_i half_norms[i].
   * inverse_cartan_scaled / inverse_cartan_den is C^-1, so the simple-root
     coordinates of a weight are integer dot products over one denominator.
   * root_weights maps each positive root, in simple-root coordinates, to its
@@ -51,8 +53,8 @@ reflections at given nodes (all of them for W, the unmarked ones for W_0):
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm
-from operator import add, mul, sub
+from math import gcd, lcm, prod
+from operator import add, lt, mul, sub
 
 from . import linalg
 from .errors import InternalCheckError
@@ -195,7 +197,6 @@ class RootSystem:
         self.highest_root_per_factor = [self._highest_root(s)
                                         for s in range(len(self.factors))]
         self.coroots = [self._coroot(r.coords) for r in self.positive_roots]
-        self.coroot_heights = [sum(k) for k in self.coroots]
         self._build_form()
         self._weight_systems = {}  # lam -> read-only weight system, see repthy.weight_system
         self._weyl_dims = {}  # dominant weight -> its Weyl dimension, see weyl_dim
@@ -217,7 +218,6 @@ class RootSystem:
         number of roots root_k - j alpha_i with j >= 1, is one more than that
         of root_k - alpha_i once height h is walked.
         """
-        node_factor = [self.factor_of_node(i) for i in range(self.rank)]
         # coords, factor, height, parent as in PositiveRoot; parent indexes this list
         roots = []
         weights = []  # fundamental coords of roots[k]: <root, alpha_i^vee> = weights[k][i]
@@ -226,7 +226,7 @@ class RootSystem:
         for i in range(self.rank):
             coords = tuple(1 if j == i else 0 for j in range(self.rank))
             seen[coords] = len(roots)
-            roots.append((coords, node_factor[i], 1, None))
+            roots.append((coords, self.factor_of_node(i), 1, None))
             weights.append(self.simple_root_weights[i])
             down.append([0] * self.rank)
         frontier = list(range(self.rank))
@@ -236,17 +236,13 @@ class RootSystem:
                 coords, factor, height, _ = roots[ri]
                 weight, below = weights[ri], down[ri]
                 for i in range(self.rank):
-                    if node_factor[i] != factor:
+                    # root string: root + alpha_i is a root iff p > <root, alpha_i^vee>,
+                    # p = below[i] counting the roots root - j alpha_i, j >= 1
+                    if below[i] <= weight[i]:
                         continue
-                    cand = list(coords)
-                    cand[i] += 1
-                    cand = tuple(cand)
+                    cand = coords[:i] + (coords[i] + 1,) + coords[i + 1:]
                     k = seen.get(cand)
                     if k is None:
-                        # root string: cand is a root iff p - <root, alpha_i^vee> > 0,
-                        # p = below[i] counting the roots root - j alpha_i, j >= 1
-                        if below[i] - weight[i] <= 0:
-                            continue
                         k = seen[cand] = len(roots)
                         roots.append((cand, factor, height + 1, (ri, i)))
                         weights.append(tuple(map(add, weight, self.simple_root_weights[i])))
@@ -265,15 +261,12 @@ class RootSystem:
         return positive, {roots[k][0]: weights[k] for k in order}
 
     def _highest_root(self, s):
-        best = None
-        for r in self.positive_roots:
-            if r.factor == s and (best is None or r.height > best.height):
-                best = r
-        # the highest root dominates every positive root of the factor coordinatewise
-        for r in self.positive_roots:
-            if r.factor == s and any(b < c for b, c in zip(best.coords, r.coords)):
-                raise InternalCheckError(f"highest root does not dominate {r.coords}")
-        return best.coords
+        roots = [r.coords for r in self.positive_roots if r.factor == s]
+        # the last, of greatest height, dominates every root of the factor coordinatewise
+        for c in roots:
+            if any(map(lt, roots[-1], c)):
+                raise InternalCheckError(f"highest root does not dominate {c}")
+        return roots[-1]
 
     def _coroot(self, root_coords):
         """Simple-coroot coordinates k_j = 2 c_j d_j / (alpha, alpha) of alpha^vee.
@@ -312,6 +305,10 @@ class RootSystem:
             if self.scaled_inner(theta, theta) != 2 * self.form_den:
                 raise InternalCheckError(
                     f"highest root of {self.factors[s]} does not have squared length 2")
+        norms = [self.scaled_inner(a, a) for a in self.simple_root_weights]
+        if any(n <= 0 or n % 2 for n in norms):
+            raise InternalCheckError(f"simple root norms {norms} are not even")
+        self.half_norms = [n // 2 for n in norms]
 
     # ---------- node / factor bookkeeping ----------
 
@@ -429,18 +426,21 @@ class RootSystem:
         return dim
 
     def weyl_product(self, weight, roots):
-        """prod <weight + rho, a^vee> / prod <rho, a^vee> over positive roots a.
+        """prod (weight + rho, a) / prod (rho, a) over positive roots a.
 
         roots are indices into positive_roots: all of them give the Weyl
         dimension, a Levi's give the Levi's.  The quotient must be a
         positive integer, which is checked.
         """
         self.check_length(weight)
-        num = den = 1
-        for k in roots:
-            ht = self.coroot_heights[k]
-            num *= sum(map(mul, weight, self.coroots[k])) + ht
-            den *= ht
+        h = self.half_norms
+        s = [(x + 1) * n for x, n in zip(weight, h)]  # form_den (weight + rho, alpha_i)
+        top, low = s[::-1], h[::-1]  # positive_roots opens with alpha_rank, ..., alpha_1
+        for r in self.positive_roots[self.rank:]:
+            k, i = r.parent
+            top.append(top[k] + s[i])
+            low.append(low[k] + h[i])
+        num, den = prod(map(top.__getitem__, roots)), prod(map(low.__getitem__, roots))
         if num % den or num // den <= 0:
             raise InternalCheckError(
                 f"Weyl dimension {num}/{den} of {tuple(weight)} is not a "
@@ -512,7 +512,7 @@ def _shared(factors):
 def parse_factor(text):
     """Parse one simple type such as 'A2' or 'e8' into a SimpleFactor."""
     p = text.strip().upper() if isinstance(text, str) else ""
-    if len(p) < 2 or p[0] not in FAMILIES or not p[1:].isdigit():
+    if len(p) < 2 or p[0] not in FAMILIES or not (p[1:].isascii() and p[1:].isdigit()):
         raise ValueError(f"cannot parse simple type {text!r}")
     return SimpleFactor(p[0], int(p[1:]))
 

@@ -207,6 +207,9 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
         ("grading", "--type", "Z9", "--marked", "1"),
         ("grading", "--type", "A2", "--marked", "7"),
         ("grading", "--type", "A2", "--marked", "1", "--weight", "1,x"),
+        # an empty weight, and a rank in digits that are not ASCII
+        ("grading", "--type", "A2", "--marked", "1", "--weight", ""),
+        ("grading", "--type", "A\u00b2", "--marked", "1"),
         ("grading", "--type", "A2", "--marked", ""),
         ("grading", "--type", "A2", "--marked", "1,x"),
         ("rigidity", "--type", "A2", "--marked", "1", "--weight", "1,-1",
@@ -269,6 +272,11 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
     for text in ("", "1,x"):
         _, _, err = run(capsys, "grading", "--type", "A2", "--marked", text)
         assert f"malformed --marked {text!r}" in err and "such as 1,3" in err
+    # an empty weight is malformed, not absent; a rank such as '²' names the type
+    _, _, err = run(capsys, "grading", "--type", "A2", "--marked", "1", "--weight", "")
+    assert err.startswith("error: malformed weight ''")
+    _, _, err = run(capsys, "grading", "--type", "A²", "--marked", "1")
+    assert err == "error: cannot parse simple type 'A²'\n"
     # a negative oracle bound would skip every oracle with exit 0
     monkeypatch.setenv("ORACLE_DIM_MAX", "-5")
     for argv in [("rigidity", "--fixture", "segre-1-1", "--oracle"),

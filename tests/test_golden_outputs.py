@@ -348,8 +348,9 @@ def test_root_data(name):
 
 @pytest.mark.parametrize("name", sorted(ROOT_FORM_SHA256))
 def test_root_form(name):
-    # Freudenthal is homogeneous of degree 0 in the form, and the Weyl and
-    # Kostant routes never read it, so no other pin sees a rescaled form
+    # Freudenthal reads half_norms, made from the form, and is homogeneous of
+    # degree 0 in both, as are the Weyl and Kostant routes' quotients of
+    # half_norms, so no other pin sees a rescaled form
     rs = parse_type(name)
     text = repr((rs.inverse_cartan_den, rs.inverse_cartan_scaled, rs.form_den, rs.form))
     assert sha256(text.encode()) == ROOT_FORM_SHA256[name]

@@ -221,13 +221,13 @@ def test_each_weyl_product_once_per_report(monkeypatch):
 
 # each corrupts a private RootSystem: parse_type's is shared by every test
 
-def test_corrupted_coroot_is_caught():
+def test_corrupted_half_norm_is_caught():
     rs = RootSystem([("A", 2)])
-    rs.coroots[1] = (2, 0)  # positive root 1 is alpha_1, with coroot (1, 0)
-    # the Weyl product of (1, 0) is now 1 * 3 * 3 / 2 ...
+    rs.half_norms[0] = 6  # alpha_1 with twice its squared length: 3 is right
+    # the Weyl product of (1, 0) is now 12 * 3 * 15 / (6 * 3 * 9) ...
     with pytest.raises(InternalCheckError, match="not a positive integer"):
         rs.weyl_dim((1, 0))
-    # ... and that of (2, 0) the integer 10, which Freudenthal contradicts
+    # ... and that of (2, 0) the integer 7, which Freudenthal contradicts
     with pytest.raises(InternalCheckError, match="not the Weyl dimension"):
         weight_multiplicities(rs, (2, 0))
 
@@ -245,7 +245,7 @@ def test_corruption_is_caught_under_optimize():
 from liecoh.cohomology import InternalCheckError
 from liecoh.repthy import weight_multiplicities
 from liecoh.rootsys import RootSystem
-for corrupt, lam in ((lambda rs: rs.coroots.__setitem__(1, (2, 0)), (1, 0)),
+for corrupt, lam in ((lambda rs: rs.half_norms.__setitem__(0, 6), (1, 0)),
                      (lambda rs: rs.form[0].__setitem__(1, 2), (1, 1))):
     rs = RootSystem([("A", 2)])
     corrupt(rs)
