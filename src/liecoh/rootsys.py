@@ -238,6 +238,7 @@ class RootSystem:
                 for i in range(self.rank):
                     # root string: root + alpha_i is a root iff p > <root, alpha_i^vee>,
                     # p = below[i] counting the roots root - j alpha_i, j >= 1
+                    # (both 0 at a node of another factor)
                     if below[i] <= weight[i]:
                         continue
                     cand = coords[:i] + (coords[i] + 1,) + coords[i + 1:]
@@ -307,7 +308,7 @@ class RootSystem:
                     f"highest root of {self.factors[s]} does not have squared length 2")
         norms = [self.scaled_inner(a, a) for a in self.simple_root_weights]
         if any(n <= 0 or n % 2 for n in norms):
-            raise InternalCheckError(f"simple root norms {norms} are not even")
+            raise InternalCheckError(f"simple root norms {norms} are not positive and even")
         self.half_norms = [n // 2 for n in norms]
 
     # ---------- node / factor bookkeeping ----------

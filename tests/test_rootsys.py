@@ -386,3 +386,12 @@ def test_root_pairings_read_off_the_simple_root_norms(name):
             top *= rs.scaled_inner([x + 1 for x in lam], alpha)
             low *= rs.scaled_inner(rs.rho, alpha)
         assert rs.weyl_dim(lam) == Fraction(top, low)
+
+
+def test_an_odd_simple_root_norm_is_refused(monkeypatch):
+    # half_norms are checked once, when the form is built
+    real = RootSystem.scaled_inner
+    monkeypatch.setattr(RootSystem, "scaled_inner", lambda self, w1, w2: real(self, w1, w2)
+                        + (tuple(w1) in self.simple_root_weights))
+    with pytest.raises(InternalCheckError, match=r"norms \[7, 7\] are not positive and even"):
+        RootSystem([("A", 2)])
