@@ -387,9 +387,9 @@ def test_bench_cochain_dim_reads_the_complex(monkeypatch):
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(tracer)
-    cx = gperp_complex(ParabolicMarking(parse_type("A2"), {1, 2}), (1, 1))
-    # 55 = dim g-perp, times 1 + 3 + 3 for C^0, C^1 and C^2 over three roots
-    assert tracer._cochain_dim(cx) == 385
+    cx = module_complex(ParabolicMarking(parse_type("A2"), {1, 2}), (1, 1))
+    # 8 = dim V(1,1), times 1 + 3 + 3 for C^0, C^1 and C^2 over three roots
+    assert tracer._cochain_dim(cx) == 56
 
 
 # both complexes have a scaled g_- basis, L > 1; on C2 (1,1) construct_rep's
@@ -466,9 +466,9 @@ def test_action_leaving_gperp_is_rejected(monkeypatch):
 
 def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
     # a work count, not a timing: the rows of d1 handed to the elimination
-    # core on C2 V(1,1) marked {1, 2}, which were all 980 rows of d1 before
-    # the rows at the pivot columns of d0 were left out
-    cx = gperp_complex(ParabolicMarking(parse_type("C2"), {1, 2}), (1, 1))
+    # core on the module C2 V(1,1) marked {1, 2}, which were all 64 rows of
+    # d1 before the rows at the pivot columns of d0 were left out
+    cx = module_complex(ParabolicMarking(parse_type("C2"), {1, 2}), (1, 1))
     sizes = []
     real = linalg.pivot_columns
 
@@ -480,7 +480,7 @@ def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
     # each grade takes the pivots of d0's rows, then of d1's rows off them
     assert len(sizes) == 2 * len(cx.dominant_grades)
     rows = sizes[1::2]
-    assert sum(rows) == 743
+    assert sum(rows) == 49
 
 
 def test_oracle_converts_no_integers_twice(monkeypatch):
@@ -649,9 +649,10 @@ def _by_degree(z, sweep, k):
     return dict(sorted(out.items()))
 
 
-# non-Borel markings: W_0 is W(A2) for B3/P3 and W(A1 x A2) for A4/P2
-W0_CASES = [(gperp_complex, "B3", {3}, (0, 0, 1)),
-            (gperp_complex, "A4", {2}, (0, 1, 0, 0)),
+# non-Borel markings: W_0 is W(A2) for B3/P3 and W(A1 x A2) for A4/P2; the
+# first two modules are the adjoints
+W0_CASES = [(module_complex, "B3", {3}, (0, 1, 0)),
+            (module_complex, "A4", {2}, (1, 0, 0, 1)),
             (module_complex, "A3", {2}, (1, 0, 1))]
 
 
@@ -707,7 +708,7 @@ def test_borel_marking_builds_every_block(monkeypatch):
         return real(marking, g, basis, recorded_image, den)
     monkeypatch.setattr(cohomology, "_complex", recording)
     rs = parse_type("A2")
-    cx = gperp_complex(ParabolicMarking(rs, {1, 2}), (1, 1))
+    cx = module_complex(ParabolicMarking(rs, {1, 2}), (1, 1))
     assert cx.marking.unmarked == ()
     assert len(built) == len(cx.depths) * len(cx.slices)
     assert _block_count(cx) == sum(built) > 0
