@@ -152,8 +152,9 @@ def cmd_cohomology(args):
     lines += [f"  degree {p.degree}  dim {p.dimension}  levi {list(p.levi_highest_weight)}"
               f"  (node {p.source_reflection})" for p in pieces]
     if args.oracle:
-        cx = cohomology.module_complex(marking, gamma, bound=oracle_bound())
-        dims = cohomology.check_oracle(cx, [(1, p) for p in pieces])
+        _, h1 = cohomology.graded_weights(
+            cohomology.module_complex(marking, gamma, bound=oracle_bound()))
+        dims = cohomology.check_oracle(marking, h1, [(1, p) for p in pieces])
         payload["oracle"] = {str(d): n for d, n in dims.items()}
         lines.append(f"oracle agreed: { {str(k): v for k, v in dims.items()} }")
     _emit(args, payload, lines)

@@ -14,20 +14,27 @@ Two independent routes:
     constants and takes exact ranks.  It checks d1 . d0 = 0 in every block
     it builds and aborts if that fails.  A grade is a torus weight, and its
     Z-degree is Z(weight): every weight vector of V_gamma (module_complex),
-    every matrix unit of gl(U) (gperp_complex) and every root vector has a
+    every matrix unit of gl(U) (gl_complex) and every root vector has a
     single weight, so the differentials are block-diagonal by weight and
     each block is small.  Both complexes share one assembly and one weight
     check of the root vectors, which are stored as sparse maps (repthy).
     The complex is defined over Z, and the oracles build it that way: g_-
     is spanned by one integer multiple L f_alpha of each root vector, and
-    every g-perp slice by primitive integer vectors.  So the g-perp
-    commutators, its membership check, d0, d1, the d1 . d0 check and every
-    rank run on Python ints.  In each block rank d0 is the number of pivot
-    columns P of d0 and d1 is ranked only on the C^1 coordinates off P: the
-    echelon rows of im d0 and the unit vectors off P are a basis of C^1, and
-    d1 kills im d0 (the check above), so rank d1 and every dimension of H^0
-    and H^1 are those of the whole block.  Both eliminations take a block's
-    columns fewest nonzeros first, which changes P but no rank.
+    the basis of V_gamma and the matrix units of gl(U) stay as they are.
+    So the actions, d0, d1, the d1 . d0 check and every rank run on Python
+    ints.  In each block rank d0 is the number of pivot columns P of d0 and
+    d1 is ranked only on the C^1 coordinates off P: the echelon rows of
+    im d0 and the unit vectors off P are a basis of C^1, and d1 kills im d0
+    (the check above), so rank d1 and every dimension of H^0 and H^1 are
+    those of the whole block.  Both eliminations take a block's columns
+    fewest nonzeros first, which changes P but no rank.
+
+The g-perp oracle.  As g-modules gl(U) = g + g-perp + C Id, and the cochain
+complex is additive in its module, so in every degree and weight
+H^k(g_-, g-perp) = H^k(gl U) - H^k(g) - H^k(C) (gperp_weights).  g is one
+module_complex per simple factor, of its adjoint weight, and C a complex
+with one slice and no action.  Nothing here uses Kostant's theorem or the
+g-perp decomposition; a negative difference raises.
 
 Levi symmetry.  g_0 normalises g_- and acts on Gamma, so it acts on every
 cochain space Lambda^k g_-^* (x) Gamma, and d commutes with that action: d is
@@ -382,14 +389,14 @@ def levi_pieces(marking, weights):
             for hw, k in marking.rs.fold(by_degree[deg], marking.unmarked).items()}
 
 
-def check_oracle(cx, pieces):
-    """H^1 of an oracle complex by degree, checked against Kostant's pieces.
+def check_oracle(marking, h1, pieces):
+    """The oracle's H^1 by degree, checked against Kostant's pieces.
 
-    pieces are (multiplicity, H1Piece) pairs.  The per-degree dimensions and
-    the g_0 pieces (levi_pieces) must both equal Kostant's, each piece's
-    levi_highest_weight taken as stored; a mismatch raises.
+    h1 is {(degree, weight): dim}, as graded_weights and gperp_weights
+    return it, and pieces are (multiplicity, H1Piece) pairs.  The per-degree
+    dimensions and the g_0 pieces (levi_pieces) must both equal Kostant's,
+    each piece's levi_highest_weight taken as stored; a mismatch raises.
     """
-    _, h1 = graded_weights(cx)
     got = _by_degree(h1)
     expected = {}
     kostant = {}
@@ -401,7 +408,7 @@ def check_oracle(cx, pieces):
         raise InternalCheckError(
             f"combinatorial H^1 {dict(sorted(expected.items()))} disagrees with "
             f"the matrix oracle {got}")
-    folded = levi_pieces(cx.marking, h1)
+    folded = levi_pieces(marking, h1)
     if folded != kostant:
         raise InternalCheckError(
             f"combinatorial H^1 pieces {dict(sorted(kostant.items()))} disagree "
@@ -415,26 +422,22 @@ def negative_roots(marking):
     return sorted((c for c, d in degree.items() if d >= 1), key=lambda c: (degree[c], c))
 
 
-def _g_by_weight(rep):
-    """The basis of g on rep by torus weight, every entry checked against it.
+def _root_vectors(rep):
+    """The root vectors f_alpha on rep by root weight alpha, every entry checked.
 
-    h_i has weight 0, e_alpha weight alpha and f_alpha weight -alpha, alpha in
-    fundamental coordinates; an entry (r, c) of a matrix of weight mu must
-    have wt(r) - wt(c) = mu.  A root space is a line, so a nonzero weight
-    holds one matrix.
+    alpha is in fundamental coordinates, and f_alpha has weight -alpha: an
+    entry (r, c) must have wt(r) - wt(c) = -alpha.
     """
     rs, wts = rep.rs, rep.basis_weights
-    emat, fmat = root_vector_matrices(rep)
-    out = {(0,) * rs.rank: rep.h}
-    for coords, alpha in rs.root_weights.items():
-        out[alpha] = [emat[coords]]
-        out[tuple(-x for x in alpha)] = [fmat[coords]]
-    for mu, matrices in out.items():
-        for r, c in (key for M in matrices for key in M):
+    out = {}
+    for coords, f in root_vector_matrices(rep).items():
+        mu = tuple(-x for x in rs.root_weights[coords])
+        for r, c in f:
             if _difference(wts[r], wts[c]) != mu:
                 raise InternalCheckError(
                     f"the element of g of weight {mu} has an entry of weight "
                     f"{_difference(wts[r], wts[c])}: the g action left the graded range")
+        out[rs.root_weights[coords]] = f
     return out
 
 
@@ -449,26 +452,26 @@ def _g_minus(marking):
     return [rs.root_weights[c] for c in roots], structure_constants(rs, roots)
 
 
-def _complex(marking, g, basis, image, den):
+def _complex(marking, roots, basis, image):
     """GradedComplex of g_- acting on Gamma, the assembly both oracles share.
 
-    g is _g_by_weight of the module, and basis maps each weight of Gamma to
-    the basis vectors of that slice.  image(f), called once for each integer
-    matrix f that is a multiple of den, returns the action on a whole slice,
-    (vectors, weight) -> [f . vector for each vector], each as a
-    {coordinate: int} map of its nonzero coordinates in the basis of that
-    target weight; it is called once per (root vector, source slice), so
-    what depends only on the target weight is looked up once for the slice.
+    roots is _root_vectors of the module, and basis maps each weight of
+    Gamma to the basis vectors of that slice.  image(f), called once for
+    each integer matrix f, returns the action on a whole slice, (vectors,
+    weight) -> [f . vector for each vector], each as a {coordinate: int}
+    map of its nonzero coordinates in the basis of that target weight; it
+    is called once per (root vector, source slice), so what depends only on
+    the target weight is looked up once for the slice.
 
-    The g_- basis is x_a = L f_alpha for one integer L: den times the lcm
-    of the denominators of the f_alpha entries and the bracket constants.
-    act holds the nonzero blocks of the source weights that the dominant
-    grades reach, d itself (d0) and d - depths[a] (d1), and no others.
+    The g_- basis is x_a = L f_alpha for one integer L: the lcm of the
+    denominators of the f_alpha entries and the bracket constants.  act
+    holds the nonzero blocks of the source weights that the dominant grades
+    reach, d itself (d0) and d - depths[a] (d1), and no others.
     """
     depths, brackets = _g_minus(marking)
-    fs = [g[tuple(-x for x in alpha)][0] for alpha in depths]
-    L = den * lcm(1, *(x.denominator for f in fs for x in f.values()),
-                  *(x.denominator for terms in brackets.values() for x in terms.values()))
+    fs = [roots[alpha] for alpha in depths]
+    L = lcm(1, *(x.denominator for f in fs for x in f.values()),
+            *(x.denominator for terms in brackets.values() for x in terms.values()))
     brackets = {pair: {c: x.numerator * (L // x.denominator) for c, x in terms.items()}
                 for pair, terms in brackets.items()}
     cx = GradedComplex({s: len(vectors) for s, vectors in basis.items()}, depths, {},
@@ -503,7 +506,7 @@ def module_complex(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
             return [{k: f[(r, vid)] for k, r in targets if (r, vid) in f} for vid in vids]
         return action
 
-    return _complex(marking, _g_by_weight(rep), basis, image, 1)
+    return _complex(marking, _root_vectors(rep), basis, image)
 
 
 def direct_h1(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
@@ -511,104 +514,90 @@ def direct_h1(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     return graded_h1(module_complex(marking, gamma_weight, bound))
 
 
-def gperp_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
-    """GradedComplex for Gamma = g-perp inside sl(U), U = V_lam, by weight.
+def gl_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
+    """GradedComplex for Gamma = gl(U), U = V_lam, on the matrix units.
 
-    g is realized by explicit matrices on U.  E_vw in gl(U) has weight
-    wt(v) - wt(w) and Z-degree Z(wt(v) - wt(w)), so gl(U) splits into weight
-    slices.  g-perp of weight mu is cut out of its slice by trace-form
-    orthogonality against the g elements of weight -mu (plus tracelessness
-    at mu = 0).  The root vector f_alpha of weight -alpha acts by the
-    commutator, through repthy.bracket_with(f_alpha), indexed once per root.
+    E_vw has weight wt(v) - wt(w), and each weight slice is spanned by its
+    matrix units.  f acts by the commutator, written out on a matrix unit:
+    [f, E_vw] = sum_r f[r][v] E_rw - sum_c f[w][c] E_vc.  f has weight
+    -alpha != 0 (checked), so it has no diagonal entry and no unit occurs
+    in both sums.
 
-    Integral slices.  The constraint rows are scaled to primitive integer
-    rows, and linalg.integer_kernel reads each g-perp basis vector of a slice
-    straight off their reduced echelon form as the primitive integer vector
-    on its line, c times the vector with 1 at its free column: a diagonal
-    change of basis of Gamma.  The coordinates of a g-perp element X are
-    then X[free column] / c.  _complex hands image integer matrices f that
-    are multiples of den, the lcm of every c, so [f, vector] and the
-    division by c are exact integer arithmetic.
+    g must act faithfully on U: every f_alpha is nonzero and the h_i are
+    independent.  InternalCheckError otherwise.
     """
     rs = marking.rs
     rep = construct_rep(rs, lam, bound)
-    n = rep.dimension
-    wts = rep.basis_weights
-    g = _g_by_weight(rep)
-    zero = (0,) * rs.rank
-
-    pairs_by_weight = {}
-    for v in range(n):
-        for w in range(n):
-            pairs_by_weight.setdefault(_difference(wts[v], wts[w]), []).append((v, w))
-
-    checks = {}  # weight -> integer constraint rows cutting g-perp out of the slice, by (v, w)
-    basis = {}   # weight -> primitive integer vectors as {(v, w): x}
-    free = {}    # weight -> {(v, w) at a free column: (position of its basis vector, c)}
-    g_rank = 0
-    for mu, pairs in sorted(pairs_by_weight.items()):
-        index = {p: k for k, p in enumerate(pairs)}
-        # tr(B M) = sum B[v][w] M[w][v] pairs the slice with weight -mu only
-        rows = linalg.integer_rows([{index[(c, r)]: x for (r, c), x in M.items()}
-                                    for M in g.get(tuple(-x for x in mu), [])])
-        if mu == zero:
-            for M in g[zero]:
-                if sum(x for (r, c), x in M.items() if r == c):
-                    raise InternalCheckError("g-perp bookkeeping failed: an element "
-                                             "of the Cartan subalgebra has nonzero trace")
-            rows.append({k: 1 for k, (v, w) in enumerate(pairs) if v == w})
-        checks[mu] = [{pairs[k]: x for k, x in row.items()} for row in rows]
-        vectors = linalg.integer_kernel(rows, len(pairs))
-        # rank-nullity; at weight 0 the trace row is independent of g's rows,
-        # since g acts by traceless matrices (checked just above)
-        g_rank += len(pairs) - len(vectors) - (mu == zero)
-        if vectors:
-            degree = marking.z(mu)
-            if degree.denominator != 1:
-                raise InternalCheckError(f"gl(U) slice of non-integral degree {degree}")
-            basis[mu] = [{pairs[k]: x for k, x in vec.items()} for vec in vectors]
-            # an integer_kernel vector is c > 0 at its free column, its last
-            # key, and 0 at the other free columns, so the coordinate read off
-            # that column is divided by c
-            lasts = [max(vec) for vec in vectors]
-            free[mu] = {pairs[k]: (i, vectors[i][k]) for i, k in enumerate(lasts)}
-    if g_rank != rs.dim_g():
+    roots = _root_vectors(rep)
+    if not all(roots.values()) or \
+            linalg.rank([{v: x for (v, _), x in h.items()} for h in rep.h]) != rs.rank:
         raise InternalCheckError("represented algebra has wrong dimension; "
                                  "weight not faithful on some factor")
+    wts = rep.basis_weights
+    basis = {}
+    for v, wv in enumerate(wts):
+        for w, ww in enumerate(wts):
+            basis.setdefault(_difference(wv, ww), []).append((v, w))
+    # the position of each matrix unit in its slice
+    index = {unit: k for units in basis.values() for k, unit in enumerate(units)}
 
     def image(f):
-        bracket = repthy.bracket_with(f)
+        by_col, by_row = {}, {}
+        for (r, c), x in f.items():
+            by_col.setdefault(c, []).append((r, x))
+            by_row.setdefault(r, []).append((c, x))
 
-        def action(vectors, weight):
-            # f has weight -alpha (checked) and each vector weight mu, so every
-            # entry of [f, vector] has weight t = mu - alpha and lies in t's
-            # slice of gl(U): one lookup of its checks and free columns serves
-            # the whole slice
-            constraints = checks.get(weight, ())
-            columns = free.get(weight, {})
+        def action(units, weight):
             out = []
-            for vec in vectors:
-                entries = bracket(vec)
-                # each constraint pairing, summed over the few entries of [f, vec]
-                if any(sum(row.get(pair, 0) * x for pair, x in entries.items())
-                       for row in constraints):
-                    raise InternalCheckError("g_- action left g-perp")
-                coords = {}
-                for pair, x in entries.items():
-                    if pair in columns:
-                        i, c = columns[pair]
-                        coords[i] = x // c  # exact: x is a multiple of den
-                out.append(coords)
+            for v, w in units:
+                col = {index[r, w]: x for r, x in by_col.get(v, ())}
+                col.update((index[v, c], -x) for c, x in by_row.get(w, ()))
+                out.append(col)
             return out
         return action
 
-    den = lcm(1, *(c for columns in free.values() for _, c in columns.values()))
-    return _complex(marking, g, basis, image, den)
+    return _complex(marking, roots, basis, image)
+
+
+def gperp_summands(marking, lam, bound=DEFAULT_ORACLE_BOUND):
+    """The complexes of gl(U) = g + g-perp + C, U = V_lam, that the oracle reads.
+
+    gl_complex first, then one module_complex per simple factor, of its
+    adjoint weight, then C.  The bound limits dim U alone, so g's complexes
+    lift it: an adjoint can exceed it when U does not.  g_- acts on C by
+    zero, so C's complex has one slice and no action block.
+    """
+    rs = marking.rs
+    gl = gl_complex(marking, lam, bound)
+    g = [module_complex(marking, rs.adjoint_weight(s), bound=None)
+         for s in range(len(rs.factors))]
+    return [gl, *g, GradedComplex({(0,) * rs.rank: 1}, gl.depths, {}, gl.brackets, marking)]
+
+
+def gperp_weights(marking, lam, bound=DEFAULT_ORACLE_BOUND):
+    """H^0 and H^1 of g-perp as {(degree, weight): dim}, U = V_lam.
+
+    gl(U) = g + g-perp + C as g-modules, and the complex is additive in its
+    module, so in every degree and weight H^k(g-perp) is H^k(gl U) minus
+    H^k(g) and H^k(C) (gperp_summands).  A negative difference raises.
+    """
+    gl, *parts = gperp_summands(marking, lam, bound)
+    out = graded_weights(gl)
+    for cx in parts:
+        for k, (total, part) in enumerate(zip(out, graded_weights(cx))):
+            for key, dim in part.items():
+                left = total.get(key, 0) - dim
+                if left < 0:
+                    raise InternalCheckError(
+                        f"negative H^{k} of g-perp in degree {key[0]}, weight {key[1]}: "
+                        f"{dim} of g or C against {total.get(key, 0)} left of gl(U)")
+                total[key] = left
+    return tuple({key: dim for key, dim in total.items() if dim} for total in out)
 
 
 def gperp_direct_h1(marking, lam, bound=DEFAULT_ORACLE_BOUND):
     """Oracle: per-degree H^1(g_-, g-perp) dims straight from matrices."""
-    return graded_h1(gperp_complex(marking, lam, bound))
+    return _by_degree(gperp_weights(marking, lam, bound)[1])
 
 
 # ---------- report ----------
@@ -692,7 +681,7 @@ def h1_report(marking, lam, p, oracle=False, bound=DEFAULT_ORACLE_BOUND):
                 f"oracle skipped: dim U = {dim_u} exceeds bound {bound}; "
                 "the combinatorial path alone decides")
         else:
-            check_oracle(gperp_complex(marking, lam, bound),
+            check_oracle(marking, gperp_weights(marking, lam, bound)[1],
                          [(mult, piece) for _, mult, piece in pieces])
             report.oracle_ran = True
             report.oracle_note = ("direct matrix computation agreed with the "

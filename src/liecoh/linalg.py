@@ -4,7 +4,7 @@ A matrix is a list of rows.  A row is either a {col: x} map of its nonzero
 entries or a dense list; entries are ints or fractions.  Every result is
 made of ints: pivots, ranks, and rows and kernel vectors as {col: int}
 maps.  A caller that needs a rational vector divides by the entry it
-normalizes, as tableau.prolong does.  integer_rows is the package's single
+normalizes, as tableau.prolong does.  _integer_rows is the package's single
 scaling step: it scales each row to integers by the lcm of its denominators
 (a row of ints is only copied), divides it by the gcd of its entries and
 keeps only the nonzeros.  Scaling a row changes neither the rank,
@@ -52,7 +52,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
-def integer_rows(rows):
+def _integer_rows(rows):
     """Each nonzero row as a primitive {col: int} map of its nonzeros.
 
     A row is scaled by the lcm of its denominators (a row of ints is copied
@@ -179,7 +179,7 @@ def echelon_rows(rows):
     column and at every other row's pivot, its pivot entry is positive and
     its entries have gcd 1; any two bases of one span give identical rows.
     """
-    return [row for _, row in _reduced(integer_rows(rows))]
+    return [row for _, row in _reduced(_integer_rows(rows))]
 
 
 def pivot_columns(rows):
@@ -192,7 +192,7 @@ def pivot_columns(rows):
     division: the scale of a row changes no pivot, and _echelon divides a
     pivot row by its gcd before it clears others.  (A sum of
     ints is an int; a sum with a fraction in it is a fraction.)  Empty maps
-    are dropped, and any other row goes through integer_rows.
+    are dropped, and any other row goes through _integer_rows.
     """
     ints = []
     for row in rows:
@@ -200,7 +200,7 @@ def pivot_columns(rows):
             if row:
                 ints.append(dict(row))
         else:
-            ints += integer_rows([row])
+            ints += _integer_rows([row])
     return [c for c, _ in _echelon(ints)]
 
 
@@ -220,7 +220,7 @@ def integer_kernel(rows, ncols):
     its entry at f is the unique kernel vector with 1 at f and 0 at the
     other free columns.
     """
-    reduced = _reduced(integer_rows(rows))
+    reduced = _reduced(_integer_rows(rows))
     pivots = {c for c, _ in reduced}
     # a reduced row p x_c + sum_f row[f] x_f = 0 gives x_c = -row[f] / p at
     # x_f = 1; vector f is scaled by the lcm of the denominators of these x_c

@@ -277,61 +277,51 @@ def construct_rep(rs, lam, bound=DEFAULT_ORACLE_BOUND):
     return RepMatrices(rs, lam, dim, weight_of, E, F, H)
 
 
-def bracket_with(A):
-    """B -> [A, B] = AB - BA, for matrices stored as {(row, col): x} maps of nonzeros.
+def commutator(A, B):
+    """[A, B] = AB - BA, for matrices stored as {(row, col): x} maps of nonzeros.
 
-    A is indexed by row and by column once, so each B costs one pass over
-    its entries.  The result is stored the same way: entries that cancel are
-    dropped.
+    A is indexed by row and by column once, so the product costs one pass
+    over the entries of B.  The result is stored the same way: entries that
+    cancel are dropped.
     """
     rows, cols = {}, {}
     for (r, c), x in A.items():
         rows.setdefault(r, []).append((c, x))
         cols.setdefault(c, []).append((r, x))
-
-    def bracket(B):
-        C = {}
-        for (i, j), y in B.items():
-            for r, x in cols.get(i, ()):  # A[r][i] B[i][j]
-                C[(r, j)] = C.get((r, j), 0) + x * y
-            for c, x in rows.get(j, ()):  # B[i][j] A[j][c]
-                C[(i, c)] = C.get((i, c), 0) - y * x
-        return {k: x for k, x in C.items() if x}
-    return bracket
-
-
-def commutator(A, B):
-    """[A, B] = AB - BA, as bracket_with(A) applied to B."""
-    return bracket_with(A)(B)
+    C = {}
+    for (i, j), y in B.items():
+        for r, x in cols.get(i, ()):  # A[r][i] B[i][j]
+            C[(r, j)] = C.get((r, j), 0) + x * y
+        for c, x in rows.get(j, ()):  # B[i][j] A[j][c]
+            C[(i, c)] = C.get((i, c), 0) - y * x
+    return {k: x for k, x in C.items() if x}
 
 
 def root_vector_matrices(rep):
-    """Matrices for one chosen root vector per root, via iterated brackets.
+    """One lowering root vector f_alpha per positive root, via iterated brackets.
 
     For a non-simple positive root alpha = beta + alpha_i (the decomposition
-    recorded during root enumeration) the vectors are e_alpha = [e_i, e_beta]
-    and f_alpha = [f_i, f_beta].  The same recipe must be used wherever
-    structure constants are needed, so bases stay consistent across modules.
+    recorded during root enumeration) the vector is f_alpha = [f_i, f_beta].
+    The same recipe must be used wherever structure constants are needed, so
+    bases stay consistent across modules.  Returns {root coords: f_alpha}.
     """
     rs = rep.rs
-    emat = {}
     fmat = {}
-    for idx, r in enumerate(rs.positive_roots):
+    for r in rs.positive_roots:
         if r.parent is None:
-            i = r.coords.index(1)
-            emat[r.coords] = rep.e[i]
-            fmat[r.coords] = rep.f[i]
+            fmat[r.coords] = rep.f[r.coords.index(1)]
         else:
             pidx, i = r.parent
-            beta = rs.positive_roots[pidx].coords
-            emat[r.coords] = commutator(rep.e[i], emat[beta])
-            fmat[r.coords] = commutator(rep.f[i], fmat[beta])
-    return emat, fmat
+            fmat[r.coords] = commutator(rep.f[i], fmat[rs.positive_roots[pidx].coords])
+    return fmat
 
 
 @lru_cache(maxsize=None)
-def _companion_factor_rep(family, rank):
-    """Smallest faithful module of a simple factor, for structure constants."""
+def _companion_root_vectors(family, rank):
+    """root_vector_matrices of the smallest faithful module of a simple factor.
+
+    structure_constants reads its brackets; the matrices are never written.
+    """
     rs = build([(family, rank)])
     if family == "E":
         node = {6: 0, 7: 6, 8: 7}[rank]
@@ -340,7 +330,7 @@ def _companion_factor_rep(family, rank):
     else:
         node = 0
     lam = tuple(1 if i == node else 0 for i in range(rank))
-    return construct_rep(rs, lam, bound=None)
+    return root_vector_matrices(construct_rep(rs, lam, bound=None))
 
 
 def structure_constants(rs, root_list):
@@ -355,8 +345,7 @@ def structure_constants(rs, root_list):
     factor_of = {r.coords: r.factor for r in rs.positive_roots}
     companion_f = {}
     for s, fac in enumerate(rs.factors):
-        rep = _companion_factor_rep(fac.family, fac.rank)
-        _, fm = root_vector_matrices(rep)
+        fm = _companion_root_vectors(fac.family, fac.rank)
         off = rs.offsets[s]
         n = fac.rank
         for coords, M in fm.items():

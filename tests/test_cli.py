@@ -287,7 +287,7 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path, monkeypatch):
 
 
 def test_internal_check_error_exits_1(capsys, monkeypatch):
-    def broken(cx, pieces):
+    def broken(marking, h1, pieces):
         raise InternalCheckError("oracle disagrees")
     monkeypatch.setattr(cohomology, "check_oracle", broken)
     code, out, err = run(capsys, "cohomology", "--type", "A1", "--marked", "1",

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from liecoh import cohomology, linalg
 from liecoh.cohomology import (GradedComplex, H1Piece, InternalCheckError,
-                               direct_h1, gperp_complex, gperp_direct_h1,
-                               graded_h1, h1_report, kostant_h1,
-                               levi_weyl_dim, module_complex, negative_roots)
+                               direct_h1, gl_complex, gperp_direct_h1,
+                               gperp_summands, gperp_weights, graded_h1,
+                               h1_report, kostant_h1, levi_weyl_dim,
+                               module_complex, negative_roots)
 from liecoh.grading import ParabolicMarking
 from liecoh.repthy import (DEFAULT_ORACLE_BOUND, IrrComponent,
                            structure_constants, weight_multiplicities)
@@ -218,9 +219,11 @@ def test_gperp_oracle_segre():
 
 
 def test_gperp_complex_dimension_bookkeeping():
-    rs = parse_type("A1")
-    cx = gperp_complex(ParabolicMarking(rs, {1}), (2,))
-    assert sum(cx.slices.values()) == 9 - 1 - 3
+    # the g-perp oracle's complexes: gl(U), then g one simple factor at a
+    # time, then C, of dimensions n^2, dim g and 1
+    for name, lam, dims in [("A1", (2,), [9, 3, 1]), ("A1,A1", (1, 1), [16, 3, 3, 1])]:
+        marking = ParabolicMarking(parse_type(name), {i + 1 for i, x in enumerate(lam) if x})
+        assert [sum(cx.slices.values()) for cx in gperp_summands(marking, lam)] == dims
 
 
 def test_h1_report_verdicts():
@@ -234,6 +237,17 @@ def test_h1_report_verdicts():
     rep = h1_report(marking, (2,), 2, oracle=True)
     assert rep.verdict == "RIGID"
     assert rep.oracle_ran
+
+
+def test_oracle_on_a_module_whose_gperp_is_zero():
+    # A5 V(w1): gl(U) = sl6 + C, so g-perp = 0.  dim U = 6 is within the
+    # default bound but the adjoint, dim 35, is not: g's complex must lift it
+    marking = ParabolicMarking(parse_type("A5"), {1})
+    lam = (1, 0, 0, 0, 0)
+    assert parse_type("A5").weyl_dim((1, 0, 0, 0, 1)) > DEFAULT_ORACLE_BOUND
+    assert gperp_weights(marking, lam) == ({}, {})
+    rep = h1_report(marking, lam, -1, oracle=True)
+    assert rep.oracle_ran and rep.aggregate == {} and rep.verdict == "RIGID"
 
 
 def test_h1_report_oracle_skip_note():
@@ -369,13 +383,14 @@ def test_oracle_blocks_are_eliminated_sparsest_column_first(monkeypatch):
 
 
 def test_gperp_complex_is_graded_by_degree_and_weight():
-    # graded by weight, and every slice of g-perp has an integral Z-degree
+    # every complex of the g-perp oracle is graded by weight, and every
+    # slice of gl(U), of g and of C has an integral Z-degree
     rs = parse_type("A2")
     marking = ParabolicMarking(rs, {1, 2})
-    cx = gperp_complex(marking, (1, 1))
-    assert all(marking.z(weight).denominator == 1 for weight in cx.slices)
-    assert cx.depths == [(-1, 2), (2, -1), (1, 1)]
-    _check_blocks(cx)
+    for cx in gperp_summands(marking, (1, 1)):
+        assert all(marking.z(weight).denominator == 1 for weight in cx.slices)
+        assert cx.depths == [(-1, 2), (2, -1), (1, 1)]
+        _check_blocks(cx)
 
 
 def test_bench_cochain_dim_reads_the_complex(monkeypatch):
@@ -399,20 +414,22 @@ MUTATED = [("A2", (1, 1)), ("C2", (1, 1))]
 
 
 def test_broken_gperp_complex_is_rejected():
+    # the complexes of gl(U) and of g; C's has d0 = 0, so no bracket can
+    # break d1 . d0 = 0 there
     for name, lam in MUTATED:
-        cx = gperp_complex(ParabolicMarking(parse_type(name), {1, 2}), lam)
-        (a, b), = [k for k in cx.brackets if cx.brackets[k]][:1]
-        c, coeff = next(iter(cx.brackets[(a, b)].items()))
-        cx.brackets[(a, b)][c] = coeff + 1
-        # the message names the Z-degree and the torus weight separately
-        with pytest.raises(InternalCheckError,
-                           match=r"d1 \. d0 != 0 in degree -?\d+, weight \(-?\d+, -?\d+\)"):
-            graded_h1(cx)
+        for cx in gperp_summands(ParabolicMarking(parse_type(name), {1, 2}), lam)[:-1]:
+            (a, b), = [k for k in cx.brackets if cx.brackets[k]][:1]
+            c, coeff = next(iter(cx.brackets[(a, b)].items()))
+            cx.brackets[(a, b)][c] = coeff + 1
+            # the message names the Z-degree and the torus weight separately
+            with pytest.raises(InternalCheckError,
+                               match=r"d1 \. d0 != 0 in degree -?\d+, weight \(-?\d+, -?\d+\)"):
+                graded_h1(cx)
 
 
 def test_wrong_grade_bracket_names_degree_and_weight():
     rs = parse_type("A2")
-    cx = gperp_complex(ParabolicMarking(rs, {1, 2}), (1, 1))
+    cx = gl_complex(ParabolicMarking(rs, {1, 2}), (1, 1))
     # [x_0, x_1] = x_2 is right; x_0 in its place has the wrong weight
     assert cx.brackets[(0, 1)]
     cx.brackets[(0, 1)] = {0: 1}
@@ -425,43 +442,30 @@ def test_root_vector_of_wrong_weight_is_rejected(monkeypatch):
     real = cohomology.root_vector_matrices
 
     def broken(rep):
-        emat, fmat = real(rep)
+        fmat = real(rep)
         f = fmat[(1, 0)]
         f[(0, 0)] = f.get((0, 0), 0) + 1  # a diagonal entry has weight 0, not -alpha_1
-        return emat, fmat
+        return fmat
 
     monkeypatch.setattr(cohomology, "root_vector_matrices", broken)
-    for build in (gperp_complex, module_complex):
+    for build in (gl_complex, module_complex):
         with pytest.raises(InternalCheckError, match="left the graded range"):
             build(ParabolicMarking(parse_type("A2"), {1, 2}), (1, 1))
 
 
-def test_action_leaving_gperp_is_rejected(monkeypatch):
-    real_bracket_with = cohomology.repthy.bracket_with
-    real_complex = cohomology._complex
+def test_negative_gperp_difference_is_rejected(monkeypatch):
+    # C subtracted twice: g-perp has no H^0 of weight 0, and gl(U) only Id's
+    real = cohomology.gperp_summands
 
-    def broken(A):
-        bracket = real_bracket_with(A)
+    def twice_c(marking, lam, bound):
+        summands = real(marking, lam, bound)
+        return summands + summands[-1:]
 
-        def doubled(B):
-            # double one entry of [f, B]: still in the right weight slice, but
-            # no longer trace-orthogonal to g
-            C = bracket(B)
-            if len(C) > 1:
-                C[min(C)] *= 2
-            return C
-        return doubled
-
+    monkeypatch.setattr(cohomology, "gperp_summands", twice_c)
     for name, lam in MUTATED:
-        with monkeypatch.context() as patch:
-            def complex_with_broken_action(*args):
-                # g and the g-perp basis are built by now; only the action is broken
-                patch.setattr(cohomology.repthy, "bracket_with", broken)
-                return real_complex(*args)
-
-            patch.setattr(cohomology, "_complex", complex_with_broken_action)
-            with pytest.raises(InternalCheckError, match="left g-perp"):
-                gperp_complex(ParabolicMarking(parse_type(name), {1, 2}), lam)
+        with pytest.raises(InternalCheckError,
+                           match=r"negative H\^0 of g-perp in degree 0, weight \(0, 0\)"):
+            gperp_weights(ParabolicMarking(parse_type(name), {1, 2}), lam)
 
 
 def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
@@ -484,22 +488,21 @@ def test_d1_is_ranked_only_off_the_pivots_of_d0(monkeypatch):
 
 
 def test_oracle_converts_no_integers_twice(monkeypatch):
-    # a work guard on C2 V(1,1) marked {1, 2}: the g-perp slices are read off
-    # as integer vectors (linalg makes no Fraction, test_linalg's scan), and
-    # the d0 and d1 rows, maps of ints already, reach the elimination without
-    # a pass through integer_rows
-    marking = ParabolicMarking(parse_type("C2"), {1, 2})
-    cx = gperp_complex(marking, (1, 1))
+    # a work guard on C2 V(1,1) marked {1, 2}: the d0 and d1 rows of every
+    # complex the g-perp oracle ranks, maps of ints already, reach the
+    # elimination without a pass through _integer_rows
+    summands = gperp_summands(ParabolicMarking(parse_type("C2"), {1, 2}), (1, 1))
     scaled = []
-    real = linalg.integer_rows
+    real = linalg._integer_rows
 
     def counted(rows):
         rows = list(rows)
         scaled.extend(rows)
         return real(rows)
-    monkeypatch.setattr(linalg, "integer_rows", counted)
-    h0, h1 = cohomology.graded_weights(cx)
-    assert h1 and not scaled
+    monkeypatch.setattr(linalg, "_integer_rows", counted)
+    for cx in summands:
+        cohomology.graded_weights(cx)
+    assert cohomology.graded_weights(summands[0])[1] and not scaled
 
 
 def _scale_of(marking, cx):
@@ -521,7 +524,7 @@ def _all_ints(cx):
             and all(type(x) is int for terms in cx.brackets.values() for x in terms.values()))
 
 
-@pytest.mark.parametrize("build,name,lam", [(gperp_complex, "C2", (1, 1)),
+@pytest.mark.parametrize("build,name,lam", [(gl_complex, "C2", (1, 1)),
                                             (module_complex, "A2", (2, 1))])
 def test_oracle_complex_is_integral_and_scale_invariant(build, name, lam):
     rs = parse_type(name)
@@ -696,7 +699,7 @@ def test_borel_marking_builds_every_block(monkeypatch):
     built = []
     real = cohomology._complex
 
-    def recording(marking, g, basis, image, den):
+    def recording(marking, roots, basis, image):
         def recorded_image(f):
             action = image(f)
 
@@ -705,7 +708,7 @@ def test_borel_marking_builds_every_block(monkeypatch):
                 built.append(any(block))
                 return block
             return recorded
-        return real(marking, g, basis, recorded_image, den)
+        return real(marking, roots, basis, recorded_image)
     monkeypatch.setattr(cohomology, "_complex", recording)
     rs = parse_type("A2")
     cx = module_complex(ParabolicMarking(rs, {1, 2}), (1, 1))
@@ -737,8 +740,7 @@ def test_oracle_pieces_equal_kostant_as_stored(name, marked, lam):
     rs = parse_type(name)
     marking = ParabolicMarking(rs, marked)
     kostant = _kostant_pieces(h1_report(marking, lam, -1))
-    cx = gperp_complex(marking, lam)
-    _, h1 = cohomology.graded_weights(cx)
+    _, h1 = gperp_weights(marking, lam)
     folded = cohomology.levi_pieces(marking, h1)
     assert folded == kostant
     # the g_0-dual of every piece is a different multiset, so this pins the
@@ -787,17 +789,18 @@ def test_wrong_kostant_piece_is_rejected(flags):
 def test_gperp_faithfulness_check_fires():
     # the second A1 acts trivially on V(1) x V(0), so g is not represented
     with pytest.raises(InternalCheckError, match="not faithful"):
-        gperp_complex(ParabolicMarking(parse_type("A1,A1"), {1}), (1, 0))
+        gperp_weights(ParabolicMarking(parse_type("A1,A1"), {1}), (1, 0))
 
 
-def test_gperp_trace_row_premise_is_checked(monkeypatch):
+def test_dependent_cartan_matrices_are_not_faithful(monkeypatch):
+    # every f_alpha is nonzero, but h_2 = h_1 on U: the h_i must be independent
     real = cohomology.construct_rep
 
-    def traced(rs, lam, bound):
+    def collapsed(rs, lam, bound):
         rep = real(rs, lam, bound)
-        rep.h[0][(0, 0)] = rep.h[0].get((0, 0), 0) + 1  # weight 0, but not traceless
+        rep.h[1] = dict(rep.h[0])
         return rep
 
-    monkeypatch.setattr(cohomology, "construct_rep", traced)
-    with pytest.raises(InternalCheckError, match="bookkeeping"):
-        gperp_complex(ParabolicMarking(parse_type("A2"), {1, 2}), (1, 1))
+    monkeypatch.setattr(cohomology, "construct_rep", collapsed)
+    with pytest.raises(InternalCheckError, match="not faithful"):
+        gl_complex(ParabolicMarking(parse_type("A2"), {1, 2}), (1, 1))

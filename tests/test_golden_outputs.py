@@ -10,8 +10,8 @@ and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P
 of the stabilizer tableaux of two seeded dense second fundamental forms, of the
 explicit matrices `construct_rep` builds on modules with a weight space of
 dimension > 1, of the weight systems (in their order and as sets) and root
-data the Kostant route walks, of their inverse Cartan matrices and invariant forms, of the H^0 and H^1 that graded_weights returns grade by grade on
-the oracle complexes of the benchmark ladder and the fixtures, and of the stdout
+data the Kostant route walks, of their inverse Cartan matrices and invariant forms, of the H^0 and H^1 that the g-perp oracle (gperp_weights) returns grade by grade on
+the benchmark ladder and the fixtures, and of the stdout
 of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
 must update the hashes here and say why.
@@ -29,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from liecoh.cli import main
-from liecoh.cohomology import graded_weights, gperp_complex, module_complex
+from liecoh.cohomology import graded_weights, gperp_weights, module_complex
 from liecoh.grading import ParabolicMarking
 from liecoh.repthy import construct_rep, weight_multiplicities
 from liecoh.rootsys import parse_type
@@ -219,9 +219,9 @@ ROOT_FORM_SHA256 = {
     "A2,G2": "d52c48f69a04847892b3999d86d0c34b11376b20e772d6ddf99893e0a04dc543",
 }
 
-# repr((sorted(h0.items()), sorted(h1.items()))) of graded_weights on
-# gperp_complex(type, marked, lam): the oracle ladder of the benchmark, then
-# every fixture that runs the oracle; "module" is module_complex, gamma = (3, 0)
+# repr((sorted(h0.items()), sorted(h1.items()))) of gperp_weights(type,
+# marked, lam): the oracle ladder of the benchmark, then every fixture that
+# runs the oracle; "module" is graded_weights on module_complex, gamma = (3, 0)
 GRADED_WEIGHTS_SHA256 = {
     ("G2", (1,), (1, 0)): "27552e2aeda6bf12266f152d534ce7ea1fdd1cf9fcc2b37d8d3e56d656158e82",
     ("B3", (3,), (0, 0, 1)):
@@ -360,10 +360,10 @@ def test_root_form(name):
                          ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x)))
 def test_graded_weights(name, marked, lam):
     if name == "module":
-        cx = module_complex(ParabolicMarking(parse_type("A2"), set(marked)), lam)
+        h0, h1 = graded_weights(module_complex(ParabolicMarking(parse_type("A2"), set(marked)),
+                                               lam))
     else:
-        cx = gperp_complex(ParabolicMarking(parse_type(name), set(marked)), lam)
-    h0, h1 = graded_weights(cx)
+        h0, h1 = gperp_weights(ParabolicMarking(parse_type(name), set(marked)), lam)
     text = repr((sorted(h0.items()), sorted(h1.items())))
     assert sha256(text.encode()) == GRADED_WEIGHTS_SHA256[name, marked, lam]
 

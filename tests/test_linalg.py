@@ -416,7 +416,7 @@ def test_integer_kernel_is_the_primitive_kernel_basis(matrix, form, data):
     given_rows = in_form(rows, ncols, form, data)
     got = [list(v.items()) for v in linalg.integer_kernel(given_rows, ncols)]
     # key order included
-    assert got == [list(v.items()) for v in linalg.integer_rows(dense_kernel_basis(rows, ncols))]
+    assert got == [list(v.items()) for v in linalg._integer_rows(dense_kernel_basis(rows, ncols))]
 
 
 def test_integer_kernel_of_small_matrices():

@@ -165,16 +165,19 @@ def test_standard_rep_is_elementary():
         assert list(rep.e[i].values()) == [1]
 
 
-def test_root_vectors_span_g():
+def test_root_vectors_span_the_lower_borel():
+    # one f_alpha per positive root, independent of each other and of the
+    # h_i: together they span b_-, of dimension (dim g + rank) / 2
     for name in ["A2", "C2", "G2", "B3"]:
         rs = parse_type(name)
         rep = construct_rep(rs, {"A2": (1, 0), "C2": (1, 0), "G2": (1, 0),
                                  "B3": (1, 0, 0)}[name], bound=None)
-        emat, fmat = root_vector_matrices(rep)
+        fmat = root_vector_matrices(rep)
+        assert sorted(fmat) == sorted(r.coords for r in rs.positive_roots)
         n = rep.dimension
         flat = [[M.get((r, c), 0) for r in range(n) for c in range(n)]
-                for M in list(emat.values()) + list(fmat.values()) + rep.h]
-        assert linalg.rank(flat) == rs.dim_g()
+                for M in list(fmat.values()) + rep.h]
+        assert linalg.rank(flat) == (rs.dim_g() + rs.rank) // 2
 
 
 def test_structure_constants_consistency():
@@ -184,7 +187,7 @@ def test_structure_constants_consistency():
     roots = [r.coords for r in rs.positive_roots]
     table = structure_constants(rs, roots)
     rep = construct_rep(rs, (0, 1), bound=None)  # adjoint, 14-dim
-    _, fmat = root_vector_matrices(rep)
+    fmat = root_vector_matrices(rep)
     index = {r: k for k, r in enumerate(roots)}
     for (a, b), expansion in table.items():
         got = commutator(fmat[roots[a]], fmat[roots[b]])
