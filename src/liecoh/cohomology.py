@@ -431,13 +431,14 @@ def _root_vectors(rep):
     rs, wts = rep.rs, rep.basis_weights
     out = {}
     for coords, f in root_vector_matrices(rep).items():
-        mu = tuple(-x for x in rs.root_weights[coords])
+        alpha = rs.root_weights[coords]
+        mu = tuple(-x for x in alpha)
         for r, c in f:
             if _difference(wts[r], wts[c]) != mu:
                 raise InternalCheckError(
                     f"the element of g of weight {mu} has an entry of weight "
                     f"{_difference(wts[r], wts[c])}: the g action left the graded range")
-        out[rs.root_weights[coords]] = f
+        out[alpha] = f
     return out
 
 
