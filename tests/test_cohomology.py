@@ -454,7 +454,8 @@ def test_root_vector_of_wrong_weight_is_rejected(monkeypatch):
 
 
 def test_negative_gperp_difference_is_rejected(monkeypatch):
-    # C subtracted twice: g-perp has no H^0 of weight 0, and gl(U) only Id's
+    # C subtracted twice: gl(U)'s H^0 of weight 0 is the line of Id alone, so
+    # the second C leaves it at -1
     real = cohomology.gperp_summands
 
     def twice_c(marking, lam, bound):
