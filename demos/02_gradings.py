@@ -38,5 +38,4 @@ print("\nthe grading element of G2/P2 evaluated on the simple roots:")
 rs = parse_type("G2")
 z = ParabolicMarking(rs, {2}).z
 for j in range(2):
-    alpha = rs.fund_coords_of_root(tuple(int(k == j) for k in range(2)))
-    print(f"  Z(alpha_{j + 1}) = {z(alpha)}")
+    print(f"  Z(alpha_{j + 1}) = {z(rs.simple_root_weights[j])}")

@@ -7,8 +7,8 @@ assembles the actual differentials as exact matrices.  They must agree
 degree by degree, and do.
 """
 
-from liecoh import (IrrComponent, ParabolicMarking, direct_h1,
-                    gperp_decompose, gperp_direct_h1, kostant_h1, parse_type)
+from liecoh import (ParabolicMarking, by_degree, gperp_decompose, gperp_weights,
+                    graded_weights, kostant_h1, module_complex, parse_type)
 
 rs = parse_type("A2")
 marking = ParabolicMarking(rs, {1, 2})
@@ -25,11 +25,11 @@ for comp in gperp_decompose(rs, lam):
     combi = {}
     for piece in pieces:
         combi[piece.degree] = combi.get(piece.degree, 0) + piece.dimension
-    oracle = direct_h1(marking, comp.highest_weight)
+    oracle = by_degree(graded_weights(module_complex(marking, comp.highest_weight))[1])
     tag = "ok" if combi == oracle else "MISMATCH"
     print(f"  V_{list(comp.highest_weight)}: {combi}  oracle {oracle}  [{tag}]")
 
 print("\nwhole g-perp at once, straight from matrices inside sl(8):")
-print(" ", gperp_direct_h1(marking, lam))
+print(" ", by_degree(gperp_weights(marking, lam)[1]))
 print("the degree-1 classes stop the H^1 criterion from certifying order two;")
 print("whether F(1,2;3) in P^7 is rigid at order two is open.")

@@ -9,8 +9,9 @@ computations are over exact rationals; nothing here ever rounds.
 """
 
 from .cohomology import (CohomologyReport, GradedComplex, H1Piece,
-                         InternalCheckError, direct_h1, gperp_direct_h1,
-                         graded_h1, h1_report, kostant_h1, levi_weyl_dim)
+                         InternalCheckError, by_degree, gperp_weights,
+                         graded_weights, h1_report, kostant_h1, levi_weyl_dim,
+                         module_complex)
 from .driver import (RigidityVerdict, ScenarioSpec, adjoint_scenario,
                      run_scenario, scenario_from_json, scenario_to_json,
                      verdict_to_json)

@@ -9,7 +9,7 @@ Two independent routes:
     is -Z(sigma_i . mu*).  This convention was arbitrated against the
     matrix oracle below and must stay in exact agreement with it.
 
-  * graded_weights (graded_h1 sums it by degree) assembles the
+  * graded_weights (by_degree sums it by degree) assembles the
     differentials grade by grade from explicit action matrices and bracket
     constants and takes exact ranks.  It checks d1 . d0 = 0 in every block
     it builds and aborts if that fails.  A grade is a torus weight, and its
@@ -363,16 +363,12 @@ def graded_weights(cx):
     return h0, h1
 
 
-def _by_degree(dims):
+def by_degree(dims):
+    """{(degree, weight): dim}, as graded_weights returns it, summed by degree."""
     out = {}
     for (deg, _), k in dims.items():
         out[deg] = out.get(deg, 0) + k
     return dict(sorted(out.items()))
-
-
-def graded_h1(cx):
-    """Per-degree dims of H^1 from a GradedComplex."""
-    return _by_degree(graded_weights(cx)[1])
 
 
 def levi_pieces(marking, weights):
@@ -382,11 +378,11 @@ def levi_pieces(marking, weights):
     each degree is rs.fold over the unmarked nodes.  Returns {(degree, g_0
     highest weight): multiplicity}, sorted.
     """
-    by_degree = {}
+    per_degree = {}
     for (deg, mu), k in weights.items():
-        by_degree.setdefault(deg, []).append((mu, k))
-    return {(deg, hw): k for deg in sorted(by_degree)
-            for hw, k in marking.rs.fold(by_degree[deg], marking.unmarked).items()}
+        per_degree.setdefault(deg, []).append((mu, k))
+    return {(deg, hw): k for deg in sorted(per_degree)
+            for hw, k in marking.rs.fold(per_degree[deg], marking.unmarked).items()}
 
 
 def check_oracle(marking, h1, pieces):
@@ -397,7 +393,7 @@ def check_oracle(marking, h1, pieces):
     dimensions and the g_0 pieces (levi_pieces) must both equal Kostant's,
     each piece's levi_highest_weight taken as stored; a mismatch raises.
     """
-    got = _by_degree(h1)
+    got = by_degree(h1)
     expected = {}
     kostant = {}
     for mult, piece in pieces:
@@ -510,11 +506,6 @@ def module_complex(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
     return _complex(marking, _root_vectors(rep), basis, image)
 
 
-def direct_h1(marking, gamma_weight, bound=DEFAULT_ORACLE_BOUND):
-    """Per-degree H^1 dims for an abstract irreducible module, by matrix ranks."""
-    return graded_h1(module_complex(marking, gamma_weight, bound))
-
-
 def gl_complex(marking, lam, bound=DEFAULT_ORACLE_BOUND):
     """GradedComplex for Gamma = gl(U), U = V_lam, on the matrix units.
 
@@ -594,11 +585,6 @@ def gperp_weights(marking, lam, bound=DEFAULT_ORACLE_BOUND):
                         f"{dim} of g or C against {total.get(key, 0)} left of gl(U)")
                 total[key] = left
     return tuple({key: dim for key, dim in total.items() if dim} for total in out)
-
-
-def gperp_direct_h1(marking, lam, bound=DEFAULT_ORACLE_BOUND):
-    """Oracle: per-degree H^1(g_-, g-perp) dims straight from matrices."""
-    return _by_degree(gperp_weights(marking, lam, bound)[1])
 
 
 # ---------- report ----------

@@ -42,9 +42,6 @@ class ScenarioSpec:
         object.__setattr__(self, "highest_weight", tuple(
             _integer(c, "a weight coordinate") for c in self.highest_weight))
 
-    def root_system(self):
-        return build(self.algebra)
-
 
 @dataclass
 class RigidityVerdict:
@@ -56,7 +53,7 @@ class RigidityVerdict:
 
 
 def run_scenario(spec, bound=DEFAULT_ORACLE_BOUND):
-    report = h1_report(ParabolicMarking(spec.root_system(), spec.marked),
+    report = h1_report(ParabolicMarking(build(spec.algebra), spec.marked),
                        spec.highest_weight, spec.p, oracle=spec.oracle, bound=bound)
     return RigidityVerdict(
         verdict=report.verdict,

@@ -24,10 +24,6 @@ is refused with a ValueError.
 
 The root data is built on integers alone, once per RootSystem, and checked
 when it is built:
-  * coroots[k] holds the coroot of the k-th positive root alpha in
-    simple-coroot coordinates, k_j = 2 c_j d_j / (alpha, alpha) for
-    alpha = sum c_j alpha_j, so <lam, alpha^vee> = sum_j lam_j k_j for a
-    weight lam in fundamental coordinates.
   * form / form_den is the normalized invariant form on fundamental
     coordinates: (w1, w2) = sum_ij w1_i form[i][j] w2_j / form_den.
   * half_norms[i] = form_den (alpha_i, alpha_i) / 2, so form_den (w, alpha)
@@ -196,7 +192,6 @@ class RootSystem:
         self.rho = tuple([1] * self.rank)
         self.highest_root_per_factor = [self._highest_root(s)
                                         for s in range(len(self.factors))]
-        self.coroots = [self._coroot(r.coords) for r in self.positive_roots]
         self._build_form()
         self._weight_systems = {}  # lam -> read-only weight system, see repthy.weight_system
         self._weyl_dims = {}  # dominant weight -> its Weyl dimension, see weyl_dim
@@ -269,19 +264,6 @@ class RootSystem:
                 raise InternalCheckError(f"highest root does not dominate {c}")
         return roots[-1]
 
-    def _coroot(self, root_coords):
-        """Simple-coroot coordinates k_j = 2 c_j d_j / (alpha, alpha) of alpha^vee.
-
-        (alpha, alpha) = sum_i c_i d_i <alpha_i^vee, alpha> up to the factor's
-        scale, which cancels; the k_j must be integers.
-        """
-        norm2 = sum(map(mul, root_coords,
-                        map(mul, self.d, self.root_weights[root_coords])))
-        k = [2 * c * d for c, d in zip(root_coords, self.d)]
-        if any(x % norm2 for x in k):
-            raise InternalCheckError(f"coroot of {root_coords} is not integral")
-        return tuple(x // norm2 for x in k)
-
     def _build_form(self):
         """form / form_den: (omega_i, omega_j) = (C^-1)_ji d_j / d_long(j), reduced.
 
@@ -318,11 +300,6 @@ class RootSystem:
             if i >= self.offsets[s]:
                 return s
         raise IndexError(i)
-
-    def fund_coords_of_root(self, root_coords):
-        """Fundamental coordinates of a root given in simple-root coordinates."""
-        return tuple(sum(self.cartan[i][j] * root_coords[j] for j in range(self.rank))
-                     for i in range(self.rank))
 
     # ---------- pairings ----------
 

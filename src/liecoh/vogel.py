@@ -16,7 +16,6 @@ class DegenerateParameters(ValueError):
     """A denominator factor vanishes at the requested parameter point."""
 
     def __init__(self, factor_name):
-        self.factor_name = factor_name
         super().__init__(f"denominator factor {factor_name} vanishes")
 
 

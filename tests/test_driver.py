@@ -90,7 +90,7 @@ def test_a_scenario_builds_its_grading_element_once(monkeypatch):
     assert len(run_scenario(s).report.gperp) > 1
     assert len(built) == 1
     # the Levi roots are listed on the marking, not kept on the root system
-    assert not hasattr(s.root_system(), "_levi_roots")
+    assert not hasattr(rootsys.build(s.algebra), "_levi_roots")
 
 
 def test_adjoint_scenario_rejects_a1():

@@ -53,8 +53,8 @@ def test_grading_element_delta_property():
         for node in range(1, rs.rank + 1):
             z = ParabolicMarking(rs, {node}).z
             for j in range(rs.rank):
-                alpha = rs.fund_coords_of_root(
-                    tuple(int(k == j) for k in range(rs.rank)))
+                # C . e_j, read off the Cartan matrix, not the root walk
+                alpha = tuple(rs.cartan[i][j] for i in range(rs.rank))
                 assert z(alpha) == (1 if j + 1 == node else 0)
 
 

@@ -121,15 +121,26 @@ def uncalled(defining, callers):
     return [(line, name) for line, name in dead(defining, callers) if name in public]
 
 
+def program_modules(root):
+    """The package's modules under `root`, its __init__.py left out."""
+    return [p for p in sorted((root / "src" / "liecoh").glob("*.py"))
+            if p.name != "__init__.py"]
+
+
+def program_sources(root):
+    """The text of the program under `root`: the package (program_modules),
+    the demos and bench/ (its test_bench.py left out)."""
+    bench = [p for p in sorted((root / "bench").glob("*.py")) if p.name != "test_bench.py"]
+    paths = program_modules(root) + sorted((root / "demos").glob("*.py")) + bench
+    return [p.read_text() for p in paths]
+
+
 def unused_by_program(root):
     """"module.py: name" of each definition of the package under `root` that
-    neither the package (its __init__.py left out), the demos nor bench/
-    (its test_bench.py left out) names."""
-    package = sorted((root / "src" / "liecoh").glob("*.py"))
-    modules = [p for p in package if p.name != "__init__.py"]
-    bench = [p for p in sorted((root / "bench").glob("*.py")) if p.name != "test_bench.py"]
-    sources = [p.read_text() for p in modules + sorted((root / "demos").glob("*.py")) + bench]
-    return [f"{p.name}: {name}" for p in modules for _, name in dead(p.read_text(), sources)]
+    the program (program_sources) does not name."""
+    sources = program_sources(root)
+    return [f"{p.name}: {name}" for p in program_modules(root)
+            for _, name in dead(p.read_text(), sources)]
 
 
 def test_scan_finds_a_dead_function():

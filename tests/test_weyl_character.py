@@ -112,7 +112,9 @@ def ref_multiplicities(rs, lam):
         frontier = nxt
     dominants = sorted((w for w in weights if min(w) >= 0),
                        key=lambda w: (ref_depth(rs, lam, w), w))
-    pos = [rs.fund_coords_of_root(r.coords) for r in rs.positive_roots]
+    # C . c from the Cartan matrix, not the root walk's root_weights
+    pos = [tuple(sum(rs.cartan[i][j] * r.coords[j] for j in range(rs.rank))
+                 for i in range(rs.rank)) for r in rs.positive_roots]
     rho = (1,) * rs.rank
     lam_rho = tuple(a + 1 for a in lam)
     mult = {lam: 1}
