@@ -191,8 +191,8 @@ def cmd_rigidity(args):
     if args.list_fixtures and (args.p is not None or args.oracle):
         raise ValueError("--p and --oracle do not go with --list-fixtures")
     if args.list_fixtures:
-        for name in fixtures():
-            print(name)
+        names = fixtures()
+        _emit(args, {"fixtures": names}, names)
         return 0
     if args.fixture is not None:
         spec = load_fixture(args.fixture)

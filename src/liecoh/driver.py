@@ -46,22 +46,13 @@ class ScenarioSpec:
 @dataclass
 class RigidityVerdict:
     verdict: str
-    threshold: int
-    offending_pieces: list
-    gperp_summary: list
     report: CohomologyReport
 
 
 def run_scenario(spec, bound=DEFAULT_ORACLE_BOUND):
     report = h1_report(ParabolicMarking(build(spec.algebra), spec.marked),
                        spec.highest_weight, spec.p, oracle=spec.oracle, bound=bound)
-    return RigidityVerdict(
-        verdict=report.verdict,
-        threshold=report.threshold,
-        offending_pieces=report.offending,
-        gperp_summary=report.gperp,
-        report=report,
-    )
+    return RigidityVerdict(report.verdict, report)
 
 
 def adjoint_scenario(factor, oracle=False):

@@ -48,43 +48,40 @@ def weight_multiplicities(rs, lam):
     multiplicity equals weyl_dim(lam).  The dominant weights are reached from
     lam by positive-root steps and each W-orbit is rs.orbit of its
     dominant weight; Freudenthal then runs on the dominant weights alone, on
-    integers (rs.half_norms, see rootsys).
+    integers (pairings through rs.d, see rootsys).
     """
     lam = tuple(lam)
     rs.check_length(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     # dominant weights below lam, each reached from one above it by a positive root
-    steps = [(rs.root_weights[r.coords], r.height) for r in rs.positive_roots]
-    depth = {lam: 0}  # dominant weight -> its level below lam
+    below = {lam: tuple([0] * rs.rank)}  # dominant mu -> lam - mu in simple-root coords
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
-            for af, ht in steps:
-                c = tuple(map(sub, w, af))
-                if min(c) >= 0 and c not in depth:
-                    depth[c] = depth[w] + ht
-                    nxt.append(c)
+            for c, af in rs.root_weights.items():
+                x = tuple(map(sub, w, af))
+                if min(x) >= 0 and x not in below:
+                    below[x] = tuple(map(add, below[w], c))
+                    nxt.append(x)
         frontier = nxt
     dom = {}  # weight -> its dominant representative
     levels = {}  # level -> its weights
-    for d, dep in depth.items():
-        for w, lw in rs.orbit(d, range(rs.rank)).items():
-            dom[w] = d
-            levels.setdefault(dep + lw, []).append(w)
-    dominants = sorted(depth, key=lambda w: (depth[w], w))
+    for top, k in below.items():
+        for w, lw in rs.orbit(top, range(rs.rank)).items():
+            dom[w] = top
+            levels.setdefault(sum(k) + lw, []).append(w)
+    dominants = sorted(below, key=lambda w: (sum(below[w]), w))
     # Freudenthal recursion, top down:
     # m(mu) = sum_{a > 0, k >= 1} 2 m(mu + k a) (mu + k a, a)
     #         / ((lam + rho, lam + rho) - (mu + rho, mu + rho)),
-    # with every inner product scaled by rs.form_den, which cancels
+    # whose denominator is (lam - mu, lam + mu + 2 rho) = sum_i b_i d_i (lam + mu + 2 rho)_i
+    # for lam - mu = sum_i b_i alpha_i, b = below[mu]
     roots = []
     for c, af in rs.root_weights.items():
-        fa = tuple(map(mul, c, rs.half_norms))  # form_den * (., a)
+        fa = tuple(map(mul, c, rs.d))  # (., a) on fundamental coordinates
         roots.append((af, fa, sum(map(mul, af, fa))))
-    rho = rs.rho
-    lam_rho = tuple(map(add, lam, rho))
-    c_top = rs.scaled_inner(lam_rho, lam_rho)
     mult = {lam: 1}
     for mu in dominants:
         if mu == lam:
@@ -99,8 +96,7 @@ def weight_multiplicities(rs, lam):
                     break
                 pair += aa
                 total += 2 * mult[dom[nu]] * pair
-        mu_rho = tuple(map(add, mu, rho))
-        denom = c_top - rs.scaled_inner(mu_rho, mu_rho)
+        denom = sum(b * d * (x + y + 2) for b, d, x, y in zip(below[mu], rs.d, lam, mu))
         if denom <= 0 or total % denom or total // denom <= 0:
             raise InternalCheckError(
                 f"Freudenthal multiplicity {total}/{denom} of {mu} in V{lam} is not "

@@ -6,11 +6,9 @@ Conventions, fixed once and used everywhere:
   * Weights are stored in fundamental-weight coordinates (tuples, one block
     per simple factor, concatenated in declaration order).
   * Roots are stored in simple-root coordinates.
-  * The invariant form is normalized per simple factor so the highest root
-    has squared length 2.
   * d[i] is the integer symmetrizer of the Cartan matrix, d_i C_ij = d_j C_ji:
     1 on short roots (and on every root of a simply-laced factor), 2 or 3 on
-    long ones, so d_i is (alpha_i, alpha_i) / 2 up to one scale per factor.
+    long ones.
 
 build gives one RootSystem per type per process: equal factor lists, as
 SimpleFactors or (family, rank) pairs, get the identical object, so its
@@ -24,11 +22,15 @@ is refused with a ValueError.
 
 The root data is built on integers alone, once per RootSystem, and checked
 when it is built:
-  * form / form_den is the normalized invariant form on fundamental
-    coordinates: (w1, w2) = sum_ij w1_i form[i][j] w2_j / form_den.
-  * half_norms[i] = form_den (alpha_i, alpha_i) / 2, so form_den (w, alpha)
-    = sum_i w_i c_i half_norms[i]: w pairs with alpha = beta + alpha_i
-    (PositiveRoot.parent) as with beta, plus w_i half_norms[i].
+  * d is the pairing data, checked to symmetrize C: (alpha_i, alpha_j) =
+    d_i C_ij is an invariant form (short roots of squared length 2 on every
+    factor), so (omega_i, alpha_j) = delta_ij d_j and a weight w pairs with
+    a root alpha = sum_i c_i alpha_i as (w, alpha) = sum_i w_i c_i d_i: with
+    alpha = beta + alpha_i (PositiveRoot.parent) as with beta, plus w_i d_i.
+    Any invariant form would do: a rescaling on a simple factor cancels
+    from the Weyl product's quotient per root, and Freudenthal's formula
+    holds for every nondegenerate invariant form (Humphreys, Introduction to
+    Lie Algebras and Representation Theory, 22.3).
   * inverse_cartan_scaled / inverse_cartan_den is C^-1, so the simple-root
     coordinates of a weight are integer dot products over one denominator.
   * root_weights maps each positive root, in simple-root coordinates, to its
@@ -49,8 +51,8 @@ reflections at given nodes (all of them for W, the unmarked ones for W_0):
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm, prod
-from operator import add, lt, mul, sub
+from math import lcm, prod
+from operator import add, lt, sub
 
 from . import linalg
 from .errors import InternalCheckError
@@ -157,7 +159,6 @@ def _lengths_simple(factor):
 class PositiveRoot:
     coords: tuple  # simple-root coordinates, global (ints)
     factor: int
-    height: int
     parent: tuple | None  # (index of beta in positive_roots, simple index i) with root = beta + alpha_i
 
 
@@ -188,11 +189,14 @@ class RootSystem:
         self.d = []
         for f in self.factors:
             self.d.extend(_lengths_simple(f))
+        if any(self.d[i] * self.cartan[i][j] != self.d[j] * self.cartan[j][i]
+               for i in range(self.rank) for j in range(i)):
+            raise InternalCheckError(f"d = {self.d} does not symmetrize the Cartan "
+                                     f"matrix of {self}")
         self.positive_roots, self.root_weights = self._enumerate_positive_roots()
         self.rho = tuple([1] * self.rank)
         self.highest_root_per_factor = [self._highest_root(s)
                                         for s in range(len(self.factors))]
-        self._build_form()
         self._weight_systems = {}  # lam -> read-only weight system, see repthy.weight_system
         self._weyl_dims = {}  # dominant weight -> its Weyl dimension, see weyl_dim
 
@@ -213,7 +217,7 @@ class RootSystem:
         number of roots root_k - j alpha_i with j >= 1, is one more than that
         of root_k - alpha_i once height h is walked.
         """
-        # coords, factor, height, parent as in PositiveRoot; parent indexes this list
+        # coords, factor, parent as in PositiveRoot; parent indexes this list
         roots = []
         weights = []  # fundamental coords of roots[k]: <root, alpha_i^vee> = weights[k][i]
         down = []
@@ -221,14 +225,14 @@ class RootSystem:
         for i in range(self.rank):
             coords = tuple(1 if j == i else 0 for j in range(self.rank))
             seen[coords] = len(roots)
-            roots.append((coords, self.factor_of_node(i), 1, None))
+            roots.append((coords, self.factor_of_node(i), None))
             weights.append(self.simple_root_weights[i])
             down.append([0] * self.rank)
         frontier = list(range(self.rank))
         while frontier:
             new_frontier = []
             for ri in frontier:
-                coords, factor, height, _ = roots[ri]
+                coords, factor, _ = roots[ri]
                 weight, below = weights[ri], down[ri]
                 for i in range(self.rank):
                     # root string: root + alpha_i is a root iff p > <root, alpha_i^vee>,
@@ -240,20 +244,20 @@ class RootSystem:
                     k = seen.get(cand)
                     if k is None:
                         k = seen[cand] = len(roots)
-                        roots.append((cand, factor, height + 1, (ri, i)))
+                        roots.append((cand, factor, (ri, i)))
                         weights.append(tuple(map(add, weight, self.simple_root_weights[i])))
                         down.append([0] * self.rank)
                         new_frontier.append(k)
                     down[k][i] = below[i] + 1
             frontier = new_frontier
-        order = sorted(range(len(roots)), key=lambda k: (roots[k][2], roots[k][0]))
+        order = sorted(range(len(roots)), key=lambda k: (sum(roots[k][0]), roots[k][0]))
         remap = {old: new for new, old in enumerate(order)}
         positive = []
         for k in order:
-            coords, factor, height, parent = roots[k]
+            coords, factor, parent = roots[k]
             if parent is not None:
                 parent = (remap[parent[0]], parent[1])
-            positive.append(PositiveRoot(coords, factor, height, parent))
+            positive.append(PositiveRoot(coords, factor, parent))
         return positive, {roots[k][0]: weights[k] for k in order}
 
     def _highest_root(self, s):
@@ -264,35 +268,6 @@ class RootSystem:
                 raise InternalCheckError(f"highest root does not dominate {c}")
         return roots[-1]
 
-    def _build_form(self):
-        """form / form_den: (omega_i, omega_j) = (C^-1)_ji d_j / d_long(j), reduced.
-
-        d_long(j) is the d of the long roots of node j's factor, so every
-        highest root has squared length 2; this is checked, as is the
-        symmetry of the form.
-        """
-        d_long = []
-        for f, off in zip(self.factors, self.offsets):
-            d_long += [max(self.d[off:off + f.rank])] * f.rank
-        scale = lcm(*d_long)
-        form = [[self.inverse_cartan_scaled[j][i] * self.d[j] * (scale // d_long[j])
-                 for j in range(self.rank)] for i in range(self.rank)]
-        den = self.inverse_cartan_den * scale
-        g = gcd(den, *(x for row in form for x in row))
-        self.form_den, self.form = den // g, [[x // g for x in row] for row in form]
-        if any(self.form[i][j] != self.form[j][i]
-               for i in range(self.rank) for j in range(i)):
-            raise InternalCheckError(f"invariant form of {self} is not symmetric")
-        for s in range(len(self.factors)):
-            theta = self.adjoint_weight(s)
-            if self.scaled_inner(theta, theta) != 2 * self.form_den:
-                raise InternalCheckError(
-                    f"highest root of {self.factors[s]} does not have squared length 2")
-        norms = [self.scaled_inner(a, a) for a in self.simple_root_weights]
-        if any(n <= 0 or n % 2 for n in norms):
-            raise InternalCheckError(f"simple root norms {norms} are not positive and even")
-        self.half_norms = [n // 2 for n in norms]
-
     # ---------- node / factor bookkeeping ----------
 
     def factor_of_node(self, i):
@@ -300,12 +275,6 @@ class RootSystem:
             if i >= self.offsets[s]:
                 return s
         raise IndexError(i)
-
-    # ---------- pairings ----------
-
-    def scaled_inner(self, w1, w2):
-        """form_den * (w1, w2), an integer."""
-        return sum(x * sum(map(mul, row, w2)) for x, row in zip(w1, self.form) if x)
 
     # ---------- Weyl machinery ----------
 
@@ -411,13 +380,13 @@ class RootSystem:
         positive integer, which is checked.
         """
         self.check_length(weight)
-        h = self.half_norms
-        s = [(x + 1) * n for x, n in zip(weight, h)]  # form_den (weight + rho, alpha_i)
-        top, low = s[::-1], h[::-1]  # positive_roots opens with alpha_rank, ..., alpha_1
+        d = self.d
+        s = [(x + 1) * n for x, n in zip(weight, d)]  # (weight + rho, alpha_i)
+        top, low = s[::-1], d[::-1]  # positive_roots opens with alpha_rank, ..., alpha_1
         for r in self.positive_roots[self.rank:]:
             k, i = r.parent
             top.append(top[k] + s[i])
-            low.append(low[k] + h[i])
+            low.append(low[k] + d[i])
         num, den = prod(map(top.__getitem__, roots)), prod(map(low.__getitem__, roots))
         if num % den or num // den <= 0:
             raise InternalCheckError(
@@ -452,8 +421,7 @@ class RootSystem:
         return self.root_weights[self.highest_root_per_factor[s]]
 
     def dim_g(self):
-        return sum(2 * sum(1 for r in self.positive_roots if r.factor == s) + f.rank
-                   for s, f in enumerate(self.factors))
+        return 2 * len(self.positive_roots) + self.rank
 
     def __repr__(self):
         return "x".join(str(f) for f in self.factors)

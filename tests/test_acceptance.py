@@ -125,9 +125,9 @@ def test_criterion_4a_adjoint_a2_rigid_at_minus_one():
 
 def test_criterion_4b_veronese_a1():
     v = run_fixture("veronese-a1")
-    ok = v.verdict == "INCONCLUSIVE" and len(v.offending_pieces) == 1
+    ok = v.verdict == "INCONCLUSIVE" and len(v.report.offending) == 1
     if ok:
-        _, _, piece = v.offending_pieces[0]
+        _, _, piece = v.report.offending[0]
         ok = piece.degree == 3 and piece.dimension == 1
     v2 = run_fixture("veronese-a1", p=2)
     ok &= v2.verdict == "RIGID"
@@ -143,7 +143,7 @@ def test_criterion_4c_segre_1_1_inconclusive_at_zero():
     expected = [(hw, m, pc) for hw, m, pc in v.report.pieces
                 if hw == (2, 2) and pc.degree == 1]
     ok = v.verdict == "INCONCLUSIVE" and v.report.oracle_ran
-    ok &= len(expected) == 2 and v.offending_pieces == expected
+    ok &= len(expected) == 2 and v.report.offending == expected
     # p = 0 asks for order three, where Fubini's theorem makes it rigid
     v0 = run_fixture("segre-1-1")
     ok &= v0.report.p == 0 and v0.verdict == "RIGID"

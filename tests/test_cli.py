@@ -95,6 +95,16 @@ def test_fixtures_list():
         load_fixture(name)
 
 
+def test_list_fixtures_in_both_formats(capsys):
+    # the table is one name a line; --format json is one object
+    code, out, err = run(capsys, "rigidity", "--list-fixtures")
+    assert code == 0 and err == "" and out == "".join(f"{n}\n" for n in fixtures())
+    code, out, err = run(capsys, "--format", "json", "rigidity", "--list-fixtures")
+    assert code == 0 and err == ""
+    assert out == json.dumps({"fixtures": fixtures()}, indent=2) + "\n"
+    assert json.loads(out)["fixtures"][0] == "adjoint-a2"
+
+
 def test_a_copy_of_the_package_reads_its_own_fixtures(tmp_path, monkeypatch):
     # two checkouts can be imported side by side, one under another name
     copy = tmp_path / "liecoh_copy"

@@ -108,9 +108,9 @@ def test_a2_adjoint_verdicts():
     v = run_scenario(spec(["A2"], {1, 2}, (1, 1), -1, oracle=True))
     assert v.verdict == "INCONCLUSIVE"
     assert v.report.aggregate == {-2: 2, -1: 2, 0: 2, 1: 2}
-    degrees = sorted(pc.degree for _, _, pc in v.offending_pieces)
+    degrees = sorted(pc.degree for _, _, pc in v.report.offending)
     assert degrees == [1, 1]
-    comps = sorted(hw for hw, _, _ in v.offending_pieces)
+    comps = sorted(hw for hw, _, _ in v.report.offending)
     assert comps == [(0, 3), (3, 0)]
     assert v.report.oracle_ran
     v = run_scenario(spec(["A2"], {1, 2}, (1, 1), 0, oracle=True))
@@ -134,8 +134,8 @@ def test_c2_adjoint():
 def test_veronese_a1_verdicts():
     v = run_scenario(spec(["A1"], {1}, (2,), -1, oracle=True))
     assert v.verdict == "INCONCLUSIVE"
-    assert len(v.offending_pieces) == 1
-    _, _, piece = v.offending_pieces[0]
+    assert len(v.report.offending) == 1
+    _, _, piece = v.report.offending[0]
     assert piece.degree == 3 and piece.dimension == 1
     for p in (0, 1):
         assert run_scenario(spec(["A1"], {1}, (2,), p)).verdict == "INCONCLUSIVE"

@@ -10,7 +10,7 @@ and quadric-5 tableaux in `tests/`, of the exact prolongation basis of the Seg(P
 of the stabilizer tableaux of two seeded dense second fundamental forms, of the
 explicit matrices `construct_rep` builds on modules with a weight space of
 dimension > 1, of the weight systems (in their order and as sets) and root
-data the Kostant route walks, of their inverse Cartan matrices and invariant forms, of the H^0 and H^1 that the g-perp oracle (gperp_weights) returns grade by grade on
+data the Kostant route walks, of their inverse Cartan matrices and d (as an invariant form), of the H^0 and H^1 that the g-perp oracle (gperp_weights) returns grade by grade on
 the benchmark ladder and the fixtures, and of the stdout
 of every demo.  A change that keeps these bytes
 keeps the program's observable results; a change that means to alter them
@@ -18,6 +18,7 @@ must update the hashes here and say why.
 """
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -173,9 +174,9 @@ WEIGHT_CONTENT_SHA256 = {
         "a8a8b3418304d2ce03ad7b9d9b8997e0dfc60e2db2d10734efaa63707b268eeb",
 }
 
-# positive roots as (coords, factor, height, parent), then root_weights and
-# the coroots (_coroots), in order: every type of the benchmark ladders, and a
-# product
+# positive roots as (coords, factor, height, parent), height = sum(coords),
+# then root_weights and the coroots (_coroots), in order: every type of the
+# benchmark ladders, and a product
 ROOT_DATA_SHA256 = {
     "A2": "305519210cf44a7815ce0f9114f4831065ce74498d8d3ae92bb62ca7fa3454a9",
     "A3": "57f65c263fc63efd122bfa0cec130a8272876159069decf85bbcdc69da3b0fd5",
@@ -198,7 +199,8 @@ ROOT_DATA_SHA256 = {
 }
 
 # repr((inverse_cartan_den, inverse_cartan_scaled, form_den, form)) on the same
-# types: C^-1 over its denominator and the normalized invariant form
+# types: C^-1 over its denominator and the invariant form (_form) that d and
+# C^-1 give with every highest root of squared length 2
 ROOT_FORM_SHA256 = {
     "A2": "09a7b27c18bf184a2afacc0e291ecc190f5c450ce2428cb90fb5e8c1f568f422",
     "A3": "c72fe202744e0cdac768d1446a10a6b85f6d1e1737dbeee79928b95e0b4f4be5",
@@ -356,18 +358,32 @@ def _coroots(rs):
 @pytest.mark.parametrize("name", sorted(ROOT_DATA_SHA256))
 def test_root_data(name):
     rs = parse_type(name)
-    parts = [repr([(r.coords, r.factor, r.height, r.parent) for r in rs.positive_roots]),
+    parts = [repr([(r.coords, r.factor, sum(r.coords), r.parent) for r in rs.positive_roots]),
              repr(list(rs.root_weights.items())), repr(_coroots(rs))]
     assert sha256("\n".join(parts).encode()) == ROOT_DATA_SHA256[name]
 
 
+def _form(rs):
+    """(form_den, form): (omega_i, omega_j) = (C^-1)_ji d_j / d_long(j), reduced.
+
+    d_long(j) is the d of the long roots of node j's factor, so every
+    highest root has squared length 2.  The package pairs through d alone
+    and keeps no form, so it is made here from d and C^-1."""
+    d_long = []
+    for f, off in zip(rs.factors, rs.offsets):
+        d_long += [max(rs.d[off:off + f.rank])] * f.rank
+    scale = math.lcm(*d_long)
+    form = [[rs.inverse_cartan_scaled[j][i] * rs.d[j] * (scale // d_long[j])
+             for j in range(rs.rank)] for i in range(rs.rank)]
+    den = rs.inverse_cartan_den * scale
+    g = math.gcd(den, *(x for row in form for x in row))
+    return den // g, [[x // g for x in row] for row in form]
+
+
 @pytest.mark.parametrize("name", sorted(ROOT_FORM_SHA256))
 def test_root_form(name):
-    # Freudenthal reads half_norms, made from the form, and is homogeneous of
-    # degree 0 in both, as are the Weyl and Kostant routes' quotients of
-    # half_norms, so no other pin sees a rescaled form
     rs = parse_type(name)
-    text = repr((rs.inverse_cartan_den, rs.inverse_cartan_scaled, rs.form_den, rs.form))
+    text = repr((rs.inverse_cartan_den, rs.inverse_cartan_scaled, *_form(rs)))
     assert sha256(text.encode()) == ROOT_FORM_SHA256[name]
 
 

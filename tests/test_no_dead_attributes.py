@@ -4,8 +4,10 @@ test_no_dead_functions scans definitions.  An attribute stored as
 `self.x = ...` in a method is not one, so a datum that the package builds
 and keeps, yet never reads, passes that scan.  This one lists each
 attribute that a module of the package stores on `self` (in a plain,
-annotated, augmented or tuple assignment) and fails on one that the
-program never reads.  The program is the same as in test_no_dead_functions:
+annotated, augmented or tuple assignment), and each field that a
+`@dataclass` declares by an annotation in its class body (not an InitVar
+or a ClassVar, which are no fields of the instance), and fails on one that
+the program never reads.  The program is the same as in test_no_dead_functions:
 the package without __init__.py, the demos, and bench/ without
 test_bench.py.  A read is the attribute loaded anywhere in the program, on
 any object, or its name given as a string (`getattr` takes one).  A store
@@ -18,6 +20,7 @@ reads inside the standard library.
 """
 
 import ast
+import re
 
 from test_no_dead_functions import ROOT, program_modules, program_sources
 
@@ -25,10 +28,32 @@ from test_no_dead_functions import ROOT, program_modules, program_sources
 READ_ELSEWHERE = ["cli.py: _negative_number_matcher"]
 
 
+def _is_dataclass(node):
+    """Whether the class `node` is decorated with dataclass, called or not."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (target.attr if isinstance(target, ast.Attribute) else
+                getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _is_field(node):
+    """Whether the class-body statement `node` declares an instance field."""
+    if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+        return False
+    # the annotation's text, so that a string annotation counts as well
+    return not re.search(r"\b(InitVar|ClassVar)\b", ast.unparse(node.annotation))
+
+
 def stored(source):
-    """(line, name) of the first store of each attribute `source` puts on self."""
+    """(line, name) of the first store of each attribute `source` puts on
+    self, and of each field its dataclasses declare."""
     out = {}
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for field in filter(_is_field, node.body):
+                out.setdefault(field.target.id, field.lineno)
         targets = node.targets if isinstance(node, ast.Assign) else \
             [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
         for target in targets:
@@ -82,6 +107,28 @@ def test_scan_finds_an_unread_attribute():
     assert stored(module) == [(3, "used"), (4, "unused"), (5, "half"), (5, "pair"),
                               (6, "typed"), (7, "counted"), (9, "table")]
     assert unread(module, [module, caller]) == [(4, "unused"), (5, "half"), (7, "counted")]
+
+
+def test_scan_finds_an_unread_dataclass_field():
+    module = ("import dataclasses\n"
+              "from dataclasses import InitVar, dataclass\n"
+              "from typing import ClassVar\n\n"
+              "@dataclass(frozen=True)\n"
+              "class P:\n"
+              "    used: int\n"
+              "    unused: int = 0\n"
+              "    seed: InitVar[int] = 0\n"
+              "    count: ClassVar[int] = 0\n"
+              "    shared: 'typing.ClassVar[int]' = 0\n"
+              "    plain = 1\n\n"
+              "@dataclasses.dataclass\n"
+              "class Q:\n"
+              "    named: str\n\n"
+              "class R:\n"
+              "    hint: int\n")
+    caller = "print(P(1).used, getattr(Q('x'), 'named'))\n"
+    assert stored(module) == [(7, "used"), (8, "unused"), (16, "named")]
+    assert unread(module, [module, caller]) == [(8, "unused")]
 
 
 def test_scan_counts_the_program_alone(tmp_path):

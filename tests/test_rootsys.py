@@ -231,10 +231,16 @@ def test_highest_root_dominates():
 
 
 def test_theta_norm_normalization():
-    for name in POSITIVE_ROOT_COUNTS:
+    # in the form (alpha_i, alpha_j) = d_i C_ij, short roots have squared
+    # length 2 and so the highest root of each factor 2 d_long, d_long the
+    # factor's largest d
+    for name in list(POSITIVE_ROOT_COUNTS) + ["A1,G2", "B3,C3"]:
         rs = parse_type(name)
-        theta = rs.adjoint_weight()
-        assert rs.scaled_inner(theta, theta) == 2 * rs.form_den
+        for s, (f, off) in enumerate(zip(rs.factors, rs.offsets)):
+            theta = rs.highest_root_per_factor[s]
+            norm = sum(c * d * w for c, d, w in zip(theta, rs.d, rs.adjoint_weight(s)))
+            assert min(rs.d[off:off + f.rank]) == 1
+            assert norm == 2 * max(rs.d[off:off + f.rank])
 
 
 def test_adjoint_weights_exceptional():
@@ -367,31 +373,37 @@ PAIRING_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
 
 @pytest.mark.parametrize("name", PAIRING_TYPES)
 def test_root_pairings_read_off_the_simple_root_norms(name):
-    # (omega_j, alpha) = c_j (alpha_j, alpha_j) / 2 for alpha = sum c_i alpha_i,
-    # so the Weyl dimension is prod (lam + rho, alpha) / prod (rho, alpha)
+    # (alpha_i, alpha_j) = d_i C_ij, so d_j = (alpha_j, alpha_j) / 2 and
+    # (omega_j, alpha) = c_j d_j for alpha = sum c_i alpha_i; the Weyl
+    # dimension is prod (lam + rho, alpha) / prod (rho, alpha).  pair goes
+    # through C^-1, not through the c_j d_j that rootsys reads
     rs = parse_type(name)
+
+    def pair(w, coords):
+        # (w, alpha) = sum_ij w_i (C^-1)_ji (alpha_j, alpha), over C^-1's denominator
+        to_alpha = [sum(rs.d[j] * rs.cartan[j][k] * coords[k] for k in range(rs.rank))
+                    for j in range(rs.rank)]
+        return Fraction(sum(w[i] * rs.inverse_cartan_scaled[j][i] * to_alpha[j]
+                            for i in range(rs.rank) for j in range(rs.rank)),
+                        rs.inverse_cartan_den)
+
     units = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
-    norms = [rs.scaled_inner(a, a) for a in rs.simple_root_weights]
-    assert all(n > 0 and n % 2 == 0 for n in norms)
     for r in rs.positive_roots:
-        alpha = rs.root_weights[r.coords]
-        assert [rs.scaled_inner(w, alpha) for w in units] == [
-            c * n // 2 for c, n in zip(r.coords, norms)]
+        assert [pair(w, r.coords) for w in units] == [
+            c * d for c, d in zip(r.coords, rs.d)]
     rng = random.Random(name)
     for _ in range(4):
         lam = tuple(rng.randrange(3) for _ in range(rs.rank))
         top = low = 1
         for r in rs.positive_roots:
-            alpha = rs.root_weights[r.coords]
-            top *= rs.scaled_inner([x + 1 for x in lam], alpha)
-            low *= rs.scaled_inner(rs.rho, alpha)
-        assert rs.weyl_dim(lam) == Fraction(top, low)
+            top *= pair([x + 1 for x in lam], r.coords)
+            low *= pair(rs.rho, r.coords)
+        assert rs.weyl_dim(lam) == top / low
 
 
-def test_an_odd_simple_root_norm_is_refused(monkeypatch):
-    # half_norms are checked once, when the form is built
-    real = RootSystem.scaled_inner
-    monkeypatch.setattr(RootSystem, "scaled_inner", lambda self, w1, w2: real(self, w1, w2)
-                        + (tuple(w1) in self.simple_root_weights))
-    with pytest.raises(InternalCheckError, match=r"norms \[7, 7\] are not positive and even"):
+def test_a_d_that_does_not_symmetrize_the_cartan_matrix_is_refused(monkeypatch):
+    # d is checked once, when the root system is built
+    monkeypatch.setattr(rootsys, "_lengths_simple", lambda factor: [1, 2])
+    with pytest.raises(InternalCheckError,
+                       match=r"d = \[1, 2\] does not symmetrize the Cartan matrix of A2"):
         RootSystem([("A", 2)])
